@@ -926,6 +926,38 @@ mod tests {
         assert_eq!(pdce_ir::printer::canonical_string(&p), original);
     }
 
+    /// The faint closure's pops count against `max_pops`, not only its
+    /// seeds: a budget of exactly the tagged pops of an unlimited pfe
+    /// run (which count one pop per seed) leaves no room for the
+    /// closure, so the configured run exhausts and the ladder degrades.
+    #[test]
+    fn pop_budget_bounds_the_faint_closure() {
+        // The closure is the default engine and the explicit `Sparse`
+        // one; pin the latter only when the ambient `SOLVER` picks a
+        // dense worklist.
+        let closure = |f: &dyn Fn() -> PdceStats| match pdce_dfa::strategy_override() {
+            None => f(),
+            Some(_) => pdce_dfa::with_strategy(SolverStrategy::Sparse, f),
+        };
+        let unlimited = closure(&|| run(&PdceConfig::pfe(), FIG1).1);
+        assert!(unlimited.solver.sparse_pops > 0, "faint ran the closure");
+        let config = PdceConfig::pfe().with_budget(Budget {
+            max_pops: Some(unlimited.solver.pops()),
+            ..Budget::UNLIMITED
+        });
+        let stats = closure(&|| {
+            let mut p = parse(FIG1).unwrap();
+            optimize_resilient(&mut p, &config)
+        });
+        assert!(stats.degraded.is_some(), "{:?}", stats.failure_log);
+        assert!(stats.budget_exhaustions >= 1);
+        assert!(
+            stats.failure_log[0].starts_with("configured run failed (budget exhausted: pops"),
+            "{:?}",
+            stats.failure_log
+        );
+    }
+
     #[test]
     fn persistent_sink_panic_degrades_to_elimination_only() {
         let (want, _) = run(&PdceConfig::dce_only(), FIG1);

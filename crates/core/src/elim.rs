@@ -96,15 +96,11 @@ pub fn eliminate_once_cached(
             removed += apply_removals(prog, &plans);
         }
         Mode::Faint => {
-            // The revision-cached chain graph feeds the faint network:
-            // cold, seeded, and sparse solves all reuse it instead of
-            // re-scanning the program.
+            // The revision-cached chain graph feeds the faint network,
+            // which is always solved cold (DESIGN.md §15).
             let du = cache.du(prog);
-            let sol = cache.analysis_seeded::<FaintSolution, _>(prog, |p, view, seed| match seed {
-                Some((prev, delta)) => {
-                    FaintSolution::compute_seeded_with_du(p, view, &du, prev, delta.dirty_blocks())
-                }
-                None => FaintSolution::compute_with_du(p, view, &du),
+            let sol = cache.analysis::<FaintSolution, _>(prog, |p, view| {
+                FaintSolution::compute_with_du(p, view, &du)
             });
             let plans: Vec<(pdce_ir::NodeId, Vec<usize>)> = prog
                 .node_ids()

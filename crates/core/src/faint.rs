@@ -15,13 +15,17 @@
 //! ```
 //!
 //! Following Section 5.2 we solve it with a slotwise worklist algorithm
-//! (the greatest-fixpoint boolean-network solver of `pdce-dfa`), with the
-//! paper's subtlety: whenever slot `(ι, lhs_ι)` drops, the slots `(ι, z)`
-//! of all right-hand-side variables `z` of `ι` are re-queued.
+//! (the greatest-fixpoint boolean-network solvers of `pdce-dfa`), with
+//! the paper's subtlety: whenever slot `(ι, lhs_ι)` drops, the slots
+//! `(ι, z)` of all right-hand-side variables `z` of `ι` are re-queued.
+//! By default the network is solved by the sparse falsity closure,
+//! which touches only the slots falsity reaches — the §6.1.2
+//! `O(#slots + #dependency edges)` bound without materializing the
+//! edges. Every solve is cold: the closure is cheaper than re-seeding a
+//! previous fixpoint (DESIGN.md §15).
 
 use pdce_dfa::network::{
-    solve_greatest, solve_greatest_prioritized, solve_greatest_seeded, solve_greatest_sparse,
-    NetworkSolution,
+    solve_greatest, solve_greatest_prioritized, solve_greatest_sparse, NetworkSolution,
 };
 use pdce_dfa::{Csr, DuGraph, InstrKind, SolverStrategy};
 use pdce_ir::{CfgView, NodeId, Program, Var};
@@ -44,8 +48,8 @@ pub struct FaintSolution {
 /// per-instruction kind/def/use facts, and the flow chains, so the
 /// network is a thin slot-arithmetic layer over it. The dense
 /// dependency CSR is materialized on demand ([`Network::dependents`])
-/// only for the worklist strategies; the sparse strategy walks the
-/// use-def chains lazily instead.
+/// only for the explicit Fifo/Priority oracles; the default sparse
+/// closure walks the use-def chains lazily instead.
 struct Network<'a> {
     num_vars: usize,
     num_instrs: usize,
@@ -65,7 +69,7 @@ impl<'a> Network<'a> {
         }
     }
 
-    /// Dense dependency edges, for the Fifo/Priority/seeded solvers:
+    /// Dense dependency edges, for the Fifo/Priority solvers:
     /// slot (ν, y) is read by (ι, y) whenever ν ∈ next(ι); additionally,
     /// for assignments, (ν, lhs) is read by (ι, z) for every
     /// right-hand-side variable z. Emission order is the worklist
@@ -159,19 +163,12 @@ impl<'a> Network<'a> {
         }
     }
 
-    /// Slot priorities for the prioritized/seeded solvers: falsity flows
+    /// Slot priorities for the prioritized solver: falsity flows
     /// backward along `next`, so evaluate deep instructions first
     /// (the view's precomputed instruction-graph postorder index).
     fn priorities(&self, view: &CfgView) -> Vec<u32> {
         let po = view.instr_postorder();
         (0..self.num_slots).map(|s| po[s / self.num_vars]).collect()
-    }
-
-    /// Number of instructions of block `n` in this layout.
-    fn instr_count(&self, n: usize) -> usize {
-        let offsets = self.du.block_offsets();
-        let end = offsets.get(n + 1).copied().unwrap_or(self.num_instrs);
-        end - offsets[n]
     }
 }
 
@@ -204,6 +201,13 @@ impl FaintSolution {
     /// (typically the revision-cached one from `AnalysisCache::du`,
     /// avoiding the program re-scan). `du` must describe `prog` under
     /// `view`'s layout.
+    ///
+    /// With no strategy override in force
+    /// ([`pdce_dfa::strategy_override`]) and under an explicit
+    /// [`SolverStrategy::Sparse`], the network is solved by the sparse
+    /// falsity closure. Explicit `Fifo`/`Priority` selections run the
+    /// dense worklists, the reference oracles the differential tests
+    /// compare the closure against.
     pub fn compute_with_du(prog: &Program, view: &CfgView, du: &DuGraph) -> FaintSolution {
         debug_assert!(view.layout_matches(prog), "view layout is stale");
         debug_assert_eq!(du.num_instrs(), view.num_instrs(), "du graph is stale");
@@ -212,16 +216,16 @@ impl FaintSolution {
         let NetworkSolution {
             values,
             evaluations,
-        } = match pdce_dfa::current_strategy() {
-            SolverStrategy::Fifo => solve_greatest(net.num_slots, &net.dependents(), eval),
-            SolverStrategy::Priority => {
+        } = match pdce_dfa::strategy_override() {
+            Some(SolverStrategy::Fifo) => solve_greatest(net.num_slots, &net.dependents(), eval),
+            Some(SolverStrategy::Priority) => {
                 // Falsity flows backward along `next`, so evaluate deep
                 // instructions first: priority = instruction-graph
                 // postorder index (exit-most instructions finish first).
                 let priority = net.priorities(view);
                 solve_greatest_prioritized(net.num_slots, &net.dependents(), &priority, eval)
             }
-            SolverStrategy::Sparse => {
+            None | Some(SolverStrategy::Sparse) => {
                 // No dense dependency CSR at all: seed the closed-form
                 // false slots and chase falsity along the use-def chains.
                 let seeds = net.false_seeds();
@@ -243,100 +247,20 @@ impl FaintSolution {
         }
     }
 
-    /// Warm-start re-analysis seeded from a previous solution.
-    ///
-    /// `prev` must come from [`FaintSolution::compute`] (or a previous
-    /// seeded run) over the same CFG, and `dirty` must cover every block
-    /// whose statement list changed since. The slot network is rebuilt
-    /// for the current program (a linear scan); the previous fixpoint
-    /// values of untouched blocks are remapped into the new layout and
-    /// only the slots of dirty blocks — plus their dependence cone — are
-    /// re-iterated. Falls back to a cold solve internally when the
-    /// shapes do not line up (the variable universe moved, the block
-    /// set changed, or a supposedly-clean block changed length).
-    /// Bit-identical to a cold solve.
-    pub fn compute_seeded(
-        prog: &Program,
-        view: &CfgView,
-        prev: &FaintSolution,
-        dirty: &[NodeId],
-    ) -> FaintSolution {
-        let du = DuGraph::build(prog, view);
-        FaintSolution::compute_seeded_with_du(prog, view, &du, prev, dirty)
-    }
-
-    /// [`FaintSolution::compute_seeded`] against an already-built chain
-    /// graph (see [`FaintSolution::compute_with_du`]).
+    /// [`FaintSolution::compute_with_du`] under the signature of a
+    /// warm-start entry point, which the benchmark's layer replica
+    /// (`perfbench/src/replica.rs`) calls. Faint has no warm start: the
+    /// sparse closure re-solves the whole network cheaper than seeding
+    /// from a previous fixpoint did (DESIGN.md §15), so `prev` and
+    /// `dirty` are ignored and every solve is cold.
     pub fn compute_seeded_with_du(
         prog: &Program,
         view: &CfgView,
         du: &DuGraph,
-        prev: &FaintSolution,
-        dirty: &[NodeId],
+        _prev: &FaintSolution,
+        _dirty: &[NodeId],
     ) -> FaintSolution {
-        debug_assert_eq!(du.num_instrs(), view.num_instrs(), "du graph is stale");
-        let net = Network::new(du);
-        let nblocks = prog.num_blocks();
-        if net.num_vars != prev.num_vars || prev.offsets.len() != nblocks {
-            return FaintSolution::compute_with_du(prog, view, du);
-        }
-        let mut is_dirty = vec![false; nblocks];
-        for &d in dirty {
-            is_dirty[d.index()] = true;
-        }
-        let prev_num_instrs = prev.next.num_nodes();
-        let prev_instr_count = |n: usize| {
-            let end = prev.offsets.get(n + 1).copied().unwrap_or(prev_num_instrs);
-            end - prev.offsets[n]
-        };
-        // Every clean block must have kept its instruction count, else
-        // the per-block value remapping below is meaningless.
-        for (n, &block_dirty) in is_dirty.iter().enumerate() {
-            if !block_dirty && net.instr_count(n) != prev_instr_count(n) {
-                return FaintSolution::compute_with_du(prog, view, du);
-            }
-        }
-
-        // Seed: all-true (the lattice top, what dirty slots reset to),
-        // with every clean block's segment copied from the previous
-        // fixpoint under the new instruction numbering.
-        let offsets = du.block_offsets();
-        let mut seed = pdce_dfa::BitVec::ones(net.num_slots);
-        let mut dirty_slots: Vec<u32> = Vec::new();
-        for (n, &block_dirty) in is_dirty.iter().enumerate() {
-            let base = offsets[n] * net.num_vars;
-            let count = net.instr_count(n) * net.num_vars;
-            if block_dirty {
-                dirty_slots.extend((base..base + count).map(|s| s as u32));
-            } else {
-                let prev_base = prev.offsets[n] * net.num_vars;
-                for k in 0..count {
-                    seed.set(base + k, prev.values.get(prev_base + k));
-                }
-            }
-        }
-
-        let priority = net.priorities(view);
-        let eval = |s: usize, values: &pdce_dfa::BitVec| net.eval(s, values);
-        let NetworkSolution {
-            values,
-            evaluations,
-        } = solve_greatest_seeded(
-            net.num_slots,
-            &net.dependents(),
-            &priority,
-            &seed,
-            &dirty_slots,
-            eval,
-        );
-
-        FaintSolution {
-            num_vars: net.num_vars,
-            offsets: offsets.to_vec(),
-            values,
-            next: du.next().clone(),
-            evaluations,
-        }
+        FaintSolution::compute_with_du(prog, view, du)
     }
 
     fn instr_index(&self, n: NodeId, stmt_idx: usize) -> usize {
@@ -547,34 +471,14 @@ mod tests {
         assert!(prio.evaluations <= fifo.evaluations);
     }
 
-    #[test]
-    fn seeded_recompute_matches_cold_after_stmt_edit() {
-        let mut p = parse(
-            "prog {
-               block s  { a := c + 1; nondet n3 n4 }
-               block n3 { goto n5 }
-               block n4 { y := a + b; goto n5 }
-               block n5 { y := c + d; out(y); nondet n4 e }
-               block e  { halt }
-             }",
-        )
-        .unwrap();
-        let prev = FaintSolution::compute(&p, &CfgView::new(&p));
-        // Remove `out(y)` from n5: faintness changes ripple through the
-        // loop back into n4 and s. The edit changes n5's length, which
-        // the per-block remapping must absorb.
-        let n5 = p.block_by_name("n5").unwrap();
-        p.stmts_mut(n5).pop();
-        let view = CfgView::new(&p);
-        let cold = FaintSolution::compute(&p, &view);
-        let warm = FaintSolution::compute_seeded(&p, &view, &prev, &[n5]);
+    /// Every `N-FAINT` slot of `a` and `b` agrees.
+    fn assert_same_slots(p: &Program, a: &FaintSolution, b: &FaintSolution) {
         for n in p.node_ids() {
             for k in 0..=p.block(n).stmts.len() {
-                for v in 0..p.num_vars() {
-                    let v = Var::from_index(v);
+                for v in (0..p.num_vars()).map(Var::from_index) {
                     assert_eq!(
-                        cold.faint_before(n, k, v),
-                        warm.faint_before(n, k, v),
+                        a.faint_before(n, k, v),
+                        b.faint_before(n, k, v),
                         "N-FAINT mismatch at {}[{}] var {:?}",
                         p.block(n).name,
                         k,
@@ -585,20 +489,82 @@ mod tests {
         }
     }
 
+    /// The default engine agrees with the FIFO reference after an edit
+    /// whose faintness changes ripple through a loop.
     #[test]
-    fn seeded_recompute_with_incompatible_shape_solves_cold() {
+    fn default_matches_fifo_after_stmt_edit() {
+        let mut p = parse(
+            "prog {
+               block s  { a := c + 1; nondet n3 n4 }
+               block n3 { goto n5 }
+               block n4 { y := a + b; goto n5 }
+               block n5 { y := c + d; out(y); nondet n4 e }
+               block e  { halt }
+             }",
+        )
+        .unwrap();
+        // Remove `out(y)` from n5: faintness changes ripple through the
+        // loop back into n4 and s.
+        let n5 = p.block_by_name("n5").unwrap();
+        p.stmts_mut(n5).pop();
+        let view = CfgView::new(&p);
+        let default = FaintSolution::compute(&p, &view);
+        let fifo =
+            pdce_dfa::with_strategy(SolverStrategy::Fifo, || FaintSolution::compute(&p, &view));
+        assert_same_slots(&p, &default, &fifo);
+    }
+
+    /// Growing the variable universe reshapes the slot layout; the
+    /// default engine still agrees with the FIFO reference.
+    #[test]
+    fn default_matches_fifo_after_new_variable() {
         let mut p = parse("prog { block s { x := 1; goto e } block e { halt } }").unwrap();
-        let prev = FaintSolution::compute(&p, &CfgView::new(&p));
-        // Growing the variable universe invalidates the slot layout; the
-        // seeded path must detect it and fall back.
         let y = p.var("freshvar");
         let one = p.terms_mut().constant(1);
+        let y_term = p.terms_mut().var(y);
         let s = p.entry();
         p.stmts_mut(s).push(Stmt::Assign { lhs: y, rhs: one });
+        p.stmts_mut(s).push(Stmt::Out(y_term));
         let view = CfgView::new(&p);
-        let cold = FaintSolution::compute(&p, &view);
-        let warm = FaintSolution::compute_seeded(&p, &view, &prev, &[s]);
-        assert_eq!(cold.values, warm.values);
+        let default = FaintSolution::compute(&p, &view);
+        let fifo =
+            pdce_dfa::with_strategy(SolverStrategy::Fifo, || FaintSolution::compute(&p, &view));
+        assert_eq!(default.values, fifo.values);
+        assert!(!default.faint_after(s, 1, y), "out(freshvar) observes it");
+    }
+
+    /// Pins the engine: with no override, a solve runs the sparse
+    /// closure and never the dense priority or seeded worklists, so a
+    /// silent fallback fails here instead of only losing speed. Under
+    /// an ambient `SOLVER` override the pops carry that strategy's tag.
+    #[test]
+    fn default_engine_is_the_sparse_closure() {
+        let p = parse(
+            "prog {
+               block s { x := 1; y := x; z := y; out(z); goto e }
+               block e { halt }
+             }",
+        )
+        .unwrap();
+        let view = CfgView::new(&p);
+        let before = pdce_trace::solver_totals();
+        FaintSolution::compute(&p, &view);
+        let d = pdce_trace::solver_totals().since(&before);
+        match pdce_dfa::strategy_override() {
+            None | Some(SolverStrategy::Sparse) => {
+                assert!(d.sparse_pops > 0, "{d:?}");
+                assert_eq!((d.fifo_pops, d.priority_pops, d.seeded_pops), (0, 0, 0));
+            }
+            Some(SolverStrategy::Priority) => {
+                assert!(d.priority_pops > 0, "{d:?}");
+                assert_eq!((d.fifo_pops, d.seeded_pops, d.sparse_pops), (0, 0, 0));
+            }
+            Some(SolverStrategy::Fifo) => {
+                assert!(d.fifo_pops > 0, "{d:?}");
+                assert_eq!((d.priority_pops, d.seeded_pops, d.sparse_pops), (0, 0, 0));
+            }
+        }
+        assert_eq!(d.warm_solves, 0);
     }
 
     #[test]

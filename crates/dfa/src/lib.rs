@@ -46,12 +46,12 @@ pub use csr::Csr;
 pub use du::{DuGraph, InstrKind};
 pub use genkill::GenKill;
 pub use network::{
-    solve_greatest, solve_greatest_prioritized, solve_greatest_seeded, solve_greatest_sparse,
-    NetworkSolution,
+    solve_greatest, solve_greatest_prioritized, solve_greatest_sparse, NetworkSolution,
 };
 pub use pass::{run_until_stable, AnalysisCache, CacheStats, Pass, PassOutcome, Preserves};
 pub use solve::{
     affected_closure, current_strategy, incremental_enabled, solve, solve_fn, solve_seeded,
-    with_incremental, with_strategy, BitProblem, Direction, Meet, Solution, SolverStrategy,
+    strategy_override, with_incremental, with_strategy, BitProblem, Direction, Meet, Solution,
+    SolverStrategy,
 };
 pub use sparse::solve_sparse;

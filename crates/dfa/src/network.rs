@@ -201,122 +201,6 @@ pub fn solve_greatest_prioritized(
     }
 }
 
-/// Warm-start variant of [`solve_greatest_prioritized`], seeded from a
-/// previous greatest fixpoint.
-///
-/// `prev_values` must be the fixpoint of the same network before the
-/// evaluation functions of the `dirty_slots` changed; `dirty_slots`
-/// must cover every slot whose equation (or whose read set) differs
-/// from the run that produced `prev_values`. The dependents-closure of
-/// the dirty slots — the *dirty instruction cone* — is reset to true
-/// and re-iterated; every slot outside the cone keeps its previous
-/// value, which is still exact because its equation transitively reads
-/// only untouched slots. The result is bit-identical to a cold solve.
-///
-/// # Panics
-///
-/// Panics if `dependents.num_nodes()`, `priority.len()`, or
-/// `prev_values.len()` differ from `num_slots`.
-pub fn solve_greatest_seeded(
-    num_slots: usize,
-    dependents: &Csr,
-    priority: &[u32],
-    prev_values: &BitVec,
-    dirty_slots: &[u32],
-    mut eval: impl FnMut(usize, &BitVec) -> bool,
-) -> NetworkSolution {
-    assert_eq!(
-        dependents.num_nodes(),
-        num_slots,
-        "one dependent slab per slot"
-    );
-    assert_eq!(priority.len(), num_slots, "one priority per slot");
-    assert_eq!(prev_values.len(), num_slots, "previous fixpoint size");
-    pdce_trace::fault::fire("solve");
-    let trace_span = pdce_trace::span_with(
-        "solver",
-        "network-solve-seeded",
-        if pdce_trace::enabled() {
-            vec![
-                ("slots", num_slots.into()),
-                ("dirty", dirty_slots.len().into()),
-            ]
-        } else {
-            Vec::new()
-        },
-    );
-    // Dirty cone: closure of the dirty slots along dependents edges.
-    let mut cone = BitVec::zeros(num_slots);
-    let mut stack: Vec<u32> = Vec::with_capacity(dirty_slots.len());
-    for &s in dirty_slots {
-        if !cone.get(s as usize) {
-            cone.set(s as usize, true);
-            stack.push(s);
-        }
-    }
-    while let Some(s) = stack.pop() {
-        for &d in dependents.neighbors(s as usize) {
-            if !cone.get(d as usize) {
-                cone.set(d as usize, true);
-                stack.push(d);
-            }
-        }
-    }
-
-    let mut values = prev_values.clone();
-    let mut heap: BinaryHeap<Reverse<(u32, u32)>> = BinaryHeap::new();
-    let mut queued = BitVec::zeros(num_slots);
-    let mut seeded: u64 = 0;
-    for s in cone.iter_ones() {
-        values.set(s, true);
-        queued.set(s, true);
-        heap.push(Reverse((priority[s], s as u32)));
-        seeded += 1;
-    }
-
-    let mut evaluations: u64 = 0;
-    let mut pops: u64 = 0;
-    while let Some(Reverse((_, slot))) = heap.pop() {
-        pops += 1;
-        pdce_trace::budget::charge_pops(1);
-        let s = slot as usize;
-        queued.set(s, false);
-        if !values.get(s) {
-            continue; // already false; false is final.
-        }
-        evaluations += 1;
-        if !eval(s, &values) {
-            values.set(s, false);
-            // Dependents of cone slots are in the cone by construction,
-            // so re-queueing them never resurrects a non-cone value.
-            for &d in dependents.neighbors(s) {
-                let d = d as usize;
-                if values.get(d) && !queued.get(d) {
-                    queued.set(d, true);
-                    heap.push(Reverse((priority[d], d as u32)));
-                }
-            }
-        }
-    }
-    pdce_trace::record_solver(pdce_trace::SolverStats {
-        problems: 1,
-        evaluations,
-        revisits: pops.saturating_sub(seeded),
-        warm_solves: 1,
-        seeded_pops: pops,
-        ..pdce_trace::SolverStats::ZERO
-    });
-    trace_span.finish_with(if pdce_trace::enabled() {
-        vec![("pops", pops.into()), ("evaluations", evaluations.into())]
-    } else {
-        Vec::new()
-    });
-    NetworkSolution {
-        values,
-        evaluations,
-    }
-}
-
 /// Sparse variant of [`solve_greatest`]: instead of seeding the worklist
 /// with *every* slot and walking a prebuilt dense dependents CSR, the
 /// caller hands over only the slots whose equations are constant-false
@@ -335,7 +219,10 @@ pub fn solve_greatest_seeded(
 /// Each seed is one outer-worklist pop (`SolverStats::sparse_pops`);
 /// falsity then spreads by plain closure, every traversed edge counted
 /// in `sparse_edge_visits`. A slot flips at most once, so total work is
-/// `O(#seeds + #edges touched by falsity)`.
+/// `O(#seeds + #edges touched by falsity)`. Both the seeds and every
+/// closure pop are charged against the active budget, so `max_pops`,
+/// the wall-time limit and a raised `CancelToken` abort the closure
+/// like any other worklist.
 pub fn solve_greatest_sparse(
     num_slots: usize,
     false_seeds: &[u32],
@@ -372,6 +259,7 @@ pub fn solve_greatest_sparse(
     }
     let mut deps: Vec<u32> = Vec::new();
     while let Some(s) = stack.pop() {
+        pdce_trace::budget::charge_pops(1);
         deps.clear();
         dependents_of(s as usize, &mut deps);
         for &dep in &deps {
@@ -413,16 +301,22 @@ pub fn solve_greatest_sparse(
 mod tests {
     use super::*;
 
+    /// Chain network: slot `i` reads slot `i + 1`, so the dependents
+    /// of slot `i + 1` are `[i]`.
+    fn chain_dependents(n: usize) -> Csr {
+        let mut dependents = vec![Vec::new(); n];
+        for i in 0..n - 1 {
+            dependents[i + 1].push(i as u32);
+        }
+        Csr::from_lists(&dependents)
+    }
+
     /// Chain: slot i is true iff slot i+1 is true; the last slot is false.
     /// Greatest fixpoint: everything false.
     #[test]
     fn falsity_propagates_along_chain() {
         let n = 10;
-        let mut dependents = vec![Vec::new(); n];
-        for i in 0..n - 1 {
-            dependents[i + 1].push(i as u32); // slot i reads slot i+1
-        }
-        let sol = solve_greatest(n, &Csr::from_lists(&dependents), |s, vals| {
+        let sol = solve_greatest(n, &chain_dependents(n), |s, vals| {
             if s == n - 1 {
                 false
             } else {
@@ -468,11 +362,7 @@ mod tests {
         // Every slot is evaluated at least once; flips cause bounded
         // re-evaluations (≤ 1 + #incoming dependency edges per slot).
         let n = 100;
-        let mut dependents = vec![Vec::new(); n];
-        for i in 0..n - 1 {
-            dependents[i + 1].push(i as u32);
-        }
-        let sol = solve_greatest(n, &Csr::from_lists(&dependents), |s, vals| {
+        let sol = solve_greatest(n, &chain_dependents(n), |s, vals| {
             if s == n - 1 {
                 false
             } else {
@@ -498,11 +388,7 @@ mod tests {
         // priority = late position) lets every slot see its final input
         // on first evaluation: exactly n evaluations vs ~2n for FIFO.
         let n = 50;
-        let mut dependents = vec![Vec::new(); n];
-        for i in 0..n - 1 {
-            dependents[i + 1].push(i as u32);
-        }
-        let dependents = Csr::from_lists(&dependents);
+        let dependents = chain_dependents(n);
         let eval = |s: usize, vals: &BitVec| if s == n - 1 { false } else { vals.get(s + 1) };
         let fifo = solve_greatest(n, &dependents, eval);
         let priority: Vec<u32> = (0..n).map(|s| (n - 1 - s) as u32).collect();
@@ -513,60 +399,11 @@ mod tests {
     }
 
     #[test]
-    fn seeded_matches_cold_after_local_change() {
-        // Chain network; first solve with falsity entering at the end,
-        // then "edit" the middle slot's equation to be constant-true and
-        // re-solve seeded with only that slot dirty.
-        let n = 20;
-        let mid = 10;
-        let mut dependents = vec![Vec::new(); n];
-        for i in 0..n - 1 {
-            dependents[i + 1].push(i as u32);
-        }
-        let dependents = Csr::from_lists(&dependents);
-        let priority: Vec<u32> = (0..n).map(|s| (n - 1 - s) as u32).collect();
-        let eval_v1 = |s: usize, vals: &BitVec| if s == n - 1 { false } else { vals.get(s + 1) };
-        let eval_v2 = |s: usize, vals: &BitVec| if s == mid { true } else { eval_v1(s, vals) };
-        let prev = solve_greatest_prioritized(n, &dependents, &priority, eval_v1);
-        assert!(prev.values.none());
-        let cold = solve_greatest_prioritized(n, &dependents, &priority, eval_v2);
-        let warm = solve_greatest_seeded(
-            n,
-            &dependents,
-            &priority,
-            &prev.values,
-            &[mid as u32],
-            eval_v2,
-        );
-        assert_eq!(warm.values, cold.values);
-        // The cone of `mid` is slots 0..=mid; everything past it was
-        // untouched and must not have been re-evaluated.
-        assert!(warm.evaluations <= (mid + 1) as u64 + 1);
-    }
-
-    #[test]
-    fn seeded_with_no_dirty_slots_returns_previous_fixpoint() {
-        let n = 5;
-        let dependents = Csr::from_lists(&vec![Vec::new(); n]);
-        let priority = vec![0u32; n];
-        let prev = solve_greatest_prioritized(n, &dependents, &priority, |s, _| s % 2 == 0);
-        let warm = solve_greatest_seeded(n, &dependents, &priority, &prev.values, &[], |_, _| {
-            unreachable!("nothing dirty, nothing evaluated")
-        });
-        assert_eq!(warm.values, prev.values);
-        assert_eq!(warm.evaluations, 0);
-    }
-
-    #[test]
     fn sparse_matches_dense_and_skips_untouched_slots() {
         // Chain with falsity entering at the end: the lazy-edge sparse
         // solve must reach the identical fixpoint from the single seed.
         let n = 10;
-        let mut dependents = vec![Vec::new(); n];
-        for i in 0..n - 1 {
-            dependents[i + 1].push(i as u32);
-        }
-        let csr = Csr::from_lists(&dependents);
+        let csr = chain_dependents(n);
         let eval = |s: usize, vals: &BitVec| if s == n - 1 { false } else { vals.get(s + 1) };
         let dense = solve_greatest(n, &csr, eval);
         let sparse = solve_greatest_sparse(
@@ -586,6 +423,70 @@ mod tests {
         );
         assert_eq!(sol.values.count_ones(), 3);
         assert_eq!(sol.evaluations, 0);
+    }
+
+    #[test]
+    fn sparse_closure_pops_are_charged_against_the_budget() {
+        use pdce_trace::budget::{install, Budget};
+        use pdce_trace::sandbox::{catch, SandboxError};
+        let n = 10;
+        let csr = chain_dependents(n);
+        let solve = |max_pops: u64| {
+            let _budget = install(Budget {
+                max_pops: Some(max_pops),
+                ..Budget::UNLIMITED
+            });
+            catch(|| {
+                solve_greatest_sparse(
+                    n,
+                    &[(n - 1) as u32],
+                    |s, out| out.extend_from_slice(csr.neighbors(s)),
+                    |s, vals| if s == n - 1 { false } else { vals.get(s + 1) },
+                )
+            })
+        };
+        // One pop for the seed plus one per closure pop (every slot
+        // flips and is popped once): exactly 1 + n fits.
+        let sol = solve(1 + n as u64).expect("1 + n pops fit");
+        assert!(sol.values.none());
+        match solve(n as u64) {
+            Err(SandboxError::Budget(b)) => assert_eq!(b.resource, "pops"),
+            other => panic!("closure must exhaust the pop budget: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn sparse_closure_observes_cancellation() {
+        use pdce_trace::budget::{install_cancel, CancelToken};
+        use pdce_trace::sandbox::{catch, SandboxError};
+        let n = 10;
+        let csr = chain_dependents(n);
+        let token = CancelToken::new();
+        let _guard = install_cancel(token.clone());
+        let evaluations = std::cell::Cell::new(0);
+        let outcome = catch(|| {
+            solve_greatest_sparse(
+                n,
+                &[(n - 1) as u32],
+                |s, out| out.extend_from_slice(csr.neighbors(s)),
+                |s, vals| {
+                    evaluations.set(evaluations.get() + 1);
+                    // Raised while the last seed is evaluated, after its
+                    // charge: only the closure's checkpoints can see it.
+                    token.cancel();
+                    if s == n - 1 {
+                        false
+                    } else {
+                        vals.get(s + 1)
+                    }
+                },
+            )
+        });
+        match outcome {
+            Err(SandboxError::Budget(b)) => assert_eq!(b.resource, "cancelled"),
+            other => panic!("the closure must observe the cancel: {other:?}"),
+        }
+        assert_eq!(evaluations.get(), 1, "aborted at the first closure pop");
     }
 
     #[test]

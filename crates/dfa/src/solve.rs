@@ -87,15 +87,19 @@ fn env_strategy() -> Option<SolverStrategy> {
     })
 }
 
-/// The strategy solvers on this thread currently use: the innermost
-/// [`with_strategy`] scope if any, else the `SOLVER` environment
-/// variable (`fifo` / `priority` / `sparse`), else
-/// [`SolverStrategy::Priority`].
+/// The strategy explicitly selected on this thread, if any: the
+/// innermost [`with_strategy`] scope, else the `SOLVER` environment
+/// variable (`fifo` / `priority` / `sparse`). `None` means no override
+/// is in force, so each analysis runs its own default engine (the faint
+/// network, for one, then solves with the sparse falsity closure).
+pub fn strategy_override() -> Option<SolverStrategy> {
+    STRATEGY.with(|s| s.get()).or_else(env_strategy)
+}
+
+/// The strategy the bit-vector solvers on this thread currently use:
+/// [`strategy_override`], else [`SolverStrategy::Priority`].
 pub fn current_strategy() -> SolverStrategy {
-    STRATEGY
-        .with(|s| s.get())
-        .or_else(env_strategy)
-        .unwrap_or_default()
+    strategy_override().unwrap_or_default()
 }
 
 /// Runs `f` with every solver on this thread using `strategy`,
@@ -1004,14 +1008,18 @@ mod tests {
     #[test]
     fn with_strategy_scopes_nest_and_restore() {
         let outer = current_strategy();
+        let outer_override = strategy_override();
+        assert_eq!(outer, outer_override.unwrap_or_default());
         with_strategy(SolverStrategy::Fifo, || {
             assert_eq!(current_strategy(), SolverStrategy::Fifo);
+            assert_eq!(strategy_override(), Some(SolverStrategy::Fifo));
             with_strategy(SolverStrategy::Priority, || {
                 assert_eq!(current_strategy(), SolverStrategy::Priority);
             });
             assert_eq!(current_strategy(), SolverStrategy::Fifo);
         });
         assert_eq!(current_strategy(), outer);
+        assert_eq!(strategy_override(), outer_override);
     }
 
     #[test]

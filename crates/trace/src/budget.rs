@@ -20,7 +20,8 @@ use std::time::{Duration, Instant};
 pub struct Budget {
     /// Maximum pde/pfe global rounds.
     pub max_rounds: Option<u64>,
-    /// Maximum dfa worklist pops (FIFO + priority + seeded), summed
+    /// Maximum dfa worklist pops (FIFO + priority + seeded + sparse,
+    /// the sparse faint closure charging each of its pops), summed
     /// across all solver runs under this budget.
     pub max_pops: Option<u64>,
     /// Wall-clock ceiling for the whole attempt.

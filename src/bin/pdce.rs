@@ -61,10 +61,12 @@ const USAGE: &str = "usage:
                --trace writes a Chrome trace_events JSON (chrome://tracing,
                ui.perfetto.dev); --explain prints the provenance log: which
                pass moved/inserted/eliminated which statement in which round
-               --solver picks the data-flow scheduling strategy (default:
-               priority; the SOLVER env var works too); --no-incremental
-               disables warm-start seeded re-solving between rounds (the
-               INCREMENTAL env var works too); with several FILEs
+               --solver picks the data-flow scheduling strategy for every
+               analysis (default: per analysis — the sparse closure for
+               faint, priority for dead and delayability; the SOLVER env
+               var works too); --no-incremental disables warm-start
+               seeded re-solving between rounds (the INCREMENTAL env var
+               works too); with several FILEs
                the programs are optimized independently and printed in
                argument order — --jobs N shards them over N workers
                (0 = all cores) with deterministic, jobs-independent output

@@ -20,12 +20,17 @@ fn pdce(args: &[&str], stdin: &str) -> (String, String, bool) {
         .stderr(Stdio::piped())
         .spawn()
         .expect("binary spawns");
-    child
+    // A usage error exits before reading stdin, so the pipe may close
+    // under the write; the exit status and stderr still tell the story.
+    match child
         .stdin
         .as_mut()
         .expect("stdin piped")
         .write_all(stdin.as_bytes())
-        .expect("stdin writes");
+    {
+        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => {}
+        written => written.expect("stdin writes"),
+    }
     let out = child.wait_with_output().expect("binary runs");
     (
         String::from_utf8_lossy(&out.stdout).into_owned(),

@@ -468,6 +468,72 @@ fn solver_strategy_never_changes_optimizer_output() {
     }
 }
 
+/// End-to-end, at opt_large's shape: with no strategy override, pfe
+/// solves faint with the sparse falsity closure, and it must print
+/// byte-identical programs to explicit `Priority` and `Fifo` runs (the
+/// dense reference worklists) on the hand-written corpus and on
+/// 100–400-block generated programs, every eighth one irreducible.
+#[test]
+fn default_pfe_prints_the_same_programs_as_dense_solvers() {
+    use pdce::dfa::{with_strategy, SolverStrategy};
+    use pdce::ir::parser::parse;
+    use pdce::ir::printer::print_program;
+
+    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/corpus");
+    let mut files: Vec<_> = std::fs::read_dir(dir)
+        .expect("corpus directory exists")
+        .map(|e| e.expect("corpus entry").path())
+        .filter(|p| p.extension().is_some_and(|x| x == "pdce"))
+        .collect();
+    files.sort();
+    assert!(files.len() >= 6, "corpus went missing?");
+    let mut programs: Vec<(String, Program)> = files
+        .iter()
+        .map(|path| {
+            let src = std::fs::read_to_string(path).expect("corpus file readable");
+            let prog = parse(&src).expect("corpus parses");
+            (path.display().to_string(), prog)
+        })
+        .collect();
+
+    const LARGE: usize = 16;
+    let mut rng = Rng::new(0x0a7_1a26e);
+    for i in 0..LARGE {
+        let position = (i as f64 + rng.gen_f64()) / LARGE as f64;
+        let target_blocks = (100.0 * 4f64.powf(position)) as usize;
+        let config = GenConfig {
+            seed: rng.next_u64(),
+            target_blocks,
+            num_vars: rng.gen_range_inclusive(16, 24),
+            stmts_per_block: (1, 4),
+            out_prob: 0.2,
+            loop_prob: 0.3,
+            max_depth: 12,
+            expr_depth: 2,
+            nondet: true,
+        };
+        let prog = if i % 8 == 7 {
+            tangled(&config, target_blocks / 12)
+        } else {
+            structured(&config)
+        };
+        programs.push((format!("large #{i} ({target_blocks} blocks)"), prog));
+    }
+
+    let pfe = |p: &Program| {
+        let mut q = p.clone();
+        optimize(&mut q, &PdceConfig::pfe()).unwrap();
+        print_program(&q)
+    };
+    for (name, p) in &programs {
+        let default = pfe(p);
+        for strategy in [SolverStrategy::Priority, SolverStrategy::Fifo] {
+            let dense = with_strategy(strategy, || pfe(p));
+            assert_eq!(default, dense, "{name}: default differs from {strategy:?}");
+        }
+    }
+}
+
 #[test]
 fn stats_are_consistent() {
     for seed in seeds(18) {
