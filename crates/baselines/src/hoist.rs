@@ -95,28 +95,24 @@ pub fn hoist_assignments_cached(
     let mut locblocked = vec![BitVec::zeros(width); nblocks];
     let mut termblocked = vec![BitVec::zeros(width); nblocks];
     let mut candidates: Vec<Vec<(usize, usize)>> = vec![Vec::new(); nblocks];
+    // One forward scan per block: an occurrence is a candidate iff
+    // nothing before it blocks its pattern, tested before the statement
+    // ORs in its own blocking masks (an occurrence of `p` writes `x`, so
+    // it blocks every later one). `locblocked` doubles as the running
+    // set.
     for n in prog.node_ids() {
+        let i = n.index();
         let block = prog.block(n);
-        let mut blocked_so_far = BitVec::zeros(width);
         for (k, stmt) in block.stmts.iter().enumerate() {
             if let Some(p) = table.index_of_stmt(stmt) {
-                if !blocked_so_far.get(p) && !lochoist[n.index()].get(p) {
-                    lochoist[n.index()].set(p, true);
-                    candidates[n.index()].push((k, p));
+                if !locblocked[i].get(p) {
+                    lochoist[i].set(p, true);
+                    candidates[i].push((k, p));
                 }
             }
-            for p in 0..width {
-                if table.stmt_blocks(prog, p, stmt) {
-                    blocked_so_far.set(p, true);
-                    locblocked[n.index()].set(p, true);
-                }
-            }
+            table.union_stmt_blocks(prog, stmt, &mut locblocked[i]);
         }
-        for p in 0..width {
-            if table.terminator_blocks(prog, p, &block.term) {
-                termblocked[n.index()].set(p, true);
-            }
-        }
+        table.union_terminator_blocks(prog, &block.term, &mut termblocked[i]);
     }
 
     // Hoistability: backward, all-paths, boundary false at the exit.

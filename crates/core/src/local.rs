@@ -28,7 +28,13 @@ pub struct LocalInfo {
 
 impl LocalInfo {
     /// Computes the local predicates for every block of `prog`.
-    #[allow(clippy::needless_range_loop)] // p is a pattern index, not just a subscript
+    ///
+    /// One backward scan per block: `blocked` starts from the
+    /// terminator's reads, an occurrence of `p` is a candidate iff
+    /// `blocked[p]` is still clear when the scan reaches it, and every
+    /// statement then ORs in its blocking masks (a later occurrence of
+    /// `p` writes `x`, so it blocks every earlier one). What is blocked
+    /// when the scan leaves the block is `LOCBLOCKED`.
     pub fn compute(prog: &Program, table: &PatternTable) -> LocalInfo {
         let nblocks = prog.num_blocks();
         let width = table.len();
@@ -38,41 +44,20 @@ impl LocalInfo {
 
         for n in prog.node_ids() {
             let block = prog.block(n);
-            // `open[p]` holds the statement index of the most recent
-            // occurrence of pattern p not yet blocked by anything after it.
-            let mut open: Vec<Option<usize>> = vec![None; width];
-            for (k, stmt) in block.stmts.iter().enumerate() {
-                // A new instruction first blocks open occurrences...
-                for p in 0..width {
-                    if table.stmt_blocks(prog, p, stmt) {
-                        locblocked[n.index()].set(p, true);
-                        open[p] = None;
+            let i = n.index();
+            let blocked = &mut locblocked[i];
+            let cands = &mut candidates[i];
+            table.union_terminator_blocks(prog, &block.term, blocked);
+            for (k, stmt) in block.stmts.iter().enumerate().rev() {
+                if let Some(p) = table.index_of_stmt(stmt) {
+                    if !blocked.get(p) {
+                        locdelayed[i].set(p, true);
+                        cands.push((k, p));
                     }
                 }
-                // ...then may itself open a fresh occurrence. (Order
-                // matters: an occurrence of α blocks *earlier* instances
-                // but is itself a live candidate afterwards.)
-                if let Some(p) = table.index_of_stmt(stmt) {
-                    open[p] = Some(k);
-                }
+                table.union_stmt_blocks(prog, stmt, blocked);
             }
-            // The terminator can still block trailing occurrences.
-            for p in 0..width {
-                if table.terminator_blocks(prog, p, &block.term) {
-                    locblocked[n.index()].set(p, true);
-                    open[p] = None;
-                }
-            }
-            let mut cands: Vec<(usize, usize)> = open
-                .iter()
-                .enumerate()
-                .filter_map(|(p, k)| k.map(|k| (k, p)))
-                .collect();
-            cands.sort_unstable();
-            for &(_, p) in &cands {
-                locdelayed[n.index()].set(p, true);
-            }
-            candidates[n.index()] = cands;
+            cands.reverse();
         }
 
         LocalInfo {

@@ -5,9 +5,16 @@
 //! [`PatternTable`] assigns each distinct pattern `x := t` a dense index
 //! (stable for the lifetime of one analysis round) and answers the
 //! blocking queries that the local predicates are built from.
+//!
+//! Blocking is stored per variable, as two pattern masks: a read of `v`
+//! blocks `by_use[v]` (the patterns `v := t`), a write of `v` blocks
+//! `by_def[v]` (the patterns `v := t` and every `x := t` with `v` in
+//! `t`). A statement's blocked set is then the union of one mask per
+//! variable it touches, ⌈a/64⌉ words each, instead of `a` term probes.
 
 use std::collections::HashMap;
 
+use pdce_dfa::BitVec;
 use pdce_ir::{PatternKey, Program, Stmt, TermId, Terminator, Var};
 
 /// Dense table of the assignment patterns occurring in a program.
@@ -16,6 +23,10 @@ pub struct PatternTable {
     patterns: Vec<(Var, TermId)>,
     keys: Vec<PatternKey>,
     index: HashMap<(Var, TermId), usize>,
+    /// Indexed by variable: the patterns a read of it blocks.
+    by_use: Vec<BitVec>,
+    /// Indexed by variable: the patterns a write of it blocks.
+    by_def: Vec<BitVec>,
 }
 
 impl PatternTable {
@@ -39,18 +50,28 @@ impl PatternTable {
             .map(|(v, t)| (PatternKey::of(prog, v, t), (v, t)))
             .collect();
         keyed.sort_by(|a, b| a.0.cmp(&b.0));
-        let mut patterns = Vec::with_capacity(keyed.len());
-        let mut keys = Vec::with_capacity(keyed.len());
-        let mut index = HashMap::with_capacity(keyed.len());
-        for (i, (key, pat)) in keyed.into_iter().enumerate() {
-            index.insert(pat, i);
-            patterns.push(pat);
+        let width = keyed.len();
+        let mut patterns = Vec::with_capacity(width);
+        let mut keys = Vec::with_capacity(width);
+        let mut index = HashMap::with_capacity(width);
+        let mut by_use = vec![BitVec::zeros(width); prog.num_vars()];
+        let mut by_def = by_use.clone();
+        for (i, (key, (x, t))) in keyed.into_iter().enumerate() {
+            by_use[x.index()].set(i, true);
+            by_def[x.index()].set(i, true);
+            for v in prog.terms().vars_of(t) {
+                by_def[v.index()].set(i, true);
+            }
+            index.insert((x, t), i);
+            patterns.push((x, t));
             keys.push(key);
         }
         PatternTable {
             patterns,
             keys,
             index,
+            by_use,
+            by_def,
         }
     }
 
@@ -92,9 +113,42 @@ impl PatternTable {
         self.index.get(&(lhs, rhs)).copied()
     }
 
+    /// ORs into `blocked` every pattern that `stmt` blocks: `by_use` of
+    /// each variable it reads and `by_def` of the variable it writes.
+    /// The per-variable form of [`stmt_blocks`](Self::stmt_blocks), which
+    /// the local predicates of sinking and hoisting are built from.
+    /// Variables the table has never seen block nothing.
+    pub fn union_stmt_blocks(&self, prog: &Program, stmt: &Stmt, blocked: &mut BitVec) {
+        self.union_read_blocks(prog, stmt.used_term(), blocked);
+        if let Some(mask) = stmt.modified().and_then(|m| self.by_def.get(m.index())) {
+            blocked.union_with(mask);
+        }
+    }
+
+    /// ORs into `blocked` every pattern that `term` blocks: `by_use` of
+    /// each variable its condition reads. The per-variable form of
+    /// [`terminator_blocks`](Self::terminator_blocks).
+    pub fn union_terminator_blocks(&self, prog: &Program, term: &Terminator, blocked: &mut BitVec) {
+        self.union_read_blocks(prog, term.used_term(), blocked);
+    }
+
+    fn union_read_blocks(&self, prog: &Program, read: Option<TermId>, blocked: &mut BitVec) {
+        let Some(t) = read else { return };
+        for v in prog.terms().vars_of(t) {
+            if let Some(mask) = self.by_use.get(v.index()) {
+                blocked.union_with(mask);
+            }
+        }
+    }
+
     /// Whether statement `stmt` *blocks* the sinking of pattern `p`
     /// (Definition 3.1 discussion): it modifies an operand of `t`, uses
     /// `x`, or modifies `x`.
+    ///
+    /// This is the per-pattern definition of blocking. The optimizer
+    /// itself asks [`union_stmt_blocks`](Self::union_stmt_blocks); this
+    /// form is the reference the equivalence tests check the masks
+    /// against.
     pub fn stmt_blocks(&self, prog: &Program, p: usize, stmt: &Stmt) -> bool {
         let (x, t) = self.patterns[p];
         if stmt.uses(prog.terms(), x) {
@@ -109,6 +163,10 @@ impl PatternTable {
     /// Whether the terminator blocks pattern `p`. Only conditional
     /// branches read variables (the condition is a relevant use); no
     /// terminator modifies anything.
+    ///
+    /// The per-pattern reference for
+    /// [`union_terminator_blocks`](Self::union_terminator_blocks), kept
+    /// for the equivalence tests.
     pub fn terminator_blocks(&self, prog: &Program, p: usize, term: &Terminator) -> bool {
         let (x, _) = self.patterns[p];
         term.used_term()
@@ -171,6 +229,38 @@ mod tests {
         assert!(!table.stmt_blocks(&p, y_ab, &stmts[5]));
         // The occurrence itself blocks the pattern (modifies y).
         assert!(table.stmt_blocks(&p, y_ab, &stmts[0]));
+    }
+
+    /// The masks are the per-pattern rules, one variable at a time.
+    #[test]
+    fn masks_agree_with_blocking_rules() {
+        let p = parse(
+            "prog {
+               block s { goto m }
+               block m { y := a + b; a := 1; z := y; y := 2; skip; out(c); x := x + a; goto t }
+               block t { if y < z then m else e }
+               block e { halt }
+             }",
+        )
+        .unwrap();
+        let table = PatternTable::build(&p);
+        for n in p.node_ids() {
+            let block = p.block(n);
+            for stmt in &block.stmts {
+                let mut got = BitVec::zeros(table.len());
+                table.union_stmt_blocks(&p, stmt, &mut got);
+                let want: Vec<usize> = (0..table.len())
+                    .filter(|&q| table.stmt_blocks(&p, q, stmt))
+                    .collect();
+                assert_eq!(got.iter_ones().collect::<Vec<_>>(), want, "{stmt:?}");
+            }
+            let mut got = BitVec::zeros(table.len());
+            table.union_terminator_blocks(&p, &block.term, &mut got);
+            let want: Vec<usize> = (0..table.len())
+                .filter(|&q| table.terminator_blocks(&p, q, &block.term))
+                .collect();
+            assert_eq!(got.iter_ones().collect::<Vec<_>>(), want);
+        }
     }
 
     #[test]

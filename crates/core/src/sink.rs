@@ -279,8 +279,15 @@ pub fn sink_assignments_cached(
 }
 
 /// Whether a further `ask` pass would leave the program invariant
-/// (Section 5.4's termination condition): every block `n` satisfies
-/// `N-INSERT_n = false` and `X-INSERT_n = LOCDELAYED_n`.
+/// (Section 5.4's termination condition): every reachable block `n`
+/// satisfies `N-INSERT_n = false` and `X-INSERT_n = LOCDELAYED_n`.
+///
+/// The paper's condition leaves a block's candidates free to move
+/// past the independent statements after them. The pass re-inserts
+/// `X-INSERT` at the block's exit in pattern-index order, so the block
+/// is left as it is only if its candidates already form its tail in
+/// that order; the predicate checks that too. Unreachable blocks are
+/// skipped, as the pass skips them.
 pub fn sinking_is_stable(prog: &Program) -> bool {
     sinking_is_stable_cached(prog, &mut AnalysisCache::new())
 }
@@ -297,7 +304,14 @@ pub fn sinking_is_stable_cached(prog: &Program, cache: &mut AnalysisCache) -> bo
     let local = LocalInfo::compute(prog, &table);
     let delay = DelayInfo::compute(prog, &view, &table, &local);
     prog.node_ids().all(|n| {
-        delay.n_insert[n.index()].none() && delay.x_insert[n.index()] == local.locdelayed[n.index()]
+        let i = n.index();
+        let cands = local.candidates_of(n);
+        let tail = prog.block(n).stmts.len() - cands.len();
+        view.rpo_index(n) == usize::MAX
+            || (delay.n_insert[i].none()
+                && delay.x_insert[i] == local.locdelayed[i]
+                && cands.iter().enumerate().all(|(j, &(k, _))| k == tail + j)
+                && cands.windows(2).all(|w| w[0].1 < w[1].1))
     })
 }
 
@@ -532,6 +546,36 @@ mod tests {
         let out = sink_assignments(&mut p).unwrap();
         assert!(!out.changed);
         assert_eq!(pdce_ir::printer::canonical_string(&p), before);
+    }
+
+    /// `i := 0; sum := 0; prod := 1` are all candidates that stay in
+    /// their block (the loop reads all three), so `X-INSERT = LOCDELAYED`
+    /// holds. The pass still re-inserts them in pattern-index order
+    /// (`i`, `prod`, `sum`), so the program is not yet stable; once
+    /// reordered, it is.
+    #[test]
+    fn stability_predicate_sees_exit_reordering() {
+        let mut p = parse(
+            "prog {
+               block s    { i := 0; sum := 0; prod := 1; goto head }
+               block head { if i < 5 then body else tail }
+               block body { sum := sum + i; prod := prod * 2; i := i + 1; goto head }
+               block tail { out(sum + prod); goto e }
+               block e    { halt }
+             }",
+        )
+        .unwrap();
+        assert!(!sinking_is_stable(&p));
+        assert!(sink_assignments(&mut p).unwrap().changed);
+        let names: Vec<String> = p
+            .block(p.entry())
+            .stmts
+            .iter()
+            .map(|s| pdce_ir::printer::print_stmt(&p, s))
+            .collect();
+        assert_eq!(names, ["i := 0", "prod := 1", "sum := 0"]);
+        assert!(sinking_is_stable(&p));
+        assert!(!sink_assignments(&mut p).unwrap().changed);
     }
 
     /// A pattern can sink into the exit block itself when the blocking

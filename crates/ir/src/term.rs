@@ -137,17 +137,39 @@ pub enum TermData {
 /// term the arena caches its sorted set of occurring variables, which the
 /// local-predicate computations (`USED`, `MOD` of an operand, Table 1/2 of
 /// the paper) query constantly.
-#[derive(Debug, Clone, Default)]
+///
+/// The variable sets live in one flat array (`vars[starts[i]..starts[i +
+/// 1]]` for term `i`), so cloning an arena — which translation
+/// validation does once per round — copies two buffers rather than
+/// allocating once per term.
+#[derive(Debug, Clone)]
 pub struct TermArena {
     data: Vec<TermData>,
-    vars_of: Vec<Box<[Var]>>,
+    starts: Vec<u32>,
+    vars: Vec<Var>,
     dedup: HashMap<TermData, TermId>,
+}
+
+impl Default for TermArena {
+    fn default() -> TermArena {
+        TermArena {
+            data: Vec::new(),
+            starts: vec![0],
+            vars: Vec::new(),
+            dedup: HashMap::new(),
+        }
+    }
 }
 
 impl TermArena {
     /// Creates an empty arena.
     pub fn new() -> TermArena {
         TermArena::default()
+    }
+
+    fn var_range(&self, id: TermId) -> (usize, usize) {
+        let i = id.index();
+        (self.starts[i] as usize, self.starts[i + 1] as usize)
     }
 
     /// Interns `data`, returning the existing id for structurally equal terms.
@@ -159,21 +181,25 @@ impl TermArena {
         if let Some(&id) = self.dedup.get(&data) {
             return id;
         }
-        let vars: Box<[Var]> = match data {
-            TermData::Const(_) => Box::new([]),
-            TermData::Var(v) => Box::new([v]),
-            TermData::Unary(_, a) => self.vars_of(a).into(),
+        match data {
+            TermData::Const(_) => {}
+            TermData::Var(v) => self.vars.push(v),
+            TermData::Unary(_, a) => {
+                let (lo, hi) = self.var_range(a);
+                self.vars.extend_from_within(lo..hi);
+            }
             TermData::Binary(_, a, b) => {
                 let mut vs: Vec<Var> = self.vars_of(a).to_vec();
                 vs.extend_from_slice(self.vars_of(b));
                 vs.sort_unstable();
                 vs.dedup();
-                vs.into_boxed_slice()
+                self.vars.extend(vs);
             }
-        };
+        }
         let id = TermId(u32::try_from(self.data.len()).expect("too many terms"));
         self.data.push(data);
-        self.vars_of.push(vars);
+        self.starts
+            .push(u32::try_from(self.vars.len()).expect("too many term variables"));
         self.dedup.insert(data, id);
         id
     }
@@ -205,7 +231,8 @@ impl TermArena {
 
     /// Sorted, deduplicated set of variables occurring in `id`.
     pub fn vars_of(&self, id: TermId) -> &[Var] {
-        &self.vars_of[id.index()]
+        let (lo, hi) = self.var_range(id);
+        &self.vars[lo..hi]
     }
 
     /// Whether variable `v` occurs in term `id`.
