@@ -22,13 +22,13 @@ use pdce_baselines::duchain::DuGraph;
 use pdce_baselines::Liveness;
 use pdce_bench::benchjson::{
     self, BenchSummary, CsrAb, FigureRow, MetricsSection, PassLatencyRow, RecoverySection,
-    ResilienceTotals, ServeSection, SparseAb, SweepRow, TracingAb, TvAb,
+    ResilienceTotals, ServeSection, SweepRow, TracingAb, TvAb,
 };
 use pdce_bench::{figure_corpus, fit_loglog_slope, measure, verify_figure};
 use pdce_core::driver::{optimize, PdceConfig};
 use pdce_core::elim::{eliminate_fixpoint, Mode};
 use pdce_core::{DeadSolution, DelayInfo, FaintSolution, LocalInfo, PatternTable};
-use pdce_dfa::{with_incremental, with_strategy, AnalysisCache, SolverStrategy};
+use pdce_dfa::AnalysisCache;
 use pdce_ir::interp::{run, Env, ExecLimits, ReplayOracle, SeededOracle};
 use pdce_ir::{CfgView, Program};
 use pdce_pass::Pipeline;
@@ -86,21 +86,17 @@ fn main() {
     let csr = t3_csr_sharing(quick);
     let metrics = t4_metrics_plane(quick);
     let serve = t5_serving(quick);
-    let sparse = t6_sparse_chains(quick);
     let recovery = t7_recovery(quick);
 
     let summary = BenchSummary {
         quick,
         figures,
-        pops_reduction_pct: benchjson::pops_reduction_pct(&sweep),
-        incremental_pops_reduction_pct: benchjson::incremental_pops_reduction_pct(&sweep),
         sweep,
         tracing,
         tv,
         csr,
         metrics,
         serve,
-        sparse,
         recovery,
         resilience,
     };
@@ -167,56 +163,34 @@ fn c1_c2_scaling(quick: bool, jobs: usize) -> Vec<SweepRow> {
     println!("paper: worst case O(n^4)/O(n^5); expected O(n^2)/O(n^3) on");
     println!("realistic structured programs (Section 6.4).\n");
     println!(
-        "{:>7} {:>7} {:>7} {:>12} {:>12} {:>11} {:>10} {:>10} {:>10}",
-        "target",
-        "blocks",
-        "stmts",
-        "pde (µs)",
-        "pfe (µs)",
-        "word-ops",
-        "fifo-pops",
-        "cold-pops",
-        "warm-pops"
+        "{:>7} {:>7} {:>7} {:>12} {:>12} {:>11} {:>10}",
+        "target", "blocks", "stmts", "pde (µs)", "pfe (µs)", "word-ops", "pops"
     );
     let sizes: &[usize] = if quick {
         &[24, 48, 96]
     } else {
         &[24, 48, 96, 192, 384, 768]
     };
-    // Shard per-size measurements across the batch pool; each worker
-    // measures both strategies on its own thread (strategy selection
-    // and solver counters are thread-local, so shards don't interfere).
+    // Shard per-size measurements across the batch pool (solver
+    // counters are thread-local, so shards don't interfere).
     let measured = pdce_par::map_indexed(jobs, sizes, |_, &n| {
         let prog = structured_of_size(n, 11);
-        // Headline run: priority scheduling with warm-start seeding on.
-        let mp = with_strategy(SolverStrategy::Priority, || {
-            with_incremental(true, || measure(n, &prog, &PdceConfig::pde(), 3))
-        });
-        // Both reference runs disable seeding so each baseline isolates
-        // exactly one lever (scheduling vs warm-starting).
-        let mp_fifo = with_strategy(SolverStrategy::Fifo, || {
-            with_incremental(false, || measure(n, &prog, &PdceConfig::pde(), 3))
-        });
-        let mp_noincr = with_strategy(SolverStrategy::Priority, || {
-            with_incremental(false, || measure(n, &prog, &PdceConfig::pde(), 3))
-        });
+        let mp = measure(n, &prog, &PdceConfig::pde(), 3);
         let mf = measure(n, &prog, &PdceConfig::pfe(), 3);
-        (mp, mp_fifo, mp_noincr, mf)
+        (mp, mf)
     });
     let mut rows = Vec::new();
     let mut pde_points = Vec::new();
     let mut pfe_points = Vec::new();
-    for ((mp, mp_fifo, mp_noincr, mf), &n) in measured.into_iter().zip(sizes) {
+    for ((mp, mf), &n) in measured.into_iter().zip(sizes) {
         println!(
-            "{:>7} {:>7} {:>7} {:>12.1} {:>12.1} {:>11} {:>10} {:>10} {:>10}",
+            "{:>7} {:>7} {:>7} {:>12.1} {:>12.1} {:>11} {:>10}",
             n,
             mp.blocks,
             mp.stmts,
             mp.time_ns as f64 / 1e3,
             mf.time_ns as f64 / 1e3,
             mp.stats.solver.word_ops,
-            mp_fifo.stats.solver.pops(),
-            mp_noincr.stats.solver.pops(),
             mp.stats.solver.pops()
         );
         pde_points.push((mp.stmts as f64, mp.time_ns as f64));
@@ -228,8 +202,6 @@ fn c1_c2_scaling(quick: bool, jobs: usize) -> Vec<SweepRow> {
             pde_ns: mp.time_ns,
             pfe_ns: mf.time_ns,
             pde_solver: mp.stats.solver,
-            pde_solver_fifo: mp_fifo.stats.solver,
-            pde_solver_noincr: mp_noincr.stats.solver,
         });
     }
     println!(
@@ -238,16 +210,6 @@ fn c1_c2_scaling(quick: bool, jobs: usize) -> Vec<SweepRow> {
         fit_loglog_slope(&pfe_points)
     );
     println!("paper expectation: pde ≲ 2, pfe ≲ 3 on structured inputs.");
-    println!(
-        "priority worklist pops {:.1}% fewer than the FIFO reference (bar ≥{}%).",
-        benchjson::pops_reduction_pct(&rows),
-        benchjson::MIN_POPS_REDUCTION_PCT
-    );
-    println!(
-        "warm-start seeding pops {:.1}% fewer than cold re-solving (bar ≥{}%).",
-        benchjson::incremental_pops_reduction_pct(&rows),
-        benchjson::MIN_INCREMENTAL_POPS_REDUCTION_PCT
-    );
     rows
 }
 
@@ -1188,170 +1150,4 @@ fn health_counter(health: &str, field: &str) -> u64 {
     digits
         .parse()
         .unwrap_or_else(|_| panic!("health line lacks `{field}`: {health}"))
-}
-
-/// The dense-vs-sparse solver A/B (this PR's headline numbers): the
-/// analysis workload — cold dead, faint, and delayability solves over
-/// the scaling-sweep programs — under the dense priority worklist
-/// versus the def-use-chain sparse solver, interleaved best-of-N.
-///
-/// Pops compare the strategies' scheduling units (per-node worklist
-/// pops vs per-chain propagation tasks), counted over one untimed pass
-/// per strategy; the acceptance bars require the sparse solver to pop
-/// ≥2× less *and* finish ≥2× faster. A final pass cross-checks every
-/// fixpoint bit between the strategies — a sparse win that changes any
-/// answer would invalidate the whole section.
-fn t6_sparse_chains(quick: bool) -> SparseAb {
-    hr("T6: sparse du-chain solver vs dense priority worklist (bars ≥50%)");
-    let sizes: &[usize] = if quick {
-        &[24, 48, 96]
-    } else {
-        &[24, 48, 96, 192, 384]
-    };
-    // Variable counts scale with program size here (one per block, the
-    // realistic shape — bigger functions name more locals), so the bit
-    // rows widen as the programs grow. This is the regime the sparse
-    // formulation targets: the dense solver pays for every
-    // (node, variable) pair per sweep no matter how few bits move,
-    // while the chain solver only walks the occurrences each variable
-    // actually has.
-    let progs: Vec<Program> = sizes
-        .iter()
-        .map(|&n| {
-            structured(&GenConfig {
-                seed: 29,
-                target_blocks: n,
-                num_vars: n,
-                stmts_per_block: (1, 4),
-                out_prob: 0.2,
-                loop_prob: 0.3,
-                max_depth: 12,
-                expr_depth: 2,
-                nondet: true,
-            })
-        })
-        .collect();
-    let views: Vec<CfgView> = progs.iter().map(CfgView::new).collect();
-    // Pattern tables and local predicates feed delayability identically
-    // under both strategies; build them once outside the timed region.
-    let locals: Vec<(PatternTable, LocalInfo)> = progs
-        .iter()
-        .map(|p| {
-            let table = PatternTable::build(p);
-            let local = LocalInfo::compute(p, &table);
-            (table, local)
-        })
-        .collect();
-    let run_all = |strategy: SolverStrategy| {
-        with_strategy(strategy, || {
-            for (i, p) in progs.iter().enumerate() {
-                let view = &views[i];
-                let (table, local) = &locals[i];
-                std::hint::black_box(DeadSolution::compute(p, view));
-                std::hint::black_box(FaintSolution::compute(p, view));
-                std::hint::black_box(DelayInfo::compute(p, view, table, local));
-            }
-        })
-    };
-    // One untimed pass per strategy for the pop counters.
-    let pops_of = |strategy: SolverStrategy| {
-        let before = pdce_trace::solver_totals();
-        run_all(strategy);
-        pdce_trace::solver_totals().since(&before)
-    };
-    let dense_stats = pops_of(SolverStrategy::Priority);
-    let sparse_stats = pops_of(SolverStrategy::Sparse);
-    let (priority_pops, sparse_pops) = (dense_stats.pops(), sparse_stats.pops());
-    let pops_reduction_pct = if priority_pops == 0 {
-        0.0
-    } else {
-        priority_pops.saturating_sub(sparse_pops) as f64 * 100.0 / priority_pops as f64
-    };
-    // Interleaved best-of-N wall times.
-    let time_once = |strategy: SolverStrategy| {
-        let t = Instant::now();
-        run_all(strategy);
-        t.elapsed().as_nanos()
-    };
-    let reps = if quick { 9 } else { 15 };
-    let (mut dense_ns, mut sparse_ns) = (u128::MAX, u128::MAX);
-    for _ in 0..reps {
-        dense_ns = dense_ns.min(time_once(SolverStrategy::Priority));
-        sparse_ns = sparse_ns.min(time_once(SolverStrategy::Sparse));
-    }
-    let wall_reduction_pct = dense_ns.saturating_sub(sparse_ns) as f64 * 100.0 / dense_ns as f64;
-    // Fixpoint cross-check: every bit of every analysis must agree.
-    let mut bit_identical = true;
-    for (i, p) in progs.iter().enumerate() {
-        let view = &views[i];
-        let (table, local) = &locals[i];
-        let solve = |strategy: SolverStrategy| {
-            with_strategy(strategy, || {
-                (
-                    DeadSolution::compute(p, view),
-                    FaintSolution::compute(p, view),
-                    DelayInfo::compute(p, view, table, local),
-                )
-            })
-        };
-        let (dead_d, faint_d, delay_d) = solve(SolverStrategy::Priority);
-        let (dead_s, faint_s, delay_s) = solve(SolverStrategy::Sparse);
-        for n in p.node_ids() {
-            bit_identical &=
-                dead_d.at_entry(n) == dead_s.at_entry(n) && dead_d.at_exit(n) == dead_s.at_exit(n);
-            for v in (0..p.num_vars()).map(pdce_ir::Var::from_index) {
-                bit_identical &= faint_d.faint_at_entry(n, v) == faint_s.faint_at_entry(n, v);
-            }
-        }
-        bit_identical &= delay_d.n_delayed == delay_s.n_delayed
-            && delay_d.x_delayed == delay_s.x_delayed
-            && delay_d.n_insert == delay_s.n_insert
-            && delay_d.x_insert == delay_s.x_insert;
-    }
-
-    println!(
-        "workload: dead+faint+delay cold solves over {} structured programs \
-         (vars scale with blocks), best of {reps}\n",
-        progs.len()
-    );
-    println!(
-        "{:<26} {:>12} {:>12} {:>14}",
-        "series", "best (µs)", "pops", "edge visits"
-    );
-    println!(
-        "{:<26} {:>12.1} {:>12} {:>14}",
-        "dense priority worklist",
-        dense_ns as f64 / 1e3,
-        priority_pops,
-        "-"
-    );
-    println!(
-        "{:<26} {:>12.1} {:>12} {:>14}",
-        "sparse du-chain solver",
-        sparse_ns as f64 / 1e3,
-        sparse_pops,
-        sparse_stats.sparse_edge_visits
-    );
-    println!(
-        "\nsparse pops reduction: {pops_reduction_pct:.1}% (bar ≥{}%); wall-time \
-         reduction: {wall_reduction_pct:.1}% (bar ≥{}%)",
-        benchjson::MIN_SPARSE_POPS_REDUCTION_PCT,
-        benchjson::MIN_SPARSE_WALLTIME_REDUCTION_PCT
-    );
-    println!("fixpoints bit-identical across strategies: {bit_identical}");
-    SparseAb {
-        workload: format!(
-            "dead+faint+delay cold solves over {} structured programs (targets {:?}, \
-             one variable per block), best of {reps}",
-            progs.len(),
-            sizes
-        ),
-        priority_ns: dense_ns,
-        sparse_ns,
-        priority_pops,
-        sparse_pops,
-        sparse_pops_reduction_pct: pops_reduction_pct,
-        sparse_walltime_reduction_pct: wall_reduction_pct,
-        bit_identical,
-    }
 }

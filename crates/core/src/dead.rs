@@ -16,7 +16,7 @@
 //! run block-at-a-time on composed transfers; per-instruction values are
 //! recovered by a linear backward walk inside a block.
 
-use pdce_dfa::{solve, solve_seeded, BitProblem, BitVec, Direction, GenKill, Meet, Solution};
+use pdce_dfa::{solve, BitProblem, BitVec, Direction, GenKill, Meet, Solution};
 use pdce_ir::{CfgView, NodeId, Program, Stmt, Terminator, Var};
 
 /// Result of the dead-variable analysis.
@@ -24,10 +24,6 @@ use pdce_ir::{CfgView, NodeId, Program, Stmt, Terminator, Var};
 pub struct DeadSolution {
     width: usize,
     solution: Solution,
-    /// The gen/kill system the fixpoint solves, kept so a later
-    /// [`DeadSolution::compute_seeded`] can diff it against the new one
-    /// (`None` for the per-instruction ablation, which then seeds cold).
-    problem: Option<BitProblem>,
 }
 
 /// The dead-variable equations as a backward all-paths [`BitProblem`]
@@ -116,76 +112,22 @@ impl DeadSolution {
     /// Runs the analysis over `prog`.
     pub fn compute(prog: &Program, view: &CfgView) -> DeadSolution {
         let width = prog.num_vars();
-        let problem = dead_problem(prog, width);
-        let solution = solve(view, &problem);
-        DeadSolution {
-            width,
-            solution,
-            problem: Some(problem),
-        }
+        let solution = solve(view, &dead_problem(prog, width));
+        DeadSolution { width, solution }
     }
 
-    /// Warm-start re-analysis seeded from a previous solution.
-    ///
-    /// `prev` must come from [`DeadSolution::compute`] (or a previous
-    /// seeded run) over the same CFG, and `dirty` must cover every block
-    /// whose statement list changed since. Falls back to a cold solve
-    /// internally when the shapes do not line up (the variable universe
-    /// or the node count moved) or when `prev` carries no gen/kill
-    /// system to diff against (the per-instruction ablation).
-    /// Bit-identical to a cold solve — the differential oracle checks
-    /// this on generated CFGs.
+    /// [`DeadSolution::compute`] under the signature of the retired
+    /// warm-start entry point: `prev` and `dirty` are ignored and every
+    /// solve is cold. Kept only because the benchmark's layer replica
+    /// (`perfbench/src/replica.rs`) calls it, until the next benchmark
+    /// change moves the replica to `AnalysisCache::analysis`.
     pub fn compute_seeded(
         prog: &Program,
         view: &CfgView,
-        prev: &DeadSolution,
-        dirty: &[NodeId],
+        _prev: &DeadSolution,
+        _dirty: &[NodeId],
     ) -> DeadSolution {
-        let width = prog.num_vars();
-        let seedable = width == prev.width && prev.solution.entry.len() == view.num_nodes();
-        let Some(prev_problem) = prev.problem.as_ref().filter(|_| seedable) else {
-            return DeadSolution::compute(prog, view);
-        };
-        let problem = dead_problem(prog, width);
-        let solution = solve_seeded(view, &problem, prev_problem, &prev.solution, dirty);
-        DeadSolution {
-            width,
-            solution,
-            problem: Some(problem),
-        }
-    }
-
-    /// Runs the analysis *without* pre-composing block transfers: every
-    /// solver evaluation applies the instruction transfers one by one.
-    ///
-    /// Semantically identical to [`DeadSolution::compute`] (tested), but
-    /// each evaluation costs `O(block length)` bit-vector operations
-    /// instead of one — the ablation for the "block summaries" design
-    /// decision of DESIGN.md, benchmarked in `pdce-bench`. The walk
-    /// applies the sparse in-place transfers on one rolling buffer
-    /// instead of materializing a gen/kill pair per statement.
-    pub fn compute_per_instruction(prog: &Program, view: &CfgView) -> DeadSolution {
-        let width = prog.num_vars();
-        let solution = pdce_dfa::solve_fn(
-            view,
-            Direction::Backward,
-            Meet::Intersection,
-            width,
-            &BitVec::ones(width),
-            |node, exit_val, out| {
-                let block = prog.block(node);
-                out.copy_from(exit_val);
-                apply_term_backward(prog, &block.term, out);
-                for stmt in block.stmts.iter().rev() {
-                    apply_stmt_backward(prog, stmt, out);
-                }
-            },
-        );
-        DeadSolution {
-            width,
-            solution,
-            problem: None,
-        }
+        DeadSolution::compute(prog, view)
     }
 
     /// Deadness vector at the entry of block `n`.
@@ -367,28 +309,6 @@ mod tests {
         );
         let h = p.block_by_name("h").unwrap();
         assert!(!d.dead_after(&p, h, 0, var(&p, "y")));
-    }
-
-    #[test]
-    fn per_instruction_variant_agrees_with_summarized() {
-        let p = parse(
-            "prog {
-               block s  { x := a + b; y := x; nondet n1 n2 }
-               block n1 { out(y); goto n3 }
-               block n2 { y := 7; x := y; goto n3 }
-               block n3 { out(y); nondet s2 e }
-               block s2 { goto n3 }
-               block e  { halt }
-             }",
-        )
-        .unwrap();
-        let view = CfgView::new(&p);
-        let a = DeadSolution::compute(&p, &view);
-        let b = DeadSolution::compute_per_instruction(&p, &view);
-        for n in p.node_ids() {
-            assert_eq!(a.at_entry(n), b.at_entry(n), "{}", p.block(n).name);
-            assert_eq!(a.at_exit(n), b.at_exit(n), "{}", p.block(n).name);
-        }
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! (greatest fixpoint). Thanks to edge splitting there are never
 //! insertions at the exit of branching nodes (footnote 6).
 
-use pdce_dfa::{solve, solve_seeded, BitProblem, BitVec, Direction, GenKill, Meet, Solution};
+use pdce_dfa::{solve, BitProblem, BitVec, Direction, GenKill, Meet, Solution};
 use pdce_ir::{CfgView, NodeId, Program};
 
 use crate::local::LocalInfo;
@@ -35,9 +35,6 @@ pub struct DelayInfo {
     pub x_insert: Vec<BitVec>,
     /// Solver node evaluations (complexity experiments).
     pub evaluations: u64,
-    /// The gen/kill system the fixpoint solves, kept so a later
-    /// [`DelayInfo::compute_seeded`] can diff it against the new one.
-    problem: BitProblem,
 }
 
 /// The delayability equations as a forward all-paths [`BitProblem`].
@@ -69,44 +66,8 @@ impl DelayInfo {
         table: &PatternTable,
         local: &LocalInfo,
     ) -> DelayInfo {
-        let problem = delay_problem(prog, table, local);
-        let sol = solve(view, &problem);
-        DelayInfo::from_solution(prog, view, table, local, sol, problem)
-    }
-
-    /// Warm-start recompute seeded from a previous [`DelayInfo`].
-    ///
-    /// `dirty` are the blocks whose statements changed since `prev` was
-    /// computed (the CFG shape must be unchanged). Falls back to a cold
-    /// [`DelayInfo::compute`] when the previous solution does not match
-    /// the current program shape. The insertion points are cheap pure
-    /// functions of the fixpoint and are always re-derived in full.
-    pub fn compute_seeded(
-        prog: &Program,
-        view: &CfgView,
-        table: &PatternTable,
-        local: &LocalInfo,
-        prev: &DelayInfo,
-        dirty: &[NodeId],
-    ) -> DelayInfo {
-        let width = table.len();
-        let nblocks = view.num_nodes();
-        if prev.n_delayed.len() != nblocks
-            || prev.x_delayed.len() != nblocks
-            || prev.n_delayed.iter().any(|v| v.len() != width)
-        {
-            return DelayInfo::compute(prog, view, table, local);
-        }
-        let problem = delay_problem(prog, table, local);
-        let prev_sol = Solution {
-            entry: prev.n_delayed.clone(),
-            exit: prev.x_delayed.clone(),
-            evaluations: 0,
-            sweeps: 0,
-            word_ops: 0,
-        };
-        let sol = solve_seeded(view, &problem, &prev.problem, &prev_sol, dirty);
-        DelayInfo::from_solution(prog, view, table, local, sol, problem)
+        let sol = solve(view, &delay_problem(prog, table, local));
+        DelayInfo::from_solution(prog, view, table, local, sol)
     }
 
     /// Derives the insertion points (`N-INSERT`/`X-INSERT`) from a
@@ -120,7 +81,6 @@ impl DelayInfo {
         table: &PatternTable,
         local: &LocalInfo,
         sol: Solution,
-        problem: BitProblem,
     ) -> DelayInfo {
         let width = table.len();
         let nblocks = prog.num_blocks();
@@ -152,7 +112,6 @@ impl DelayInfo {
             n_insert,
             x_insert,
             evaluations: sol.evaluations,
-            problem,
         }
     }
 
@@ -301,75 +260,6 @@ mod tests {
         for n in p.node_ids() {
             assert!(d.n_insert[n.index()].none(), "{}", p.block(n).name);
             assert!(d.x_insert[n.index()].none(), "{}", p.block(n).name);
-        }
-    }
-
-    /// Seeded recompute after a statement-only edit must reproduce the
-    /// cold fixpoint and insertion points bit for bit.
-    #[test]
-    fn seeded_recompute_matches_cold_after_stmt_edit() {
-        let mut p = parse(
-            "prog {
-               block s  { goto h }
-               block h  { y := a + b; nondet b1 b2 }
-               block b1 { out(y); goto j }
-               block b2 { y := 4; goto j }
-               block j  { out(y); nondet h e }
-               block e  { halt }
-             }",
-        )
-        .unwrap();
-        pdce_ir::edgesplit::split_critical_edges(&mut p);
-        let view = CfgView::new(&p);
-        let table = PatternTable::build(&p);
-        let local = LocalInfo::compute(&p, &table);
-        let prev = DelayInfo::compute(&p, &view, &table, &local);
-
-        // Remove the use in b1: the pattern table is unchanged (only
-        // assignment patterns are tabled) but LOCBLOCKED shifts.
-        let b1 = p.block_by_name("b1").unwrap();
-        p.stmts_mut(b1).remove(0);
-        let view = CfgView::new(&p);
-        let table2 = PatternTable::build(&p);
-        assert_eq!(table2.len(), table.len());
-        let local2 = LocalInfo::compute(&p, &table2);
-        let cold = DelayInfo::compute(&p, &view, &table2, &local2);
-        let warm = DelayInfo::compute_seeded(&p, &view, &table2, &local2, &prev, &[b1]);
-        for n in p.node_ids() {
-            let i = n.index();
-            assert_eq!(warm.n_delayed[i], cold.n_delayed[i], "{}", p.block(n).name);
-            assert_eq!(warm.x_delayed[i], cold.x_delayed[i], "{}", p.block(n).name);
-            assert_eq!(warm.n_insert[i], cold.n_insert[i], "{}", p.block(n).name);
-            assert_eq!(warm.x_insert[i], cold.x_insert[i], "{}", p.block(n).name);
-        }
-    }
-
-    /// A previous solution of the wrong shape must fall back to a cold
-    /// solve rather than seeding garbage.
-    #[test]
-    fn seeded_recompute_with_wrong_shape_solves_cold() {
-        let (p, t, d) = analyse(
-            "prog {
-               block s { x := 1; goto m }
-               block m { out(x); goto e }
-               block e { halt }
-             }",
-        );
-        let view = CfgView::new(&p);
-        let local = LocalInfo::compute(&p, &t);
-        let bogus = DelayInfo {
-            n_delayed: vec![BitVec::zeros(t.len()); 1], // wrong node count
-            x_delayed: vec![BitVec::zeros(t.len()); 1],
-            n_insert: Vec::new(),
-            x_insert: Vec::new(),
-            evaluations: 0,
-            problem: delay_problem(&p, &t, &local),
-        };
-        let warm = DelayInfo::compute_seeded(&p, &view, &t, &local, &bogus, &[]);
-        for n in p.node_ids() {
-            let i = n.index();
-            assert_eq!(warm.n_delayed[i], d.n_delayed[i]);
-            assert_eq!(warm.x_insert[i], d.x_insert[i]);
         }
     }
 }

@@ -19,7 +19,7 @@ use std::error::Error;
 use std::fmt;
 use std::sync::OnceLock;
 
-use pdce_dfa::{AnalysisCache, CacheStats, SolverStrategy};
+use pdce_dfa::{AnalysisCache, CacheStats};
 use pdce_ir::edgesplit::split_critical_edges;
 use pdce_ir::Program;
 use pdce_trace::budget::{self, Budget, BudgetExhausted};
@@ -299,11 +299,7 @@ pub struct PdceStats {
 /// robustness until the identity rung cannot fail.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DegradedMode {
-    /// Incremental re-analysis off: every solve is a cold solve.
-    ColdSolve,
-    /// Additionally force the FIFO reference solver.
-    FifoSolver,
-    /// Additionally disable sinking: pde→dce-only / pfe→fce-only.
+    /// Sinking disabled: pde→dce-only / pfe→fce-only.
     EliminationOnly,
     /// Nothing worked: the input program is returned verbatim.
     Identity,
@@ -313,8 +309,6 @@ impl DegradedMode {
     /// Stable label used by `--stats`, traces, and BENCH_PDE.json.
     pub fn label(self) -> &'static str {
         match self {
-            DegradedMode::ColdSolve => "cold-solve",
-            DegradedMode::FifoSolver => "fifo-solver",
             DegradedMode::EliminationOnly => "elimination-only",
             DegradedMode::Identity => "identity",
         }
@@ -573,12 +567,9 @@ pub fn pfe(prog: &mut Program) -> Result<PdceStats, PdceError> {
 /// further down the **degradation ladder**:
 ///
 /// 1. the run as configured,
-/// 2. [`DegradedMode::ColdSolve`] — incremental re-analysis off,
-/// 3. [`DegradedMode::FifoSolver`] — additionally the FIFO reference
-///    solver,
-/// 4. [`DegradedMode::EliminationOnly`] — additionally no sinking
-///    (pde degrades to dce-only, pfe to fce-only),
-/// 5. [`DegradedMode::Identity`] — the input program verbatim.
+/// 2. [`DegradedMode::EliminationOnly`] — no sinking (pde degrades to
+///    dce-only, pfe to fce-only),
+/// 3. [`DegradedMode::Identity`] — the input program verbatim.
 ///
 /// Never fails and never panics (modulo allocation failure): the
 /// identity rung always succeeds. Every recovered failure is counted
@@ -593,33 +584,15 @@ pub fn optimize_resilient(prog: &mut Program, config: &PdceConfig) -> PdceStats 
     let mut budget_exhaustions = 0u64;
     let mut failure_log: Vec<String> = Vec::new();
 
-    let rungs: [Option<DegradedMode>; 4] = [
-        None,
-        Some(DegradedMode::ColdSolve),
-        Some(DegradedMode::FifoSolver),
-        Some(DegradedMode::EliminationOnly),
-    ];
-    for rung in rungs {
+    for rung in [None, Some(DegradedMode::EliminationOnly)] {
         let mut attempt = prog.clone();
         let mut cache = AnalysisCache::new();
-        let rung_config = match rung {
-            Some(DegradedMode::EliminationOnly) => PdceConfig {
-                sinking: false,
-                ..config.clone()
-            },
-            _ => config.clone(),
+        let rung_config = PdceConfig {
+            sinking: config.sinking && rung.is_none(),
+            ..config.clone()
         };
-        let outcome = sandbox::catch(|| match rung {
-            None => optimize_with_cache(&mut attempt, &rung_config, &mut cache),
-            Some(DegradedMode::ColdSolve) => pdce_dfa::with_incremental(false, || {
-                optimize_with_cache(&mut attempt, &rung_config, &mut cache)
-            }),
-            _ => pdce_dfa::with_incremental(false, || {
-                pdce_dfa::with_strategy(SolverStrategy::Fifo, || {
-                    optimize_with_cache(&mut attempt, &rung_config, &mut cache)
-                })
-            }),
-        });
+        let outcome =
+            sandbox::catch(|| optimize_with_cache(&mut attempt, &rung_config, &mut cache));
         let failure = match outcome {
             Ok(Ok(mut stats)) => {
                 *prog = attempt;
@@ -653,10 +626,8 @@ pub fn optimize_resilient(prog: &mut Program, config: &PdceConfig) -> PdceStats 
         rollbacks += 1;
         resilience_metrics::ROLLBACKS.inc();
         let next = match rung {
-            None => DegradedMode::ColdSolve,
-            Some(DegradedMode::ColdSolve) => DegradedMode::FifoSolver,
-            Some(DegradedMode::FifoSolver) => DegradedMode::EliminationOnly,
-            _ => DegradedMode::Identity,
+            None => DegradedMode::EliminationOnly,
+            Some(_) => DegradedMode::Identity,
         };
         resilience_metrics::degraded_to(next.label()).inc();
         failure_log.push(format!(
@@ -918,11 +889,11 @@ mod tests {
             ..Budget::UNLIMITED
         });
         let stats = optimize_resilient(&mut p, &config);
-        // Every ladder rung still solves data-flow problems, so every
-        // rung exhausts one pop: the prediction is identity.
+        // Both solving rungs still solve data-flow problems, so each
+        // exhausts one pop: the prediction is identity.
         assert_eq!(stats.degraded, Some(DegradedMode::Identity));
-        assert_eq!(stats.budget_exhaustions, 4);
-        assert_eq!(stats.degradations, 4);
+        assert_eq!(stats.budget_exhaustions, 2);
+        assert_eq!(stats.degradations, 2);
         assert_eq!(pdce_ir::printer::canonical_string(&p), original);
     }
 
@@ -932,23 +903,14 @@ mod tests {
     /// closure, so the configured run exhausts and the ladder degrades.
     #[test]
     fn pop_budget_bounds_the_faint_closure() {
-        // The closure is the default engine and the explicit `Sparse`
-        // one; pin the latter only when the ambient `SOLVER` picks a
-        // dense worklist.
-        let closure = |f: &dyn Fn() -> PdceStats| match pdce_dfa::strategy_override() {
-            None => f(),
-            Some(_) => pdce_dfa::with_strategy(SolverStrategy::Sparse, f),
-        };
-        let unlimited = closure(&|| run(&PdceConfig::pfe(), FIG1).1);
+        let unlimited = run(&PdceConfig::pfe(), FIG1).1;
         assert!(unlimited.solver.sparse_pops > 0, "faint ran the closure");
         let config = PdceConfig::pfe().with_budget(Budget {
             max_pops: Some(unlimited.solver.pops()),
             ..Budget::UNLIMITED
         });
-        let stats = closure(&|| {
-            let mut p = parse(FIG1).unwrap();
-            optimize_resilient(&mut p, &config)
-        });
+        let mut p = parse(FIG1).unwrap();
+        let stats = optimize_resilient(&mut p, &config);
         assert!(stats.degraded.is_some(), "{:?}", stats.failure_log);
         assert!(stats.budget_exhaustions >= 1);
         assert!(
@@ -966,8 +928,8 @@ mod tests {
             optimize_resilient(&mut p, &PdceConfig::pde())
         });
         assert_eq!(stats.degraded, Some(DegradedMode::EliminationOnly));
-        assert_eq!(stats.degradations, 3);
-        assert_eq!(stats.rollbacks, 3);
+        assert_eq!(stats.degradations, 1);
+        assert_eq!(stats.rollbacks, 1);
         assert!(stats.failure_log.iter().any(|m| m.contains("sink")));
         // The ladder's prediction: pde without sinking is dce-only.
         assert_eq!(
@@ -978,12 +940,14 @@ mod tests {
 
     #[test]
     fn one_shot_panic_recovers_on_next_rung() {
-        let (want, _) = run(&PdceConfig::pde(), FIG1);
+        // The configured run consumes the fault; the next rung runs
+        // without sinking, which is dce-only for pde.
+        let (want, _) = run(&PdceConfig::dce_only(), FIG1);
         let mut p = parse(FIG1).unwrap();
         let stats = pdce_trace::fault::with_faults("panic:dce:1", || {
             optimize_resilient(&mut p, &PdceConfig::pde())
         });
-        assert_eq!(stats.degraded, Some(DegradedMode::ColdSolve));
+        assert_eq!(stats.degraded, Some(DegradedMode::EliminationOnly));
         assert_eq!(stats.degradations, 1);
         assert_eq!(
             pdce_ir::printer::canonical_string(&p),

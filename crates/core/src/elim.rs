@@ -63,12 +63,7 @@ pub fn eliminate_once_cached(
     let mut removed = 0u64;
     match mode {
         Mode::Dead => {
-            let sol = cache.analysis_seeded::<DeadSolution, _>(prog, |p, v, seed| match seed {
-                Some((prev, delta)) => {
-                    DeadSolution::compute_seeded(p, v, prev, delta.dirty_blocks())
-                }
-                None => DeadSolution::compute(p, v),
-            });
+            let sol = cache.analysis::<DeadSolution, _>(prog, DeadSolution::compute);
             let plans: Vec<(pdce_ir::NodeId, Vec<usize>)> = prog
                 .node_ids()
                 .filter(|&n| in_region(n))

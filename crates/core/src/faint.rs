@@ -14,20 +14,16 @@
 //! X-FAINT_ι(x) = ∧_{ι' ∈ succ(ι)} N-FAINT_ι'(x)
 //! ```
 //!
-//! Following Section 5.2 we solve it with a slotwise worklist algorithm
-//! (the greatest-fixpoint boolean-network solvers of `pdce-dfa`), with
-//! the paper's subtlety: whenever slot `(ι, lhs_ι)` drops, the slots
-//! `(ι, z)` of all right-hand-side variables `z` of `ι` are re-queued.
-//! By default the network is solved by the sparse falsity closure,
-//! which touches only the slots falsity reaches — the §6.1.2
+//! Following Section 5.2 we solve it slotwise, with the paper's
+//! subtlety: whenever slot `(ι, lhs_ι)` drops, the slots `(ι, z)` of all
+//! right-hand-side variables `z` of `ι` are re-evaluated. The network is
+//! solved by the sparse falsity closure of `pdce-dfa`, which touches
+//! only the slots falsity reaches — the §6.1.2
 //! `O(#slots + #dependency edges)` bound without materializing the
-//! edges. Every solve is cold: the closure is cheaper than re-seeding a
-//! previous fixpoint (DESIGN.md §15).
+//! edges. Every solve is cold (DESIGN.md §15).
 
-use pdce_dfa::network::{
-    solve_greatest, solve_greatest_prioritized, solve_greatest_sparse, NetworkSolution,
-};
-use pdce_dfa::{Csr, DuGraph, InstrKind, SolverStrategy};
+use pdce_dfa::network::{solve_greatest_sparse, NetworkSolution};
+use pdce_dfa::{Csr, DuGraph, InstrKind};
 use pdce_ir::{CfgView, NodeId, Program, Var};
 
 /// Result of the faint-variable analysis.
@@ -46,10 +42,8 @@ pub struct FaintSolution {
 /// The slot network of one program, viewed through its def-use chain
 /// graph: the [`DuGraph`] already holds the instruction layout, the
 /// per-instruction kind/def/use facts, and the flow chains, so the
-/// network is a thin slot-arithmetic layer over it. The dense
-/// dependency CSR is materialized on demand ([`Network::dependents`])
-/// only for the explicit Fifo/Priority oracles; the default sparse
-/// closure walks the use-def chains lazily instead.
+/// network is a thin slot-arithmetic layer over it. The closure walks
+/// the use-def chains lazily; no dependency relation is materialized.
 struct Network<'a> {
     num_vars: usize,
     num_instrs: usize,
@@ -69,36 +63,6 @@ impl<'a> Network<'a> {
         }
     }
 
-    /// Dense dependency edges, for the Fifo/Priority solvers:
-    /// slot (ν, y) is read by (ι, y) whenever ν ∈ next(ι); additionally,
-    /// for assignments, (ν, lhs) is read by (ι, z) for every
-    /// right-hand-side variable z. Emission order is the worklist
-    /// scheduling order; it must not change.
-    fn dependents(&self) -> Csr {
-        let num_vars = self.num_vars;
-        Csr::build(self.num_slots, |emit| {
-            for i in 0..self.num_instrs {
-                for &nu in self.du.next_of(i) {
-                    let nu = nu as usize;
-                    for v in 0..num_vars {
-                        emit((nu * num_vars + v) as u32, (i * num_vars + v) as u32);
-                    }
-                    if self.du.kind(i) == InstrKind::Assign {
-                        let lhs = self.du.def_of(i).expect("assignment defines").index();
-                        for &z in self.du.uses_of(i) {
-                            if z as usize != lhs {
-                                emit(
-                                    (nu * num_vars + lhs) as u32,
-                                    (i * num_vars + z as usize) as u32,
-                                );
-                            }
-                        }
-                    }
-                }
-            }
-        })
-    }
-
     /// The constant-false slots under the all-true start value: Table 1
     /// makes exactly the `RELV-USED` slots false unconditionally, so the
     /// sparse falsity closure seeds from the relevant instructions' used
@@ -115,9 +79,10 @@ impl<'a> Network<'a> {
         seeds
     }
 
-    /// Lazy dependents of slot `s` for the sparse solver, walking the
-    /// use-def chains: the same edges [`Network::dependents`] emits,
-    /// enumerated from the target side via `prev`.
+    /// Lazy dependents of slot `s`, walking the use-def chains from the
+    /// target side via `prev`: slot (ν, y) is read by (ι, y) whenever
+    /// ν ∈ next(ι); additionally, for assignments, (ν, lhs) is read by
+    /// (ι, z) for every right-hand-side variable z.
     fn sparse_dependents_of(&self, s: usize, out: &mut Vec<u32>) {
         let nu = s / self.num_vars;
         let y = (s % self.num_vars) as u32;
@@ -162,14 +127,6 @@ impl<'a> Network<'a> {
             }
         }
     }
-
-    /// Slot priorities for the prioritized solver: falsity flows
-    /// backward along `next`, so evaluate deep instructions first
-    /// (the view's precomputed instruction-graph postorder index).
-    fn priorities(&self, view: &CfgView) -> Vec<u32> {
-        let po = view.instr_postorder();
-        (0..self.num_slots).map(|s| po[s / self.num_vars]).collect()
-    }
 }
 
 impl FaintSolution {
@@ -202,12 +159,8 @@ impl FaintSolution {
     /// avoiding the program re-scan). `du` must describe `prog` under
     /// `view`'s layout.
     ///
-    /// With no strategy override in force
-    /// ([`pdce_dfa::strategy_override`]) and under an explicit
-    /// [`SolverStrategy::Sparse`], the network is solved by the sparse
-    /// falsity closure. Explicit `Fifo`/`Priority` selections run the
-    /// dense worklists, the reference oracles the differential tests
-    /// compare the closure against.
+    /// The closure seeds the closed-form false slots and chases falsity
+    /// along the use-def chains.
     pub fn compute_with_du(prog: &Program, view: &CfgView, du: &DuGraph) -> FaintSolution {
         debug_assert!(view.layout_matches(prog), "view layout is stale");
         debug_assert_eq!(du.num_instrs(), view.num_instrs(), "du graph is stale");
@@ -216,27 +169,12 @@ impl FaintSolution {
         let NetworkSolution {
             values,
             evaluations,
-        } = match pdce_dfa::strategy_override() {
-            Some(SolverStrategy::Fifo) => solve_greatest(net.num_slots, &net.dependents(), eval),
-            Some(SolverStrategy::Priority) => {
-                // Falsity flows backward along `next`, so evaluate deep
-                // instructions first: priority = instruction-graph
-                // postorder index (exit-most instructions finish first).
-                let priority = net.priorities(view);
-                solve_greatest_prioritized(net.num_slots, &net.dependents(), &priority, eval)
-            }
-            None | Some(SolverStrategy::Sparse) => {
-                // No dense dependency CSR at all: seed the closed-form
-                // false slots and chase falsity along the use-def chains.
-                let seeds = net.false_seeds();
-                solve_greatest_sparse(
-                    net.num_slots,
-                    &seeds,
-                    |s, out| net.sparse_dependents_of(s, out),
-                    eval,
-                )
-            }
-        };
+        } = solve_greatest_sparse(
+            net.num_slots,
+            &net.false_seeds(),
+            |s, out| net.sparse_dependents_of(s, out),
+            eval,
+        );
 
         FaintSolution {
             num_vars: net.num_vars,
@@ -247,12 +185,11 @@ impl FaintSolution {
         }
     }
 
-    /// [`FaintSolution::compute_with_du`] under the signature of a
-    /// warm-start entry point, which the benchmark's layer replica
-    /// (`perfbench/src/replica.rs`) calls. Faint has no warm start: the
-    /// sparse closure re-solves the whole network cheaper than seeding
-    /// from a previous fixpoint did (DESIGN.md §15), so `prev` and
-    /// `dirty` are ignored and every solve is cold.
+    /// [`FaintSolution::compute_with_du`] under the signature of the
+    /// retired warm-start entry point: `prev` and `dirty` are ignored
+    /// and every solve is cold. Kept only because the benchmark's layer
+    /// replica (`perfbench/src/replica.rs`) calls it, until the next
+    /// benchmark change moves the replica to `AnalysisCache::analysis`.
     pub fn compute_seeded_with_du(
         prog: &Program,
         view: &CfgView,
@@ -299,7 +236,6 @@ impl FaintSolution {
 mod tests {
     use super::*;
     use pdce_ir::parser::parse;
-    use pdce_ir::Stmt;
 
     fn var(p: &Program, name: &str) -> Var {
         p.vars().lookup(name).unwrap()
@@ -446,97 +382,9 @@ mod tests {
         assert!(f.faint_after(l, 1, var(&p, "y")));
     }
 
-    #[test]
-    fn strategies_agree_on_faint_values() {
-        let p = parse(
-            "prog {
-               block s  { a := c + 1; nondet n3 n4 }
-               block n3 { goto n5 }
-               block n4 { y := a + b; goto n5 }
-               block n5 { y := c + d; out(y); nondet n4 e }
-               block e  { halt }
-             }",
-        )
-        .unwrap();
-        let view = CfgView::new(&p);
-        let fifo =
-            pdce_dfa::with_strategy(SolverStrategy::Fifo, || FaintSolution::compute(&p, &view));
-        let prio = pdce_dfa::with_strategy(SolverStrategy::Priority, || {
-            FaintSolution::compute(&p, &view)
-        });
-        let sparse =
-            pdce_dfa::with_strategy(SolverStrategy::Sparse, || FaintSolution::compute(&p, &view));
-        assert_eq!(fifo.values, prio.values);
-        assert_eq!(fifo.values, sparse.values);
-        assert!(prio.evaluations <= fifo.evaluations);
-    }
-
-    /// Every `N-FAINT` slot of `a` and `b` agrees.
-    fn assert_same_slots(p: &Program, a: &FaintSolution, b: &FaintSolution) {
-        for n in p.node_ids() {
-            for k in 0..=p.block(n).stmts.len() {
-                for v in (0..p.num_vars()).map(Var::from_index) {
-                    assert_eq!(
-                        a.faint_before(n, k, v),
-                        b.faint_before(n, k, v),
-                        "N-FAINT mismatch at {}[{}] var {:?}",
-                        p.block(n).name,
-                        k,
-                        v
-                    );
-                }
-            }
-        }
-    }
-
-    /// The default engine agrees with the FIFO reference after an edit
-    /// whose faintness changes ripple through a loop.
-    #[test]
-    fn default_matches_fifo_after_stmt_edit() {
-        let mut p = parse(
-            "prog {
-               block s  { a := c + 1; nondet n3 n4 }
-               block n3 { goto n5 }
-               block n4 { y := a + b; goto n5 }
-               block n5 { y := c + d; out(y); nondet n4 e }
-               block e  { halt }
-             }",
-        )
-        .unwrap();
-        // Remove `out(y)` from n5: faintness changes ripple through the
-        // loop back into n4 and s.
-        let n5 = p.block_by_name("n5").unwrap();
-        p.stmts_mut(n5).pop();
-        let view = CfgView::new(&p);
-        let default = FaintSolution::compute(&p, &view);
-        let fifo =
-            pdce_dfa::with_strategy(SolverStrategy::Fifo, || FaintSolution::compute(&p, &view));
-        assert_same_slots(&p, &default, &fifo);
-    }
-
-    /// Growing the variable universe reshapes the slot layout; the
-    /// default engine still agrees with the FIFO reference.
-    #[test]
-    fn default_matches_fifo_after_new_variable() {
-        let mut p = parse("prog { block s { x := 1; goto e } block e { halt } }").unwrap();
-        let y = p.var("freshvar");
-        let one = p.terms_mut().constant(1);
-        let y_term = p.terms_mut().var(y);
-        let s = p.entry();
-        p.stmts_mut(s).push(Stmt::Assign { lhs: y, rhs: one });
-        p.stmts_mut(s).push(Stmt::Out(y_term));
-        let view = CfgView::new(&p);
-        let default = FaintSolution::compute(&p, &view);
-        let fifo =
-            pdce_dfa::with_strategy(SolverStrategy::Fifo, || FaintSolution::compute(&p, &view));
-        assert_eq!(default.values, fifo.values);
-        assert!(!default.faint_after(s, 1, y), "out(freshvar) observes it");
-    }
-
-    /// Pins the engine: with no override, a solve runs the sparse
-    /// closure and never the dense priority or seeded worklists, so a
-    /// silent fallback fails here instead of only losing speed. Under
-    /// an ambient `SOLVER` override the pops carry that strategy's tag.
+    /// Pins the engine: a solve runs the sparse closure and never the
+    /// bit-vector worklist, so a silent fallback fails here instead of
+    /// only losing speed.
     #[test]
     fn default_engine_is_the_sparse_closure() {
         let p = parse(
@@ -550,21 +398,8 @@ mod tests {
         let before = pdce_trace::solver_totals();
         FaintSolution::compute(&p, &view);
         let d = pdce_trace::solver_totals().since(&before);
-        match pdce_dfa::strategy_override() {
-            None | Some(SolverStrategy::Sparse) => {
-                assert!(d.sparse_pops > 0, "{d:?}");
-                assert_eq!((d.fifo_pops, d.priority_pops, d.seeded_pops), (0, 0, 0));
-            }
-            Some(SolverStrategy::Priority) => {
-                assert!(d.priority_pops > 0, "{d:?}");
-                assert_eq!((d.fifo_pops, d.seeded_pops, d.sparse_pops), (0, 0, 0));
-            }
-            Some(SolverStrategy::Fifo) => {
-                assert!(d.fifo_pops > 0, "{d:?}");
-                assert_eq!((d.priority_pops, d.seeded_pops, d.sparse_pops), (0, 0, 0));
-            }
-        }
-        assert_eq!(d.warm_solves, 0);
+        assert!(d.sparse_pops > 0, "{d:?}");
+        assert_eq!(d.priority_pops, 0, "{d:?}");
     }
 
     #[test]

@@ -115,8 +115,9 @@ impl PatternTable {
 
     /// ORs into `blocked` every pattern that `stmt` blocks: `by_use` of
     /// each variable it reads and `by_def` of the variable it writes.
-    /// The per-variable form of [`stmt_blocks`](Self::stmt_blocks), which
-    /// the local predicates of sinking and hoisting are built from.
+    /// A statement blocks `x := t` when it modifies an operand of `t`,
+    /// uses `x`, or modifies `x` (Definition 3.1 discussion); the local
+    /// predicates of sinking and hoisting are built from these masks.
     /// Variables the table has never seen block nothing.
     pub fn union_stmt_blocks(&self, prog: &Program, stmt: &Stmt, blocked: &mut BitVec) {
         self.union_read_blocks(prog, stmt.used_term(), blocked);
@@ -126,8 +127,9 @@ impl PatternTable {
     }
 
     /// ORs into `blocked` every pattern that `term` blocks: `by_use` of
-    /// each variable its condition reads. The per-variable form of
-    /// [`terminator_blocks`](Self::terminator_blocks).
+    /// each variable its condition reads. Only conditional branches read
+    /// variables (the condition is a relevant use); no terminator
+    /// modifies anything.
     pub fn union_terminator_blocks(&self, prog: &Program, term: &Terminator, blocked: &mut BitVec) {
         self.union_read_blocks(prog, term.used_term(), blocked);
     }
@@ -140,44 +142,31 @@ impl PatternTable {
             }
         }
     }
-
-    /// Whether statement `stmt` *blocks* the sinking of pattern `p`
-    /// (Definition 3.1 discussion): it modifies an operand of `t`, uses
-    /// `x`, or modifies `x`.
-    ///
-    /// This is the per-pattern definition of blocking. The optimizer
-    /// itself asks [`union_stmt_blocks`](Self::union_stmt_blocks); this
-    /// form is the reference the equivalence tests check the masks
-    /// against.
-    pub fn stmt_blocks(&self, prog: &Program, p: usize, stmt: &Stmt) -> bool {
-        let (x, t) = self.patterns[p];
-        if stmt.uses(prog.terms(), x) {
-            return true;
-        }
-        match stmt.modified() {
-            Some(m) => m == x || prog.terms().term_uses(t, m),
-            None => false,
-        }
-    }
-
-    /// Whether the terminator blocks pattern `p`. Only conditional
-    /// branches read variables (the condition is a relevant use); no
-    /// terminator modifies anything.
-    ///
-    /// The per-pattern reference for
-    /// [`union_terminator_blocks`](Self::union_terminator_blocks), kept
-    /// for the equivalence tests.
-    pub fn terminator_blocks(&self, prog: &Program, p: usize, term: &Terminator) -> bool {
-        let (x, _) = self.patterns[p];
-        term.used_term()
-            .is_some_and(|c| prog.terms().term_uses(c, x))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use pdce_ir::parser::parse;
+
+    /// Whether `stmt` blocks pattern `p`, read off the masks.
+    fn stmt_blocks(table: &PatternTable, prog: &Program, p: usize, stmt: &Stmt) -> bool {
+        let mut blocked = BitVec::zeros(table.len());
+        table.union_stmt_blocks(prog, stmt, &mut blocked);
+        blocked.get(p)
+    }
+
+    /// Whether `term` blocks pattern `p`, read off the masks.
+    fn terminator_blocks(
+        table: &PatternTable,
+        prog: &Program,
+        p: usize,
+        term: &Terminator,
+    ) -> bool {
+        let mut blocked = BitVec::zeros(table.len());
+        table.union_terminator_blocks(prog, term, &mut blocked);
+        blocked.get(p)
+    }
 
     #[test]
     fn builds_deterministic_dense_indices() {
@@ -218,49 +207,17 @@ mod tests {
             .unwrap();
         let stmts = &p.block(p.entry()).stmts;
         // a := 1 modifies an operand of a+b.
-        assert!(table.stmt_blocks(&p, y_ab, &stmts[1]));
+        assert!(stmt_blocks(&table, &p, y_ab, &stmts[1]));
         // z := y uses y.
-        assert!(table.stmt_blocks(&p, y_ab, &stmts[2]));
+        assert!(stmt_blocks(&table, &p, y_ab, &stmts[2]));
         // y := 2 modifies y.
-        assert!(table.stmt_blocks(&p, y_ab, &stmts[3]));
+        assert!(stmt_blocks(&table, &p, y_ab, &stmts[3]));
         // skip blocks nothing.
-        assert!(!table.stmt_blocks(&p, y_ab, &stmts[4]));
+        assert!(!stmt_blocks(&table, &p, y_ab, &stmts[4]));
         // out(c) does not touch y, a, b.
-        assert!(!table.stmt_blocks(&p, y_ab, &stmts[5]));
+        assert!(!stmt_blocks(&table, &p, y_ab, &stmts[5]));
         // The occurrence itself blocks the pattern (modifies y).
-        assert!(table.stmt_blocks(&p, y_ab, &stmts[0]));
-    }
-
-    /// The masks are the per-pattern rules, one variable at a time.
-    #[test]
-    fn masks_agree_with_blocking_rules() {
-        let p = parse(
-            "prog {
-               block s { goto m }
-               block m { y := a + b; a := 1; z := y; y := 2; skip; out(c); x := x + a; goto t }
-               block t { if y < z then m else e }
-               block e { halt }
-             }",
-        )
-        .unwrap();
-        let table = PatternTable::build(&p);
-        for n in p.node_ids() {
-            let block = p.block(n);
-            for stmt in &block.stmts {
-                let mut got = BitVec::zeros(table.len());
-                table.union_stmt_blocks(&p, stmt, &mut got);
-                let want: Vec<usize> = (0..table.len())
-                    .filter(|&q| table.stmt_blocks(&p, q, stmt))
-                    .collect();
-                assert_eq!(got.iter_ones().collect::<Vec<_>>(), want, "{stmt:?}");
-            }
-            let mut got = BitVec::zeros(table.len());
-            table.union_terminator_blocks(&p, &block.term, &mut got);
-            let want: Vec<usize> = (0..table.len())
-                .filter(|&q| table.terminator_blocks(&p, q, &block.term))
-                .collect();
-            assert_eq!(got.iter_ones().collect::<Vec<_>>(), want);
-        }
+        assert!(stmt_blocks(&table, &p, y_ab, &stmts[0]));
     }
 
     #[test]
@@ -275,9 +232,9 @@ mod tests {
         .unwrap();
         let table = PatternTable::build(&p);
         let term = &p.block(p.entry()).term;
-        assert!(table.terminator_blocks(&p, 0, term));
+        assert!(terminator_blocks(&table, &p, 0, term));
         let goto = &p.block(p.block_by_name("t").unwrap()).term;
-        assert!(!table.terminator_blocks(&p, 0, goto));
+        assert!(!terminator_blocks(&table, &p, 0, goto));
     }
 
     #[test]
@@ -285,6 +242,6 @@ mod tests {
         let p = parse("prog { block s { x := a; out(x + 1); goto e } block e { halt } }").unwrap();
         let table = PatternTable::build(&p);
         let out = &p.block(p.entry()).stmts[1];
-        assert!(table.stmt_blocks(&p, 0, out));
+        assert!(stmt_blocks(&table, &p, 0, out));
     }
 }

@@ -28,7 +28,7 @@ use crate::patterns::PatternTable;
 /// Cached delayability solution together with the inputs it was derived
 /// under. The delay fixpoint depends on the pattern indexing and the
 /// region mask, not just the program revision, so both are recorded and
-/// checked before the cache entry (fresh or stale) is trusted.
+/// checked before a cache hit is trusted.
 struct CachedDelay {
     patterns: Vec<(Var, TermId)>,
     region: Option<Vec<bool>>,
@@ -143,26 +143,11 @@ pub fn sink_assignments_cached(
         }
     }
     let region_key: Option<Vec<bool>> = region.map(<[bool]>::to_vec);
-    let cached = {
-        let table = table.clone();
-        let local = &local;
-        let region_key = region_key.clone();
-        cache.analysis_seeded::<CachedDelay, _>(prog, move |p, v, seed| {
-            let info = match seed {
-                Some((prev, delta))
-                    if prev.patterns.as_slice() == table.pairs() && prev.region == region_key =>
-                {
-                    DelayInfo::compute_seeded(p, v, &table, local, &prev.info, delta.dirty_blocks())
-                }
-                _ => DelayInfo::compute(p, v, &table, local),
-            };
-            CachedDelay {
-                patterns: table.pairs().to_vec(),
-                region: region_key,
-                info,
-            }
-        })
-    };
+    let cached = cache.analysis::<CachedDelay, _>(prog, |p, v| CachedDelay {
+        patterns: table.pairs().to_vec(),
+        region: region_key.clone(),
+        info: DelayInfo::compute(p, v, &table, &local),
+    });
     // A fresh cache hit may have been produced under a different region
     // mask (or pattern indexing); it must not be trusted blindly.
     let delay_direct;

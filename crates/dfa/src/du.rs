@@ -1,15 +1,12 @@
-//! The def-use chain graph the sparse solver family propagates over.
+//! The def-use chain graph the faint falsity closure propagates over.
 //!
 //! [`DuGraph`] is an instruction-level CSR snapshot of everything the
-//! sparse formulations of dead, faint, and delay read: per-instruction
-//! kind/def/use facts, the instruction successor relation (statements
-//! chain within a block, terminators branch along the `CfgView` edges),
-//! its inverse, and the per-variable occurrence sets — each variable's
-//! own sparse node set, the instructions that define or use it. The
-//! graph is revision-cached in `AnalysisCache` next to the `CfgView`
-//! and, after statement-local edits reported by the mutation log,
-//! patched by splicing clean-block segments instead of re-scanning the
-//! whole program (DESIGN.md §15).
+//! sparse faint formulation reads: per-instruction kind/def/use facts,
+//! the instruction successor relation (statements chain within a block,
+//! terminators branch along the `CfgView` edges) and its inverse. The
+//! graph is
+//! revision-cached in `AnalysisCache` next to the `CfgView` and rebuilt
+//! from scratch whenever the program changes (DESIGN.md §15).
 //!
 //! The scan mirrors the faint network's instruction walk exactly —
 //! statements plus one terminator pseudo-instruction per block, in the
@@ -54,10 +51,6 @@ pub struct DuGraph {
     next: Csr,
     /// Inverse of `next` (use-def direction).
     prev: Csr,
-    /// Per-variable occurrence sets: the instructions that define or
-    /// use the variable, in arena order, one entry per role (an
-    /// instruction both defining and using a variable appears twice).
-    occ: Csr,
 }
 
 /// Walks one block's instructions (statements, then the terminator
@@ -106,104 +99,8 @@ impl DuGraph {
             });
         }
         let uses = Csr::from_parts(use_off, use_edges);
+        let num_vars = prog.num_vars();
 
-        DuGraph::assemble(
-            prog.num_vars(),
-            num_instrs,
-            offsets,
-            kinds,
-            defs,
-            uses,
-            view,
-        )
-    }
-
-    /// Splices `prev` into the chain graph of the current `prog`:
-    /// clean-block fact segments are copied over, only the `dirty`
-    /// blocks are re-scanned, and the flow/occurrence CSRs are rebuilt
-    /// from the (cheap) spliced arrays. Falls back to a cold
-    /// [`DuGraph::build`] when the shapes do not line up — the variable
-    /// universe moved, the block set changed, or a supposedly-clean
-    /// block changed length. Identical to a cold build either way; the
-    /// property test in `tests/` drives random mutation sequences
-    /// through both paths and compares the graphs structurally.
-    pub fn patch(prog: &Program, view: &CfgView, prev: &DuGraph, dirty: &[NodeId]) -> DuGraph {
-        let nblocks = prog.num_blocks();
-        if prog.num_vars() != prev.num_vars || prev.offsets.len() != nblocks {
-            return DuGraph::build(prog, view);
-        }
-        debug_assert!(view.layout_matches(prog), "view layout is stale");
-        let num_instrs = view.num_instrs();
-        let offsets: Vec<usize> = (0..nblocks)
-            .map(|i| view.instr_offsets()[i] as usize)
-            .collect();
-        let mut is_dirty = vec![false; nblocks];
-        for &d in dirty {
-            is_dirty[d.index()] = true;
-        }
-        let prev_count = |n: usize| {
-            let end = prev.offsets.get(n + 1).copied().unwrap_or(prev.num_instrs);
-            end - prev.offsets[n]
-        };
-        let count = |n: usize| {
-            let end = offsets.get(n + 1).copied().unwrap_or(num_instrs);
-            end - offsets[n]
-        };
-        for (n, &block_dirty) in is_dirty.iter().enumerate() {
-            if !block_dirty && count(n) != prev_count(n) {
-                return DuGraph::build(prog, view);
-            }
-        }
-
-        let mut kinds = Vec::with_capacity(num_instrs);
-        let mut defs = Vec::with_capacity(num_instrs);
-        let mut use_off = Vec::with_capacity(num_instrs + 1);
-        use_off.push(0u32);
-        let mut use_edges: Vec<u32> = Vec::new();
-        for n in prog.node_ids() {
-            let i = n.index();
-            if is_dirty[i] {
-                scan_block(prog, n, |kind, def, uses| {
-                    kinds.push(kind);
-                    defs.push(def);
-                    use_edges.extend(uses.iter().map(|v| v.index() as u32));
-                    use_off.push(use_edges.len() as u32);
-                });
-            } else {
-                let base = prev.offsets[i];
-                for k in base..base + prev_count(i) {
-                    kinds.push(prev.kinds[k]);
-                    defs.push(prev.defs[k]);
-                    use_edges.extend_from_slice(prev.uses.neighbors(k));
-                    use_off.push(use_edges.len() as u32);
-                }
-            }
-        }
-        let uses = Csr::from_parts(use_off, use_edges);
-
-        DuGraph::assemble(
-            prog.num_vars(),
-            num_instrs,
-            offsets,
-            kinds,
-            defs,
-            uses,
-            view,
-        )
-    }
-
-    /// Shared tail of [`DuGraph::build`] and [`DuGraph::patch`]: derives
-    /// the flow CSRs from the view and the occurrence CSR from the fact
-    /// arrays.
-    fn assemble(
-        num_vars: usize,
-        num_instrs: usize,
-        offsets: Vec<usize>,
-        kinds: Vec<InstrKind>,
-        defs: Vec<u32>,
-        uses: Csr,
-        view: &CfgView,
-    ) -> DuGraph {
         let next = Csr::build(num_instrs, |emit| {
             for i in 0..offsets.len() {
                 let n = NodeId::from_index(i);
@@ -223,16 +120,6 @@ impl DuGraph {
                 }
             }
         });
-        let occ = Csr::build(num_vars, |emit| {
-            for (i, &d) in defs.iter().enumerate() {
-                if d != u32::MAX {
-                    emit(d, i as u32);
-                }
-                for &v in uses.neighbors(i) {
-                    emit(v, i as u32);
-                }
-            }
-        });
         DuGraph {
             num_vars,
             num_instrs,
@@ -242,7 +129,6 @@ impl DuGraph {
             uses,
             next,
             prev,
-            occ,
         }
     }
 
@@ -291,19 +177,6 @@ impl DuGraph {
     pub fn next(&self) -> &Csr {
         &self.next
     }
-
-    /// The occurrence set of variable `v`: every instruction that
-    /// defines or uses it, in arena order.
-    pub fn occurrences(&self, v: Var) -> &[u32] {
-        self.occ.neighbors(v.index())
-    }
-
-    /// Total def-use chain edge count (flow edges plus occurrence
-    /// entries) — the denominator of the sparse solver's `O(affected
-    /// edges)` bound.
-    pub fn num_edges(&self) -> usize {
-        self.next.num_edges() + self.occ.num_edges()
-    }
 }
 
 #[cfg(test)]
@@ -337,44 +210,9 @@ mod tests {
         assert_eq!(du.kind(2), InstrKind::Relevant);
         assert_eq!(du.uses_of(2), &[y.index() as u32]);
         assert_eq!(du.kind(3), InstrKind::Relevant);
-        // x occurs as a def (0), a use (1), and the branch use (3).
-        assert_eq!(du.occurrences(x), &[0, 1, 3]);
         // Statements chain; the branch fans out to both targets.
         assert_eq!(du.next_of(0), &[1]);
         assert_eq!(du.next_of(3).len(), 2);
         assert_eq!(du.prev_of(1), &[0]);
-    }
-
-    #[test]
-    fn patch_equals_cold_build_after_stmt_edit() {
-        let mut prog = parse(
-            "prog {
-               block s { x := 1; y := x + 1; goto m }
-               block m { out(y); goto e }
-               block e { halt }
-             }",
-        )
-        .unwrap();
-        let prev = DuGraph::build(&prog, &CfgView::new(&prog));
-        let m = prog.block_by_name("m").unwrap();
-        prog.stmts_mut(m).pop();
-        let view = CfgView::new(&prog);
-        let cold = DuGraph::build(&prog, &view);
-        let patched = DuGraph::patch(&prog, &view, &prev, &[m]);
-        assert_eq!(cold, patched);
-    }
-
-    #[test]
-    fn patch_with_incompatible_shape_falls_back_to_cold() {
-        let mut prog = parse("prog { block s { x := 1; goto e } block e { halt } }").unwrap();
-        let prev = DuGraph::build(&prog, &CfgView::new(&prog));
-        let y = prog.var("freshvar");
-        let one = prog.terms_mut().constant(1);
-        let s = prog.entry();
-        prog.stmts_mut(s).push(Stmt::Assign { lhs: y, rhs: one });
-        let view = CfgView::new(&prog);
-        let cold = DuGraph::build(&prog, &view);
-        let patched = DuGraph::patch(&prog, &view, &prev, &[s]);
-        assert_eq!(cold, patched);
     }
 }

@@ -14,11 +14,7 @@
 //! slot evaluations times evaluation cost — exactly the bound used in the
 //! paper's Section 6.1.2 complexity argument.
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
-
 use crate::bitvec::BitVec;
-use crate::csr::Csr;
 
 /// Result of solving a boolean network.
 #[derive(Debug, Clone)]
@@ -29,192 +25,24 @@ pub struct NetworkSolution {
     pub evaluations: u64,
 }
 
-/// Computes the greatest fixpoint of a monotone boolean network.
+/// Computes the greatest fixpoint of a monotone boolean network by the
+/// sparse falsity closure. Instead of seeding a worklist with *every*
+/// slot and walking a prebuilt dense dependents relation, the caller
+/// hands over only the slots whose equations are constant-false under
+/// the all-true start (`false_seeds`) and a lazy edge enumerator
+/// (`dependents_of`), which appends the slots whose equations read a
+/// slot to the scratch vector. Slots never named by either stay true
+/// without ever being evaluated — for the faint network that is the
+/// overwhelming majority, and the dense dependents relation
+/// (instructions × variables edges) is never materialized at all
+/// (DESIGN.md §15).
 ///
-/// * `num_slots` — number of boolean unknowns.
-/// * `dependents.neighbors(s)` — slots whose equations read slot `s`
-///   (i.e. must be re-evaluated when `s` drops to false), stored as one
-///   flat CSR edge array so every flip walks a contiguous slice.
-/// * `eval(s, values)` — the right-hand side of slot `s`'s equation over
-///   the current values. It must be monotone: flipping any input from
-///   true to false may only flip the output from true to false.
-///
-/// # Panics
-///
-/// Panics if `dependents.num_nodes() != num_slots`.
-pub fn solve_greatest(
-    num_slots: usize,
-    dependents: &Csr,
-    mut eval: impl FnMut(usize, &BitVec) -> bool,
-) -> NetworkSolution {
-    assert_eq!(
-        dependents.num_nodes(),
-        num_slots,
-        "one dependent slab per slot"
-    );
-    pdce_trace::fault::fire("solve");
-    let trace_span = pdce_trace::span_with(
-        "solver",
-        "network-solve",
-        if pdce_trace::enabled() {
-            vec![("slots", num_slots.into())]
-        } else {
-            Vec::new()
-        },
-    );
-    let mut values = BitVec::ones(num_slots);
-    let mut queue: VecDeque<u32> = (0..num_slots as u32).collect();
-    let mut queued = BitVec::ones(num_slots);
-    let mut evaluations: u64 = 0;
-    let mut pops: u64 = 0;
-
-    while let Some(slot) = queue.pop_front() {
-        pops += 1;
-        pdce_trace::budget::charge_pops(1);
-        let s = slot as usize;
-        queued.set(s, false);
-        if !values.get(s) {
-            continue; // already false; false is final.
-        }
-        evaluations += 1;
-        if !eval(s, &values) {
-            values.set(s, false);
-            for &d in dependents.neighbors(s) {
-                let d = d as usize;
-                if values.get(d) && !queued.get(d) {
-                    queued.set(d, true);
-                    queue.push_back(d as u32);
-                }
-            }
-        }
-    }
-    pdce_trace::record_solver(pdce_trace::SolverStats {
-        problems: 1,
-        sweeps: 0, // worklist-driven, no sweep structure
-        evaluations,
-        revisits: pops.saturating_sub(num_slots as u64),
-        word_ops: 0,
-        fifo_pops: pops,
-        priority_pops: 0,
-        cold_solves: 1,
-        warm_solves: 0,
-        seeded_pops: 0,
-        sparse_pops: 0,
-        sparse_edge_visits: 0,
-    });
-    trace_span.finish_with(if pdce_trace::enabled() {
-        vec![("pops", pops.into()), ("evaluations", evaluations.into())]
-    } else {
-        Vec::new()
-    });
-    NetworkSolution {
-        values,
-        evaluations,
-    }
-}
-
-/// [`solve_greatest`] with a priority-ordered worklist: ready slots are
-/// evaluated smallest `priority[slot]` first instead of FIFO. With
-/// priorities following the flow of falsity (e.g. instruction-graph
-/// postorder for the backward-flavoured faint analysis), flips reach
-/// their dependents before those are first evaluated, cutting
-/// re-evaluations. The greatest fixpoint is order-independent, so the
-/// result is bit-identical to [`solve_greatest`]'s — the differential
-/// property tests check exactly that.
-///
-/// # Panics
-///
-/// Panics if `dependents.num_nodes()` or `priority.len()` differ from
-/// `num_slots`.
-pub fn solve_greatest_prioritized(
-    num_slots: usize,
-    dependents: &Csr,
-    priority: &[u32],
-    mut eval: impl FnMut(usize, &BitVec) -> bool,
-) -> NetworkSolution {
-    assert_eq!(
-        dependents.num_nodes(),
-        num_slots,
-        "one dependent slab per slot"
-    );
-    assert_eq!(priority.len(), num_slots, "one priority per slot");
-    pdce_trace::fault::fire("solve");
-    let trace_span = pdce_trace::span_with(
-        "solver",
-        "network-solve-prioritized",
-        if pdce_trace::enabled() {
-            vec![("slots", num_slots.into())]
-        } else {
-            Vec::new()
-        },
-    );
-    let mut values = BitVec::ones(num_slots);
-    let mut heap: BinaryHeap<Reverse<(u32, u32)>> = (0..num_slots as u32)
-        .map(|s| Reverse((priority[s as usize], s)))
-        .collect();
-    let mut queued = BitVec::ones(num_slots);
-    let mut evaluations: u64 = 0;
-    let mut pops: u64 = 0;
-
-    while let Some(Reverse((_, slot))) = heap.pop() {
-        pops += 1;
-        pdce_trace::budget::charge_pops(1);
-        let s = slot as usize;
-        queued.set(s, false);
-        if !values.get(s) {
-            continue; // already false; false is final.
-        }
-        evaluations += 1;
-        if !eval(s, &values) {
-            values.set(s, false);
-            for &d in dependents.neighbors(s) {
-                let d = d as usize;
-                if values.get(d) && !queued.get(d) {
-                    queued.set(d, true);
-                    heap.push(Reverse((priority[d], d as u32)));
-                }
-            }
-        }
-    }
-    pdce_trace::record_solver(pdce_trace::SolverStats {
-        problems: 1,
-        sweeps: 0,
-        evaluations,
-        revisits: pops.saturating_sub(num_slots as u64),
-        word_ops: 0,
-        fifo_pops: 0,
-        priority_pops: pops,
-        cold_solves: 1,
-        warm_solves: 0,
-        seeded_pops: 0,
-        sparse_pops: 0,
-        sparse_edge_visits: 0,
-    });
-    trace_span.finish_with(if pdce_trace::enabled() {
-        vec![("pops", pops.into()), ("evaluations", evaluations.into())]
-    } else {
-        Vec::new()
-    });
-    NetworkSolution {
-        values,
-        evaluations,
-    }
-}
-
-/// Sparse variant of [`solve_greatest`]: instead of seeding the worklist
-/// with *every* slot and walking a prebuilt dense dependents CSR, the
-/// caller hands over only the slots whose equations are constant-false
-/// under the all-true start (`false_seeds`) and a lazy edge enumerator
-/// (`dependents_of`), which appends the dependents of a slot to the
-/// scratch vector. Slots never named by either stay true without ever
-/// being evaluated — for the faint network that is the overwhelming
-/// majority, and the dense dependents CSR (instructions × variables
-/// edges) is never materialized at all (DESIGN.md §15).
-///
-/// `dependents_of` must enumerate exactly the edges the dense CSR would
-/// hold (duplicates are harmless), and `eval` the same monotone
-/// equations, so the greatest fixpoint is bit-identical to
-/// [`solve_greatest`]'s — the differential oracle checks that.
+/// `eval(s, values)` is the right-hand side of slot `s`'s equation over
+/// the current values. It must be monotone: flipping any input from
+/// true to false may only flip the output from true to false.
+/// `dependents_of` must enumerate every slot whose equation reads `s`
+/// (duplicates are harmless), so the result is the greatest fixpoint —
+/// the executable specification in `tests/support/` checks that.
 ///
 /// Each seed is one outer-worklist pop (`SolverStats::sparse_pops`);
 /// falsity then spreads by plain closure, every traversed edge counted
@@ -279,7 +107,6 @@ pub fn solve_greatest_sparse(
         evaluations,
         sparse_pops: false_seeds.len() as u64,
         sparse_edge_visits: edge_visits,
-        cold_solves: 1,
         ..pdce_trace::SolverStats::ZERO
     });
     trace_span.finish_with(if pdce_trace::enabled() {
@@ -300,6 +127,7 @@ pub fn solve_greatest_sparse(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::csr::Csr;
 
     /// Chain network: slot `i` reads slot `i + 1`, so the dependents
     /// of slot `i + 1` are `[i]`.
@@ -311,12 +139,48 @@ mod tests {
         Csr::from_lists(&dependents)
     }
 
+    /// Solves over an explicit dependents CSR, seeding every slot whose
+    /// equation is false under the all-true start.
+    fn solve_csr(
+        n: usize,
+        dependents: &Csr,
+        eval: impl Fn(usize, &BitVec) -> bool,
+    ) -> NetworkSolution {
+        let ones = BitVec::ones(n);
+        let seeds: Vec<u32> = (0..n as u32)
+            .filter(|&s| !eval(s as usize, &ones))
+            .collect();
+        solve_greatest_sparse(
+            n,
+            &seeds,
+            |s, out| out.extend_from_slice(dependents.neighbors(s)),
+            eval,
+        )
+    }
+
+    /// The naive greatest fixpoint: re-evaluate every slot until a whole
+    /// round changes nothing.
+    fn round_robin(n: usize, eval: impl Fn(usize, &BitVec) -> bool) -> BitVec {
+        let mut values = BitVec::ones(n);
+        let mut changed = true;
+        while changed {
+            changed = false;
+            for s in 0..n {
+                if values.get(s) && !eval(s, &values) {
+                    values.set(s, false);
+                    changed = true;
+                }
+            }
+        }
+        values
+    }
+
     /// Chain: slot i is true iff slot i+1 is true; the last slot is false.
     /// Greatest fixpoint: everything false.
     #[test]
     fn falsity_propagates_along_chain() {
         let n = 10;
-        let sol = solve_greatest(n, &chain_dependents(n), |s, vals| {
+        let sol = solve_csr(n, &chain_dependents(n), |s, vals| {
             if s == n - 1 {
                 false
             } else {
@@ -335,7 +199,7 @@ mod tests {
         for i in 0..n {
             dependents[(i + 1) % n].push(i as u32); // slot i reads slot i+1 mod n
         }
-        let sol = solve_greatest(n, &Csr::from_lists(&dependents), |s, vals| {
+        let sol = solve_csr(n, &Csr::from_lists(&dependents), |s, vals| {
             vals.get((s + 1) % n)
         });
         assert_eq!(sol.values.count_ones(), 3);
@@ -346,7 +210,7 @@ mod tests {
     fn conjunction_network() {
         // slot 0 = slot 1 && slot 2; slot 1 = true; slot 2 = false.
         let dependents = Csr::from_lists(&[vec![], vec![0u32], vec![0u32]]);
-        let sol = solve_greatest(3, &dependents, |s, vals| match s {
+        let sol = solve_csr(3, &dependents, |s, vals| match s {
             0 => vals.get(1) && vals.get(2),
             1 => true,
             2 => false,
@@ -359,10 +223,10 @@ mod tests {
 
     #[test]
     fn evaluation_count_is_bounded() {
-        // Every slot is evaluated at least once; flips cause bounded
-        // re-evaluations (≤ 1 + #incoming dependency edges per slot).
+        // Each slot flips at most once, so it is evaluated at most once
+        // per incoming dependency edge plus once as a seed.
         let n = 100;
-        let sol = solve_greatest(n, &chain_dependents(n), |s, vals| {
+        let sol = solve_csr(n, &chain_dependents(n), |s, vals| {
             if s == n - 1 {
                 false
             } else {
@@ -374,45 +238,25 @@ mod tests {
 
     #[test]
     fn empty_network() {
-        let empty = Csr::from_lists(&[]);
-        let sol = solve_greatest(0, &empty, |_, _| unreachable!());
+        let sol = solve_csr(0, &Csr::from_lists(&[]), |_, _| unreachable!());
         assert_eq!(sol.values.len(), 0);
         assert_eq!(sol.evaluations, 0);
-        let sol = solve_greatest_prioritized(0, &empty, &[], |_, _| unreachable!());
-        assert_eq!(sol.evaluations, 0);
-    }
-
-    #[test]
-    fn prioritized_matches_fifo_and_saves_evaluations() {
-        // Falsity enters at the chain's end; evaluating end-first (small
-        // priority = late position) lets every slot see its final input
-        // on first evaluation: exactly n evaluations vs ~2n for FIFO.
-        let n = 50;
-        let dependents = chain_dependents(n);
-        let eval = |s: usize, vals: &BitVec| if s == n - 1 { false } else { vals.get(s + 1) };
-        let fifo = solve_greatest(n, &dependents, eval);
-        let priority: Vec<u32> = (0..n).map(|s| (n - 1 - s) as u32).collect();
-        let prio = solve_greatest_prioritized(n, &dependents, &priority, eval);
-        assert_eq!(fifo.values, prio.values);
-        assert!(prio.evaluations <= fifo.evaluations);
-        assert_eq!(prio.evaluations, n as u64);
     }
 
     #[test]
     fn sparse_matches_dense_and_skips_untouched_slots() {
-        // Chain with falsity entering at the end: the lazy-edge sparse
-        // solve must reach the identical fixpoint from the single seed.
+        // Chain with falsity entering at the end: the lazy-edge closure
+        // must reach the round-robin fixpoint from the single seed.
         let n = 10;
         let csr = chain_dependents(n);
         let eval = |s: usize, vals: &BitVec| if s == n - 1 { false } else { vals.get(s + 1) };
-        let dense = solve_greatest(n, &csr, eval);
         let sparse = solve_greatest_sparse(
             n,
             &[(n - 1) as u32],
             |s, out| out.extend_from_slice(csr.neighbors(s)),
             eval,
         );
-        assert_eq!(dense.values, sparse.values);
+        assert_eq!(round_robin(n, eval), sparse.values);
         // A self-supporting cycle has no constant-false seed: nothing is
         // evaluated and everything stays true.
         let sol = solve_greatest_sparse(
@@ -487,20 +331,5 @@ mod tests {
             other => panic!("the closure must observe the cancel: {other:?}"),
         }
         assert_eq!(evaluations.get(), 1, "aborted at the first closure pop");
-    }
-
-    #[test]
-    fn prioritized_keeps_self_supporting_cycle() {
-        let n = 3;
-        let mut dependents = vec![Vec::new(); n];
-        for i in 0..n {
-            dependents[(i + 1) % n].push(i as u32);
-        }
-        let priority = vec![0u32; n];
-        let sol =
-            solve_greatest_prioritized(n, &Csr::from_lists(&dependents), &priority, |s, vals| {
-                vals.get((s + 1) % n)
-            });
-        assert_eq!(sol.values.count_ones(), 3);
     }
 }

@@ -28,7 +28,6 @@ use std::rc::Rc;
 use pdce_ir::{CfgView, ChangeSet, NodeId, Program};
 
 use crate::du::DuGraph;
-use crate::solve::incremental_enabled;
 
 /// Registry handles for the cache counter family
 /// (`pdce_cache_events_total{kind=...}`). The per-instance [`CacheStats`]
@@ -57,7 +56,6 @@ mod cache_metrics {
     pub static ANALYSIS_MISS: LazyLock<Arc<Counter>> = LazyLock::new(|| event("analysis_miss"));
     pub static DU_HIT: LazyLock<Arc<Counter>> = LazyLock::new(|| event("du_hit"));
     pub static DU_MISS: LazyLock<Arc<Counter>> = LazyLock::new(|| event("du_miss"));
-    pub static DU_PATCH: LazyLock<Arc<Counter>> = LazyLock::new(|| event("du_patch"));
 }
 
 /// What a pass guarantees about cached analyses after it ran.
@@ -154,12 +152,8 @@ pub struct CacheStats {
     pub cfg_relayouts: u64,
     /// [`DuGraph`] requests served from cache.
     pub du_hits: u64,
-    /// [`DuGraph`] requests that had to rebuild (patched or cold).
+    /// [`DuGraph`] requests that had to rebuild.
     pub du_misses: u64,
-    /// [`DuGraph`] misses served by splicing the demoted previous graph
-    /// ([`DuGraph::patch`]) instead of a cold re-scan — a subset of
-    /// `du_misses`, counted separately like `cfg_relayouts`.
-    pub du_patches: u64,
 }
 
 impl CacheStats {
@@ -186,7 +180,6 @@ impl CacheStats {
             cfg_relayouts: self.cfg_relayouts - earlier.cfg_relayouts,
             du_hits: self.du_hits - earlier.du_hits,
             du_misses: self.du_misses - earlier.du_misses,
-            du_patches: self.du_patches - earlier.du_patches,
         }
     }
 }
@@ -224,21 +217,10 @@ pub struct AnalysisCache {
     revision: Option<u64>,
     cfg: Option<Rc<CfgView>>,
     doms: Option<Rc<Vec<Option<NodeId>>>>,
-    /// The def-use chain graph the sparse solvers propagate over,
+    /// The def-use chain graph the faint closure propagates over,
     /// revision-cached like the view (DESIGN.md §15).
     du: Option<Rc<DuGraph>>,
-    /// Demoted chain graph with the revision it was valid for, kept so
-    /// [`AnalysisCache::du`] can splice it ([`DuGraph::patch`]) when the
-    /// mutation log proves the delta was statement-local.
-    du_stale: Option<(u64, Rc<DuGraph>)>,
     analyses: HashMap<TypeId, Rc<dyn Any>>,
-    /// Demoted analysis solutions: the last value of each type together
-    /// with the revision it was valid for. Never served as a hit —
-    /// consulted only by [`AnalysisCache::analysis_seeded`], which asks
-    /// `Program::changes_since` whether the delta back to that revision
-    /// is statement-local and, if so, offers the stale value as a
-    /// warm-start seed instead of discarding it.
-    stale: HashMap<TypeId, (u64, Rc<dyn Any>)>,
     stats: CacheStats,
 }
 
@@ -253,8 +235,7 @@ impl AnalysisCache {
         self.stats
     }
 
-    /// Drops entries that are stale for `prog`'s current revision,
-    /// demoting analysis solutions to warm-start seeds.
+    /// Drops entries that are stale for `prog`'s current revision.
     ///
     /// The mutation log makes this finer than all-or-nothing: when
     /// `Program::changes_since` proves every intervening mutation was
@@ -277,8 +258,8 @@ impl AnalysisCache {
             self.cfg = None;
             self.doms = None;
         }
-        self.demote_analyses();
-        self.demote_du();
+        self.analyses.clear();
+        self.du = None;
         self.revision = Some(cur);
     }
 
@@ -293,28 +274,6 @@ impl AnalysisCache {
                 self.stats.cfg_relayouts += 1;
                 cache_metrics::CFG_RELAYOUT.inc();
             }
-        }
-    }
-
-    /// Moves every fresh analysis entry into the stale map, stamped with
-    /// the revision it was valid for. No-op when that revision is
-    /// unknown (the entries would be unseedable anyway).
-    fn demote_analyses(&mut self) {
-        match self.revision {
-            Some(rev) => {
-                for (key, value) in self.analyses.drain() {
-                    self.stale.insert(key, (rev, value));
-                }
-            }
-            None => self.analyses.clear(),
-        }
-    }
-
-    /// Demotes the fresh chain graph to a patch seed, stamped with the
-    /// revision it was valid for (dropped when that is unknown).
-    fn demote_du(&mut self) {
-        if let (Some(rev), Some(du)) = (self.revision, self.du.take()) {
-            self.du_stale = Some((rev, du));
         }
     }
 
@@ -343,16 +302,7 @@ impl AnalysisCache {
     }
 
     /// The memoized [`DuGraph`] of `prog` — the def-use chain graph the
-    /// sparse solver family propagates over.
-    ///
-    /// On a miss with a demoted previous graph, the mutation log decides
-    /// how to rebuild: a provably statement-local delta splices the old
-    /// graph's clean-block segments ([`DuGraph::patch`], counted in
-    /// [`CacheStats::du_patches`]); structural or unexplained deltas —
-    /// or incremental solving disabled via [`incremental_enabled`] —
-    /// re-scan cold. Either way the result equals a cold build
-    /// bit-for-bit, which the `DuGraph` property test checks under
-    /// random mutation sequences.
+    /// faint closure propagates over, rebuilt from scratch on a miss.
     pub fn du(&mut self, prog: &Program) -> Rc<DuGraph> {
         self.sync(prog);
         if let Some(du) = &self.du {
@@ -363,31 +313,7 @@ impl AnalysisCache {
         self.stats.du_misses += 1;
         cache_metrics::DU_MISS.inc();
         let view = self.cfg(prog);
-        let patched = if incremental_enabled() {
-            self.du_stale.as_ref().and_then(|(rev, prev)| {
-                let delta = prog.changes_since(*rev)?;
-                if delta.structural() {
-                    return None;
-                }
-                Some(Rc::new(DuGraph::patch(
-                    prog,
-                    &view,
-                    prev,
-                    delta.dirty_blocks(),
-                )))
-            })
-        } else {
-            None
-        };
-        let du = match patched {
-            Some(du) => {
-                self.stats.du_patches += 1;
-                cache_metrics::DU_PATCH.inc();
-                du
-            }
-            None => Rc::new(DuGraph::build(prog, &view)),
-        };
-        self.du_stale = None;
+        let du = Rc::new(DuGraph::build(prog, &view));
         self.du = Some(Rc::clone(&du));
         du
     }
@@ -425,56 +351,22 @@ impl AnalysisCache {
         cache_metrics::ANALYSIS_MISS.inc();
         let view = self.cfg(prog);
         let value: Rc<T> = Rc::new(build(prog, &view));
-        self.stale.remove(&TypeId::of::<T>());
         self.analyses
             .insert(TypeId::of::<T>(), Rc::clone(&value) as Rc<dyn Any>);
         value
     }
 
-    /// Like [`AnalysisCache::analysis`], but on a miss offers the
-    /// demoted previous solution of type `T` as a warm-start seed when
-    /// the program's change log proves every mutation since was
-    /// statement-local: `build` receives `Some((prev, delta))` with the
-    /// dirty-block delta, or `None` when it must solve cold (no previous
-    /// value, structural changes, an unexplained revision move, or
-    /// incremental solving disabled via [`incremental_enabled`]).
-    ///
-    /// A warm rebuild still counts as an `analysis_miss` — the hit/miss
-    /// counters describe cache residency; warm vs. cold solve telemetry
-    /// lives in `SolverStats` (`warm_solves`/`cold_solves`).
+    /// [`AnalysisCache::analysis`] under the signature of the retired
+    /// warm-start entry point: `build` always receives `None` and solves
+    /// cold. Kept only because the benchmark's layer replica
+    /// (`perfbench/src/replica.rs`) calls it, until the next benchmark
+    /// change moves the replica to [`AnalysisCache::analysis`].
     pub fn analysis_seeded<T, F>(&mut self, prog: &Program, build: F) -> Rc<T>
     where
         T: Any,
         F: FnOnce(&Program, &CfgView, Option<(&T, &ChangeSet)>) -> T,
     {
-        self.sync(prog);
-        if let Some(entry) = self.analyses.get(&TypeId::of::<T>()) {
-            self.stats.analysis_hits += 1;
-            cache_metrics::ANALYSIS_HIT.inc();
-            return Rc::clone(entry).downcast::<T>().expect("typed slot");
-        }
-        self.stats.analysis_misses += 1;
-        cache_metrics::ANALYSIS_MISS.inc();
-        let view = self.cfg(prog);
-        let seed = if incremental_enabled() {
-            self.stale.get(&TypeId::of::<T>()).and_then(|(rev, value)| {
-                let delta = prog.changes_since(*rev)?;
-                if delta.structural() {
-                    return None;
-                }
-                value.downcast_ref::<T>().map(|prev| (prev, delta))
-            })
-        } else {
-            None
-        };
-        let value: Rc<T> = Rc::new(match seed {
-            Some((prev, delta)) => build(prog, &view, Some((prev, &delta))),
-            None => build(prog, &view, None),
-        });
-        self.stale.remove(&TypeId::of::<T>());
-        self.analyses
-            .insert(TypeId::of::<T>(), Rc::clone(&value) as Rc<dyn Any>);
-        value
+        self.analysis(prog, |p, v| build(p, v, None))
     }
 
     /// Re-validates entries for the program's *current* revision after a
@@ -486,24 +378,20 @@ impl AnalysisCache {
     pub fn retain(&mut self, prog: &Program, level: Preserves) {
         match level {
             Preserves::Nothing => {
-                // The graph may have been rewired: previous solutions
-                // are not even shape-compatible, so stale seeds go too.
+                // The graph may have been rewired.
                 self.cfg = None;
                 self.doms = None;
                 self.du = None;
-                self.du_stale = None;
                 self.analyses.clear();
-                self.stale.clear();
                 self.revision = Some(prog.revision());
             }
             Preserves::Cfg => {
-                // Solutions are invalid but the graph survives; demote
-                // them to warm-start seeds for `analysis_seeded`. The
+                // Solutions are invalid but the graph survives. The
                 // instruction layout may still have moved (statement
                 // edits), so re-derive it from the surviving topology.
                 self.refresh_cfg_layout(prog);
-                self.demote_analyses();
-                self.demote_du();
+                self.du = None;
+                self.analyses.clear();
                 self.revision = Some(prog.revision());
             }
             Preserves::All => {
@@ -512,15 +400,13 @@ impl AnalysisCache {
         }
     }
 
-    /// Drops everything unconditionally, stale seeds included.
+    /// Drops everything unconditionally.
     pub fn invalidate(&mut self) {
         self.revision = None;
         self.cfg = None;
         self.doms = None;
         self.du = None;
-        self.du_stale = None;
         self.analyses.clear();
-        self.stale.clear();
     }
 }
 
@@ -654,28 +540,21 @@ mod tests {
     }
 
     #[test]
-    fn analysis_seeded_offers_previous_solution_after_stmt_edit() {
+    fn analysis_seeded_builds_cold_after_stmt_edit() {
         #[derive(Debug)]
         struct Count(usize);
         let mut p = prog();
         let mut cache = AnalysisCache::new();
         let entry = p.entry();
-        cache.analysis_seeded::<Count, _>(&p, |p, _, seed| {
-            assert!(seed.is_none(), "first build is cold");
+        let build = |p: &Program, _: &CfgView, seed: Option<(&Count, &ChangeSet)>| {
+            assert!(seed.is_none(), "every build is cold");
             Count(p.num_stmts())
-        });
+        };
+        cache.analysis_seeded::<Count, _>(&p, build);
         p.stmts_mut(entry).pop();
         cache.retain(&p, Preserves::Cfg);
-        let warm = crate::solve::with_incremental(true, || {
-            cache.analysis_seeded::<Count, _>(&p, |p, _, seed| {
-                let (prev, delta) = seed.expect("stmt-local delta must offer a seed");
-                assert_eq!(prev.0, 2);
-                assert!(!delta.structural());
-                assert_eq!(delta.dirty_blocks(), &[entry]);
-                Count(p.num_stmts())
-            })
-        });
-        assert_eq!(warm.0, 1);
+        let rebuilt = cache.analysis_seeded::<Count, _>(&p, build);
+        assert_eq!(rebuilt.0, 1);
         // Same revision again: a plain hit, no rebuild.
         cache.analysis_seeded::<Count, _>(&p, |_, _, _| panic!("must hit"));
         assert_eq!(cache.stats().analysis_hits, 1);
@@ -683,57 +562,29 @@ mod tests {
     }
 
     #[test]
-    fn analysis_seeded_goes_cold_on_structural_or_disabled() {
+    fn analysis_seeded_builds_cold_after_structural_change() {
         #[derive(Debug)]
         struct Count(usize);
         let mut p = prog();
         let mut cache = AnalysisCache::new();
-        cache.analysis_seeded::<Count, _>(&p, |p, _, _| Count(p.num_blocks()));
-
-        // Structural change: no seed.
+        let build = |p: &Program, _: &CfgView, seed: Option<(&Count, &ChangeSet)>| {
+            assert!(seed.is_none(), "every build is cold");
+            Count(p.num_blocks())
+        };
+        cache.analysis_seeded::<Count, _>(&p, build);
         let exit = p.exit();
         p.add_block(pdce_ir::Block::new(
             "fresh",
             pdce_ir::Terminator::Goto(exit),
         ))
         .unwrap();
-        cache.analysis_seeded::<Count, _>(&p, |p, _, seed| {
-            assert!(seed.is_none(), "structural delta must not be seedable");
-            Count(p.num_blocks())
-        });
-
-        // Statement edit but incremental disabled: no seed either.
-        let entry = p.entry();
-        p.stmts_mut(entry).pop();
-        cache.retain(&p, Preserves::Cfg);
-        let cold = crate::solve::with_incremental(false, || {
-            cache.analysis_seeded::<Count, _>(&p, |p, _, seed| {
-                assert!(seed.is_none(), "disabled incremental must solve cold");
-                Count(p.num_blocks())
-            })
-        });
-        assert_eq!(cold.0, 5);
+        let rebuilt = cache.analysis_seeded::<Count, _>(&p, build);
+        assert_eq!(rebuilt.0, 5);
+        assert_eq!(cache.stats().analysis_misses, 2);
     }
 
     #[test]
-    fn retain_nothing_drops_stale_seeds() {
-        #[derive(Debug)]
-        struct Count(usize);
-        let mut p = prog();
-        let mut cache = AnalysisCache::new();
-        cache.analysis_seeded::<Count, _>(&p, |p, _, _| Count(p.num_stmts()));
-        let entry = p.entry();
-        p.stmts_mut(entry).pop();
-        cache.retain(&p, Preserves::Nothing);
-        let rebuilt = cache.analysis_seeded::<Count, _>(&p, |p, _, seed| {
-            assert!(seed.is_none(), "retain(Nothing) must drop seeds");
-            Count(p.num_stmts())
-        });
-        assert_eq!(rebuilt.0, 1);
-    }
-
-    #[test]
-    fn du_graph_is_cached_and_patched_after_stmt_edit() {
+    fn du_graph_is_cached_and_rebuilt_after_stmt_edit() {
         let mut p = prog();
         let mut cache = AnalysisCache::new();
         let a = cache.du(&p);
@@ -741,19 +592,15 @@ mod tests {
         assert!(Rc::ptr_eq(&a, &b));
         assert_eq!(cache.stats().du_hits, 1);
         assert_eq!(cache.stats().du_misses, 1);
-        assert_eq!(cache.stats().du_patches, 0);
-        // Statement-local edit: the next request splices the demoted
-        // graph instead of re-scanning, and must equal a cold build.
         let entry = p.entry();
         p.stmts_mut(entry).push(pdce_ir::Stmt::Skip);
-        let c = crate::solve::with_incremental(true, || cache.du(&p));
+        let c = cache.du(&p);
         assert_eq!(cache.stats().du_misses, 2);
-        assert_eq!(cache.stats().du_patches, 1);
         assert_eq!(*c, DuGraph::build(&p, &CfgView::new(&p)));
     }
 
     #[test]
-    fn du_graph_rebuilds_cold_on_structural_change_or_disabled() {
+    fn du_graph_is_rebuilt_after_structural_change() {
         let mut p = prog();
         let mut cache = AnalysisCache::new();
         cache.du(&p);
@@ -764,17 +611,12 @@ mod tests {
         ))
         .unwrap();
         let c = cache.du(&p);
-        assert_eq!(cache.stats().du_patches, 0, "structural delta: no patch");
+        assert_eq!(cache.stats().du_misses, 2);
         assert_eq!(*c, DuGraph::build(&p, &CfgView::new(&p)));
-        // Statement edit with incremental disabled: cold as well.
-        let entry = p.entry();
-        p.stmts_mut(entry).pop();
-        crate::solve::with_incremental(false, || cache.du(&p));
-        assert_eq!(cache.stats().du_patches, 0);
-        // retain(Nothing) drops both the fresh graph and the patch seed.
+        // retain(Nothing) drops the fresh graph as well.
         cache.retain(&p, Preserves::Nothing);
         cache.du(&p);
-        assert_eq!(cache.stats().du_patches, 0);
+        assert_eq!(cache.stats().du_misses, 3);
     }
 
     #[test]

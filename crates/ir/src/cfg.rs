@@ -45,7 +45,6 @@ pub struct CfgView {
     post: Vec<NodeId>,
     rpo_index: Vec<u32>,
     instr_off: Vec<u32>,
-    instr_po: Vec<u32>,
     critical: Vec<(NodeId, NodeId)>,
 }
 
@@ -156,7 +155,7 @@ impl CfgView {
         critical.sort_unstable();
         critical.dedup();
 
-        let (instr_off, instr_po) = Self::layout(prog, &post);
+        let instr_off = Self::layout(prog);
 
         CfgView {
             entry: prog.entry(),
@@ -169,42 +168,21 @@ impl CfgView {
             post,
             rpo_index,
             instr_off,
-            instr_po,
             critical,
         }
     }
 
     /// The instruction arena layout: per-block offsets (statements plus
-    /// one terminator pseudo-instruction each) and the instruction-graph
-    /// postorder numbering.
-    ///
-    /// The instruction postorder falls out of the block postorder in one
-    /// pass: a DFS over the instruction graph walks each block's
-    /// statement chain down to the terminator and branches there exactly
-    /// like the block DFS, so a block's instructions finish terminator
-    /// first, then statements in reverse — immediately after the block's
-    /// DFS subtree and immediately before the block itself finishes.
-    /// Instructions of unreachable blocks number `u32::MAX`.
-    fn layout(prog: &Program, post: &[NodeId]) -> (Vec<u32>, Vec<u32>) {
-        let n = prog.num_blocks();
-        let mut instr_off = Vec::with_capacity(n + 1);
+    /// one terminator pseudo-instruction each).
+    fn layout(prog: &Program) -> Vec<u32> {
+        let mut instr_off = Vec::with_capacity(prog.num_blocks() + 1);
         instr_off.push(0u32);
-        let mut num_instrs = 0usize;
+        let mut num_instrs = 0u32;
         for id in prog.node_ids() {
-            num_instrs += prog.block(id).stmts.len() + 1;
-            instr_off.push(num_instrs as u32);
+            num_instrs += prog.block(id).stmts.len() as u32 + 1;
+            instr_off.push(num_instrs);
         }
-        let mut instr_po = vec![u32::MAX; num_instrs];
-        let mut counter = 0u32;
-        for &b in post {
-            let lo = instr_off[b.index()] as usize;
-            let hi = instr_off[b.index() + 1] as usize;
-            for k in (lo..hi).rev() {
-                instr_po[k] = counter;
-                counter += 1;
-            }
-        }
-        (instr_off, instr_po)
+        instr_off
     }
 
     /// Rebuilds only the instruction arena layout for `prog`, reusing
@@ -213,10 +191,8 @@ impl CfgView {
     /// statement-list edits only (the `Preserves::Cfg` contract).
     pub fn relayout(&self, prog: &Program) -> CfgView {
         debug_assert_eq!(self.num_nodes(), prog.num_blocks(), "topology changed");
-        let (instr_off, instr_po) = Self::layout(prog, &self.post);
         CfgView {
-            instr_off,
-            instr_po,
+            instr_off: Self::layout(prog),
             ..self.clone()
         }
     }
@@ -319,14 +295,6 @@ impl CfgView {
     /// the terminator pseudo-instruction).
     pub fn instr_range(&self, n: NodeId) -> std::ops::Range<usize> {
         self.instr_off[n.index()] as usize..self.instr_off[n.index() + 1] as usize
-    }
-
-    /// Postorder index of every instruction in the instruction graph
-    /// (statement chains linked through terminators into successor
-    /// blocks), walked from the entry block's first instruction.
-    /// Instructions of unreachable blocks sort last via `u32::MAX`.
-    pub fn instr_postorder(&self) -> &[u32] {
-        &self.instr_po
     }
 
     /// Immediate dominators, computed with the Cooper–Harvey–Kennedy
@@ -567,57 +535,6 @@ mod tests {
         let b = p.block_by_name("b").unwrap();
         assert_eq!(v.instr_range(b).len(), 2);
         assert_eq!(v.first_instr(b), v.instr_offsets()[b.index()] as usize);
-    }
-
-    #[test]
-    fn instr_postorder_matches_an_instruction_graph_dfs() {
-        let p = parse(
-            "prog {
-               block s { x := 1; nondet a b }
-               block a { y := x; goto j }
-               block b { goto j }
-               block j { out(x); goto e }
-               block e { halt }
-             }",
-        )
-        .unwrap();
-        let v = CfgView::new(&p);
-        // Reference: explicit DFS over the instruction graph.
-        let num = v.num_instrs();
-        let next_of = |i: usize| -> Vec<usize> {
-            let b = (0..p.num_blocks())
-                .find(|&bi| {
-                    v.instr_offsets()[bi] as usize <= i && i < v.instr_offsets()[bi + 1] as usize
-                })
-                .unwrap();
-            let node = NodeId::from_index(b);
-            if i + 1 < v.instr_offsets()[b + 1] as usize {
-                vec![i + 1]
-            } else {
-                v.succs(node).iter().map(|&m| v.first_instr(m)).collect()
-            }
-        };
-        let mut po = vec![u32::MAX; num];
-        let mut counter = 0u32;
-        let mut visited = vec![false; num];
-        let mut stack = vec![(v.first_instr(p.entry()), 0usize)];
-        visited[v.first_instr(p.entry())] = true;
-        while let Some((i, child)) = stack.last_mut() {
-            let ns = next_of(*i);
-            if *child < ns.len() {
-                let nu = ns[*child];
-                *child += 1;
-                if !visited[nu] {
-                    visited[nu] = true;
-                    stack.push((nu, 0));
-                }
-            } else {
-                po[*i] = counter;
-                counter += 1;
-                stack.pop();
-            }
-        }
-        assert_eq!(v.instr_postorder(), &po[..]);
     }
 
     #[test]

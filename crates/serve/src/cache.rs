@@ -4,11 +4,10 @@
 //! answers it in O(lookup): the cache key is a 128-bit FNV-1a hash of
 //! the *canonically printed* input program (formatting-insensitive)
 //! plus every semantics-affecting option (mode, effective budgets,
-//! validation, and the effective solver tag), and the value is the full
-//! deterministic response payload. The differential oracles prove the
-//! solver strategies never change the output, but the tag is keyed
-//! anyway so every cached byte is attributable to one exact
-//! configuration; incrementality alone remains deliberately unkeyed.
+//! validation), and the value is the full deterministic response
+//! payload. The option string still ends in the fixed `solver=ambient`
+//! component from the days of selectable solvers, so keys persisted in
+//! existing cache files stay valid.
 //!
 //! A second, unpersisted memo ([`PersistentCache::get_raw_alias`]) maps
 //! the hash of the program text *as sent* to its canonical key, so a

@@ -22,8 +22,7 @@
 //!   budget trip degrades that request down the PR 5 resilience ladder
 //!   (the rung is reported in the response) instead of stalling peers.
 //! - **Determinism becomes cacheability.** Because optimized output is
-//!   byte-stable across solver strategy, incremental mode, and worker
-//!   count, a response can be cached by content hash and replayed
+//!   byte-stable across worker count and cache temperature, a response can be cached by content hash and replayed
 //!   verbatim: warm responses are byte-identical to cold ones, which
 //!   the test suite asserts literally.
 //!

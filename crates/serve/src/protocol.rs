@@ -24,11 +24,11 @@
 //!
 //! Unknown request keys are ignored (forward compatibility); known keys
 //! with the wrong type are a protocol error (`status` 1). Empty lines
-//! produce no response.
+//! produce no response. A `"solver"` key is ignored like any other
+//! unknown key: every analysis runs exactly one engine.
 
 use std::fmt::Write as _;
 
-use pdce_dfa::SolverStrategy;
 use pdce_trace::json::{self, Value};
 
 /// Per-request status, mirroring the CLI exit-code contract.
@@ -87,9 +87,6 @@ pub struct Request {
     pub wall_ms: Option<u64>,
     /// Translation-validation vectors per round (0 = off).
     pub validate: Option<u32>,
-    /// Explicit solver strategy for this request; `None` defers to the
-    /// server's `--solver` (and, failing that, the ambient selection).
-    pub solver: Option<SolverStrategy>,
     /// Bypass the result cache for this request (both lookup and fill).
     pub no_cache: bool,
 }
@@ -184,13 +181,6 @@ impl Request {
             Some(v) if v > u32::MAX as u64 => return Err("`validate` is out of range".to_string()),
             v => v.map(|v| v as u32),
         };
-        let solver = match str_field(&doc, "solver")? {
-            None => None,
-            Some(s) => Some(
-                SolverStrategy::parse(&s)
-                    .ok_or_else(|| format!("unknown solver `{s}` (fifo|priority|sparse)"))?,
-            ),
-        };
         Ok(Request {
             id,
             op,
@@ -200,7 +190,6 @@ impl Request {
             max_pops: u64_field(&doc, "max_pops")?,
             wall_ms: u64_field(&doc, "wall_ms")?,
             validate,
-            solver,
             no_cache: bool_field(&doc, "no_cache")?,
         })
     }

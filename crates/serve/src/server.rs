@@ -38,7 +38,6 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use pdce_core::driver::{optimize_resilient, PdceConfig};
-use pdce_dfa::SolverStrategy;
 use pdce_ir::parser::parse;
 use pdce_ir::printer::print_program;
 use pdce_trace::budget::Budget;
@@ -146,10 +145,6 @@ mod serve_metrics {
 pub struct ServeOptions {
     /// Worker threads per connection batch (1 = inline).
     pub jobs: usize,
-    /// Explicit solver strategy; `None` uses the ambient selection.
-    pub strategy: Option<SolverStrategy>,
-    /// Warm-start seeded re-solving between rounds.
-    pub incremental: bool,
     /// Server-wide cap on per-request rounds (requests may go lower).
     pub max_rounds: Option<u64>,
     /// Server-wide cap on per-request solver pops.
@@ -194,8 +189,6 @@ impl Default for ServeOptions {
     fn default() -> ServeOptions {
         ServeOptions {
             jobs: 1,
-            strategy: None,
-            incremental: true,
             max_rounds: None,
             max_pops: None,
             wall_ms: Some(2_000),
@@ -667,28 +660,19 @@ impl Server {
         }
     }
 
-    /// The solver this request runs under: its own `solver` option if
-    /// given, else the server-wide `--solver`, else the ambient
-    /// selection (`None`).
-    fn effective_solver(&self, req: &Request) -> Option<pdce_dfa::SolverStrategy> {
-        req.solver.or(self.opts.strategy)
-    }
-
     /// The canonical option string keyed alongside the program text.
-    /// The solver tag is part of the key — the differential oracles
-    /// prove the strategies agree on the output, but keying them apart
-    /// keeps every cached byte attributable to one exact configuration.
-    /// Incrementality remains excluded on purpose.
+    /// The trailing `solver=ambient` is a fixed literal left from the
+    /// days of selectable solvers: persisted cache files and the
+    /// benchmark's replica key on this exact string.
     fn canonical_options(&self, req: &Request, admitted: &AdmittedBudget) -> String {
         let opt = |v: Option<u64>| v.map_or_else(|| "-".to_string(), |v| v.to_string());
         format!(
-            "mode={};rounds={};pops={};wall={};validate={};solver={}",
+            "mode={};rounds={};pops={};wall={};validate={};solver=ambient",
             req.mode.label(),
             opt(admitted.rounds),
             opt(admitted.pops),
             opt(admitted.wall_ms),
             opt(admitted.validate.map(u64::from)),
-            self.effective_solver(req).map_or("ambient", |s| s.name()),
         )
     }
 
@@ -849,17 +833,7 @@ impl Server {
             };
             let outcome = pdce_trace::sandbox::catch(|| {
                 pdce_trace::fault::fire("serve");
-                let prog = &mut prog;
-                let mut run = move || optimize_resilient(prog, &config);
-                let run = move || match self.effective_solver(req) {
-                    Some(s) => pdce_dfa::with_strategy(s, run),
-                    None => run(),
-                };
-                if self.opts.incremental {
-                    run()
-                } else {
-                    pdce_dfa::with_incremental(false, run)
-                }
+                optimize_resilient(&mut prog, &config)
             });
             match outcome {
                 Ok(stats) => {

@@ -8,23 +8,16 @@ use crate::{ProvAction, ProvenanceRecord};
 use std::fmt::Write as _;
 
 /// Renders the provenance log like [`render`], followed by a one-line
-/// analysis-reuse summary: how many fixpoints were solved cold versus
-/// warm-started from a previous round's solution, and what the seeded
-/// re-solves cost in worklist pops.
+/// analysis summary: how many fixpoints were solved, what the
+/// bit-vector worklist popped, and what the faint closure seeded and
+/// traversed.
 pub fn render_with_solver(records: &[ProvenanceRecord], solver: &crate::SolverStats) -> String {
     let mut out = render(records);
     let _ = writeln!(
         out,
-        "analyses: {} cold solve(s), {} warm solve(s), {} seeded pop(s)",
-        solver.cold_solves, solver.warm_solves, solver.seeded_pops
+        "analyses: {} solve(s), {} worklist pop(s), {} closure seed(s), {} edge visit(s)",
+        solver.problems, solver.priority_pops, solver.sparse_pops, solver.sparse_edge_visits
     );
-    if solver.sparse_pops > 0 {
-        let _ = writeln!(
-            out,
-            "sparse: {} chain task(s), {} edge visit(s)",
-            solver.sparse_pops, solver.sparse_edge_visits
-        );
-    }
     out
 }
 
@@ -90,23 +83,18 @@ mod tests {
     }
 
     #[test]
-    fn solver_footer_names_cold_and_warm_solves() {
+    fn solver_footer_names_solves_pops_and_edge_visits() {
         let solver = crate::SolverStats {
-            cold_solves: 2,
-            warm_solves: 5,
-            seeded_pops: 37,
+            problems: 3,
+            priority_pops: 37,
+            sparse_pops: 4,
+            sparse_edge_visits: 19,
             ..crate::SolverStats::ZERO
         };
         let text = render_with_solver(&[rec(ProvAction::Eliminated, "dce", 1, "x := 1")], &solver);
-        assert!(text.contains("analyses: 2 cold solve(s), 5 warm solve(s), 37 seeded pop(s)"));
-        assert!(!text.contains("sparse:"), "no sparse line when unused");
-        let sparse = crate::SolverStats {
-            sparse_pops: 4,
-            sparse_edge_visits: 19,
-            ..solver
-        };
-        let text = render_with_solver(&[rec(ProvAction::Eliminated, "dce", 1, "x := 1")], &sparse);
-        assert!(text.contains("sparse: 4 chain task(s), 19 edge visit(s)"));
+        assert!(text.contains(
+            "analyses: 3 solve(s), 37 worklist pop(s), 4 closure seed(s), 19 edge visit(s)"
+        ));
     }
 
     #[test]

@@ -544,11 +544,9 @@ impl Drop for RoundScope {
 /// counted quantities depend on timing.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SolverStats {
-    /// Solver runs (bit-vector sweeps and slotwise-network solves).
+    /// Solver runs (bit-vector worklists and faint closures); every
+    /// run starts cold.
     pub problems: u64,
-    /// Full sweeps over the node order until fixpoint (bit-vector
-    /// solver only; the network solver is worklist-driven).
-    pub sweeps: u64,
     /// Worklist pops / node evaluations: transfer-function applications
     /// (bit-vector) plus slot evaluations (network).
     pub evaluations: u64,
@@ -557,31 +555,16 @@ pub struct SolverStats {
     /// `u64` word operations on bit vectors (meets, transfers,
     /// convergence compares), the paper's bit-vector cost unit.
     pub word_ops: u64,
-    /// Worklist pops performed under the FIFO (reference) scheduling
-    /// strategy. For the sweeping bit-vector solver every node
-    /// evaluation is one pop of the implicit full-order worklist.
-    pub fifo_pops: u64,
-    /// Worklist pops performed under the priority (reverse-postorder /
-    /// postorder) scheduling strategy.
+    /// Pops of the bit-vector priority worklist (reverse postorder /
+    /// postorder), which solves dead and delayability.
     pub priority_pops: u64,
-    /// Solver runs that started from the lattice bound on every node
-    /// (no previous fixpoint available, or incremental solving off).
-    pub cold_solves: u64,
-    /// Solver runs seeded from a previous fixpoint, re-iterating only
-    /// the dirty region and its dependence frontier.
-    pub warm_solves: u64,
-    /// Worklist pops performed inside warm (seeded) solver runs. Always
-    /// priority-scheduled; disjoint from `fifo_pops`/`priority_pops`.
-    pub seeded_pops: u64,
-    /// Worklist pops performed under the sparse (def-use chain)
-    /// scheduling strategy. The sparse solvers pop one task per
-    /// pattern/variable (bit-vector solves) or per constant-false seed
-    /// slot (the faint network); the chain traversal each task performs
-    /// is counted separately in `sparse_edge_visits`.
+    /// Seeds of the faint falsity closure: one per constant-false slot.
+    /// The chain traversal the closure performs from them is counted
+    /// separately in `sparse_edge_visits`.
     pub sparse_pops: u64,
-    /// Def-use chain edges traversed by the sparse solvers while
-    /// propagating a popped task's value through its occurrence set —
-    /// the `O(affected edges)` quantity of the sparse formulation.
+    /// Def-use chain edges traversed by the faint closure while
+    /// spreading falsity — the `O(affected edges)` quantity of the
+    /// sparse formulation.
     pub sparse_edge_visits: u64,
 }
 
@@ -589,15 +572,10 @@ impl SolverStats {
     /// The all-zero value.
     pub const ZERO: SolverStats = SolverStats {
         problems: 0,
-        sweeps: 0,
         evaluations: 0,
         revisits: 0,
         word_ops: 0,
-        fifo_pops: 0,
         priority_pops: 0,
-        cold_solves: 0,
-        warm_solves: 0,
-        seeded_pops: 0,
         sparse_pops: 0,
         sparse_edge_visits: 0,
     };
@@ -605,15 +583,10 @@ impl SolverStats {
     /// Adds `other` into `self`.
     pub fn add(&mut self, other: &SolverStats) {
         self.problems += other.problems;
-        self.sweeps += other.sweeps;
         self.evaluations += other.evaluations;
         self.revisits += other.revisits;
         self.word_ops += other.word_ops;
-        self.fifo_pops += other.fifo_pops;
         self.priority_pops += other.priority_pops;
-        self.cold_solves += other.cold_solves;
-        self.warm_solves += other.warm_solves;
-        self.seeded_pops += other.seeded_pops;
         self.sparse_pops += other.sparse_pops;
         self.sparse_edge_visits += other.sparse_edge_visits;
     }
@@ -623,39 +596,28 @@ impl SolverStats {
     pub fn since(&self, earlier: &SolverStats) -> SolverStats {
         SolverStats {
             problems: self.problems - earlier.problems,
-            sweeps: self.sweeps - earlier.sweeps,
             evaluations: self.evaluations - earlier.evaluations,
             revisits: self.revisits - earlier.revisits,
             word_ops: self.word_ops - earlier.word_ops,
-            fifo_pops: self.fifo_pops - earlier.fifo_pops,
             priority_pops: self.priority_pops - earlier.priority_pops,
-            cold_solves: self.cold_solves - earlier.cold_solves,
-            warm_solves: self.warm_solves - earlier.warm_solves,
-            seeded_pops: self.seeded_pops - earlier.seeded_pops,
             sparse_pops: self.sparse_pops - earlier.sparse_pops,
             sparse_edge_visits: self.sparse_edge_visits - earlier.sparse_edge_visits,
         }
     }
 
-    /// Total worklist pops across all scheduling strategies, including
-    /// pops inside warm (seeded) solver runs.
+    /// Total pops of both engines: worklist pops plus closure seeds.
     pub fn pops(&self) -> u64 {
-        self.fifo_pops + self.priority_pops + self.seeded_pops + self.sparse_pops
+        self.priority_pops + self.sparse_pops
     }
 
     /// The standard key/value rendering used by span args and exporters.
     pub fn args(&self) -> Vec<(&'static str, ArgValue)> {
         vec![
             ("problems", ArgValue::U64(self.problems)),
-            ("sweeps", ArgValue::U64(self.sweeps)),
             ("evaluations", ArgValue::U64(self.evaluations)),
             ("revisits", ArgValue::U64(self.revisits)),
             ("word_ops", ArgValue::U64(self.word_ops)),
-            ("fifo_pops", ArgValue::U64(self.fifo_pops)),
             ("priority_pops", ArgValue::U64(self.priority_pops)),
-            ("cold_solves", ArgValue::U64(self.cold_solves)),
-            ("warm_solves", ArgValue::U64(self.warm_solves)),
-            ("seeded_pops", ArgValue::U64(self.seeded_pops)),
             ("sparse_pops", ArgValue::U64(self.sparse_pops)),
             ("sparse_edge_visits", ArgValue::U64(self.sparse_edge_visits)),
         ]
@@ -716,18 +678,10 @@ mod solver_metrics {
     use pdce_metrics::{global, Counter, Stability};
     use std::sync::{Arc, LazyLock};
 
-    pub static FIFO_POPS: LazyLock<Arc<Counter>> = LazyLock::new(|| {
-        global().counter(
-            "pdce_solver_pops_total",
-            "Worklist pops by solver strategy",
-            Stability::Deterministic,
-            &[("strategy", "fifo")],
-        )
-    });
     pub static PRIORITY_POPS: LazyLock<Arc<Counter>> = LazyLock::new(|| {
         global().counter(
             "pdce_solver_pops_total",
-            "Worklist pops by solver strategy",
+            "Worklist pops by solver engine (priority worklist, sparse closure seeds)",
             Stability::Deterministic,
             &[("strategy", "priority")],
         )
@@ -735,7 +689,7 @@ mod solver_metrics {
     pub static SPARSE_POPS: LazyLock<Arc<Counter>> = LazyLock::new(|| {
         global().counter(
             "pdce_solver_pops_total",
-            "Worklist pops by solver strategy",
+            "Worklist pops by solver engine (priority worklist, sparse closure seeds)",
             Stability::Deterministic,
             &[("strategy", "sparse")],
         )
@@ -743,15 +697,7 @@ mod solver_metrics {
     pub static SPARSE_EDGE_VISITS: LazyLock<Arc<Counter>> = LazyLock::new(|| {
         global().counter(
             "pdce_solver_edge_visits_total",
-            "Def-use chain edges traversed by the sparse solvers",
-            Stability::Deterministic,
-            &[],
-        )
-    });
-    pub static SEEDED_POPS: LazyLock<Arc<Counter>> = LazyLock::new(|| {
-        global().counter(
-            "pdce_solver_seeded_pops_total",
-            "Worklist pops performed by warm-started (seeded) solves",
+            "Def-use chain edges traversed by the sparse faint closure",
             Stability::Deterministic,
             &[],
         )
@@ -764,41 +710,21 @@ mod solver_metrics {
             &[],
         )
     });
-    pub static COLD_SOLVES: LazyLock<Arc<Counter>> = LazyLock::new(|| {
-        global().counter(
-            "pdce_solver_solves_total",
-            "Data-flow problems solved, by start mode",
-            Stability::Deterministic,
-            &[("start", "cold")],
-        )
-    });
-    pub static WARM_SOLVES: LazyLock<Arc<Counter>> = LazyLock::new(|| {
-        global().counter(
-            "pdce_solver_solves_total",
-            "Data-flow problems solved, by start mode",
-            Stability::Deterministic,
-            &[("start", "warm")],
-        )
-    });
 }
 
 /// Adds one solver run's counters into the per-thread accumulator and
-/// mirrors the hot counters (pops, seeded pops, word ops, solve starts)
-/// into the process-global metrics registry.
+/// mirrors the hot counters (pops, edge visits, word ops) into the
+/// process-global metrics registry.
 pub fn record_solver(delta: SolverStats) {
     SOLVER.with(|s| {
         let mut total = s.get();
         total.add(&delta);
         s.set(total);
     });
-    solver_metrics::FIFO_POPS.add(delta.fifo_pops);
     solver_metrics::PRIORITY_POPS.add(delta.priority_pops);
     solver_metrics::SPARSE_POPS.add(delta.sparse_pops);
     solver_metrics::SPARSE_EDGE_VISITS.add(delta.sparse_edge_visits);
-    solver_metrics::SEEDED_POPS.add(delta.seeded_pops);
     solver_metrics::WORD_OPS.add(delta.word_ops);
-    solver_metrics::COLD_SOLVES.add(delta.cold_solves);
-    solver_metrics::WARM_SOLVES.add(delta.warm_solves);
 }
 
 /// The per-thread solver counter totals since thread start. Snapshot
@@ -909,15 +835,10 @@ mod tests {
         let before = solver_totals();
         record_solver(SolverStats {
             problems: 1,
-            sweeps: 2,
             evaluations: 10,
             revisits: 3,
             word_ops: 40,
-            fifo_pops: 10,
-            priority_pops: 0,
-            cold_solves: 1,
-            warm_solves: 0,
-            seeded_pops: 0,
+            priority_pops: 10,
             sparse_pops: 0,
             sparse_edge_visits: 0,
         });
@@ -934,16 +855,13 @@ mod tests {
         });
         let delta = solver_totals().since(&before);
         assert_eq!(delta.problems, 3);
-        assert_eq!(delta.sweeps, 2);
         assert_eq!(delta.evaluations, 10);
         assert_eq!(delta.word_ops, 40);
-        assert_eq!(delta.fifo_pops, 10);
-        assert_eq!(delta.priority_pops, 6);
+        assert_eq!(delta.priority_pops, 16);
         assert_eq!(delta.sparse_pops, 4);
         assert_eq!(delta.sparse_edge_visits, 25);
         assert_eq!(delta.pops(), 20);
-        assert_eq!(delta.cold_solves, 1);
-        assert_eq!(delta.args().len(), 12);
+        assert_eq!(delta.args().len(), 7);
     }
 
     #[test]

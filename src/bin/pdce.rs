@@ -3,7 +3,7 @@
 //! ```text
 //! pdce opt     [--mode pde|pfe|dce|fce | --passes SPEC] [--region a,b,c]
 //!              [--max-rounds N] [--stats] [--trace FILE.json] [--explain]
-//!              [--no-incremental] [FILE]           optimize a program
+//!              [FILE]                              optimize a program
 //! pdce run     [--in name=value]... [--seed N] [--fuel N] [FILE]
 //!                                                  interpret a program
 //! pdce analyze [FILE]                              per-block analysis facts
@@ -19,7 +19,6 @@ use std::process::ExitCode;
 
 use pdce::core::better::{check_improvement, BetterOptions};
 use pdce::core::driver::{optimize, optimize_resilient, PdceConfig};
-use pdce::dfa::SolverStrategy;
 use pdce::ir::interp::{run, Env, ExecLimits, SeededOracle};
 use pdce::ir::parser::parse;
 use pdce::ir::printer::{print_program, print_stmt};
@@ -50,8 +49,8 @@ fn main() -> ExitCode {
 
 const USAGE: &str = "usage:
   pdce opt     [--mode pde|pfe|dce|fce | --passes SPEC] [--region a,b,c]
-               [--max-rounds N] [--solver fifo|priority|sparse] [--jobs N]
-               [--simplify] [--stats] [--verify] [--no-incremental]
+               [--max-rounds N] [--jobs N]
+               [--simplify] [--stats] [--verify]
                [--validate-semantics[=K]] [--max-pops N] [--wall-ms N]
                [--trace FILE.json] [--explain] [--metrics]
                [--metrics-out FILE.prom] [--events-out FILE.jsonl]
@@ -60,24 +59,19 @@ const USAGE: &str = "usage:
                e.g. --passes 'sccp,lvn,repeat(fce,sink),simplify'
                --trace writes a Chrome trace_events JSON (chrome://tracing,
                ui.perfetto.dev); --explain prints the provenance log: which
-               pass moved/inserted/eliminated which statement in which round
-               --solver picks the data-flow scheduling strategy for every
-               analysis (default: per analysis — the sparse closure for
-               faint, priority for dead and delayability; the SOLVER env
-               var works too); --no-incremental disables warm-start
-               seeded re-solving between rounds (the INCREMENTAL env var
-               works too); with several FILEs
-               the programs are optimized independently and printed in
-               argument order — --jobs N shards them over N workers
-               (0 = all cores) with deterministic, jobs-independent output
+               pass moved/inserted/eliminated which statement in which round;
+               with several FILEs the programs are optimized independently
+               and printed in argument order — --jobs N shards them over N
+               workers (0 = all cores) with deterministic, jobs-independent
+               output
                --validate-semantics runs translation validation after
                every round on K seeded input vectors (default 8; the TV
                env var works too) and rolls back any round that changes
                observable behaviour; --max-pops / --wall-ms bound the
                solver worklist and wall clock — an exhausted budget
                degrades the run down the resilience ladder instead of
-               failing (cold solve, fifo solver, elimination only, and
-               finally the identity transformation)
+               failing (elimination only, and finally the identity
+               transformation)
                --metrics appends the run's metric registry (counters and
                latency quantiles) to the --stats output; --metrics-out
                writes the same registry as a Prometheus text-exposition
@@ -85,8 +79,7 @@ const USAGE: &str = "usage:
                event log (run id, per-file and per-pass attribution)
                whose bytes are independent of --jobs
   pdce serve   [--tcp ADDR | --unix PATH] [--jobs N]
-               [--solver fifo|priority|sparse]
-               [--no-incremental] [--max-rounds N] [--max-pops N] [--wall-ms N]
+               [--max-rounds N] [--max-pops N] [--wall-ms N]
                [--validate-semantics[=K]] [--cache FILE] [--cache-bytes N]
                [--fsync-every N] [--max-strikes K] [--retry-backoff-ms N]
                [--watchdog-soft-ms N] [--watchdog-hard-ms N]
@@ -251,26 +244,6 @@ fn load(file: Option<&str>) -> Result<Program, CliError> {
     parse(&source).map_err(|e| bad_input(render_parse_error(display, &e)))
 }
 
-/// Runs `f` under an explicit `--solver` choice, or under the ambient
-/// selection (`SOLVER` env var / default) when none was given, and with
-/// warm-start seeded re-solving disabled when `--no-incremental` was
-/// passed (the ambient `INCREMENTAL` env var applies otherwise).
-fn maybe_with_strategy<R>(
-    strategy: Option<SolverStrategy>,
-    incremental: bool,
-    f: impl FnOnce() -> R,
-) -> R {
-    let run = || match strategy {
-        Some(s) => pdce::dfa::with_strategy(s, f),
-        None => f(),
-    };
-    if incremental {
-        run()
-    } else {
-        pdce::dfa::with_incremental(false, run)
-    }
-}
-
 /// Registry handle for the per-file latency histogram; both the
 /// single-file and the batch path observe one sample per optimized file.
 fn file_wall_hist() -> std::sync::Arc<pdce::metrics::Histogram> {
@@ -352,7 +325,6 @@ fn file_event(
         .field("cache_misses", stats.cache.misses())
         .field("cfg_relayouts", stats.cache.cfg_relayouts)
         .field("pops", stats.solver.pops())
-        .field("seeded_pops", stats.solver.seeded_pops)
         .field("word_ops", stats.solver.word_ops)
 }
 
@@ -365,7 +337,6 @@ fn cmd_opt(args: &[String]) -> Result<(), CliError> {
             "region",
             "max-rounds",
             "trace",
-            "solver",
             "jobs",
             "max-pops",
             "wall-ms",
@@ -377,7 +348,6 @@ fn cmd_opt(args: &[String]) -> Result<(), CliError> {
             "verify",
             "simplify",
             "explain",
-            "no-incremental",
             "validate-semantics",
             "metrics",
         ],
@@ -388,13 +358,11 @@ fn cmd_opt(args: &[String]) -> Result<(), CliError> {
     let mut config = PdceConfig::pde();
     let mut passes_spec: Option<String> = None;
     let mut trace_path: Option<String> = None;
-    let mut strategy: Option<SolverStrategy> = None;
     let mut jobs = 1usize;
     let mut want_stats = false;
     let mut want_verify = false;
     let mut want_simplify = false;
     let mut want_explain = false;
-    let mut incremental = true;
     let mut budget = pdce::trace::budget::Budget::UNLIMITED;
     let mut validate: Option<u32> = None;
     let mut want_metrics = false;
@@ -422,13 +390,6 @@ fn cmd_opt(args: &[String]) -> Result<(), CliError> {
                 config = config.truncating_after(n);
             }
             "trace" => trace_path = Some(value.clone()),
-            "solver" => {
-                strategy = Some(SolverStrategy::parse(value).ok_or_else(|| {
-                    usage(format!(
-                        "unknown solver `{value}` (expected fifo, priority, or sparse)"
-                    ))
-                })?);
-            }
             "jobs" => {
                 let n: usize = value
                     .parse()
@@ -460,7 +421,6 @@ fn cmd_opt(args: &[String]) -> Result<(), CliError> {
             "verify" => want_verify = true,
             "simplify" => want_simplify = true,
             "explain" => want_explain = true,
-            "no-incremental" => incremental = false,
             "metrics" => want_metrics = true,
             "metrics-out" => metrics_out = Some(value.clone()),
             "events-out" => events_out = Some(value.clone()),
@@ -501,14 +461,12 @@ fn cmd_opt(args: &[String]) -> Result<(), CliError> {
         return cmd_opt_batch(&BatchOptions {
             files: &parsed.files,
             config: &config,
-            strategy,
             jobs,
             trace_path: trace_path.as_deref(),
             want_stats,
             want_verify,
             want_simplify,
             want_explain,
-            incremental,
             telemetry: &telemetry,
             metrics_base: &metrics_base,
         });
@@ -538,7 +496,7 @@ fn cmd_opt(args: &[String]) -> Result<(), CliError> {
                 return Err(usage("--passes replaces --mode/--region/--max-rounds"));
             }
             let pipeline = pdce::pass::Pipeline::parse(spec).map_err(|e| usage(e.to_string()))?;
-            let report = maybe_with_strategy(strategy, incremental, || pipeline.run(&mut prog));
+            let report = pipeline.run(&mut prog);
             if telemetry.wants_events() {
                 for m in &report.passes {
                     events.record(
@@ -572,9 +530,7 @@ fn cmd_opt(args: &[String]) -> Result<(), CliError> {
                 }
             }
         } else {
-            let stats = maybe_with_strategy(strategy, incremental, || {
-                optimize_resilient(&mut prog, &config)
-            });
+            let stats = optimize_resilient(&mut prog, &config);
             if telemetry.wants_events() {
                 events.record(file_event(&display, 0, &stats));
             }
@@ -608,16 +564,10 @@ fn cmd_opt(args: &[String]) -> Result<(), CliError> {
                     stats.solver.problems, stats.solver.evaluations, stats.solver.word_ops
                 );
                 eprintln!(
-                    "pops:        {} fifo, {} priority, {} seeded, {} sparse ({} edge visit(s))",
-                    stats.solver.fifo_pops,
+                    "pops:        {} worklist, {} closure seed(s) ({} edge visit(s))",
                     stats.solver.priority_pops,
-                    stats.solver.seeded_pops,
                     stats.solver.sparse_pops,
                     stats.solver.sparse_edge_visits
-                );
-                eprintln!(
-                    "solves:      {} cold, {} warm",
-                    stats.solver.cold_solves, stats.solver.warm_solves
                 );
                 if stats.truncated {
                     eprintln!("truncated:   yes");
@@ -683,14 +633,12 @@ fn cmd_opt(args: &[String]) -> Result<(), CliError> {
 struct BatchOptions<'a> {
     files: &'a [String],
     config: &'a PdceConfig,
-    strategy: Option<SolverStrategy>,
     jobs: usize,
     trace_path: Option<&'a str>,
     want_stats: bool,
     want_verify: bool,
     want_simplify: bool,
     want_explain: bool,
-    incremental: bool,
     telemetry: &'a TelemetryOptions,
     metrics_base: &'a pdce::metrics::Snapshot,
 }
@@ -735,9 +683,7 @@ fn cmd_opt_batch(opts: &BatchOptions) -> Result<(), CliError> {
                 let _guard = collector.as_ref().map(|c| {
                     pdce::trace::install(c.clone() as std::rc::Rc<dyn pdce::trace::Tracer>)
                 });
-                maybe_with_strategy(opts.strategy, opts.incremental, || {
-                    optimize_one_file(path, opts.config, opts.want_simplify, opts.want_verify)
-                })
+                optimize_one_file(path, opts.config, opts.want_simplify, opts.want_verify)
             };
             file_wall_hist().observe(file_start.elapsed().as_nanos() as u64);
             let collected = collector.as_ref().map(|c| Collected::from_collector(c));
@@ -795,11 +741,10 @@ fn cmd_opt_batch(opts: &BatchOptions) -> Result<(), CliError> {
     if opts.want_stats {
         eprintln!(
             "total:       {} file(s), {} eliminated, {} solver problem(s), \
-             {} fifo pop(s), {} priority pop(s), {} sparse pop(s)",
+             {} worklist pop(s), {} closure seed(s)",
             opts.files.len() - errors,
             total_eliminated,
             totals.problems,
-            totals.fifo_pops,
             totals.priority_pops,
             totals.sparse_pops
         );
@@ -1123,7 +1068,6 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
             "tcp",
             "unix",
             "jobs",
-            "solver",
             "max-rounds",
             "max-pops",
             "wall-ms",
@@ -1137,7 +1081,7 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
             "max-request-bytes",
             "metrics-out",
         ],
-        &["no-incremental", "validate-semantics", "no-cache"],
+        &["validate-semantics", "no-cache"],
     )?;
     if let Some(extra) = parsed.files.first() {
         return Err(usage(format!(
@@ -1163,13 +1107,6 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
                     .parse()
                     .map_err(|_| usage(format!("bad --jobs `{value}`")))?;
                 opts.jobs = if n == 0 { pdce::par::default_jobs() } else { n };
-            }
-            "solver" => {
-                opts.strategy = Some(SolverStrategy::parse(value).ok_or_else(|| {
-                    usage(format!(
-                        "unknown solver `{value}` (expected fifo, priority, or sparse)"
-                    ))
-                })?);
             }
             "max-rounds" => opts.max_rounds = Some(parse_u64(name, value)?),
             "max-pops" => opts.max_pops = Some(parse_u64(name, value)?),
@@ -1197,7 +1134,6 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
                 opts.max_request_bytes = parse_u64(name, value)? as usize;
             }
             "no-cache" => opts.cache = false,
-            "no-incremental" => opts.incremental = false,
             "metrics-out" => metrics_out = Some(value.clone()),
             _ => unreachable!(),
         }

@@ -210,28 +210,31 @@ fn unreachable_exit_is_a_clean_diagnostic() {
     assert!(!stderr.contains("panicked"), "stderr: {stderr}");
 }
 
+/// Every analysis runs one engine, so there is nothing to select: the
+/// retired engine flags are unknown flags, and `--stats` reports the
+/// pops of both engines.
 #[test]
-fn solver_flag_selects_strategy_and_rejects_garbage() {
-    for solver in ["fifo", "priority", "sparse"] {
-        let (stdout, stderr, ok) = pdce(&["opt", "--solver", solver, "--stats"], FIG1);
-        assert!(ok, "--solver {solver} stderr: {stderr}");
-        pdce::ir::parser::parse(&stdout).expect("output parses");
-        assert!(stderr.contains("pops:"), "stderr: {stderr}");
-        // Pops are tagged with the strategy that produced them.
-        let line = stderr.lines().find(|l| l.contains("pops:")).unwrap();
-        match solver {
-            "fifo" => assert!(line.contains("0 priority"), "line: {line}"),
-            "sparse" => {
-                assert!(line.contains("0 fifo"), "line: {line}");
-                assert!(line.contains("0 priority"), "line: {line}");
-                assert!(!line.contains("0 sparse"), "line: {line}");
-            }
-            _ => assert!(line.contains("0 fifo"), "line: {line}"),
-        }
+fn stats_report_both_engines_and_retired_engine_flags_are_usage_errors() {
+    let (stdout, stderr, ok) = pdce(&["opt", "--mode", "pfe", "--stats"], FIG1);
+    assert!(ok, "stderr: {stderr}");
+    pdce::ir::parser::parse(&stdout).expect("output parses");
+    let line = stderr.lines().find(|l| l.contains("pops:")).unwrap();
+    assert!(!line.contains(" 0 worklist"), "dead and delay pop: {line}");
+    assert!(
+        !line.contains(" 0 closure"),
+        "faint seeds the closure: {line}"
+    );
+    for (flags, unknown) in [
+        (&["opt", "--solver", "fifo"][..], "--solver"),
+        (&["serve", "--solver", "sparse"][..], "--solver"),
+    ] {
+        let (_, stderr, ok) = pdce(flags, FIG1);
+        assert!(!ok, "{flags:?} must be rejected");
+        assert!(
+            stderr.contains(&format!("unknown flag {unknown}")),
+            "stderr: {stderr}"
+        );
     }
-    let (_, stderr, ok) = pdce(&["opt", "--solver", "lifo"], FIG1);
-    assert!(!ok);
-    assert!(stderr.contains("unknown solver"), "stderr: {stderr}");
 }
 
 #[test]
@@ -440,7 +443,7 @@ fn batch_explain_is_ordered_and_jobs_invariant() {
     // The sections carry real provenance, including per-file solver
     // telemetry (which lives on worker threads under --jobs).
     assert!(seq.contains("transformation(s), in application order"));
-    assert!(seq.contains("cold solve(s)"), "stderr: {seq}");
+    assert!(seq.contains("worklist pop(s)"), "stderr: {seq}");
     for f in [f1, f2, f3] {
         std::fs::remove_file(f).ok();
     }

@@ -3,9 +3,9 @@
 //!
 //! These catch *any* output drift — a solver-scheduling change, a
 //! tie-break reorder, a printer tweak — that the semantic oracles would
-//! accept. Because both solver strategies must produce identical
-//! programs (see `tests/properties.rs`), the snapshots are also checked
-//! under the non-default strategy.
+//! accept. The snapshots are a property of the paper's fixpoints, so the
+//! executable specification's driver (`tests/support/spec.rs`) must
+//! reproduce them too.
 //!
 //! To refresh after an intentional change:
 //!
@@ -13,10 +13,11 @@
 //! UPDATE_GOLDENS=1 cargo test --test goldens
 //! ```
 
+mod support;
+
 use std::path::{Path, PathBuf};
 
 use pdce::core::driver::{optimize, PdceConfig};
-use pdce::dfa::{with_strategy, SolverStrategy};
 use pdce::ir::parser::parse;
 use pdce::ir::printer::canonical_string;
 
@@ -75,23 +76,18 @@ fn corpus_optimized_snapshots() {
     }
 }
 
-/// The snapshots hold under *every* solver strategy: goldens are a
-/// property of the fixpoint, not of the worklist order used to reach it.
+/// The spec driver reproduces every snapshot: goldens are a property
+/// of the fixpoints, not of the engines used to reach them.
 #[test]
-fn snapshots_are_strategy_independent() {
+fn spec_driver_reproduces_the_snapshots() {
+    use support::spec::{optimize, Mode};
     for file in corpus_files() {
         let stem = file.file_stem().unwrap().to_string_lossy().into_owned();
         let src = std::fs::read_to_string(&file).expect("corpus file readable");
-        for (label, config) in [("pde", PdceConfig::pde()), ("pfe", PdceConfig::pfe())] {
-            for strategy in [
-                SolverStrategy::Fifo,
-                SolverStrategy::Priority,
-                SolverStrategy::Sparse,
-            ] {
-                let mut prog = parse(&src).expect("corpus parses");
-                with_strategy(strategy, || optimize(&mut prog, &config)).unwrap();
-                check_golden(&format!("{stem}.{label}.golden"), &canonical_string(&prog));
-            }
+        for (label, mode) in [("pde", Mode::Dead), ("pfe", Mode::Faint)] {
+            let mut prog = parse(&src).expect("corpus parses");
+            optimize(&mut prog, mode);
+            check_golden(&format!("{stem}.{label}.golden"), &canonical_string(&prog));
         }
     }
 }

@@ -4,14 +4,16 @@
 //! * **Mask equivalence**: [`LocalInfo::compute`] builds `LOCDELAYED`,
 //!   `LOCBLOCKED` and the sinking candidates from per-variable blocking
 //!   masks in one backward scan per block. It must agree bit for bit
-//!   with the per-pattern forward scan over
-//!   [`PatternTable::stmt_blocks`] / [`PatternTable::terminator_blocks`]
-//!   (the definition of "blocks", kept here as the reference) on the
-//!   corpus and on generated programs, before and after random
-//!   statement insertions and deletions.
+//!   with the executable specification's per-pattern forward scan over
+//!   its definition of "blocks" (`tests/support/spec.rs`) on the corpus
+//!   and on generated programs, before and after random statement
+//!   insertions and deletions; the masks themselves must agree with
+//!   that definition statement by statement.
 //! * **Stability** (Section 5.4's termination condition):
 //!   `sinking_is_stable_cached` holds iff one further
 //!   `sink_assignments_cached` pass leaves the program unchanged.
+
+mod support;
 
 use pdce::core::elim::{eliminate_once_cached, Mode};
 use pdce::core::sink::{sink_assignments_cached, sinking_is_stable_cached};
@@ -23,66 +25,22 @@ use pdce::ir::printer::canonical_string;
 use pdce::ir::{Program, Stmt};
 use pdce::progen::{structured, tangled, GenConfig};
 use pdce_rng::Rng;
-
-/// The per-pattern forward scan: `open[p]` holds the latest occurrence
-/// of `p` that nothing after it has blocked yet.
-fn reference(prog: &Program, table: &PatternTable) -> LocalInfo {
-    let width = table.len();
-    let nblocks = prog.num_blocks();
-    let mut locdelayed = vec![BitVec::zeros(width); nblocks];
-    let mut locblocked = vec![BitVec::zeros(width); nblocks];
-    let mut candidates = vec![Vec::new(); nblocks];
-    for n in prog.node_ids() {
-        let block = prog.block(n);
-        let i = n.index();
-        let mut open: Vec<Option<usize>> = vec![None; width];
-        for (k, stmt) in block.stmts.iter().enumerate() {
-            for (p, slot) in open.iter_mut().enumerate() {
-                if table.stmt_blocks(prog, p, stmt) {
-                    locblocked[i].set(p, true);
-                    *slot = None;
-                }
-            }
-            if let Some(p) = table.index_of_stmt(stmt) {
-                open[p] = Some(k);
-            }
-        }
-        for (p, slot) in open.iter_mut().enumerate() {
-            if table.terminator_blocks(prog, p, &block.term) {
-                locblocked[i].set(p, true);
-                *slot = None;
-            }
-        }
-        let mut cands: Vec<(usize, usize)> = open
-            .iter()
-            .enumerate()
-            .filter_map(|(p, k)| k.map(|k| (k, p)))
-            .collect();
-        cands.sort_unstable();
-        for &(_, p) in &cands {
-            locdelayed[i].set(p, true);
-        }
-        candidates[i] = cands;
-    }
-    LocalInfo {
-        locdelayed,
-        locblocked,
-        candidates,
-    }
-}
+use support::bits;
 
 fn assert_matches_reference(prog: &Program, what: &str) {
     let table = PatternTable::build(prog);
     let got = LocalInfo::compute(prog, &table);
-    let want = reference(prog, &table);
+    let want = support::spec::local(prog, table.pairs());
     for n in prog.node_ids() {
         let (i, name) = (n.index(), &prog.block(n).name);
         assert_eq!(
-            got.locdelayed[i], want.locdelayed[i],
+            bits(&got.locdelayed[i]),
+            want.locdelayed[i],
             "{what}: LOCDELAYED differs in {name}"
         );
         assert_eq!(
-            got.locblocked[i], want.locblocked[i],
+            bits(&got.locblocked[i]),
+            want.locblocked[i],
             "{what}: LOCBLOCKED differs in {name}"
         );
         assert_eq!(
@@ -159,6 +117,39 @@ fn insert_or_delete(p: &mut Program, rng: &mut Rng) {
     } else if !all.is_empty() {
         let at = rng.gen_range(0, stmts.len() + 1);
         stmts.insert(at, all[rng.gen_range(0, all.len())]);
+    }
+}
+
+/// The masks are the per-pattern blocking rules, one variable at a time.
+#[test]
+fn masks_agree_with_blocking_rules() {
+    let p = parse(
+        "prog {
+           block s { goto m }
+           block m { y := a + b; a := 1; z := y; y := 2; skip; out(c); x := x + a; goto t }
+           block t { if y < z then m else e }
+           block e { halt }
+         }",
+    )
+    .unwrap();
+    let table = PatternTable::build(&p);
+    let rule = |blocks: &dyn Fn(support::spec::Pattern) -> bool| -> Vec<usize> {
+        (0..table.len())
+            .filter(|&q| blocks(table.pattern(q)))
+            .collect()
+    };
+    for n in p.node_ids() {
+        let block = p.block(n);
+        for stmt in &block.stmts {
+            let mut got = BitVec::zeros(table.len());
+            table.union_stmt_blocks(&p, stmt, &mut got);
+            let want = rule(&|q| support::spec::stmt_blocks(&p, q, stmt));
+            assert_eq!(got.iter_ones().collect::<Vec<_>>(), want, "{stmt:?}");
+        }
+        let mut got = BitVec::zeros(table.len());
+        table.union_terminator_blocks(&p, &block.term, &mut got);
+        let want = rule(&|q| support::spec::terminator_blocks(&p, q, &block.term));
+        assert_eq!(got.iter_ones().collect::<Vec<_>>(), want);
     }
 }
 

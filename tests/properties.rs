@@ -12,10 +12,12 @@
 //!   increase on any corresponding path.
 //! * **Idempotence**: the drivers are fixpoints of themselves.
 //! * **dead ⟹ faint** (Section 3).
+//! * **The degradation ladder**: every rung below the configured run
+//!   keeps its documented contract.
 
 use pdce::baselines::copy_propagate;
 use pdce::core::better::{check_improvement, BetterOptions};
-use pdce::core::driver::{optimize, PdceConfig};
+use pdce::core::driver::{optimize, optimize_resilient, DegradedMode, PdceConfig};
 use pdce::ir::interp::{run, Env, ExecLimits, ReplayOracle, SeededOracle};
 use pdce::ir::printer::canonical_string;
 use pdce::ir::Program;
@@ -359,179 +361,81 @@ fn pde_plus_simplify_preserves_semantics() {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Differential solver oracle: FIFO sweep vs. priority worklist
-// ---------------------------------------------------------------------------
-//
-// Both strategies start from the same optimistic initial value of a
-// monotone system, so they converge to the *unique* greatest fixpoint —
-// any mismatch is a scheduling bug, not a numerical tolerance. The
-// oracle therefore demands bit-identical results, not approximate ones.
-
-/// FIFO, priority, and sparse solvers compute the same fixpoint on 200
-/// generator-seeded CFGs, for all three analyses the optimizers rely
-/// on: dead (backward ∩), faint (boolean network), and delayability
-/// (forward ∩). Every fourth case is irreducible (`tangled`). The two
-/// dense worklists are the differential oracle for the sparse
-/// chain-propagation family.
+/// The two rungs below the configured run, on 112 generated programs
+/// (every eighth one irreducible), for pde and pfe:
+///
+/// * with sinking failing on every attempt, the `elimination-only` rung
+///   answers with exactly the `dce_only`/`fce_only` output, which keeps
+///   the output trace of every recorded run and dominates the input on
+///   every path under `better` (Definition 3.6);
+/// * with a one-pop budget every solving rung fails, and the `identity`
+///   rung returns the input verbatim. (A pfe run whose faint closure
+///   has no seed and whose sinking finds no pattern pops nothing and is
+///   not degraded at all; such runs must have stayed within the budget.)
 #[test]
-fn fifo_and_priority_solvers_agree_on_200_cfgs() {
-    use pdce::core::{DeadSolution, DelayInfo, FaintSolution, LocalInfo, PatternTable};
-    use pdce::dfa::{with_strategy, SolverStrategy};
-    use pdce::ir::{CfgView, Var};
-    const STRATEGIES: [SolverStrategy; 3] = [
-        SolverStrategy::Fifo,
-        SolverStrategy::Priority,
-        SolverStrategy::Sparse,
-    ];
-
-    let mut rng = Rng::new(0x9a9e_50de);
-    for case in 0..200usize {
+fn every_ladder_rung_keeps_its_contract() {
+    use pdce::ir::printer::print_program;
+    use pdce::trace::budget::Budget;
+    use pdce::trace::fault::with_faults;
+    let inputs: [(&str, i64); 3] = [("v0", 3), ("v1", -2), ("v2", 7)];
+    let mut rng = Rng::new(0x1add_e700);
+    let mut identity_rungs = 0;
+    for case in 0..112usize {
         let seed = rng.next_u64();
-        let p = if case % 4 == 3 {
+        let p = if case % 8 == 7 {
             tangled(&small_config(seed, true), 6)
         } else {
             structured(&small_config(seed, case % 2 == 0))
         };
-        let view = CfgView::new(&p);
+        for (config, weaker) in [
+            (PdceConfig::pde(), PdceConfig::dce_only()),
+            (PdceConfig::pfe(), PdceConfig::fce_only()),
+        ] {
+            let mut degraded = p.clone();
+            let stats = with_faults("panic:sink:*", || {
+                optimize_resilient(&mut degraded, &config)
+            });
+            assert_eq!(
+                stats.degraded,
+                Some(DegradedMode::EliminationOnly),
+                "case {case}"
+            );
+            let mut want = p.clone();
+            optimize(&mut want, &weaker).unwrap();
+            assert_eq!(
+                print_program(&degraded),
+                print_program(&want),
+                "case {case}"
+            );
+            for run_seed in [1u64, 42, 993] {
+                let orig = record_run(&p, &inputs, run_seed);
+                let got = trace_of(&degraded, &inputs, orig.decisions.clone());
+                assert_eq!(orig.outputs, got.outputs, "case {case}: outputs diverged");
+            }
+            let report = check_improvement(&p, &degraded, &BetterOptions::default());
+            assert!(report.holds(), "case {case}: {:#?}", report.violations);
 
-        let dead = STRATEGIES.map(|s| with_strategy(s, || DeadSolution::compute(&p, &view)));
-        for d in &dead[1..] {
-            for n in p.node_ids() {
-                assert_eq!(
-                    dead[0].after_each_stmt(&p, n),
-                    d.after_each_stmt(&p, n),
-                    "dead diverged in {} (case {case})",
-                    p.block(n).name
+            let mut verbatim = p.clone();
+            let starved = config.clone().with_budget(Budget {
+                max_pops: Some(1),
+                ..Budget::UNLIMITED
+            });
+            let stats = optimize_resilient(&mut verbatim, &starved);
+            if stats.degraded == Some(DegradedMode::Identity) {
+                assert_eq!(print_program(&verbatim), print_program(&p), "case {case}");
+                identity_rungs += 1;
+            } else {
+                assert!(
+                    stats.degraded.is_none() && stats.solver.pops() <= 1,
+                    "case {case}: {stats:?}"
                 );
             }
         }
-
-        let faint = STRATEGIES.map(|s| with_strategy(s, || FaintSolution::compute(&p, &view)));
-        for f in &faint[1..] {
-            for n in p.node_ids() {
-                for v in (0..p.num_vars()).map(Var::from_index) {
-                    assert_eq!(
-                        faint[0].faint_at_entry(n, v),
-                        f.faint_at_entry(n, v),
-                        "faint entry diverged in {} (case {case})",
-                        p.block(n).name
-                    );
-                    for k in 0..p.block(n).stmts.len() {
-                        assert_eq!(
-                            faint[0].faint_after(n, k, v),
-                            f.faint_after(n, k, v),
-                            "faint diverged in {}[{k}] (case {case})",
-                            p.block(n).name
-                        );
-                    }
-                }
-            }
-        }
-
-        let table = PatternTable::build(&p);
-        let local = LocalInfo::compute(&p, &table);
-        let delay =
-            STRATEGIES.map(|s| with_strategy(s, || DelayInfo::compute(&p, &view, &table, &local)));
-        for d in &delay[1..] {
-            assert_eq!(delay[0].n_delayed, d.n_delayed, "case {case}");
-            assert_eq!(delay[0].x_delayed, d.x_delayed, "case {case}");
-            assert_eq!(delay[0].n_insert, d.n_insert, "case {case}");
-            assert_eq!(delay[0].x_insert, d.x_insert, "case {case}");
-        }
     }
-}
-
-/// End-to-end: the full pde/pfe drivers emit byte-identical programs
-/// under either solver strategy — the fixpoints feed every placement
-/// and elimination decision, so this catches divergence the analysis
-/// oracle above might miss (e.g. iteration-order-dependent tie-breaks).
-#[test]
-fn solver_strategy_never_changes_optimizer_output() {
-    use pdce::dfa::{with_strategy, SolverStrategy};
-    for seed in seeds(19) {
-        let p = structured(&small_config(seed, true));
-        for config in [PdceConfig::pde(), PdceConfig::pfe()] {
-            let printed = [
-                SolverStrategy::Fifo,
-                SolverStrategy::Priority,
-                SolverStrategy::Sparse,
-            ]
-            .map(|s| {
-                let mut q = p.clone();
-                with_strategy(s, || optimize(&mut q, &config)).unwrap();
-                canonical_string(&q)
-            });
-            assert_eq!(printed[0], printed[1], "strategies disagree (seed {seed})");
-            assert_eq!(printed[0], printed[2], "sparse disagrees (seed {seed})");
-        }
-    }
-}
-
-/// End-to-end, at opt_large's shape: with no strategy override, pfe
-/// solves faint with the sparse falsity closure, and it must print
-/// byte-identical programs to explicit `Priority` and `Fifo` runs (the
-/// dense reference worklists) on the hand-written corpus and on
-/// 100–400-block generated programs, every eighth one irreducible.
-#[test]
-fn default_pfe_prints_the_same_programs_as_dense_solvers() {
-    use pdce::dfa::{with_strategy, SolverStrategy};
-    use pdce::ir::parser::parse;
-    use pdce::ir::printer::print_program;
-
-    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/corpus");
-    let mut files: Vec<_> = std::fs::read_dir(dir)
-        .expect("corpus directory exists")
-        .map(|e| e.expect("corpus entry").path())
-        .filter(|p| p.extension().is_some_and(|x| x == "pdce"))
-        .collect();
-    files.sort();
-    assert!(files.len() >= 6, "corpus went missing?");
-    let mut programs: Vec<(String, Program)> = files
-        .iter()
-        .map(|path| {
-            let src = std::fs::read_to_string(path).expect("corpus file readable");
-            let prog = parse(&src).expect("corpus parses");
-            (path.display().to_string(), prog)
-        })
-        .collect();
-
-    const LARGE: usize = 16;
-    let mut rng = Rng::new(0x0a7_1a26e);
-    for i in 0..LARGE {
-        let position = (i as f64 + rng.gen_f64()) / LARGE as f64;
-        let target_blocks = (100.0 * 4f64.powf(position)) as usize;
-        let config = GenConfig {
-            seed: rng.next_u64(),
-            target_blocks,
-            num_vars: rng.gen_range_inclusive(16, 24),
-            stmts_per_block: (1, 4),
-            out_prob: 0.2,
-            loop_prob: 0.3,
-            max_depth: 12,
-            expr_depth: 2,
-            nondet: true,
-        };
-        let prog = if i % 8 == 7 {
-            tangled(&config, target_blocks / 12)
-        } else {
-            structured(&config)
-        };
-        programs.push((format!("large #{i} ({target_blocks} blocks)"), prog));
-    }
-
-    let pfe = |p: &Program| {
-        let mut q = p.clone();
-        optimize(&mut q, &PdceConfig::pfe()).unwrap();
-        print_program(&q)
-    };
-    for (name, p) in &programs {
-        let default = pfe(p);
-        for strategy in [SolverStrategy::Priority, SolverStrategy::Fifo] {
-            let dense = with_strategy(strategy, || pfe(p));
-            assert_eq!(default, dense, "{name}: default differs from {strategy:?}");
-        }
-    }
+    assert!(
+        identity_rungs >= 200,
+        "only {identity_rungs} identity rungs"
+    );
 }
 
 #[test]

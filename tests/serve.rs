@@ -72,7 +72,6 @@ fn hostile_lines_always_get_structured_errors() {
         "{\"op\":\"optimize\",\"program\":\"prog { block e { halt } }\",\"mode\":\"o3\"}",
         "{\"op\":\"optimize\",\"program\":\"prog { block e { halt } }\",\"max_rounds\":-1}",
         "{\"op\":\"optimize\",\"program\":\"prog { block e { halt } }\",\"wall_ms\":\"soon\"}",
-        "{\"op\":\"optimize\",\"program\":\"prog { block e { halt } }\",\"solver\":\"quantum\"}",
         "{\"op\":\"optimize\",\"program\":\"prog { block e { halt } }\"", // truncated JSON
     ];
     for line in hostile {
@@ -232,59 +231,27 @@ fn jobs_and_cache_temperature_never_change_response_bytes() {
 }
 
 #[test]
-fn solver_option_never_changes_response_bytes_warm_or_cold() {
-    // Per-request `"solver"` options select different worklist
-    // disciplines, but the differential oracle guarantees identical
-    // output — so the three strategies must produce byte-identical
-    // responses, and each strategy's warm (cache-hit) replay must be
-    // byte-identical to its own cold computation. The solver tag is
-    // part of the cache key, so each strategy answers warm from its own
-    // entry.
+fn retired_solver_key_is_ignored_like_any_unknown_key() {
+    // Requests once chose a solver engine; every analysis now runs one,
+    // so a `"solver"` key — valid name or not — changes nothing: the
+    // answer is byte-identical to the request without it, served warm
+    // from the same cache entry.
     let server = Server::new(ServeOptions::default());
-    let solvers = ["fifo", "priority", "sparse"];
-    for i in 0..40u64 {
-        let prog = structured(&GenConfig {
-            seed: 12_000 + i,
-            target_blocks: 8 + (i as usize % 5) * 4,
-            num_vars: 6,
-            stmts_per_block: (1, 4),
-            out_prob: 0.2,
-            loop_prob: 0.3,
-            max_depth: 8,
-            expr_depth: 2,
-            nondet: true,
-        });
-        let mut escaped = String::new();
-        json::write_escaped(&mut escaped, &print_program(&prog));
-        let lines: Vec<String> = solvers
-            .iter()
-            .map(|s| {
-                format!(
-                    "{{\"id\":\"q\",\"program\":{escaped},\"mode\":\"pde\",\"solver\":\"{s}\"}}"
-                )
-            })
-            .collect();
-        let cold: Vec<String> = lines
-            .iter()
-            .map(|l| server.respond_line(l).expect("optimize answers"))
-            .collect();
-        for (s, response) in solvers.iter().zip(&cold) {
-            assert_eq!(status_of(response), 0.0, "solver {s} failed: {response}");
-            assert_eq!(
-                *response, cold[0],
-                "program {i}: solver {s} changed response bytes"
-            );
-        }
-        for (line, expected) in lines.iter().zip(&cold) {
-            let warm = server.respond_line(line).expect("optimize answers");
-            assert_eq!(warm, *expected, "program {i}: warm bytes diverged");
-        }
-    }
-    let summary = server.summary();
-    assert!(
-        summary.cache_hits >= 40 * solvers.len() as u64,
-        "warm replays must hit the per-solver cache entries"
+    let mut escaped = String::new();
+    json::write_escaped(
+        &mut escaped,
+        "prog { block s { x := 1; goto e } block e { halt } }",
     );
+    let plain = format!("{{\"id\":\"q\",\"program\":{escaped},\"mode\":\"pde\"}}");
+    let cold = server.respond_line(&plain).expect("optimize answers");
+    assert_eq!(status_of(&cold), 0.0, "{cold}");
+    for solver in ["\"fifo\"", "\"quantum\"", "42"] {
+        let line =
+            format!("{{\"id\":\"q\",\"program\":{escaped},\"mode\":\"pde\",\"solver\":{solver}}}");
+        let response = server.respond_line(&line).expect("optimize answers");
+        assert_eq!(response, cold, "solver {solver} changed the answer");
+    }
+    assert_eq!(server.summary().cache_hits, 3);
 }
 
 // ---------------------------------------------------------------------
@@ -622,13 +589,7 @@ fn soak_survives_persistent_sink_panics() {
     // requests are served at the `breaker-open` identity rung.
     soak_under(
         "panic:sink:*",
-        &[
-            "cold-solve",
-            "fifo-solver",
-            "elimination-only",
-            "identity",
-            "breaker-open",
-        ],
+        &["elimination-only", "identity", "breaker-open"],
     );
 }
 
@@ -636,13 +597,7 @@ fn soak_survives_persistent_sink_panics() {
 fn soak_survives_persistent_solver_budget_exhaustion() {
     soak_under(
         "budget:solve:*",
-        &[
-            "cold-solve",
-            "fifo-solver",
-            "elimination-only",
-            "identity",
-            "breaker-open",
-        ],
+        &["elimination-only", "identity", "breaker-open"],
     );
 }
 
