@@ -9,7 +9,7 @@
 
 use std::collections::HashMap;
 
-use pdce_dfa::{solve, AnalysisCache, BitProblem, BitVec, Direction, GenKill, Meet};
+use pdce_dfa::{solve, AnalysisCache, BitMatrix, BitProblem, BitVec, Direction, Meet, RowMut};
 use pdce_ir::{Program, Stmt, TermData, TermId, Var};
 
 /// A copy pattern `x := y`.
@@ -36,14 +36,25 @@ fn collect_copies(prog: &Program) -> Vec<Copy> {
     copies
 }
 
-fn stmt_transfer(copies: &[Copy], prog: &Program, stmt: &Stmt) -> GenKill {
-    let width = copies.len();
-    let mut gen = BitVec::zeros(width);
-    let mut kill = BitVec::zeros(width);
+/// Applies a statement's available-copies transfer to `avail` in place:
+/// a write of `m` kills every copy mentioning `m`, then a copy
+/// statement generates itself. With `kill`, the killed copies are also
+/// ORed into it, which composes the statement into a block's gen/kill
+/// rows (`avail` then being the block's `gen` row).
+fn apply_stmt(
+    copies: &[Copy],
+    prog: &Program,
+    stmt: &Stmt,
+    avail: &mut RowMut<'_>,
+    mut kill: Option<&mut RowMut<'_>>,
+) {
     if let Some(m) = stmt.modified() {
         for (i, c) in copies.iter().enumerate() {
             if c.dst == m || c.src == m {
-                kill.set(i, true);
+                avail.set(i, false);
+                if let Some(kill) = kill.as_deref_mut() {
+                    kill.set(i, true);
+                }
             }
         }
     }
@@ -51,12 +62,11 @@ fn stmt_transfer(copies: &[Copy], prog: &Program, stmt: &Stmt) -> GenKill {
         if let TermData::Var(src) = prog.terms().data(rhs) {
             if src != lhs {
                 if let Some(i) = copies.iter().position(|c| c.dst == lhs && c.src == src) {
-                    gen.set(i, true);
+                    avail.set(i, true);
                 }
             }
         }
     }
-    GenKill::new(gen, kill)
 }
 
 /// Rewrites every use according to the available copies; returns the
@@ -75,30 +85,28 @@ pub fn copy_propagate_once_cached(prog: &mut Program, cache: &mut AnalysisCache)
     }
     let width = copies.len();
     let view = cache.cfg(prog);
-    let transfer: Vec<GenKill> = prog
-        .node_ids()
-        .map(|n| {
-            let fs: Vec<GenKill> = prog
-                .block(n)
-                .stmts
-                .iter()
-                .map(|s| stmt_transfer(&copies, prog, s))
-                .collect();
-            GenKill::compose_forward(width, fs.iter())
-        })
-        .collect();
+    // Block transfers composed in place, statements in execution order.
+    let mut gen = BitMatrix::zeros(prog.num_blocks(), width);
+    let mut kill = BitMatrix::zeros(prog.num_blocks(), width);
+    for n in prog.node_ids() {
+        let (mut g, mut k) = (gen.row_mut(n.index()), kill.row_mut(n.index()));
+        for stmt in &prog.block(n).stmts {
+            apply_stmt(&copies, prog, stmt, &mut g, Some(&mut k));
+        }
+    }
     let problem = BitProblem {
         direction: Direction::Forward,
         meet: Meet::Intersection,
         width,
-        transfer,
+        gen: &gen,
+        kill: &kill,
         boundary: BitVec::zeros(width),
     };
     let sol = solve(&view, &problem);
 
     let mut replaced = 0u64;
     for n in prog.node_ids().collect::<Vec<_>>() {
-        let mut avail = sol.at_entry(n).clone();
+        let mut avail = sol.at_entry(n).to_bitvec();
         // Substitution map from the available copy set.
         let block_len = prog.block(n).stmts.len();
         for k in 0..block_len {
@@ -119,8 +127,8 @@ pub fn copy_propagate_once_cached(prog: &mut Program, cache: &mut AnalysisCache)
                     prog.stmts_mut(n)[k] = new_stmt;
                 }
             }
-            let f = stmt_transfer(&copies, prog, &prog.block(n).stmts[k]);
-            avail = f.apply(&avail);
+            let stmt = prog.block(n).stmts[k];
+            apply_stmt(&copies, prog, &stmt, &mut avail.as_row_mut(), None);
         }
         // Terminator condition.
         let subst: HashMap<Var, Var> = avail

@@ -20,7 +20,7 @@
 
 use std::collections::VecDeque;
 
-use pdce_dfa::{solve, AnalysisCache, BitProblem, BitVec, Direction, GenKill, Meet};
+use pdce_dfa::{solve, AnalysisCache, BitMatrix, BitProblem, BitVec, Direction, Meet, Row};
 use pdce_ir::{CfgView, NodeId, Program, Stmt, Var};
 
 /// A definition occurrence: statement `k` of block `n` (an assignment).
@@ -72,50 +72,32 @@ impl DuGraph {
 
         // Reaching definitions: gen = this def, kill = other defs of the
         // same variable.
-        let mut defs_of_var: Vec<BitVec> = vec![BitVec::zeros(width); prog.num_vars()];
+        let mut defs_of_var = BitMatrix::zeros(prog.num_vars(), width);
         for (i, d) in defs.iter().enumerate() {
-            defs_of_var[d.var.index()].set(i, true);
+            defs_of_var.row_mut(d.var.index()).set(i, true);
         }
-        let stmt_transfer = |stmt: &Stmt, def_idx: Option<usize>| -> GenKill {
-            match (stmt, def_idx) {
-                (Stmt::Assign { lhs, .. }, Some(i)) => {
-                    let mut gen = BitVec::zeros(width);
-                    gen.set(i, true);
-                    let mut kill = defs_of_var[lhs.index()].clone();
-                    kill.set(i, false);
-                    GenKill::new(gen, kill)
+        // Block transfers composed in place, definitions in execution
+        // order: a definition kills the other definitions of its
+        // variable, then generates itself.
+        let mut gen = BitMatrix::zeros(prog.num_blocks(), width);
+        let mut kill = BitMatrix::zeros(prog.num_blocks(), width);
+        for n in prog.node_ids() {
+            let (mut g, mut k) = (gen.row_mut(n.index()), kill.row_mut(n.index()));
+            for &(_, i) in &def_at[n.index()] {
+                let others = defs_of_var.row(defs[i].var.index());
+                g.difference_with(others);
+                g.set(i, true);
+                for d in others.iter_ones().filter(|&d| d != i) {
+                    k.set(d, true);
                 }
-                _ => GenKill::identity(width),
             }
-        };
-        let transfer: Vec<GenKill> = prog
-            .node_ids()
-            .map(|n| {
-                let mut def_iter = def_at[n.index()].iter().peekable();
-                let fs: Vec<GenKill> = prog
-                    .block(n)
-                    .stmts
-                    .iter()
-                    .enumerate()
-                    .map(|(k, s)| {
-                        let idx = match def_iter.peek() {
-                            Some(&&(dk, di)) if dk == k => {
-                                def_iter.next();
-                                Some(di)
-                            }
-                            _ => None,
-                        };
-                        stmt_transfer(s, idx)
-                    })
-                    .collect();
-                GenKill::compose_forward(width, fs.iter())
-            })
-            .collect();
+        }
         let problem = BitProblem {
             direction: Direction::Forward,
             meet: Meet::Union,
             width,
-            transfer,
+            gen: &gen,
+            kill: &kill,
             boundary: BitVec::zeros(width),
         };
         let sol = solve(view, &problem);
@@ -125,7 +107,7 @@ impl DuGraph {
         let mut relevant = BitVec::zeros(width);
         let mut du_edges = 0u64;
         for n in prog.node_ids() {
-            let mut reach = sol.at_entry(n).clone();
+            let mut reach = sol.at_entry(n).to_bitvec();
             let mut def_iter = def_at[n.index()].iter().peekable();
             for (k, stmt) in prog.block(n).stmts.iter().enumerate() {
                 let this_def = match def_iter.peek() {
@@ -138,7 +120,7 @@ impl DuGraph {
                 // Uses of this statement see the current reaching set.
                 if let Some(t) = stmt.used_term() {
                     for &v in prog.terms().vars_of(t) {
-                        for d in reaching_defs_of(&reach, &defs_of_var[v.index()]) {
+                        for d in reaching_defs_of(&reach, defs_of_var.row(v.index())) {
                             du_edges += 1;
                             match (stmt, this_def) {
                                 (Stmt::Assign { .. }, Some(user)) => {
@@ -153,14 +135,16 @@ impl DuGraph {
                 // Then the definition takes effect.
                 if let Some(di) = this_def {
                     let DefSite { var, .. } = defs[di];
-                    reach.difference_with(&defs_of_var[var.index()]);
+                    reach
+                        .as_row_mut()
+                        .difference_with(defs_of_var.row(var.index()));
                     reach.set(di, true);
                 }
             }
             // Branch conditions are relevant uses.
             if let Some(c) = prog.block(n).term.used_term() {
                 for &v in prog.terms().vars_of(c) {
-                    for d in reaching_defs_of(&reach, &defs_of_var[v.index()]) {
+                    for d in reaching_defs_of(&reach, defs_of_var.row(v.index())) {
                         du_edges += 1;
                         relevant.set(d, true);
                     }
@@ -201,9 +185,9 @@ impl DuGraph {
     }
 }
 
-fn reaching_defs_of(reach: &BitVec, of_var: &BitVec) -> Vec<usize> {
+fn reaching_defs_of(reach: &BitVec, of_var: Row<'_>) -> Vec<usize> {
     let mut r = reach.clone();
-    r.intersect_with(of_var);
+    r.as_row_mut().intersect_with(of_var);
     r.iter_ones().collect()
 }
 

@@ -26,7 +26,7 @@
 //! related-work tests measure.
 
 use pdce_core::patterns::PatternTable;
-use pdce_dfa::{solve, AnalysisCache, BitProblem, BitVec, Direction, GenKill, Meet};
+use pdce_dfa::{solve, AnalysisCache, BitMatrix, BitProblem, BitVec, Direction, Meet};
 use pdce_ir::edgesplit::has_critical_edges;
 use pdce_ir::{Program, Stmt};
 
@@ -91,9 +91,9 @@ pub fn hoist_assignments_cached(
 
     // Local predicates: up-exposed candidates, statement-level blocking,
     // terminator blocking.
-    let mut lochoist = vec![BitVec::zeros(width); nblocks];
-    let mut locblocked = vec![BitVec::zeros(width); nblocks];
-    let mut termblocked = vec![BitVec::zeros(width); nblocks];
+    let mut lochoist = BitMatrix::zeros(nblocks, width);
+    let mut locblocked = BitMatrix::zeros(nblocks, width);
+    let mut termblocked = BitMatrix::zeros(nblocks, width);
     let mut candidates: Vec<Vec<(usize, usize)>> = vec![Vec::new(); nblocks];
     // One forward scan per block: an occurrence is a candidate iff
     // nothing before it blocks its pattern, tested before the statement
@@ -103,43 +103,40 @@ pub fn hoist_assignments_cached(
     for n in prog.node_ids() {
         let i = n.index();
         let block = prog.block(n);
+        let mut blocked = locblocked.row_mut(i);
         for (k, stmt) in block.stmts.iter().enumerate() {
             if let Some(p) = table.index_of_stmt(stmt) {
-                if !locblocked[i].get(p) {
-                    lochoist[i].set(p, true);
+                if !blocked.get(p) {
+                    lochoist.row_mut(i).set(p, true);
                     candidates[i].push((k, p));
                 }
             }
-            table.union_stmt_blocks(prog, stmt, &mut locblocked[i]);
+            table.union_stmt_blocks(prog, stmt, &mut blocked);
         }
-        table.union_terminator_blocks(prog, &block.term, &mut termblocked[i]);
+        table.union_terminator_blocks(prog, &block.term, &mut termblocked.row_mut(i));
     }
 
     // Hoistability: backward, all-paths, boundary false at the exit.
-    let transfer: Vec<GenKill> = (0..nblocks)
-        .map(|i| {
-            let mut kill = locblocked[i].clone();
-            kill.union_with(&termblocked[i]);
-            GenKill::new(lochoist[i].clone(), kill)
-        })
-        .collect();
+    let mut kill = locblocked.clone();
+    for i in 0..nblocks {
+        kill.row_mut(i).union_with(termblocked.row(i));
+    }
     let sol = solve(
         &view,
         &BitProblem {
             direction: Direction::Backward,
             meet: Meet::Intersection,
             width,
-            transfer,
+            gen: &lochoist,
+            kill: &kill,
             boundary: BitVec::zeros(width),
         },
     );
     // `sol.entry` holds N-HOISTABLE; recover X-HOISTABLE from the meet
     // with the terminator blocking applied.
     let x_hoistable = |i: usize| -> BitVec {
-        let mut x = sol.exit[i].clone();
-        let mut not_term = termblocked[i].clone();
-        not_term.negate();
-        x.intersect_with(&not_term);
+        let mut x = sol.exit.row(i).to_bitvec();
+        x.as_row_mut().difference_with(termblocked.row(i));
         x
     };
 
@@ -149,7 +146,7 @@ pub fn hoist_assignments_cached(
     for n in prog.node_ids() {
         let i = n.index();
         let mut xi = x_hoistable(i);
-        xi.intersect_with(&locblocked[i]);
+        xi.as_row_mut().intersect_with(locblocked.row(i));
         exit_ins[i] = xi;
 
         let mut stops = BitVec::zeros(width);
@@ -162,7 +159,7 @@ pub fn hoist_assignments_cached(
                 stops.union_with(&not_xh);
             }
         }
-        let mut ni = sol.entry[i].clone();
+        let mut ni = sol.entry.row(i).to_bitvec();
         ni.intersect_with(&stops);
         entry_ins[i] = ni;
     }

@@ -7,85 +7,84 @@
 //! separate from `pdce-core`'s dead analysis so the two can cross-check
 //! each other (`¬LIVE ≡ DEAD`).
 
-use pdce_dfa::{solve, AnalysisCache, BitProblem, BitVec, Direction, GenKill, Meet};
-use pdce_ir::{CfgView, NodeId, Program, Stmt, Terminator, Var};
+use pdce_dfa::{solve, AnalysisCache, BitMatrix, BitProblem, BitVec, Direction, Meet, Row, RowMut};
+use pdce_ir::{CfgView, NodeId, Program, Stmt, TermId, Terminator, Var};
 
 /// Live-variable solution.
 #[derive(Debug, Clone)]
 pub struct Liveness {
-    width: usize,
     solution: pdce_dfa::Solution,
 }
 
-fn stmt_transfer(prog: &Program, stmt: &Stmt, width: usize) -> GenKill {
-    // live_in = USE ∪ (live_out ∖ DEF)
-    let mut gen = BitVec::zeros(width);
-    let mut kill = BitVec::zeros(width);
-    if let Some(m) = stmt.modified() {
-        kill.set(m.index(), true);
-    }
-    if let Some(t) = stmt.used_term() {
+/// ORs the variables of `used` into `row`.
+fn set_used(prog: &Program, used: Option<TermId>, row: &mut RowMut<'_>) {
+    if let Some(t) = used {
         for &v in prog.terms().vars_of(t) {
-            gen.set(v.index(), true);
+            row.set(v.index(), true);
         }
     }
-    GenKill::new(gen, kill)
 }
 
-fn term_transfer(prog: &Program, term: &Terminator, width: usize) -> GenKill {
-    let mut gen = BitVec::zeros(width);
-    if let Some(c) = term.used_term() {
-        for &v in prog.terms().vars_of(c) {
-            gen.set(v.index(), true);
-        }
+/// Applies a statement's liveness transfer
+/// (`live_in = USE ∪ (live_out ∖ DEF)`) to `live` in place.
+fn apply_stmt(prog: &Program, stmt: &Stmt, live: &mut RowMut<'_>) {
+    if let Some(m) = stmt.modified() {
+        live.set(m.index(), false);
     }
-    GenKill::new(gen, BitVec::zeros(width))
+    set_used(prog, stmt.used_term(), live);
+}
+
+/// Applies a terminator's liveness transfer: its condition is used.
+fn apply_term(prog: &Program, term: &Terminator, live: &mut RowMut<'_>) {
+    set_used(prog, term.used_term(), live);
 }
 
 impl Liveness {
-    /// Runs live-variable analysis.
+    /// Runs live-variable analysis. Each block's gen/kill rows are
+    /// composed in place by one backward walk: `gen` goes through the
+    /// instructions' own transfers, `kill` collects their definitions.
     pub fn compute(prog: &Program, view: &CfgView) -> Liveness {
         let width = prog.num_vars();
-        let transfer = prog
-            .node_ids()
-            .map(|n| {
-                let block = prog.block(n);
-                let stmts: Vec<GenKill> = block
-                    .stmts
-                    .iter()
-                    .map(|s| stmt_transfer(prog, s, width))
-                    .collect();
-                let term = term_transfer(prog, &block.term, width);
-                GenKill::compose_backward(width, stmts.iter().chain(std::iter::once(&term)))
-            })
-            .collect();
+        let mut gen = BitMatrix::zeros(prog.num_blocks(), width);
+        let mut kill = BitMatrix::zeros(prog.num_blocks(), width);
+        for n in prog.node_ids() {
+            let block = prog.block(n);
+            let (mut g, mut k) = (gen.row_mut(n.index()), kill.row_mut(n.index()));
+            apply_term(prog, &block.term, &mut g);
+            for stmt in block.stmts.iter().rev() {
+                apply_stmt(prog, stmt, &mut g);
+                if let Some(m) = stmt.modified() {
+                    k.set(m.index(), true);
+                }
+            }
+        }
         let problem = BitProblem {
             direction: Direction::Backward,
             meet: Meet::Union,
             width,
-            transfer,
+            gen: &gen,
+            kill: &kill,
             boundary: BitVec::zeros(width), // nothing live at program end
         };
         Liveness {
-            width,
             solution: solve(view, &problem),
         }
     }
 
     /// Live set at block entry.
-    pub fn at_entry(&self, n: NodeId) -> &BitVec {
+    pub fn at_entry(&self, n: NodeId) -> Row<'_> {
         self.solution.at_entry(n)
     }
 
     /// Liveness vectors immediately after each statement of `n`.
     pub fn after_each_stmt(&self, prog: &Program, n: NodeId) -> Vec<BitVec> {
         let block = prog.block(n);
-        let mut current =
-            term_transfer(prog, &block.term, self.width).apply(self.solution.at_exit(n));
+        let mut current = self.solution.at_exit(n).to_bitvec();
+        apply_term(prog, &block.term, &mut current.as_row_mut());
         let mut out = vec![BitVec::zeros(0); block.stmts.len()];
         for (k, stmt) in block.stmts.iter().enumerate().rev() {
             out[k] = current.clone();
-            current = stmt_transfer(prog, stmt, self.width).apply(&current);
+            apply_stmt(prog, stmt, &mut current.as_row_mut());
         }
         out
     }

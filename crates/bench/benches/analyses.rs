@@ -1,6 +1,9 @@
 //! C3/C6: costs of the component analyses (Section 6.1) — the dead,
-//! faint and delayability solvers, the baseline liveness analysis, and
-//! the du-chain graph construction (including its quadratic worst case).
+//! faint and delayability solvers, sinking's local predicates, the
+//! baseline liveness analysis, and the du-chain graph construction
+//! (including its quadratic worst case). The dead, local and delay
+//! groups add opt_large-sized cases (~270 blocks) with 20 and 96
+//! variables: one-word and two-word dead rows.
 //!
 //! Run with: `cargo bench -p pdce-bench --bench analyses`
 
@@ -13,10 +16,14 @@ use pdce_progen::{many_defs_many_uses, structured, GenConfig};
 use pdce_ssa::SsaWeb;
 
 fn workload(n: usize) -> pdce_ir::Program {
+    workload_vars(n, 8)
+}
+
+fn workload_vars(n: usize, num_vars: usize) -> pdce_ir::Program {
     structured(&GenConfig {
         seed: 5,
         target_blocks: n,
-        num_vars: 8,
+        num_vars,
         stmts_per_block: (1, 4),
         out_prob: 0.2,
         loop_prob: 0.3,
@@ -26,14 +33,32 @@ fn workload(n: usize) -> pdce_ir::Program {
     })
 }
 
+/// The size cases of the dead, local and delay groups: the block
+/// count alone at 8 variables, then ~270 blocks at 20 and 96 variables.
+fn row_cases(sizes: &[usize]) -> Vec<(String, pdce_ir::Program)> {
+    let mut cases: Vec<_> = sizes
+        .iter()
+        .map(|&n| (n.to_string(), workload(n)))
+        .collect();
+    for vars in [20usize, 96] {
+        cases.push((format!("270/{vars}v"), workload_vars(270, vars)));
+    }
+    cases
+}
+
 fn main() {
     let sizes = [64usize, 256];
 
     timeit::group("analysis_dead");
-    for &n in &sizes {
-        let prog = workload(n);
+    for (label, prog) in row_cases(&sizes) {
         let view = CfgView::new(&prog);
-        timeit::report(&n.to_string(), || DeadSolution::compute(&prog, &view));
+        timeit::report(&label, || DeadSolution::compute(&prog, &view));
+    }
+
+    timeit::group("analysis_local");
+    for (label, prog) in row_cases(&sizes) {
+        let table = PatternTable::build(&prog);
+        timeit::report(&label, || LocalInfo::compute(&prog, &table));
     }
 
     timeit::group("analysis_faint");
@@ -44,14 +69,11 @@ fn main() {
     }
 
     timeit::group("analysis_delayability");
-    for &n in &sizes {
-        let prog = workload(n);
+    for (label, prog) in row_cases(&sizes) {
         let view = CfgView::new(&prog);
         let table = PatternTable::build(&prog);
         let local = LocalInfo::compute(&prog, &table);
-        timeit::report(&n.to_string(), || {
-            DelayInfo::compute(&prog, &view, &table, &local)
-        });
+        timeit::report(&label, || DelayInfo::compute(&prog, &view, &table, &local));
     }
 
     timeit::group("analysis_liveness");

@@ -16,91 +16,75 @@
 //! run block-at-a-time on composed transfers; per-instruction values are
 //! recovered by a linear backward walk inside a block.
 
-use pdce_dfa::{solve, BitProblem, BitVec, Direction, GenKill, Meet, Solution};
-use pdce_ir::{CfgView, NodeId, Program, Stmt, Terminator, Var};
+use std::cell::RefCell;
+
+use pdce_dfa::{solve, BitMatrix, BitProblem, BitVec, Direction, Meet, Row, RowMut, Solution};
+use pdce_ir::{CfgView, NodeId, Program, Stmt, TermId, Terminator, Var};
 
 /// Result of the dead-variable analysis.
 #[derive(Debug, Clone)]
 pub struct DeadSolution {
-    width: usize,
     solution: Solution,
+    /// The rolling row of [`DeadSolution::for_each_stmt_after`], kept
+    /// between calls so a walk over every block allocates once.
+    scratch: RefCell<BitVec>,
 }
 
-/// The dead-variable equations as a backward all-paths [`BitProblem`]
-/// with per-block composed transfers.
-fn dead_problem(prog: &Program, width: usize) -> BitProblem {
-    let transfer: Vec<GenKill> = prog
-        .node_ids()
-        .map(|n| {
-            let block = prog.block(n);
-            let stmts: Vec<GenKill> = block
-                .stmts
-                .iter()
-                .map(|s| stmt_transfer(prog, s, width))
-                .collect();
-            let term = term_transfer(prog, &block.term, width);
-            GenKill::compose_backward(width, stmts.iter().chain(std::iter::once(&term)))
-        })
-        .collect();
-    BitProblem {
-        direction: Direction::Backward,
-        meet: Meet::Intersection,
-        width,
-        transfer,
-        // Everything is dead at the end of the program.
-        boundary: BitVec::ones(width),
-    }
-}
-
-/// Transfer of a single statement for deadness.
-pub(crate) fn stmt_transfer(prog: &Program, stmt: &Stmt, width: usize) -> GenKill {
-    let mut gen = BitVec::zeros(width);
-    let mut kill = BitVec::zeros(width);
-    if let Some(t) = stmt.used_term() {
-        for &v in prog.terms().vars_of(t) {
-            kill.set(v.index(), true);
+/// The per-block gen/kill rows of the dead-variable equations.
+///
+/// Each block's transfer is composed in place by one backward walk —
+/// terminator first, then the statements last to first. Each
+/// instruction `f` turns the block transfer `h` built so far into
+/// `f ∘ h`: `gen` becomes `f(gen)`, which is exactly
+/// [`apply_stmt_backward`]/[`apply_term_backward`], and `kill` gains
+/// `f`'s kill set, the variables the instruction uses.
+fn dead_transfer(prog: &Program, width: usize) -> (BitMatrix, BitMatrix) {
+    let mut gen = BitMatrix::zeros(prog.num_blocks(), width);
+    let mut kill = BitMatrix::zeros(prog.num_blocks(), width);
+    for n in prog.node_ids() {
+        let block = prog.block(n);
+        let (mut g, mut k) = (gen.row_mut(n.index()), kill.row_mut(n.index()));
+        apply_term_backward(prog, &block.term, &mut g);
+        kill_used(prog, block.term.used_term(), &mut k);
+        for stmt in block.stmts.iter().rev() {
+            apply_stmt_backward(prog, stmt, &mut g);
+            kill_used(prog, stmt.used_term(), &mut k);
         }
     }
-    if let Some(m) = stmt.modified() {
-        // gen = MOD ∖ USED: `x := x + 1` keeps x live.
-        if !stmt.uses(prog.terms(), m) {
-            gen.set(m.index(), true);
-        }
-    }
-    GenKill::new(gen, kill)
+    (gen, kill)
 }
 
-/// Transfer of a terminator: a conditional branch is a relevant use of
-/// its condition variables (paper footnote 2).
-pub(crate) fn term_transfer(prog: &Program, term: &Terminator, width: usize) -> GenKill {
-    let mut kill = BitVec::zeros(width);
-    if let Some(c) = term.used_term() {
-        for &v in prog.terms().vars_of(c) {
-            kill.set(v.index(), true);
+/// ORs the variables of `used` into a kill row.
+fn kill_used(prog: &Program, used: Option<TermId>, kill: &mut RowMut<'_>) {
+    if let Some(t) = used {
+        for &u in prog.terms().vars_of(t) {
+            kill.set(u.index(), true);
         }
     }
-    GenKill::new(BitVec::zeros(width), kill)
 }
 
-/// Applies a statement's deadness transfer to `v` in place, touching
-/// only the bits of the variables the statement mentions — no gen/kill
-/// vectors are materialized. Gen (`MOD ∖ USED`) and kill (`USED`) are
-/// disjoint by construction, so the write order is irrelevant.
-pub(crate) fn apply_stmt_backward(prog: &Program, stmt: &Stmt, v: &mut BitVec) {
+/// Applies a statement's deadness transfer (`gen = MOD ∖ USED`,
+/// `kill = USED`) to `v` in place, touching only the bits of the
+/// variables the statement mentions. Gen and kill are disjoint by
+/// construction, so the write order is irrelevant.
+pub(crate) fn apply_stmt_backward(prog: &Program, stmt: &Stmt, v: &mut RowMut<'_>) {
     if let Some(t) = stmt.used_term() {
         for &u in prog.terms().vars_of(t) {
             v.set(u.index(), false);
         }
     }
     if let Some(m) = stmt.modified() {
+        // `x := x + 1` keeps x live.
         if !stmt.uses(prog.terms(), m) {
             v.set(m.index(), true);
         }
     }
 }
 
-/// In-place counterpart of [`term_transfer`] (kill-only).
-pub(crate) fn apply_term_backward(prog: &Program, term: &Terminator, v: &mut BitVec) {
+/// Applies a terminator's deadness transfer to `v` in place: a
+/// conditional branch is a relevant use of its condition variables
+/// (paper footnote 2), so it only kills.
+pub(crate) fn apply_term_backward(prog: &Program, term: &Terminator, v: &mut RowMut<'_>) {
     if let Some(c) = term.used_term() {
         for &u in prog.terms().vars_of(c) {
             v.set(u.index(), false);
@@ -112,8 +96,23 @@ impl DeadSolution {
     /// Runs the analysis over `prog`.
     pub fn compute(prog: &Program, view: &CfgView) -> DeadSolution {
         let width = prog.num_vars();
-        let solution = solve(view, &dead_problem(prog, width));
-        DeadSolution { width, solution }
+        let (gen, kill) = dead_transfer(prog, width);
+        let solution = solve(
+            view,
+            &BitProblem {
+                direction: Direction::Backward,
+                meet: Meet::Intersection,
+                width,
+                gen: &gen,
+                kill: &kill,
+                // Everything is dead at the end of the program.
+                boundary: BitVec::ones(width),
+            },
+        );
+        DeadSolution {
+            solution,
+            scratch: RefCell::new(BitVec::zeros(width)),
+        }
     }
 
     /// [`DeadSolution::compute`] under the signature of the retired
@@ -131,13 +130,13 @@ impl DeadSolution {
     }
 
     /// Deadness vector at the entry of block `n`.
-    pub fn at_entry(&self, n: NodeId) -> &BitVec {
+    pub fn at_entry(&self, n: NodeId) -> Row<'_> {
         self.solution.at_entry(n)
     }
 
     /// Deadness vector after the terminator of block `n` (the meet over
     /// successor entries).
-    pub fn at_exit(&self, n: NodeId) -> &BitVec {
+    pub fn at_exit(&self, n: NodeId) -> Row<'_> {
         self.solution.at_exit(n)
     }
 
@@ -145,29 +144,37 @@ impl DeadSolution {
     /// block `n` (`X-DEAD` of every statement instruction), calling
     /// `f(k, after_k)` in **reverse** statement order (`k` descending).
     ///
-    /// One rolling buffer is reused across the walk and the sparse
-    /// in-place transfers touch only the bits each statement mentions,
-    /// so the whole visit costs a single vector clone — unlike
+    /// One rolling scratch row, reused across calls, is walked backward
+    /// from the block's exit by the sparse in-place transfers, which
+    /// touch only the bits each statement mentions — unlike
     /// [`DeadSolution::after_each_stmt`], which must materialize every
-    /// intermediate vector. The borrowed vector is overwritten after
-    /// `f` returns; clone it to keep it.
+    /// intermediate vector. The borrowed row is overwritten after `f`
+    /// returns; copy it with [`Row::to_bitvec`] to keep it.
     pub fn for_each_stmt_after(
         &self,
         prog: &Program,
         n: NodeId,
-        mut f: impl FnMut(usize, &BitVec),
+        mut f: impl FnMut(usize, Row<'_>),
     ) {
         let block = prog.block(n);
-        let mut current = self.at_exit(n).clone();
-        apply_term_backward(prog, &block.term, &mut current);
-        for (k, stmt) in block.stmts.iter().enumerate().rev() {
-            f(k, &current);
-            apply_stmt_backward(prog, stmt, &mut current);
+        // Taken, not borrowed, so a nested walk from `f` stays sound (it
+        // just allocates a row of its own).
+        let mut current = self.scratch.replace(BitVec::zeros(0));
+        if current.len() != self.solution.exit.width() {
+            current = BitVec::zeros(self.solution.exit.width());
         }
-        debug_assert_eq!(&current, self.at_entry(n));
-        // One clone plus one sparse in-place transfer per instruction.
+        let mut row = current.as_row_mut();
+        row.copy_from(self.at_exit(n));
+        apply_term_backward(prog, &block.term, &mut row);
+        for (k, stmt) in block.stmts.iter().enumerate().rev() {
+            f(k, row.as_row());
+            apply_stmt_backward(prog, stmt, &mut row);
+        }
+        debug_assert_eq!(row.as_row(), self.at_entry(n));
+        self.scratch.replace(current);
+        // One row copy plus one sparse in-place transfer per instruction.
         pdce_trace::record_solver(pdce_trace::SolverStats {
-            word_ops: self.width.div_ceil(64) as u64 + block.stmts.len() as u64 + 1,
+            word_ops: self.solution.exit.stride() as u64 + block.stmts.len() as u64 + 1,
             ..pdce_trace::SolverStats::ZERO
         });
     }
@@ -179,10 +186,10 @@ impl DeadSolution {
     pub fn after_each_stmt(&self, prog: &Program, n: NodeId) -> Vec<BitVec> {
         let block = prog.block(n);
         let mut out = vec![BitVec::zeros(0); block.stmts.len()];
-        self.for_each_stmt_after(prog, n, |k, after| out[k] = after.clone());
-        // The materializing clones, on top of the rolling walk.
+        self.for_each_stmt_after(prog, n, |k, after| out[k] = after.to_bitvec());
+        // The materializing copies, on top of the rolling walk.
         pdce_trace::record_solver(pdce_trace::SolverStats {
-            word_ops: self.width.div_ceil(64) as u64 * block.stmts.len() as u64,
+            word_ops: self.solution.exit.stride() as u64 * block.stmts.len() as u64,
             ..pdce_trace::SolverStats::ZERO
         });
         out
@@ -352,7 +359,7 @@ mod tests {
         let before = pdce_trace::solver_totals();
         let mut visited = 0usize;
         d.for_each_stmt_after(&p, s, |k, after| {
-            assert_eq!(after, &materialized[k]);
+            assert_eq!(after, materialized[k].as_row());
             visited += 1;
         });
         let cost_rolling = pdce_trace::solver_totals().since(&before).word_ops;
@@ -367,9 +374,47 @@ mod tests {
     #[test]
     fn table1_gen_kill_shapes() {
         let p = parse("prog { block s { x := x + y; goto e } block e { halt } }").unwrap();
-        let t = stmt_transfer(&p, &p.block(p.entry()).stmts[0], p.num_vars());
+        let (gen, kill) = dead_transfer(&p, p.num_vars());
         // x := x + y: USED = {x, y} (kill), MOD ∖ USED = ∅ (gen).
-        assert!(t.gen.none());
-        assert_eq!(t.kill.count_ones(), 2);
+        assert!(gen.row(p.entry().index()).none());
+        assert_eq!(kill.row(p.entry().index()).count_ones(), 2);
+    }
+
+    /// The block transfer composed in place equals walking the block's
+    /// instructions one by one, on every input over a multi-word width.
+    #[test]
+    fn block_transfer_equals_sequential_application() {
+        let decls: String = (0..70)
+            .map(|i| format!("v{i} := v{} + 1; ", (i + 7) % 70))
+            .collect();
+        let p = parse(&format!(
+            "prog {{ block s {{ {decls}v3 := v64 * v2; y := 4; out(v1); \
+             if v65 < y then t else e }} block t {{ goto e }} block e {{ halt }} }}"
+        ))
+        .unwrap();
+        let width = p.num_vars();
+        let (gen, kill) = dead_transfer(&p, width);
+        let s = p.entry();
+        let block = p.block(s);
+        let mut rng = 0x9e37_79b9_7f4a_7c15u64;
+        for _ in 0..16 {
+            let mut x = BitVec::zeros(width);
+            for b in 0..width {
+                rng ^= rng << 13;
+                rng ^= rng >> 7;
+                rng ^= rng << 17;
+                x.set(b, rng & 1 == 1);
+            }
+            let mut walked = x.clone();
+            apply_term_backward(&p, &block.term, &mut walked.as_row_mut());
+            for stmt in block.stmts.iter().rev() {
+                apply_stmt_backward(&p, stmt, &mut walked.as_row_mut());
+            }
+            let mut composed = BitVec::zeros(width);
+            composed
+                .as_row_mut()
+                .set_transfer(x.as_row(), gen.row(s.index()), kill.row(s.index()));
+            assert_eq!(composed, walked);
+        }
     }
 }

@@ -16,94 +16,87 @@
 //! (greatest fixpoint). Thanks to edge splitting there are never
 //! insertions at the exit of branching nodes (footnote 6).
 
-use pdce_dfa::{solve, BitProblem, BitVec, Direction, GenKill, Meet, Solution};
-use pdce_ir::{CfgView, NodeId, Program};
+use pdce_dfa::{solve, BitMatrix, BitProblem, BitVec, Direction, Meet, Solution};
+use pdce_ir::{CfgView, Program};
 
 use crate::local::LocalInfo;
 use crate::patterns::PatternTable;
 
-/// Solution of the delayability analysis plus derived insertion points.
+/// Solution of the delayability analysis plus derived insertion points,
+/// each a matrix with one row per block.
 #[derive(Debug, Clone)]
 pub struct DelayInfo {
     /// `N-DELAYED_n` per block.
-    pub n_delayed: Vec<BitVec>,
+    pub n_delayed: BitMatrix,
     /// `X-DELAYED_n` per block.
-    pub x_delayed: Vec<BitVec>,
+    pub x_delayed: BitMatrix,
     /// `N-INSERT_n` per block.
-    pub n_insert: Vec<BitVec>,
+    pub n_insert: BitMatrix,
     /// `X-INSERT_n` per block.
-    pub x_insert: Vec<BitVec>,
+    pub x_insert: BitMatrix,
     /// Solver node evaluations (complexity experiments).
     pub evaluations: u64,
 }
 
-/// The delayability equations as a forward all-paths [`BitProblem`].
-fn delay_problem(prog: &Program, table: &PatternTable, local: &LocalInfo) -> BitProblem {
-    let width = table.len();
-    let transfer: Vec<GenKill> = prog
-        .node_ids()
-        .map(|n| {
-            GenKill::new(
-                local.locdelayed[n.index()].clone(),
-                local.locblocked[n.index()].clone(),
-            )
-        })
-        .collect();
-    BitProblem {
-        direction: Direction::Forward,
-        meet: Meet::Intersection,
-        width,
-        transfer,
-        boundary: BitVec::zeros(width), // N-DELAYED_s = false
-    }
-}
-
 impl DelayInfo {
-    /// Runs the analysis.
+    /// Runs the analysis: a forward all-paths problem whose transfer
+    /// rows are `LOCDELAYED` (gen) and `LOCBLOCKED` (kill), read in
+    /// place from `local`.
     pub fn compute(
         prog: &Program,
         view: &CfgView,
         table: &PatternTable,
         local: &LocalInfo,
     ) -> DelayInfo {
-        let sol = solve(view, &delay_problem(prog, table, local));
-        DelayInfo::from_solution(prog, view, table, local, sol)
+        let width = table.len();
+        let sol = solve(
+            view,
+            &BitProblem {
+                direction: Direction::Forward,
+                meet: Meet::Intersection,
+                width,
+                gen: &local.locdelayed,
+                kill: &local.locblocked,
+                boundary: BitVec::zeros(width), // N-DELAYED_s = false
+            },
+        );
+        DelayInfo::from_solution(prog, view, local, sol)
     }
 
     /// Derives the insertion points (`N-INSERT`/`X-INSERT`) from a
-    /// delayability fixpoint. Scratch vectors are reused across nodes:
+    /// delayability fixpoint. One scratch row serves every node:
     /// `∃_m ¬N-DELAYED_m` is computed as `¬∧_m N-DELAYED_m`, so the
-    /// inner loop is a sparse intersection instead of a clone + negate
+    /// inner loop is a sparse intersection instead of a copy + negate
     /// + union per successor.
     fn from_solution(
         prog: &Program,
         view: &CfgView,
-        table: &PatternTable,
         local: &LocalInfo,
         sol: Solution,
     ) -> DelayInfo {
-        let width = table.len();
+        let width = sol.entry.width();
         let nblocks = prog.num_blocks();
-        let mut n_insert = vec![BitVec::zeros(width); nblocks];
-        let mut x_insert = vec![BitVec::zeros(width); nblocks];
+        let mut n_insert = BitMatrix::zeros(nblocks, width);
+        let mut x_insert = BitMatrix::zeros(nblocks, width);
         let mut all_delayed = BitVec::zeros(width);
         for n in prog.node_ids() {
             let i = n.index();
             // N-INSERT = N-DELAYED ∧ LOCBLOCKED
-            let mut ni = sol.entry[i].clone();
-            ni.intersect_with(&local.locblocked[i]);
-            n_insert[i] = ni;
+            let mut ni = n_insert.row_mut(i);
+            ni.copy_from(sol.entry.row(i));
+            ni.intersect_with(local.locblocked.row(i));
             // X-INSERT = X-DELAYED ∧ ∃ succ ¬N-DELAYED
             let succs = view.succs(n);
             if !succs.is_empty() {
-                all_delayed.fill(true);
+                let mut all = all_delayed.as_row_mut();
+                all.fill(true);
                 for &m in succs {
-                    all_delayed.intersect_with_skip(&sol.entry[m.index()]);
+                    all.intersect_with_skip(sol.entry.row(m.index()));
                 }
-                all_delayed.negate(); // = ∃ succ ¬N-DELAYED
-                let mut xi = sol.exit[i].clone();
-                xi.intersect_with(&all_delayed);
-                x_insert[i] = xi;
+                all.negate(); // = ∃ succ ¬N-DELAYED
+                let mut xi = x_insert.row_mut(i);
+                xi.copy_from(sol.exit.row(i));
+                xi.intersect_with(all.as_row());
             }
         }
         DelayInfo {
@@ -113,16 +106,6 @@ impl DelayInfo {
             x_insert,
             evaluations: sol.evaluations,
         }
-    }
-
-    /// Patterns to insert at the entry of `n`, in pattern-index order.
-    pub fn entry_insertions(&self, n: NodeId) -> Vec<usize> {
-        self.n_insert[n.index()].iter_ones().collect()
-    }
-
-    /// Patterns to insert at the exit of `n`, in pattern-index order.
-    pub fn exit_insertions(&self, n: NodeId) -> Vec<usize> {
-        self.x_insert[n.index()].iter_ones().collect()
     }
 }
 
@@ -168,15 +151,15 @@ mod tests {
         let n3 = idx(&p, &d, "n3");
         let n1 = idx(&p, &d, "n1");
         // Delayable out of n1 into both successors.
-        assert!(d.x_delayed[n1].get(y_ab));
-        assert!(d.n_delayed[n2].get(y_ab));
-        assert!(d.n_delayed[n3].get(y_ab));
+        assert!(d.x_delayed.row(n1).get(y_ab));
+        assert!(d.n_delayed.row(n2).get(y_ab));
+        assert!(d.n_delayed.row(n3).get(y_ab));
         // Blocked at entry of both: insert there.
-        assert!(d.n_insert[n2].get(y_ab));
-        assert!(d.n_insert[n3].get(y_ab));
+        assert!(d.n_insert.row(n2).get(y_ab));
+        assert!(d.n_insert.row(n3).get(y_ab));
         // Not delayable beyond.
-        assert!(!d.x_delayed[n2].get(y_ab));
-        assert!(!d.x_delayed[n3].get(y_ab));
+        assert!(!d.x_delayed.row(n2).get(y_ab));
+        assert!(!d.x_delayed.row(n3).get(y_ab));
     }
 
     /// The join must be all-paths: if only one predecessor delays the
@@ -195,11 +178,11 @@ mod tests {
         assert_eq!(t.len(), 1);
         let j = idx(&p, &d, "j");
         let l = idx(&p, &d, "l");
-        assert!(d.x_delayed[l].get(0));
-        assert!(!d.n_delayed[j].get(0), "r does not delay x := a+1");
+        assert!(d.x_delayed.row(l).get(0));
+        assert!(!d.n_delayed.row(j).get(0), "r does not delay x := a+1");
         // Hence insertion at the exit of l.
-        assert!(d.x_insert[l].get(0));
-        assert!(!d.n_insert[j].get(0));
+        assert!(d.x_insert.row(l).get(0));
+        assert!(!d.n_insert.row(j).get(0));
     }
 
     /// Sinking towards loop exits: the candidate in the loop header is
@@ -228,27 +211,27 @@ mod tests {
         let after = idx(&p, &d, "after");
         let s_hh = idx(&p, &d, "S_h_h");
         // Delayable out of h into both the repeat block and the exit.
-        assert!(d.x_delayed[h].get(0));
-        assert!(d.n_delayed[s_hh].get(0));
-        assert!(d.n_delayed[after].get(0));
+        assert!(d.x_delayed.row(h).get(0));
+        assert!(d.n_delayed.row(s_hh).get(0));
+        assert!(d.n_delayed.row(after).get(0));
         // The meet at h's entry fails (path from s carries no instance).
-        assert!(!d.n_delayed[h].get(0));
+        assert!(!d.n_delayed.row(h).get(0));
         // Insertions: at the exit of the repeat block, and at the entry
         // of the loop exit (blocked there by out(x)).
-        assert!(d.x_insert[s_hh].get(0));
-        assert!(d.n_insert[after].get(0));
-        assert!(!d.x_insert[h].get(0));
+        assert!(d.x_insert.row(s_hh).get(0));
+        assert!(d.n_insert.row(after).get(0));
+        assert!(!d.x_insert.row(h).get(0));
     }
 
     /// Entry boundary: nothing is delayed into the start node.
     #[test]
     fn entry_is_never_delayed_into() {
         let (p, _t, d) = analyse("prog { block s { x := 1; goto e } block e { halt } }");
-        assert!(d.n_delayed[p.entry().index()].none());
+        assert!(d.n_delayed.row(p.entry().index()).none());
         // But the candidate makes the exit delayed.
-        assert!(d.x_delayed[p.entry().index()].get(0));
+        assert!(d.x_delayed.row(p.entry().index()).get(0));
         // Exit node has no successors: no X-INSERT.
-        assert!(d.x_insert[p.exit().index()].none());
+        assert!(d.x_insert.row(p.exit().index()).none());
     }
 
     /// A pattern delayable to the end node is never inserted anywhere:
@@ -258,8 +241,8 @@ mod tests {
         let (p, _t, d) =
             analyse("prog { block s { x := 1; goto m } block m { goto e } block e { halt } }");
         for n in p.node_ids() {
-            assert!(d.n_insert[n.index()].none(), "{}", p.block(n).name);
-            assert!(d.x_insert[n.index()].none(), "{}", p.block(n).name);
+            assert!(d.n_insert.row(n.index()).none(), "{}", p.block(n).name);
+            assert!(d.x_insert.row(n.index()).none(), "{}", p.block(n).name);
         }
     }
 }

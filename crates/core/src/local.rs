@@ -9,7 +9,7 @@
 //! candidate, since every occurrence blocks its predecessors (it modifies
 //! `x`).
 
-use pdce_dfa::BitVec;
+use pdce_dfa::BitMatrix;
 use pdce_ir::{NodeId, Program};
 
 use crate::patterns::PatternTable;
@@ -17,13 +17,17 @@ use crate::patterns::PatternTable;
 /// Per-block local information feeding Table 2.
 #[derive(Debug, Clone)]
 pub struct LocalInfo {
-    /// `LOCDELAYED_n(α)`: block `n` contains a sinking candidate of `α`.
-    pub locdelayed: Vec<BitVec>,
-    /// `LOCBLOCKED_n(α)`: some instruction of `n` blocks `α`.
-    pub locblocked: Vec<BitVec>,
-    /// For each block, the `(stmt index, pattern index)` pairs of its
-    /// sinking candidates, in statement order.
-    pub candidates: Vec<Vec<(usize, usize)>>,
+    /// `LOCDELAYED_n(α)`, row per block: block `n` contains a sinking
+    /// candidate of `α`.
+    pub locdelayed: BitMatrix,
+    /// `LOCBLOCKED_n(α)`, row per block: some instruction of `n` blocks
+    /// `α`.
+    pub locblocked: BitMatrix,
+    /// Block `n`'s candidates are `candidates[starts[n]..starts[n + 1]]`.
+    starts: Vec<usize>,
+    /// Every block's `(stmt index, pattern index)` candidate pairs, in
+    /// block order and, within a block, in statement order.
+    candidates: Vec<(usize, usize)>,
 }
 
 impl LocalInfo {
@@ -34,42 +38,75 @@ impl LocalInfo {
     /// `blocked[p]` is still clear when the scan reaches it, and every
     /// statement then ORs in its blocking masks (a later occurrence of
     /// `p` writes `x`, so it blocks every earlier one). What is blocked
-    /// when the scan leaves the block is `LOCBLOCKED`.
+    /// when the scan leaves the block is `LOCBLOCKED`. The candidate
+    /// list is sized up front (at most one candidate per statement), so
+    /// the whole computation allocates four buffers.
     pub fn compute(prog: &Program, table: &PatternTable) -> LocalInfo {
         let nblocks = prog.num_blocks();
         let width = table.len();
-        let mut locdelayed = vec![BitVec::zeros(width); nblocks];
-        let mut locblocked = vec![BitVec::zeros(width); nblocks];
-        let mut candidates = vec![Vec::new(); nblocks];
+        let mut locdelayed = BitMatrix::zeros(nblocks, width);
+        let mut locblocked = BitMatrix::zeros(nblocks, width);
+        let mut starts = Vec::with_capacity(nblocks + 1);
+        let num_stmts = prog.node_ids().map(|n| prog.block(n).stmts.len()).sum();
+        let mut candidates = Vec::with_capacity(num_stmts);
 
         for n in prog.node_ids() {
             let block = prog.block(n);
             let i = n.index();
-            let blocked = &mut locblocked[i];
-            let cands = &mut candidates[i];
-            table.union_terminator_blocks(prog, &block.term, blocked);
+            starts.push(candidates.len());
+            let mut blocked = locblocked.row_mut(i);
+            table.union_terminator_blocks(prog, &block.term, &mut blocked);
             for (k, stmt) in block.stmts.iter().enumerate().rev() {
                 if let Some(p) = table.index_of_stmt(stmt) {
                     if !blocked.get(p) {
-                        locdelayed[i].set(p, true);
-                        cands.push((k, p));
+                        locdelayed.row_mut(i).set(p, true);
+                        candidates.push((k, p));
                     }
                 }
-                table.union_stmt_blocks(prog, stmt, blocked);
+                table.union_stmt_blocks(prog, stmt, &mut blocked);
             }
-            cands.reverse();
+            candidates[starts[i]..].reverse();
         }
+        starts.push(candidates.len());
 
         LocalInfo {
             locdelayed,
             locblocked,
+            starts,
             candidates,
         }
     }
 
     /// Sinking candidates of block `n` as `(stmt index, pattern index)`.
     pub fn candidates_of(&self, n: NodeId) -> &[(usize, usize)] {
-        &self.candidates[n.index()]
+        &self.candidates[self.starts[n.index()]..self.starts[n.index() + 1]]
+    }
+
+    /// Restricts sinking to the blocks `allowed` marks (Section 7's hot
+    /// region): every other block contributes no candidates and blocks
+    /// every pattern, so no instance moves through, out of, or
+    /// originates in it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `allowed` does not have one entry per block.
+    pub fn restrict_to(&mut self, allowed: &[bool]) {
+        let nblocks = self.starts.len() - 1;
+        assert_eq!(allowed.len(), nblocks, "region mask length");
+        let mut kept = 0;
+        for (i, &allow) in allowed.iter().enumerate() {
+            let (lo, hi) = (self.starts[i], self.starts[i + 1]);
+            self.starts[i] = kept;
+            if allow {
+                self.candidates.copy_within(lo..hi, kept);
+                kept += hi - lo;
+            } else {
+                self.locdelayed.row_mut(i).fill(false);
+                self.locblocked.row_mut(i).fill(true);
+            }
+        }
+        self.starts[nblocks] = kept;
+        self.candidates.truncate(kept);
     }
 }
 
@@ -99,13 +136,13 @@ mod tests {
         let y_ab = (0..t.len())
             .find(|&k| t.key(k).as_str() == "y := a + b")
             .unwrap();
-        assert!(!i.locdelayed[p.entry().index()].get(y_ab));
-        assert!(i.locblocked[p.entry().index()].get(y_ab));
+        assert!(!i.locdelayed.row(p.entry().index()).get(y_ab));
+        assert!(i.locblocked.row(p.entry().index()).get(y_ab));
         // `x := 3*y` is a candidate: nothing after it blocks it.
         let x_3y = (0..t.len())
             .find(|&k| t.key(k).as_str() == "x := 3 * y")
             .unwrap();
-        assert!(i.locdelayed[p.entry().index()].get(x_3y));
+        assert!(i.locdelayed.row(p.entry().index()).get(x_3y));
     }
 
     /// Figure 13 (right block): with a second occurrence
@@ -122,12 +159,12 @@ mod tests {
         let y_ab = (0..t.len())
             .find(|&k| t.key(k).as_str() == "y := a + b")
             .unwrap();
-        assert!(!i.locdelayed[p.entry().index()].get(y_ab));
+        assert!(!i.locdelayed.row(p.entry().index()).get(y_ab));
         // `a := d` itself is a trailing candidate.
         let a_d = (0..t.len())
             .find(|&k| t.key(k).as_str() == "a := d")
             .unwrap();
-        assert!(i.locdelayed[p.entry().index()].get(a_d));
+        assert!(i.locdelayed.row(p.entry().index()).get(a_d));
         assert_eq!(
             i.candidates_of(p.entry())
                 .iter()
@@ -150,11 +187,11 @@ mod tests {
         let y_ab = (0..t.len())
             .find(|&k| t.key(k).as_str() == "y := a + b")
             .unwrap();
-        assert!(i.locdelayed[p.entry().index()].get(y_ab));
+        assert!(i.locdelayed.row(p.entry().index()).get(y_ab));
         assert_eq!(i.candidates_of(p.entry()), &[(2, y_ab)]);
         // The pattern is also locally blocked (the second occurrence
         // blocks the first by modifying y).
-        assert!(i.locblocked[p.entry().index()].get(y_ab));
+        assert!(i.locblocked.row(p.entry().index()).get(y_ab));
     }
 
     #[test]
@@ -166,16 +203,16 @@ mod tests {
                block e { halt }
              }",
         );
-        assert!(!i.locdelayed[p.entry().index()].get(0));
-        assert!(i.locblocked[p.entry().index()].get(0));
+        assert!(!i.locdelayed.row(p.entry().index()).get(0));
+        assert!(i.locblocked.row(p.entry().index()).get(0));
         assert!(i.candidates_of(p.entry()).is_empty());
     }
 
     #[test]
     fn relevant_statement_blocks() {
         let (p, _t, i) = info("prog { block s { x := a; out(x); goto e } block e { halt } }");
-        assert!(!i.locdelayed[p.entry().index()].get(0));
-        assert!(i.locblocked[p.entry().index()].get(0));
+        assert!(!i.locdelayed.row(p.entry().index()).get(0));
+        assert!(i.locblocked.row(p.entry().index()).get(0));
     }
 
     #[test]
@@ -187,10 +224,10 @@ mod tests {
              }",
         );
         assert_eq!(i.candidates_of(p.entry()).len(), 2);
-        assert_eq!(i.locdelayed[p.entry().index()].count_ones(), 2);
+        assert_eq!(i.locdelayed.row(p.entry().index()).count_ones(), 2);
         // Neither blocks the other, but each occurrence blocks its own
         // pattern (it modifies its left-hand side).
-        assert_eq!(i.locblocked[p.entry().index()].count_ones(), 2);
+        assert_eq!(i.locblocked.row(p.entry().index()).count_ones(), 2);
         let _ = t;
     }
 
@@ -198,8 +235,8 @@ mod tests {
     fn empty_blocks_have_no_predicates() {
         let (p, _t, i) =
             info("prog { block s { goto m } block m { x := 1; goto e } block e { halt } }");
-        assert!(i.locdelayed[p.entry().index()].none());
-        assert!(i.locblocked[p.entry().index()].none());
+        assert!(i.locdelayed.row(p.entry().index()).none());
+        assert!(i.locblocked.row(p.entry().index()).none());
         assert!(i.candidates_of(p.entry()).is_empty());
     }
 

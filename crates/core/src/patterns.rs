@@ -7,14 +7,15 @@
 //! blocking queries that the local predicates are built from.
 //!
 //! Blocking is stored per variable, as two pattern masks: a read of `v`
-//! blocks `by_use[v]` (the patterns `v := t`), a write of `v` blocks
-//! `by_def[v]` (the patterns `v := t` and every `x := t` with `v` in
-//! `t`). A statement's blocked set is then the union of one mask per
-//! variable it touches, ⌈a/64⌉ words each, instead of `a` term probes.
+//! blocks row `v` of `by_use` (the patterns `v := t`), a write of `v`
+//! blocks row `v` of `by_def` (the patterns `v := t` and every `x := t`
+//! with `v` in `t`). A statement's blocked set is then the union of one
+//! mask per variable it touches, ⌈a/64⌉ words each, instead of `a` term
+//! probes.
 
 use std::collections::HashMap;
 
-use pdce_dfa::BitVec;
+use pdce_dfa::{BitMatrix, RowMut};
 use pdce_ir::{PatternKey, Program, Stmt, TermId, Terminator, Var};
 
 /// Dense table of the assignment patterns occurring in a program.
@@ -23,10 +24,10 @@ pub struct PatternTable {
     patterns: Vec<(Var, TermId)>,
     keys: Vec<PatternKey>,
     index: HashMap<(Var, TermId), usize>,
-    /// Indexed by variable: the patterns a read of it blocks.
-    by_use: Vec<BitVec>,
-    /// Indexed by variable: the patterns a write of it blocks.
-    by_def: Vec<BitVec>,
+    /// Row per variable: the patterns a read of it blocks.
+    by_use: BitMatrix,
+    /// Row per variable: the patterns a write of it blocks.
+    by_def: BitMatrix,
 }
 
 impl PatternTable {
@@ -54,13 +55,13 @@ impl PatternTable {
         let mut patterns = Vec::with_capacity(width);
         let mut keys = Vec::with_capacity(width);
         let mut index = HashMap::with_capacity(width);
-        let mut by_use = vec![BitVec::zeros(width); prog.num_vars()];
+        let mut by_use = BitMatrix::zeros(prog.num_vars(), width);
         let mut by_def = by_use.clone();
         for (i, (key, (x, t))) in keyed.into_iter().enumerate() {
-            by_use[x.index()].set(i, true);
-            by_def[x.index()].set(i, true);
+            by_use.row_mut(x.index()).set(i, true);
+            by_def.row_mut(x.index()).set(i, true);
             for v in prog.terms().vars_of(t) {
-                by_def[v.index()].set(i, true);
+                by_def.row_mut(v.index()).set(i, true);
             }
             index.insert((x, t), i);
             patterns.push((x, t));
@@ -119,10 +120,10 @@ impl PatternTable {
     /// uses `x`, or modifies `x` (Definition 3.1 discussion); the local
     /// predicates of sinking and hoisting are built from these masks.
     /// Variables the table has never seen block nothing.
-    pub fn union_stmt_blocks(&self, prog: &Program, stmt: &Stmt, blocked: &mut BitVec) {
+    pub fn union_stmt_blocks(&self, prog: &Program, stmt: &Stmt, blocked: &mut RowMut<'_>) {
         self.union_read_blocks(prog, stmt.used_term(), blocked);
-        if let Some(mask) = stmt.modified().and_then(|m| self.by_def.get(m.index())) {
-            blocked.union_with(mask);
+        if let Some(m) = stmt.modified().filter(|m| m.index() < self.by_def.rows()) {
+            blocked.union_with(self.by_def.row(m.index()));
         }
     }
 
@@ -130,15 +131,20 @@ impl PatternTable {
     /// each variable its condition reads. Only conditional branches read
     /// variables (the condition is a relevant use); no terminator
     /// modifies anything.
-    pub fn union_terminator_blocks(&self, prog: &Program, term: &Terminator, blocked: &mut BitVec) {
+    pub fn union_terminator_blocks(
+        &self,
+        prog: &Program,
+        term: &Terminator,
+        blocked: &mut RowMut<'_>,
+    ) {
         self.union_read_blocks(prog, term.used_term(), blocked);
     }
 
-    fn union_read_blocks(&self, prog: &Program, read: Option<TermId>, blocked: &mut BitVec) {
+    fn union_read_blocks(&self, prog: &Program, read: Option<TermId>, blocked: &mut RowMut<'_>) {
         let Some(t) = read else { return };
         for v in prog.terms().vars_of(t) {
-            if let Some(mask) = self.by_use.get(v.index()) {
-                blocked.union_with(mask);
+            if v.index() < self.by_use.rows() {
+                blocked.union_with(self.by_use.row(v.index()));
             }
         }
     }
@@ -147,12 +153,13 @@ impl PatternTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pdce_dfa::BitVec;
     use pdce_ir::parser::parse;
 
     /// Whether `stmt` blocks pattern `p`, read off the masks.
     fn stmt_blocks(table: &PatternTable, prog: &Program, p: usize, stmt: &Stmt) -> bool {
         let mut blocked = BitVec::zeros(table.len());
-        table.union_stmt_blocks(prog, stmt, &mut blocked);
+        table.union_stmt_blocks(prog, stmt, &mut blocked.as_row_mut());
         blocked.get(p)
     }
 
@@ -164,7 +171,7 @@ mod tests {
         term: &Terminator,
     ) -> bool {
         let mut blocked = BitVec::zeros(table.len());
-        table.union_terminator_blocks(prog, term, &mut blocked);
+        table.union_terminator_blocks(prog, term, &mut blocked.as_row_mut());
         blocked.get(p)
     }
 

@@ -133,14 +133,7 @@ pub fn sink_assignments_cached(
     }
     let mut local = LocalInfo::compute(prog, &table);
     if let Some(allowed) = region {
-        assert_eq!(allowed.len(), prog.num_blocks(), "region mask length");
-        for n in prog.node_ids() {
-            if !allowed[n.index()] {
-                local.locdelayed[n.index()].fill(false);
-                local.locblocked[n.index()].fill(true);
-                local.candidates[n.index()].clear();
-            }
-        }
+        local.restrict_to(allowed);
     }
     let region_key: Option<Vec<bool>> = region.map(<[bool]>::to_vec);
     let cached = cache.analysis::<CachedDelay, _>(prog, |p, v| CachedDelay {
@@ -168,14 +161,15 @@ pub fn sink_assignments_cached(
         if view.rpo_index(n) == usize::MAX {
             continue;
         }
-        let entry_ins = delay.entry_insertions(n);
-        let exit_ins = delay.exit_insertions(n);
+        // Insertions in pattern-index order.
+        let entry_ins = delay.n_insert.row(n.index());
+        let exit_ins = delay.x_insert.row(n.index());
         let candidates = local.candidates_of(n);
-        if entry_ins.is_empty() && exit_ins.is_empty() && candidates.is_empty() {
+        if entry_ins.none() && exit_ins.none() && candidates.is_empty() {
             continue;
         }
         debug_assert!(
-            exit_ins.is_empty() || view.succs(n).len() <= 1,
+            exit_ins.none() || view.succs(n).len() <= 1,
             "X-INSERT at branching node {} — critical edge left unsplit?",
             prog.block(n).name
         );
@@ -185,8 +179,9 @@ pub fn sink_assignments_cached(
             Stmt::Assign { lhs, rhs }
         };
         let old = &prog.block(n).stmts;
-        let mut new_stmts = Vec::with_capacity(old.len() + entry_ins.len() + exit_ins.len());
-        new_stmts.extend(entry_ins.iter().map(|&p| make(p)));
+        let inserted = entry_ins.count_ones() + exit_ins.count_ones();
+        let mut new_stmts = Vec::with_capacity(old.len() + inserted);
+        new_stmts.extend(entry_ins.iter_ones().map(make));
         let mut doomed = candidates.iter().map(|&(k, _)| k).peekable();
         for (k, stmt) in old.iter().enumerate() {
             if doomed.peek() == Some(&k) {
@@ -196,8 +191,8 @@ pub fn sink_assignments_cached(
                 new_stmts.push(*stmt);
             }
         }
-        new_stmts.extend(exit_ins.iter().map(|&p| make(p)));
-        outcome.inserted += (entry_ins.len() + exit_ins.len()) as u64;
+        new_stmts.extend(exit_ins.iter_ones().map(make));
+        outcome.inserted += inserted as u64;
         // Write back only when the list actually differs (a stable block
         // re-derives its own statements: candidates removed and
         // re-inserted in place). Skipping the write keeps the program
@@ -226,14 +221,14 @@ pub fn sink_assignments_cached(
                         "sinking candidate",
                     ));
                 }
-                for &p in &entry_ins {
+                for p in entry_ins.iter_ones() {
                     pdce_trace::provenance(prov(
                         pdce_trace::ProvAction::Inserted,
                         &make(p),
                         "entry insertion",
                     ));
                 }
-                for &p in &exit_ins {
+                for p in exit_ins.iter_ones() {
                     pdce_trace::provenance(prov(
                         pdce_trace::ProvAction::Inserted,
                         &make(p),
@@ -293,8 +288,8 @@ pub fn sinking_is_stable_cached(prog: &Program, cache: &mut AnalysisCache) -> bo
         let cands = local.candidates_of(n);
         let tail = prog.block(n).stmts.len() - cands.len();
         view.rpo_index(n) == usize::MAX
-            || (delay.n_insert[i].none()
-                && delay.x_insert[i] == local.locdelayed[i]
+            || (delay.n_insert.row(i).none()
+                && delay.x_insert.row(i) == local.locdelayed.row(i)
                 && cands.iter().enumerate().all(|(j, &(k, _))| k == tail + j)
                 && cands.windows(2).all(|w| w[0].1 < w[1].1))
     })

@@ -133,15 +133,23 @@ fn single_eliminations(
         Mode::Dead => None,
     };
     for n in prog.node_ids() {
-        let after = dead.as_ref().map(|d| d.after_each_stmt(prog, n));
-        for (k, stmt) in prog.block(n).stmts.iter().enumerate() {
+        let stmts = &prog.block(n).stmts;
+        // Dead mode reads each statement's lhs off the rolling walk.
+        let mut dead_lhs = vec![false; stmts.len()];
+        if let Some(d) = &dead {
+            d.for_each_stmt_after(prog, n, |k, after| {
+                if let Stmt::Assign { lhs, .. } = stmts[k] {
+                    dead_lhs[k] = after.get(lhs.index());
+                }
+            });
+        }
+        for (k, stmt) in stmts.iter().enumerate() {
             let Stmt::Assign { lhs, .. } = *stmt else {
                 continue;
             };
-            let removable = match (&after, &faint) {
-                (Some(a), _) => a[k].get(lhs.index()),
-                (_, Some(f)) => f.faint_after(n, k, lhs),
-                _ => unreachable!(),
+            let removable = match &faint {
+                None => dead_lhs[k],
+                Some(f) => f.faint_after(n, k, lhs),
             };
             if removable {
                 let mut next = prog.clone();

@@ -1,12 +1,16 @@
 //! Dense fixed-width bit vectors.
 //!
 //! The data-flow analyses of the paper are bit-vector problems (Tables 1
-//! and 2); this module provides the underlying representation: a dense
-//! `u64`-block vector with the set-algebra operations the solvers need,
-//! plus change-reporting variants (`*_changed`) for worklist convergence
+//! and 2). A [`BitVec`] is one owned vector: the boundary values,
+//! scratch rows and per-program sets the analyses keep outside a
+//! [`BitMatrix`](crate::BitMatrix). Its set algebra is the row algebra
+//! of [`RowMut`], which it lends through [`BitVec::as_row_mut`], plus
+//! change-reporting variants (`*_changed`) for worklist convergence
 //! checks.
 
 use std::fmt;
+
+use crate::matrix::{IterOnes, Row, RowMut, BITS};
 
 /// A fixed-length vector of bits.
 #[derive(Clone, PartialEq, Eq, Hash)]
@@ -15,17 +19,16 @@ pub struct BitVec {
     len: usize,
 }
 
-const BITS: usize = 64;
-
 impl BitVec {
     /// Creates a vector of `len` bits, all set to `value`.
     pub fn new(len: usize, value: bool) -> BitVec {
-        let nblocks = len.div_ceil(BITS);
         let mut v = BitVec {
-            blocks: vec![if value { !0u64 } else { 0 }; nblocks],
+            blocks: vec![0; len.div_ceil(BITS)],
             len,
         };
-        v.mask_tail();
+        if value {
+            v.fill(true);
+        }
         v
     }
 
@@ -39,13 +42,16 @@ impl BitVec {
         BitVec::new(len, true)
     }
 
-    fn mask_tail(&mut self) {
-        let rem = self.len % BITS;
-        if rem != 0 {
-            if let Some(last) = self.blocks.last_mut() {
-                *last &= (1u64 << rem) - 1;
-            }
-        }
+    /// The vector as a read-only row view.
+    #[inline]
+    pub fn as_row(&self) -> Row<'_> {
+        Row::new(&self.blocks, self.len)
+    }
+
+    /// The vector as a writable row view.
+    #[inline]
+    pub fn as_row_mut(&mut self) -> RowMut<'_> {
+        RowMut::new(&mut self.blocks, self.len)
     }
 
     /// Number of bits.
@@ -63,9 +69,9 @@ impl BitVec {
     /// # Panics
     ///
     /// Panics if `i >= len`.
+    #[inline]
     pub fn get(&self, i: usize) -> bool {
-        assert!(i < self.len, "bit index {i} out of range {}", self.len);
-        (self.blocks[i / BITS] >> (i % BITS)) & 1 == 1
+        self.as_row().get(i)
     }
 
     /// Writes bit `i`.
@@ -73,27 +79,19 @@ impl BitVec {
     /// # Panics
     ///
     /// Panics if `i >= len`.
+    #[inline]
     pub fn set(&mut self, i: usize, value: bool) {
-        assert!(i < self.len, "bit index {i} out of range {}", self.len);
-        let mask = 1u64 << (i % BITS);
-        if value {
-            self.blocks[i / BITS] |= mask;
-        } else {
-            self.blocks[i / BITS] &= !mask;
-        }
+        self.as_row_mut().set(i, value);
     }
 
     /// Sets all bits to `value`.
     pub fn fill(&mut self, value: bool) {
-        for b in &mut self.blocks {
-            *b = if value { !0 } else { 0 };
-        }
-        self.mask_tail();
+        self.as_row_mut().fill(value);
     }
 
     /// Whether no bit is set.
     pub fn none(&self) -> bool {
-        self.blocks.iter().all(|&b| b == 0)
+        self.as_row().none()
     }
 
     /// Whether at least one bit is set.
@@ -103,18 +101,16 @@ impl BitVec {
 
     /// Number of set bits.
     pub fn count_ones(&self) -> usize {
-        self.blocks.iter().map(|b| b.count_ones() as usize).sum()
+        self.as_row().count_ones()
     }
 
-    /// Overwrites `self` with `other`'s bits without reallocating —
-    /// the scratch-buffer reuse primitive of the solver hot loops.
+    /// Overwrites `self` with `other`'s bits without reallocating.
     ///
     /// # Panics
     ///
     /// Panics on length mismatch.
     pub fn copy_from(&mut self, other: &BitVec) {
-        self.check_len(other);
-        self.blocks.copy_from_slice(&other.blocks);
+        self.as_row_mut().copy_from(other.as_row());
     }
 
     /// `self |= other`.
@@ -123,10 +119,7 @@ impl BitVec {
     ///
     /// Panics on length mismatch.
     pub fn union_with(&mut self, other: &BitVec) {
-        self.check_len(other);
-        for (a, b) in self.blocks.iter_mut().zip(&other.blocks) {
-            *a |= b;
-        }
+        self.as_row_mut().union_with(other.as_row());
     }
 
     /// `self &= other`.
@@ -135,10 +128,7 @@ impl BitVec {
     ///
     /// Panics on length mismatch.
     pub fn intersect_with(&mut self, other: &BitVec) {
-        self.check_len(other);
-        for (a, b) in self.blocks.iter_mut().zip(&other.blocks) {
-            *a &= b;
-        }
+        self.as_row_mut().intersect_with(other.as_row());
     }
 
     /// `self &= !other` (set difference).
@@ -147,151 +137,59 @@ impl BitVec {
     ///
     /// Panics on length mismatch.
     pub fn difference_with(&mut self, other: &BitVec) {
-        self.check_len(other);
-        for (a, b) in self.blocks.iter_mut().zip(&other.blocks) {
-            *a &= !b;
-        }
+        self.as_row_mut().difference_with(other.as_row());
     }
 
     /// `self |= other`, reporting whether any bit changed.
     pub fn union_with_changed(&mut self, other: &BitVec) -> bool {
-        self.check_len(other);
-        let mut changed = false;
-        for (a, b) in self.blocks.iter_mut().zip(&other.blocks) {
-            let new = *a | b;
-            changed |= new != *a;
-            *a = new;
-        }
-        changed
+        self.as_row_mut().union_with_changed(other.as_row())
     }
 
     /// `self &= other`, reporting whether any bit changed.
     pub fn intersect_with_changed(&mut self, other: &BitVec) -> bool {
-        self.check_len(other);
-        let mut changed = false;
-        for (a, b) in self.blocks.iter_mut().zip(&other.blocks) {
-            let new = *a & b;
-            changed |= new != *a;
-            *a = new;
-        }
-        changed
+        self.as_row_mut().intersect_with_changed(other.as_row())
     }
 
-    /// `self &= other`, skipping words of `self` that are already zero
-    /// (they cannot change under intersection). Returns the number of
-    /// words actually combined — the sparse word-operation count used by
-    /// the priority solver's `word_ops` accounting.
+    /// `self &= other`, skipping words of `self` that are already zero;
+    /// returns the number of words combined (see
+    /// [`RowMut::intersect_with_skip`]).
     ///
     /// # Panics
     ///
     /// Panics on length mismatch.
     pub fn intersect_with_skip(&mut self, other: &BitVec) -> u64 {
-        self.check_len(other);
-        let mut ops = 0;
-        for (a, b) in self.blocks.iter_mut().zip(&other.blocks) {
-            if *a == 0 {
-                continue;
-            }
-            *a &= b;
-            ops += 1;
-        }
-        ops
+        self.as_row_mut().intersect_with_skip(other.as_row())
     }
 
-    /// `self |= other`, skipping words where `other` contributes nothing
-    /// (all-zero words are the union identity). Returns the number of
-    /// words actually combined.
+    /// `self |= other`, skipping all-zero words of `other`; returns the
+    /// number of words combined (see [`RowMut::union_with_skip`]).
     ///
     /// # Panics
     ///
     /// Panics on length mismatch.
     pub fn union_with_skip(&mut self, other: &BitVec) -> u64 {
-        self.check_len(other);
-        let mut ops = 0;
-        for (a, b) in self.blocks.iter_mut().zip(&other.blocks) {
-            if *b == 0 {
-                continue;
-            }
-            *a |= b;
-            ops += 1;
-        }
-        ops
+        self.as_row_mut().union_with_skip(other.as_row())
     }
 
     /// Flips every bit in place.
     pub fn negate(&mut self) {
-        for b in &mut self.blocks {
-            *b = !*b;
-        }
-        self.mask_tail();
+        self.as_row_mut().negate();
     }
 
     /// Whether `self ⊆ other`.
     pub fn is_subset_of(&self, other: &BitVec) -> bool {
-        self.check_len(other);
-        self.blocks
-            .iter()
-            .zip(&other.blocks)
-            .all(|(a, b)| a & !b == 0)
+        self.as_row().is_subset_of(other.as_row())
     }
 
     /// Iterates over indices of set bits, ascending.
     pub fn iter_ones(&self) -> IterOnes<'_> {
-        IterOnes {
-            vec: self,
-            block_idx: 0,
-            current: self.blocks.first().copied().unwrap_or(0),
-        }
-    }
-
-    fn check_len(&self, other: &BitVec) {
-        assert_eq!(
-            self.len, other.len,
-            "bit vector length mismatch: {} vs {}",
-            self.len, other.len
-        );
+        self.as_row().iter_ones()
     }
 }
 
 impl fmt::Debug for BitVec {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "BitVec[{}]{{", self.len)?;
-        let mut first = true;
-        for i in self.iter_ones() {
-            if !first {
-                write!(f, ",")?;
-            }
-            write!(f, "{i}")?;
-            first = false;
-        }
-        write!(f, "}}")
-    }
-}
-
-/// Iterator over the set bits of a [`BitVec`], produced by
-/// [`BitVec::iter_ones`].
-pub struct IterOnes<'a> {
-    vec: &'a BitVec,
-    block_idx: usize,
-    current: u64,
-}
-
-impl Iterator for IterOnes<'_> {
-    type Item = usize;
-
-    fn next(&mut self) -> Option<usize> {
-        loop {
-            if self.current != 0 {
-                let bit = self.current.trailing_zeros() as usize;
-                self.current &= self.current - 1;
-                return Some(self.block_idx * BITS + bit);
-            }
-            self.block_idx += 1;
-            if self.block_idx >= self.vec.blocks.len() {
-                return None;
-            }
-            self.current = self.vec.blocks[self.block_idx];
-        }
+        write!(f, "BitVec{:?}", self.as_row())
     }
 }
 

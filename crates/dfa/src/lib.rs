@@ -2,8 +2,10 @@
 //!
 //! Layers:
 //!
-//! * [`bitvec`] — dense fixed-width bit vectors;
-//! * [`genkill`] + [`solve`](mod@solve) — block-level gen/kill problems solved by a
+//! * [`bitvec`] + [`matrix`] — dense fixed-width bit vectors, and the
+//!   row-strided [`BitMatrix`] every solve stores its per-node vectors
+//!   in, read through borrowed [`Row`] views;
+//! * [`solve`](mod@solve) — block-level gen/kill problems solved by a
 //!   priority worklist, covering the dead-variable (Table 1) and
 //!   delayability (Table 2) analyses of the paper plus the baseline
 //!   analyses (liveness, reaching definitions/copies, availability,
@@ -22,18 +24,21 @@
 //! # Example
 //!
 //! ```
-//! use pdce_dfa::{BitVec, GenKill};
+//! use pdce_dfa::{BitMatrix, BitVec};
 //!
-//! let mut gen = BitVec::zeros(4);
-//! gen.set(1, true);
-//! let f = GenKill::new(gen, BitVec::zeros(4));
-//! assert!(f.apply(&BitVec::zeros(4)).get(1));
+//! // Three 70-bit rows in one allocation, two words per row.
+//! let mut m = BitMatrix::zeros(3, 70);
+//! m.row_mut(1).set(69, true);
+//! assert_eq!(m.stride(), 2);
+//! assert_eq!(m.row(1).iter_ones().collect::<Vec<_>>(), vec![69]);
+//! let copy: BitVec = m.row(1).to_bitvec();
+//! assert!(m.row(0).none() && copy.get(69));
 //! ```
 
 pub mod bitvec;
 pub mod csr;
 pub mod du;
-pub mod genkill;
+pub mod matrix;
 pub mod network;
 pub mod pass;
 pub mod solve;
@@ -41,7 +46,7 @@ pub mod solve;
 pub use bitvec::BitVec;
 pub use csr::Csr;
 pub use du::{DuGraph, InstrKind};
-pub use genkill::GenKill;
+pub use matrix::{BitMatrix, Row, RowMut};
 pub use network::{solve_greatest_sparse, NetworkSolution};
 pub use pass::{run_until_stable, AnalysisCache, CacheStats, Pass, PassOutcome, Preserves};
 pub use solve::{solve, BitProblem, Direction, Meet, Solution};

@@ -20,7 +20,7 @@ use std::collections::BinaryHeap;
 use pdce_ir::{CfgView, NodeId};
 
 use crate::bitvec::BitVec;
-use crate::genkill::GenKill;
+use crate::matrix::{BitMatrix, Row};
 
 /// Analysis direction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -40,17 +40,23 @@ pub enum Meet {
     Union,
 }
 
-/// A block-level bit-vector data-flow problem.
+/// A block-level bit-vector data-flow problem. Node `n`'s transfer is
+/// `f_n(X) = gen_n ∪ (X ∖ kill_n)`, read from row `n` of the borrowed
+/// `gen` and `kill` matrices, so a problem over per-block predicates an
+/// analysis already stores (delayability's `LOCDELAYED`/`LOCBLOCKED`)
+/// costs no copy.
 #[derive(Debug, Clone)]
-pub struct BitProblem {
+pub struct BitProblem<'a> {
     /// Direction of flow.
     pub direction: Direction,
     /// Confluence operator.
     pub meet: Meet,
     /// Bit width of the vectors.
     pub width: usize,
-    /// Per-node transfer functions, indexed by node index.
-    pub transfer: Vec<GenKill>,
+    /// Per-node `gen` rows, indexed by node index.
+    pub gen: &'a BitMatrix,
+    /// Per-node `kill` rows, indexed by node index.
+    pub kill: &'a BitMatrix,
     /// Boundary value: at the entry's entry (forward) or the exit's exit
     /// (backward).
     pub boundary: BitVec,
@@ -58,14 +64,14 @@ pub struct BitProblem {
 
 /// Solution of a [`BitProblem`].
 ///
-/// `entry[n]`/`exit[n]` are the values at block entry and exit in
-/// *program* orientation, independent of analysis direction.
+/// Row `n` of `entry`/`exit` is the value at block `n`'s entry and exit
+/// in *program* orientation, independent of analysis direction.
 #[derive(Debug, Clone)]
 pub struct Solution {
     /// Value at each block's entry.
-    pub entry: Vec<BitVec>,
+    pub entry: BitMatrix,
     /// Value at each block's exit.
-    pub exit: Vec<BitVec>,
+    pub exit: BitMatrix,
     /// Number of node evaluations performed (for complexity experiments).
     pub evaluations: u64,
     /// `u64` word operations spent on bit-vector meets, transfers, and
@@ -75,13 +81,13 @@ pub struct Solution {
 
 impl Solution {
     /// Value at the entry of `n`.
-    pub fn at_entry(&self, n: NodeId) -> &BitVec {
-        &self.entry[n.index()]
+    pub fn at_entry(&self, n: NodeId) -> Row<'_> {
+        self.entry.row(n.index())
     }
 
     /// Value at the exit of `n`.
-    pub fn at_exit(&self, n: NodeId) -> &BitVec {
-        &self.exit[n.index()]
+    pub fn at_exit(&self, n: NodeId) -> Row<'_> {
+        self.exit.row(n.index())
     }
 }
 
@@ -90,26 +96,29 @@ impl Solution {
 /// Every node in the iteration order is queued once up front; a node
 /// whose output changes re-queues the flow-successors whose meet reads
 /// it. Nodes outside the order (unreachable) are never evaluated, so
-/// their outputs stay the meet identity.
+/// their outputs stay the meet identity. The meet and the transfer
+/// write straight into the node's rows, so a solve allocates the same
+/// handful of buffers whatever the node count.
 ///
 /// # Panics
 ///
-/// Panics if `problem.transfer.len()` does not match the node count or
+/// Panics if the transfer matrices do not have one row per node or
 /// widths are inconsistent.
-pub fn solve(view: &CfgView, problem: &BitProblem) -> Solution {
+pub fn solve(view: &CfgView, problem: &BitProblem<'_>) -> Solution {
     let n = view.num_nodes();
     let BitProblem {
         direction,
         meet,
         width,
-        ref transfer,
+        gen,
+        kill,
         ref boundary,
     } = *problem;
-    assert_eq!(transfer.len(), n, "one transfer per node required");
+    assert_eq!(gen.rows(), n, "one gen row per node required");
+    assert_eq!(kill.rows(), n, "one kill row per node required");
     assert_eq!(boundary.len(), width, "boundary width mismatch");
-    for t in transfer {
-        assert_eq!(t.width(), width, "transfer width mismatch");
-    }
+    assert_eq!(gen.width(), width, "transfer width mismatch");
+    assert_eq!(kill.width(), width, "transfer width mismatch");
     pdce_trace::fault::fire("solve");
     let trace_span = pdce_trace::span_with(
         "solver",
@@ -142,20 +151,18 @@ pub fn solve(view: &CfgView, problem: &BitProblem) -> Solution {
     // Words per bit vector: the unit of the word-operation counter.
     let words = width.div_ceil(64) as u64;
 
-    let interior_init = match meet {
-        Meet::Intersection => BitVec::ones(width),
-        Meet::Union => BitVec::zeros(width),
-    };
-
-    // `input[n]` is the meet-side value (entry for forward, exit for
-    // backward); `output[n]` is the transferred value.
-    let mut input = vec![interior_init.clone(); n];
-    let mut output = vec![interior_init.clone(); n];
+    // Row `n` of `input` is the meet-side value (entry for forward, exit
+    // for backward); row `n` of `output` is the transferred value.
+    let interior_init = meet == Meet::Intersection;
+    let mut input = BitMatrix::new(n, width, interior_init);
+    let mut output = BitMatrix::new(n, width, interior_init);
     let boundary_node = match direction {
         Direction::Forward => view.entry(),
         Direction::Backward => view.exit(),
     };
-    input[boundary_node.index()] = boundary.clone();
+    input
+        .row_mut(boundary_node.index())
+        .copy_from(boundary.as_row());
 
     // Iterate in an order that converges fast: RPO for forward problems,
     // postorder for backward ones — both precomputed slices of the view.
@@ -172,11 +179,6 @@ pub fn solve(view: &CfgView, problem: &BitProblem) -> Solution {
 
     let mut evaluations: u64 = 0;
     let mut word_ops: u64 = 0;
-    // Scratch vectors reused across every evaluation: the meet
-    // accumulator swaps into `input` (taking the old row as the next
-    // round's buffer) and the transfer result swaps into `output`.
-    let mut acc = interior_init.clone();
-    let mut new_out = interior_init;
     // Min-heap over order positions, seeded with every node; `queued`
     // dedups so a position is in the heap at most once.
     let mut heap: BinaryHeap<Reverse<u32>> = (0..order.len() as u32).map(Reverse).collect();
@@ -184,6 +186,7 @@ pub fn solve(view: &CfgView, problem: &BitProblem) -> Solution {
     while let Some(Reverse(pos)) = heap.pop() {
         queued.set(pos as usize, false);
         let node = order[pos as usize];
+        let i = node.index();
         evaluations += 1;
         pdce_trace::budget::charge_pops(1);
         if node != boundary_node {
@@ -191,26 +194,27 @@ pub fn solve(view: &CfgView, problem: &BitProblem) -> Solution {
                 Direction::Forward => view.preds(node),
                 Direction::Backward => view.succs(node),
             };
-            if !sources.is_empty() {
+            if let Some((first, rest)) = sources.split_first() {
                 // One copy, then sparse word-skipping meets that only
                 // touch (and only count) non-identity words.
                 word_ops += words;
-                acc.copy_from(&output[sources[0].index()]);
-                for &src in &sources[1..] {
+                let mut acc = input.row_mut(i);
+                acc.copy_from(output.row(first.index()));
+                for &src in rest {
                     word_ops += match meet {
-                        Meet::Intersection => acc.intersect_with_skip(&output[src.index()]),
-                        Meet::Union => acc.union_with_skip(&output[src.index()]),
+                        Meet::Intersection => acc.intersect_with_skip(output.row(src.index())),
+                        Meet::Union => acc.union_with_skip(output.row(src.index())),
                     };
                 }
-                std::mem::swap(&mut input[node.index()], &mut acc);
             }
         }
         // Gen/kill transfer (&!kill then |gen) plus the convergence
         // compare.
         word_ops += words * 3;
-        transfer[node.index()].apply_into(&input[node.index()], &mut new_out);
-        if new_out != output[node.index()] {
-            std::mem::swap(&mut output[node.index()], &mut new_out);
+        if output
+            .row_mut(i)
+            .set_transfer(input.row(i), gen.row(i), kill.row(i))
+        {
             // Re-queue flow-successors whose meet reads this node's
             // output.
             let dependents: &[NodeId] = match direction {
@@ -262,42 +266,33 @@ mod tests {
     use pdce_ir::parser::parse;
     use pdce_ir::Program;
 
-    /// Builds a trivial per-node transfer: bit 0 is generated in blocks
-    /// whose name is in `gens`, killed in blocks in `kills`.
-    fn problem_for(
+    /// Solves a trivial one-bit problem: bit 0 is generated in blocks
+    /// whose name is in `gens`, killed in blocks in `kills`, and zero at
+    /// the boundary.
+    fn solve_for(
         prog: &Program,
         direction: Direction,
         meet: Meet,
         gens: &[&str],
         kills: &[&str],
-    ) -> BitProblem {
+    ) -> Solution {
         let width = 1;
-        let transfer = prog
-            .node_ids()
-            .map(|n| {
-                let name = prog.block(n).name.as_str();
-                let mut gen = BitVec::zeros(width);
-                let mut kill = BitVec::zeros(width);
-                if gens.contains(&name) {
-                    gen.set(0, true);
-                }
-                if kills.contains(&name) {
-                    kill.set(0, true);
-                }
-                GenKill::new(gen, kill)
-            })
-            .collect();
-        let boundary = match meet {
-            Meet::Intersection => BitVec::zeros(width),
-            Meet::Union => BitVec::zeros(width),
-        };
-        BitProblem {
+        let mut gen = BitMatrix::zeros(prog.num_blocks(), width);
+        let mut kill = BitMatrix::zeros(prog.num_blocks(), width);
+        for n in prog.node_ids() {
+            let name = prog.block(n).name.as_str();
+            gen.row_mut(n.index()).set(0, gens.contains(&name));
+            kill.row_mut(n.index()).set(0, kills.contains(&name));
+        }
+        let problem = BitProblem {
             direction,
             meet,
             width,
-            transfer,
-            boundary,
-        }
+            gen: &gen,
+            kill: &kill,
+            boundary: BitVec::zeros(width),
+        };
+        solve(&CfgView::new(prog), &problem)
     }
 
     fn diamond() -> Program {
@@ -317,9 +312,7 @@ mod tests {
     fn forward_union_reaches_any_path() {
         // "Generated in a": reaches j and e via union.
         let p = diamond();
-        let view = CfgView::new(&p);
-        let prob = problem_for(&p, Direction::Forward, Meet::Union, &["a"], &[]);
-        let sol = solve(&view, &prob);
+        let sol = solve_for(&p, Direction::Forward, Meet::Union, &["a"], &[]);
         let j = p.block_by_name("j").unwrap();
         assert!(sol.at_entry(j).get(0));
         assert!(sol.at_exit(p.exit()).get(0));
@@ -329,15 +322,12 @@ mod tests {
     #[test]
     fn forward_intersection_requires_all_paths() {
         let p = diamond();
-        let view = CfgView::new(&p);
         // Generated only on one arm: does not survive the join under ∩.
-        let prob = problem_for(&p, Direction::Forward, Meet::Intersection, &["a"], &[]);
-        let sol = solve(&view, &prob);
+        let sol = solve_for(&p, Direction::Forward, Meet::Intersection, &["a"], &[]);
         let j = p.block_by_name("j").unwrap();
         assert!(!sol.at_entry(j).get(0));
         // Generated on both arms: survives.
-        let prob = problem_for(&p, Direction::Forward, Meet::Intersection, &["a", "b"], &[]);
-        let sol = solve(&view, &prob);
+        let sol = solve_for(&p, Direction::Forward, Meet::Intersection, &["a", "b"], &[]);
         assert!(sol.at_entry(j).get(0));
     }
 
@@ -356,9 +346,7 @@ mod tests {
              }",
         )
         .unwrap();
-        let view = CfgView::new(&p);
-        let prob = problem_for(&p, Direction::Backward, Meet::Intersection, &["x"], &[]);
-        let sol = solve(&view, &prob);
+        let sol = solve_for(&p, Direction::Backward, Meet::Intersection, &["x"], &[]);
         let h = p.block_by_name("h").unwrap();
         let body = p.block_by_name("body").unwrap();
         assert!(sol.at_entry(h).get(0));
@@ -376,9 +364,7 @@ mod tests {
              }",
         )
         .unwrap();
-        let view = CfgView::new(&p);
-        let prob = problem_for(&p, Direction::Forward, Meet::Union, &["a"], &["k"]);
-        let sol = solve(&view, &prob);
+        let sol = solve_for(&p, Direction::Forward, Meet::Union, &["a"], &["k"]);
         let k = p.block_by_name("k").unwrap();
         assert!(sol.at_entry(k).get(0));
         assert!(!sol.at_exit(k).get(0));
@@ -388,11 +374,9 @@ mod tests {
     #[test]
     fn boundary_overrides_interior_init() {
         let p = diamond();
-        let view = CfgView::new(&p);
         // Intersection problem with zero boundary: without boundary
         // handling the all-ones init would claim the property at entry.
-        let prob = problem_for(&p, Direction::Forward, Meet::Intersection, &[], &[]);
-        let sol = solve(&view, &prob);
+        let sol = solve_for(&p, Direction::Forward, Meet::Intersection, &[], &[]);
         assert!(!sol.at_entry(p.entry()).get(0));
         assert!(!sol.at_exit(p.exit()).get(0));
     }

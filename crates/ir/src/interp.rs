@@ -160,8 +160,6 @@ impl Default for ExecLimits {
 pub struct Trace {
     /// Values emitted by `out(t)` statements, in order.
     pub outputs: Vec<i64>,
-    /// Sequence of blocks visited.
-    pub block_path: Vec<NodeId>,
     /// Decisions taken at `nondet` terminators, in order.
     pub decisions: Vec<usize>,
     /// Number of statements executed (`skip` included).
@@ -243,7 +241,6 @@ pub fn run(
 ) -> Trace {
     let mut trace = Trace {
         outputs: Vec::new(),
-        block_path: Vec::new(),
         decisions: Vec::new(),
         executed_stmts: 0,
         executed_assignments: 0,
@@ -257,7 +254,6 @@ pub fn run(
             return trace;
         }
         visits += 1;
-        trace.block_path.push(node);
         let block = prog.block(node);
         for stmt in &block.stmts {
             trace.executed_stmts += 1;
@@ -403,7 +399,8 @@ mod tests {
         // Replaying yields the identical trace.
         let t2 = run_with(&p, &[], t1.decisions.clone(), ExecLimits::default());
         assert_eq!(t1.outputs, t2.outputs);
-        assert_eq!(t1.block_path, t2.block_path);
+        assert_eq!(t1.decisions, t2.decisions);
+        assert_eq!(t1.executed_stmts, t2.executed_stmts);
     }
 
     #[test]
@@ -427,7 +424,11 @@ mod tests {
             },
         );
         assert!(!t.completed);
-        assert_eq!(t.block_path.len(), 10);
+        // Ten visits: `s`, then `s2` nine times, each ending in a
+        // decision; only the `s2` visits run `out(1)`.
+        assert_eq!(t.decisions.len(), 10);
+        assert_eq!(t.outputs, vec![1; 9]);
+        assert_eq!(t.executed_stmts, 9);
     }
 
     #[test]

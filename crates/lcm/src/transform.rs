@@ -28,7 +28,7 @@
 use std::error::Error;
 use std::fmt;
 
-use pdce_dfa::{solve, AnalysisCache, BitProblem, BitVec, Direction, GenKill, Meet};
+use pdce_dfa::{solve, AnalysisCache, BitMatrix, BitProblem, BitVec, Direction, Meet};
 use pdce_ir::edgesplit::has_critical_edges;
 use pdce_ir::{NodeId, Program, Stmt, TermData, Terminator, Var};
 
@@ -111,6 +111,8 @@ pub fn lazy_code_motion_cached(
     let view = cache.cfg(prog);
     let local = ExprLocal::compute(prog, &table);
 
+    // Both problems kill what is not transparent.
+    let not_transp = rows(&local.transp, width, true);
     // Anticipability (down-safety), backward.
     let ant = solve(
         &view,
@@ -118,7 +120,8 @@ pub fn lazy_code_motion_cached(
             direction: Direction::Backward,
             meet: Meet::Intersection,
             width,
-            transfer: genkill(&local.antloc, &local.transp),
+            gen: &rows(&local.antloc, width, false),
+            kill: &not_transp,
             boundary: BitVec::zeros(width),
         },
     );
@@ -129,7 +132,8 @@ pub fn lazy_code_motion_cached(
             direction: Direction::Forward,
             meet: Meet::Intersection,
             width,
-            transfer: genkill(&local.comp, &local.transp),
+            gen: &rows(&local.comp, width, false),
+            kill: &not_transp,
             boundary: BitVec::zeros(width),
         },
     );
@@ -146,18 +150,15 @@ pub fn lazy_code_motion_cached(
     let earliest: Vec<BitVec> = edges
         .iter()
         .map(|&(m, n)| {
-            let mut e = ant.at_entry(n).clone();
+            let mut e = ant.at_entry(n).to_bitvec();
             match m {
                 usize::MAX => e, // ⊥: nothing available, nothing transparent
                 m => {
-                    let mut not_avout = avail.exit[m].clone();
-                    not_avout.negate();
-                    e.intersect_with(&not_avout);
+                    e.as_row_mut().difference_with(avail.exit.row(m));
                     // ¬TRANSP_m ∨ ¬ANTOUT_m
                     let mut tr_and_ant = local.transp[m].clone();
-                    tr_and_ant.intersect_with(&ant.exit[m]);
-                    tr_and_ant.negate();
-                    e.intersect_with(&tr_and_ant);
+                    tr_and_ant.as_row_mut().intersect_with(ant.exit.row(m));
+                    e.difference_with(&tr_and_ant);
                     e
                 }
             }
@@ -363,15 +364,17 @@ fn rewrite_block(
     }
 }
 
-fn genkill(gen: &[BitVec], transp: &[BitVec]) -> Vec<GenKill> {
-    gen.iter()
-        .zip(transp)
-        .map(|(g, t)| {
-            let mut kill = t.clone();
-            kill.negate();
-            GenKill::new(g.clone(), kill)
-        })
-        .collect()
+/// The per-block vectors `vs` as matrix rows, complemented if `negate`.
+fn rows(vs: &[BitVec], width: usize, negate: bool) -> BitMatrix {
+    let mut m = BitMatrix::zeros(vs.len(), width);
+    for (i, v) in vs.iter().enumerate() {
+        let mut row = m.row_mut(i);
+        row.copy_from(v.as_row());
+        if negate {
+            row.negate();
+        }
+    }
+    m
 }
 
 fn fresh_temp(prog: &mut Program, i: usize) -> Var {

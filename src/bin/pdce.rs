@@ -958,7 +958,7 @@ fn cmd_analyze(args: &[String]) -> Result<(), CliError> {
             };
             println!("  {}{}", print_stmt(&prog, stmt), suffix);
         }
-        let fmt_bits = |bits: &pdce::dfa::BitVec| -> String {
+        let fmt_bits = |bits: pdce::dfa::Row<'_>| -> String {
             let names: Vec<String> = bits.iter_ones().map(|i| table.key(i).to_string()).collect();
             if names.is_empty() {
                 "∅".to_owned()
@@ -966,10 +966,10 @@ fn cmd_analyze(args: &[String]) -> Result<(), CliError> {
                 names.join(" | ")
             }
         };
-        println!("  N-DELAYED: {}", fmt_bits(&delay.n_delayed[n.index()]));
-        println!("  X-DELAYED: {}", fmt_bits(&delay.x_delayed[n.index()]));
-        println!("  N-INSERT:  {}", fmt_bits(&delay.n_insert[n.index()]));
-        println!("  X-INSERT:  {}", fmt_bits(&delay.x_insert[n.index()]));
+        println!("  N-DELAYED: {}", fmt_bits(delay.n_delayed.row(n.index())));
+        println!("  X-DELAYED: {}", fmt_bits(delay.x_delayed.row(n.index())));
+        println!("  N-INSERT:  {}", fmt_bits(delay.n_insert.row(n.index())));
+        println!("  X-INSERT:  {}", fmt_bits(delay.x_insert.row(n.index())));
     }
     Ok(())
 }

@@ -34,17 +34,18 @@ fn assert_matches_reference(prog: &Program, what: &str) {
     for n in prog.node_ids() {
         let (i, name) = (n.index(), &prog.block(n).name);
         assert_eq!(
-            bits(&got.locdelayed[i]),
+            bits(got.locdelayed.row(i)),
             want.locdelayed[i],
             "{what}: LOCDELAYED differs in {name}"
         );
         assert_eq!(
-            bits(&got.locblocked[i]),
+            bits(got.locblocked.row(i)),
             want.locblocked[i],
             "{what}: LOCBLOCKED differs in {name}"
         );
         assert_eq!(
-            got.candidates[i], want.candidates[i],
+            got.candidates_of(n),
+            want.candidates[i],
             "{what}: candidates differ in {name}"
         );
     }
@@ -142,12 +143,12 @@ fn masks_agree_with_blocking_rules() {
         let block = p.block(n);
         for stmt in &block.stmts {
             let mut got = BitVec::zeros(table.len());
-            table.union_stmt_blocks(&p, stmt, &mut got);
+            table.union_stmt_blocks(&p, stmt, &mut got.as_row_mut());
             let want = rule(&|q| support::spec::stmt_blocks(&p, q, stmt));
             assert_eq!(got.iter_ones().collect::<Vec<_>>(), want, "{stmt:?}");
         }
         let mut got = BitVec::zeros(table.len());
-        table.union_terminator_blocks(&p, &block.term, &mut got);
+        table.union_terminator_blocks(&p, &block.term, &mut got.as_row_mut());
         let want = rule(&|q| support::spec::terminator_blocks(&p, q, &block.term));
         assert_eq!(got.iter_ones().collect::<Vec<_>>(), want);
     }

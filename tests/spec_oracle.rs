@@ -11,9 +11,11 @@
 //!   spec driver, before and after 4 random statement edits.
 //!
 //! Inputs: the hand-written corpus, 512 generated programs of 10–120
-//! blocks with 6–12 variables, and 32 programs of opt_large's shape
-//! (100–400 blocks, 16–24 variables). Every eighth generated program is
-//! irreducible (`tangled`).
+//! blocks with 6–12 variables, 32 programs of opt_large's shape
+//! (100–400 blocks, 16–24 variables), and 34 programs of 30–200 blocks
+//! with 60–140 variables, whose dead rows span two or three words (two
+//! of them have exactly 64 and 128 variables, rows with no spare tail
+//! bit). Every eighth generated program is irreducible (`tangled`).
 
 mod support;
 
@@ -91,6 +93,18 @@ fn large() -> Vec<(String, Program)> {
     generated(32, 0x5bec_0002, (100, 400), (16, 24))
 }
 
+/// Programs whose variable rows are more than one word wide: 32 with
+/// 60–140 variables, plus one with exactly 64 and one with exactly 128.
+fn wide() -> Vec<(String, Program)> {
+    let mut programs = generated(32, 0x5bec_0003, (30, 200), (60, 140));
+    for (seed, vars) in [(0x5bec_0064, 64), (0x5bec_0128, 128)] {
+        let (name, prog) = generated(1, seed, (30, 200), (vars, vars)).remove(0);
+        assert_eq!(prog.num_vars(), vars, "{name}: exact width");
+        programs.push((format!("{name} with {vars} variables"), prog));
+    }
+    programs
+}
+
 /// Production dead, faint and delay values equal the spec's on every
 /// reachable block.
 fn assert_analyses_match(prog: &Program, what: &str) {
@@ -120,7 +134,7 @@ fn assert_analyses_match(prog: &Program, what: &str) {
         );
         for (k, after) in dead.after_each_stmt(prog, n).iter().enumerate() {
             assert_eq!(
-                bits(after),
+                bits(after.as_row()),
                 row(&|v| spec_dead.after(n, k, v)),
                 "{what}: X-DEAD after {name}[{k}]"
             );
@@ -143,7 +157,7 @@ fn assert_analyses_match(prog: &Program, what: &str) {
             (&delay.n_insert, &spec_delay.n_insert, "N-INSERT"),
             (&delay.x_insert, &spec_delay.x_insert, "X-INSERT"),
         ] {
-            assert_eq!(bits(&got[i]), want[i], "{what}: {label} of {name}");
+            assert_eq!(bits(got.row(i)), want[i], "{what}: {label} of {name}");
         }
     }
 }
@@ -217,6 +231,11 @@ fn analyses_match_the_spec_at_opt_large_shape() {
     check_analyses_after_edits(programs, 0x5bec_a002);
 }
 
+#[test]
+fn analyses_match_the_spec_on_multi_word_rows() {
+    check_analyses(&wide());
+}
+
 /// Removing `out(y)` from a loop makes faintness ripple back through
 /// the loop into earlier blocks.
 #[test]
@@ -268,4 +287,9 @@ fn optimizers_print_the_spec_programs_after_random_stmt_edits() {
 #[test]
 fn optimizers_print_the_spec_programs_at_opt_large_shape() {
     check_optimizers(large());
+}
+
+#[test]
+fn optimizers_print_the_spec_programs_on_multi_word_rows() {
+    check_optimizers(wide());
 }

@@ -5,12 +5,12 @@
 
 pub mod spec;
 
-use pdce::dfa::BitVec;
+use pdce::dfa::Row;
 use pdce::ir::{NodeId, Program};
 use pdce_rng::Rng;
 
-/// A production bit vector as the spec's `Vec<bool>`.
-pub fn bits(v: &BitVec) -> Vec<bool> {
+/// A production bit-vector row as the spec's `Vec<bool>`.
+pub fn bits(v: Row<'_>) -> Vec<bool> {
     (0..v.len()).map(|i| v.get(i)).collect()
 }
 

@@ -102,20 +102,20 @@ fn table2_delayability_fixpoint_on_fig1() {
     let a2 = pat("y := a + b");
 
     // Local predicates (Figure 13's candidate rules).
-    assert!(local.locdelayed[node("n1")].get(a2));
-    assert!(!local.locdelayed[node("n1")].get(a1));
-    assert!(local.locdelayed[node("n2")].get(a1));
-    assert!(local.locblocked[node("n1")].get(a1), "y := a+b mods y");
+    assert!(local.locdelayed.row(node("n1")).get(a2));
+    assert!(!local.locdelayed.row(node("n1")).get(a1));
+    assert!(local.locdelayed.row(node("n2")).get(a1));
+    assert!(local.locblocked.row(node("n1")).get(a1), "y := a+b mods y");
     assert!(
-        local.locblocked[node("n1")].get(a2),
+        local.locblocked.row(node("n1")).get(a2),
         "the occurrence itself"
     );
-    assert!(local.locblocked[node("n3")].get(a1), "out(y) uses y");
-    assert!(local.locblocked[node("n3")].get(a2));
-    assert!(local.locblocked[node("n4")].get(a1));
-    assert!(local.locblocked[node("n4")].get(a2));
-    assert!(!local.locblocked[node("s")].get(a1));
-    assert!(!local.locblocked[node("s")].get(a2));
+    assert!(local.locblocked.row(node("n3")).get(a1), "out(y) uses y");
+    assert!(local.locblocked.row(node("n3")).get(a2));
+    assert!(local.locblocked.row(node("n4")).get(a1));
+    assert!(local.locblocked.row(node("n4")).get(a2));
+    assert!(!local.locblocked.row(node("s")).get(a1));
+    assert!(!local.locblocked.row(node("s")).get(a2));
 
     // N-DELAYED: α₂ reaches the entries of n2 and n3, nothing else.
     for (blk, bit, expected) in [
@@ -129,28 +129,28 @@ fn table2_delayability_fixpoint_on_fig1() {
         ("n4", a1, false),
     ] {
         assert_eq!(
-            delay.n_delayed[node(blk)].get(bit),
+            delay.n_delayed.row(node(blk)).get(bit),
             expected,
             "N-DELAYED mismatch at {blk}"
         );
     }
 
     // X-DELAYED: α₂ at n1's exit; α₁ at n2's exit.
-    assert!(delay.x_delayed[node("n1")].get(a2));
-    assert!(delay.x_delayed[node("n2")].get(a1));
-    assert!(!delay.x_delayed[node("n2")].get(a2));
-    assert!(!delay.x_delayed[node("n3")].get(a2));
+    assert!(delay.x_delayed.row(node("n1")).get(a2));
+    assert!(delay.x_delayed.row(node("n2")).get(a1));
+    assert!(!delay.x_delayed.row(node("n2")).get(a2));
+    assert!(!delay.x_delayed.row(node("n3")).get(a2));
 
     // Insertion points: α₂ at the entries of n2 and n3; α₁ re-inserted
     // at n2's exit (the n3 path never carries it, so the meet at n4
     // fails).
-    assert!(delay.n_insert[node("n2")].get(a2));
-    assert!(delay.n_insert[node("n3")].get(a2));
-    assert!(!delay.n_insert[node("n4")].get(a2));
-    assert!(delay.x_insert[node("n2")].get(a1));
+    assert!(delay.n_insert.row(node("n2")).get(a2));
+    assert!(delay.n_insert.row(node("n3")).get(a2));
+    assert!(!delay.n_insert.row(node("n4")).get(a2));
+    assert!(delay.x_insert.row(node("n2")).get(a1));
     for blk in ["s", "n1", "e"] {
-        assert!(delay.n_insert[node(blk)].none(), "{blk}");
-        assert!(delay.x_insert[node(blk)].none(), "{blk}");
+        assert!(delay.n_insert.row(node(blk)).none(), "{blk}");
+        assert!(delay.x_insert.row(node(blk)).none(), "{blk}");
     }
 }
 
