@@ -1,29 +1,28 @@
 //! Regenerates every experiment tracked in `EXPERIMENTS.md`:
 //! the figure corpus (the paper's worked examples) and the Section 6
 //! complexity claims C1–C6 plus the dynamic-cost comparison D1 — and
-//! emits the machine-readable `BENCH_PDE.json` summary (per-figure
-//! timings with solver counters, the scaling sweep, and the
-//! tracing-overhead A/B) so the perf trajectory has data.
+//! emits the machine-readable `BENCH_PDE.json` summary: one record per
+//! section, timing series measured as interleaved A/B pairs, and every
+//! acceptance bar of `benchjson::BARS` judged on the run's numbers.
 //!
 //! Run with: `cargo run --release -p pdce-bench --bin report`
 //!
-//! Flags: `--quick` runs the CI smoke slice only (figures + a small
-//! sweep + the tracing A/B); `--json PATH` overrides the summary path
-//! (default `BENCH_PDE.json` in the current directory); `--validate
-//! PATH` only checks an existing summary against the schema and exits;
-//! `--jobs N` shards the scaling sweep's per-size measurements across
-//! the `pdce-par` batch pool (default 1 — wall times in the JSON are
-//! only comparable across runs at the same job count).
+//! Flags: `--quick` runs the CI smoke slice only (figures, a small
+//! sweep, and the T sections on smaller workloads); `--json PATH`
+//! overrides the summary path (default `BENCH_PDE.json` in the current
+//! directory); `--validate PATH` only checks an existing summary and
+//! exits; `--jobs N` shards the scaling sweep's per-size measurements
+//! across the `pdce-par` batch pool (default 1 — wall times in the JSON
+//! are only comparable across runs at the same job count). The summary
+//! is written before it is judged: a failed bar is listed on stderr and
+//! the exit status is 1, exactly as `--validate` on the file would be.
 
 use std::rc::Rc;
 use std::time::Instant;
 
 use pdce_baselines::duchain::DuGraph;
 use pdce_baselines::Liveness;
-use pdce_bench::benchjson::{
-    self, BenchSummary, CsrAb, FigureRow, MetricsSection, PassLatencyRow, RecoverySection,
-    ResilienceTotals, ServeSection, SweepRow, TracingAb, TvAb,
-};
+use pdce_bench::benchjson::{self, paired, Document, Record, Series, BARS};
 use pdce_bench::{figure_corpus, fit_loglog_slope, measure, verify_figure};
 use pdce_core::driver::{optimize, PdceConfig};
 use pdce_core::elim::{eliminate_fixpoint, Mode};
@@ -32,8 +31,6 @@ use pdce_dfa::AnalysisCache;
 use pdce_ir::interp::{run, Env, ExecLimits, ReplayOracle, SeededOracle};
 use pdce_ir::{CfgView, Program};
 use pdce_pass::Pipeline;
-#[allow(unused_imports)]
-use pdce_progen::tangled as _tangled_reexport_check;
 use pdce_progen::{
     diamond_ladder, faint_chain, many_defs_many_uses, second_order_tower, structured, GenConfig,
 };
@@ -58,16 +55,9 @@ fn main() {
         let path = args.get(i + 1).expect("--validate needs a path");
         let text =
             std::fs::read_to_string(path).unwrap_or_else(|e| panic!("cannot read `{path}`: {e}"));
-        match benchjson::validate(&text) {
-            Ok(()) => {
-                println!("{path}: schema-valid (v{})", benchjson::SCHEMA_VERSION);
-                return;
-            }
-            Err(e) => {
-                eprintln!("{path}: schema violation: {e}");
-                std::process::exit(1);
-            }
-        }
+        validate_or_exit(path, &text);
+        println!("{path}: schema-valid (v{})", benchjson::SCHEMA_VERSION);
+        return;
     }
 
     let figures = figures_table();
@@ -81,32 +71,83 @@ fn main() {
         c7_cache_effectiveness();
         d1_dynamic_costs();
     }
-    let tracing = t1_tracing_overhead(quick);
-    let (tv, resilience) = t2_tv_overhead(quick);
-    let csr = t3_csr_sharing(quick);
-    let metrics = t4_metrics_plane(quick);
-    let serve = t5_serving(quick);
-    let recovery = t7_recovery(quick);
-
-    let summary = BenchSummary {
-        quick,
-        figures,
-        sweep,
-        tracing,
-        tv,
-        csr,
-        metrics,
-        serve,
-        recovery,
-        resilience,
-    };
-    let text = summary.to_json();
-    benchjson::validate(&text).expect("emitted BENCH_PDE.json is schema-valid");
+    type Section = fn(bool) -> (String, Vec<Series>);
+    let sections: [(&str, Section); 6] = [
+        ("tracing", t1_tracing_overhead),
+        ("tv", t2_tv_overhead),
+        ("csr", t3_csr_sharing),
+        ("metrics", t4_metrics_plane),
+        ("serve", t5_serving),
+        ("recovery", t7_recovery),
+    ];
+    let mut records = vec![figures, sweep];
+    for (id, section) in sections {
+        let (workload, series) = section(quick);
+        let id = id.to_string();
+        records.push(Record {
+            id,
+            workload,
+            series,
+        });
+        print_record(&records[records.len() - 1]);
+    }
+    let text = Document { quick, records }.to_json();
     std::fs::write(&json_path, &text).unwrap_or_else(|e| panic!("cannot write `{json_path}`: {e}"));
     println!(
         "\nwrote machine-readable summary to {json_path} (schema v{})",
         benchjson::SCHEMA_VERSION
     );
+    validate_or_exit(&json_path, &text);
+}
+
+/// Validates a summary, listing every violation and exiting 1 on any.
+fn validate_or_exit(path: &str, text: &str) {
+    if let Err(e) = benchjson::validate(text) {
+        eprintln!("{path}: schema violation: {e}");
+        std::process::exit(1);
+    }
+}
+
+/// Prints a record's series (median and interquartile range) and its
+/// bars with their verdicts.
+fn print_record(r: &Record) {
+    println!("workload: {}\n", r.workload);
+    println!(
+        "{:<30} {:>14} {:>14} {:>14} {:>4}  counters",
+        "series", "median", "q1", "q3", "n"
+    );
+    for s in &r.series {
+        let counters: Vec<String> = s.counters.iter().map(|(k, v)| format!("{k}={v}")).collect();
+        println!(
+            "{:<30} {:>14.3} {:>14.3} {:>14.3} {:>4}  {}",
+            s.name,
+            s.median,
+            s.q1,
+            s.q3,
+            s.n,
+            counters.join(" ")
+        );
+    }
+    for bar in BARS.iter().filter(|b| b.record == r.id) {
+        let verdict = match bar.judge(Some(r)) {
+            Ok(()) => "pass".to_string(),
+            Err(e) => format!("FAIL ({e})"),
+        };
+        println!("bar {} {} {}: {verdict}", bar.metric, bar.op, bar.threshold);
+    }
+}
+
+/// Wall time of one call, in nanoseconds.
+fn time_ns(f: impl FnOnce()) -> f64 {
+    let t = Instant::now();
+    f();
+    t.elapsed().as_nanos() as f64
+}
+
+/// Per-pair samples of an A/B timing: both times and B's overhead over
+/// A in percent (negative when B was faster).
+fn overhead(a: f64, b: f64) -> Vec<f64> {
+    vec![a, b, (b - a) * 100.0 / a]
 }
 
 fn hr(title: &str) {
@@ -115,13 +156,13 @@ fn hr(title: &str) {
     println!("==========================================================");
 }
 
-fn figures_table() -> Vec<FigureRow> {
+fn figures_table() -> Record {
     hr("Figures 1-13: worked-example reproduction (paper vs measured)");
     println!(
         "{:<8} {:<58} {:>10} {:>7} {:>6} {:>8} {:>9}",
         "figure", "claim", "reproduced", "rounds", "elim", "solves", "word-ops"
     );
-    let mut rows = Vec::new();
+    let mut series = Vec::new();
     for figure in figure_corpus() {
         let solver_before = pdce_trace::solver_totals();
         let started = Instant::now();
@@ -132,20 +173,24 @@ fn figures_table() -> Vec<FigureRow> {
             "{:<8} {:<58} {:>10} {:>7} {:>6} {:>8} {:>9}",
             figure.id, figure.claim, ok, rounds, eliminated, solver.problems, solver.word_ops
         );
-        rows.push(FigureRow {
-            id: figure.id.to_string(),
-            reproduced: ok,
-            rounds,
-            eliminated,
-            time_ns,
-            solver,
-        });
+        series.push(
+            Series::value(figure.id, time_ns as f64)
+                .with("reproduced", u64::from(ok))
+                .with("rounds", rounds)
+                .with("eliminated", eliminated)
+                .with_solver(&solver),
+        );
     }
-    rows
+    Record {
+        id: "figures".into(),
+        workload: "the paper's worked examples, one driver run each (ns)".into(),
+        series,
+    }
 }
 
-fn structured_of_size(n: usize, seed: u64) -> Program {
-    structured(&GenConfig {
+/// The generator settings of every random program in the report.
+fn gen_config(n: usize, seed: u64) -> GenConfig {
+    GenConfig {
         seed,
         target_blocks: n,
         num_vars: 8,
@@ -155,10 +200,14 @@ fn structured_of_size(n: usize, seed: u64) -> Program {
         max_depth: 12,
         expr_depth: 2,
         nondet: true,
-    })
+    }
 }
 
-fn c1_c2_scaling(quick: bool, jobs: usize) -> Vec<SweepRow> {
+fn structured_of_size(n: usize, seed: u64) -> Program {
+    structured(&gen_config(n, seed))
+}
+
+fn c1_c2_scaling(quick: bool, jobs: usize) -> Record {
     hr("C1/C2: pde & pfe runtime scaling on structured programs");
     println!("paper: worst case O(n^4)/O(n^5); expected O(n^2)/O(n^3) on");
     println!("realistic structured programs (Section 6.4).\n");
@@ -179,7 +228,7 @@ fn c1_c2_scaling(quick: bool, jobs: usize) -> Vec<SweepRow> {
         let mf = measure(n, &prog, &PdceConfig::pfe(), 3);
         (mp, mf)
     });
-    let mut rows = Vec::new();
+    let mut series = Vec::new();
     let mut pde_points = Vec::new();
     let mut pfe_points = Vec::new();
     for ((mp, mf), &n) in measured.into_iter().zip(sizes) {
@@ -195,14 +244,13 @@ fn c1_c2_scaling(quick: bool, jobs: usize) -> Vec<SweepRow> {
         );
         pde_points.push((mp.stmts as f64, mp.time_ns as f64));
         pfe_points.push((mf.stmts as f64, mf.time_ns as f64));
-        rows.push(SweepRow {
-            target: n,
-            blocks: mp.blocks,
-            stmts: mp.stmts,
-            pde_ns: mp.time_ns,
-            pfe_ns: mf.time_ns,
-            pde_solver: mp.stats.solver,
-        });
+        series.push(
+            Series::value(&format!("pde:{n}"), mp.time_ns as f64)
+                .with("blocks", mp.blocks as u64)
+                .with("stmts", mp.stmts as u64)
+                .with_solver(&mp.stats.solver),
+        );
+        series.push(Series::value(&format!("pfe:{n}"), mf.time_ns as f64));
     }
     println!(
         "\nfitted growth exponents (time vs statements): pde ≈ n^{:.2}, pfe ≈ n^{:.2}",
@@ -210,7 +258,11 @@ fn c1_c2_scaling(quick: bool, jobs: usize) -> Vec<SweepRow> {
         fit_loglog_slope(&pfe_points)
     );
     println!("paper expectation: pde ≲ 2, pfe ≲ 3 on structured inputs.");
-    rows
+    Record {
+        id: "sweep".into(),
+        workload: "pde and pfe per structured-program size, best of 3 (ns)".into(),
+        series,
+    }
 }
 
 fn c1b_irreducible_scaling() {
@@ -224,20 +276,7 @@ special casing (the Figure 5/6 claim, at scale)",
     );
     let mut points = Vec::new();
     for n in [24usize, 48, 96, 192, 384] {
-        let prog = pdce_progen::tangled(
-            &GenConfig {
-                seed: 23,
-                target_blocks: n,
-                num_vars: 8,
-                stmts_per_block: (1, 4),
-                out_prob: 0.2,
-                loop_prob: 0.3,
-                max_depth: 12,
-                expr_depth: 2,
-                nondet: true,
-            },
-            n / 4,
-        );
+        let prog = pdce_progen::tangled(&gen_config(n, 23), n / 4);
         let irreducible = !CfgView::new(&prog).is_reducible();
         let m = measure(n, &prog, &PdceConfig::pde(), 3);
         println!(
@@ -287,22 +326,6 @@ fn c3_analysis_costs() {
     let du = DuGraph::build(&prog, &view);
     let du_t = t.elapsed();
 
-    println!(
-        "{:<28} {:>12} {:>14}",
-        "analysis", "time (µs)", "evaluations"
-    );
-    println!(
-        "{:<28} {:>12.1} {:>14}",
-        "dead variables (bit-vector)",
-        dead_t.as_nanos() as f64 / 1e3,
-        dead.evaluations()
-    );
-    println!(
-        "{:<28} {:>12.1} {:>14}",
-        "faint variables (slotwise)",
-        faint_t.as_nanos() as f64 / 1e3,
-        faint.evaluations()
-    );
     // Local predicates OR one ⌈a/64⌉-word blocking mask per variable a
     // statement or condition touches; the per-pattern scan they replace
     // probed each (instruction, pattern) pair.
@@ -322,29 +345,24 @@ fn c3_analysis_costs() {
         })
         .sum();
     println!(
-        "{:<28} {:>12.1} {:>14}",
-        "pattern table + masks",
-        table_t.as_nanos() as f64 / 1e3,
-        table.len()
+        "{:<28} {:>12} {:>14}",
+        "analysis", "time (µs)", "evaluations"
     );
-    println!(
-        "{:<28} {:>12.1} {:>14}",
-        "local predicates (masks)",
-        local_t.as_nanos() as f64 / 1e3,
-        mask_unions * words
-    );
-    println!(
-        "{:<28} {:>12.1} {:>14}",
-        "delayability (bit-vector)",
-        delay_t.as_nanos() as f64 / 1e3,
-        delay.evaluations
-    );
-    println!(
-        "{:<28} {:>12.1} {:>14}",
-        "du-chain graph build",
-        du_t.as_nanos() as f64 / 1e3,
-        du.du_edges
-    );
+    for (name, t, evaluations) in [
+        ("dead variables (bit-vector)", dead_t, dead.evaluations()),
+        ("faint variables (slotwise)", faint_t, faint.evaluations()),
+        ("pattern table + masks", table_t, table.len() as u64),
+        (
+            "local predicates (masks)",
+            local_t,
+            (mask_unions * words) as u64,
+        ),
+        ("delayability (bit-vector)", delay_t, delay.evaluations),
+        ("du-chain graph build", du_t, du.du_edges),
+    ] {
+        let us = t.as_nanos() as f64 / 1e3;
+        println!("{name:<28} {us:>12.1} {evaluations:>14}");
+    }
     println!("\npaper: dead/delay are bit-vector problems; faint needs the");
     println!("slotwise O(i·v) algorithm (Section 6.1).");
     println!(
@@ -557,81 +575,48 @@ fn d1_dynamic_costs() {
     assert!(totals[1] <= totals[0]);
 }
 
-/// The disabled-tracing overhead A/B. Instrumentation cannot be
-/// compiled out at run time, so the bound is two interleaved best-of-N
-/// disabled-mode timings of the same pde sweep: their relative delta is
-/// an upper bound on (instrumentation cost + timer noise), which the
-/// acceptance bar requires to stay under 2%. A third series with a
-/// buffering `Collector` installed shows what enabling costs.
-fn t1_tracing_overhead(quick: bool) -> TracingAb {
-    hr("T1: tracing overhead A/B (disabled must stay within noise)");
+/// Optimizes a clone of every program in `progs` under `config`.
+fn optimize_all(progs: &[Program], config: &PdceConfig) {
+    for p in progs {
+        optimize(&mut p.clone(), config).expect("driver terminates");
+    }
+}
+
+/// One structured program per size in `sizes`, all from `seed`.
+fn programs(sizes: &[usize], seed: u64) -> Vec<Program> {
+    sizes.iter().map(|&n| structured_of_size(n, seed)).collect()
+}
+
+/// The tracing overhead, reported with no bar. Instrumentation cannot
+/// be compiled out at run time, so disabled-mode cost is bounded by A/A
+/// pairs of the same pde workload: the spread of their per-pair delta
+/// is instrumentation cost plus timer noise. A second set of pairs
+/// installs a buffering `Collector` on the B side to show what enabling
+/// costs.
+fn t1_tracing_overhead(quick: bool) -> (String, Vec<Series>) {
+    hr("T1: tracing overhead (disabled A/A, collector installed; no bar)");
     let sizes: &[usize] = if quick { &[24, 48] } else { &[24, 48, 96, 192] };
-    let progs: Vec<Program> = sizes.iter().map(|&n| structured_of_size(n, 11)).collect();
-    let workload = || {
-        for p in &progs {
-            let mut clone = p.clone();
-            optimize(&mut clone, &PdceConfig::pde()).expect("driver terminates");
-        }
+    let progs = programs(sizes, 11);
+    let disabled = || time_ns(|| optimize_all(&progs, &PdceConfig::pde()));
+    let enabled = || {
+        let _guard = pdce_trace::install(Rc::new(pdce_trace::Collector::new()));
+        disabled()
     };
-    let time_once = || {
-        let t = Instant::now();
-        workload();
-        t.elapsed().as_nanos()
-    };
-    let reps = if quick { 7 } else { 11 };
-    // Warmup, then interleave the two disabled series so drift (thermal,
-    // scheduler) hits both equally; keep the minimum of each.
-    workload();
-    let (mut a, mut b) = (u128::MAX, u128::MAX);
-    for _ in 0..reps {
-        a = a.min(time_once());
-        b = b.min(time_once());
-    }
-    let mut enabled = u128::MAX;
-    for _ in 0..reps {
-        let collector = Rc::new(pdce_trace::Collector::new());
-        let _guard = pdce_trace::install(collector);
-        enabled = enabled.min(time_once());
-    }
-    let disabled = a.min(b);
-    let delta_pct = (a.abs_diff(b)) as f64 * 100.0 / disabled as f64;
-    let overhead_pct = enabled.saturating_sub(disabled) as f64 * 100.0 / disabled as f64;
-    println!(
-        "workload: pde over {} structured programs, best of {reps}\n",
-        progs.len()
-    );
-    println!("{:<26} {:>12}", "series", "best (µs)");
-    println!("{:<26} {:>12.1}", "disabled A", a as f64 / 1e3);
-    println!("{:<26} {:>12.1}", "disabled B", b as f64 / 1e3);
-    println!(
-        "{:<26} {:>12.1}",
-        "collector installed",
-        enabled as f64 / 1e3
-    );
-    println!(
-        "\ndisabled A/B delta: {delta_pct:.2}% (acceptance bar <2%); enabled\n\
-         collection costs {overhead_pct:.1}% on this span/provenance-heavy sweep."
-    );
-    TracingAb {
-        workload: format!(
-            "pde over {} structured programs (targets {:?}), best of {reps}",
-            progs.len(),
-            sizes
-        ),
-        disabled_a_ns: a,
-        disabled_b_ns: b,
-        disabled_ab_delta_pct: delta_pct,
-        enabled_ns: enabled,
-        enabled_overhead_pct: overhead_pct,
-    }
+    let names = ["disabled_a_ns", "disabled_b_ns", "disabled_ab_delta_pct"];
+    let mut series = paired("tracing", &names, disabled, disabled, overhead);
+    let names = ["disabled_ns", "enabled_ns", "enabled_overhead_pct"];
+    series.extend(paired("tracing", &names, disabled, enabled, overhead));
+    (
+        format!("pde over structured programs {sizes:?} per side"),
+        series,
+    )
 }
 
 /// The translation-validation overhead A/B: the same pde workload with
 /// per-round semantic validation off and on (K seeded vectors through
-/// the interpreter per round), interleaved best-of-N, plus the
-/// accumulated resilience counters of the validated series. The
-/// acceptance bar requires the validated run to cost <10% extra.
-fn t2_tv_overhead(quick: bool) -> (TvAb, ResilienceTotals) {
+/// the interpreter per round). One more validated run supplies the
+/// resilience counters of the `on_ns` series.
+fn t2_tv_overhead(quick: bool) -> (String, Vec<Series>) {
     hr("T2: translation-validation overhead A/B (bar <10%)");
     // Solver work grows faster than interpreter work with program
     // size, so the per-round validation tax is measured where the
@@ -639,88 +624,49 @@ fn t2_tv_overhead(quick: bool) -> (TvAb, ResilienceTotals) {
     // would overstate the relative cost of the K executions per round.
     let vectors = 2u32;
     let sizes: &[usize] = if quick { &[48, 96] } else { &[48, 96, 192] };
-    let progs: Vec<Program> = sizes.iter().map(|&n| structured_of_size(n, 17)).collect();
-    let base = PdceConfig::pde();
+    let progs = programs(sizes, 17);
     let validated = PdceConfig::pde().with_validation(vectors);
-    let time_once = |config: &PdceConfig| {
-        let t = Instant::now();
-        for p in &progs {
-            let mut clone = p.clone();
-            optimize(&mut clone, config).expect("driver terminates");
-        }
-        t.elapsed().as_nanos()
-    };
-    let reps = if quick { 7 } else { 11 };
-    // Warmup both paths, then interleave so drift hits them equally.
-    time_once(&base);
-    time_once(&validated);
-    let (mut off, mut on) = (u128::MAX, u128::MAX);
-    for _ in 0..reps {
-        off = off.min(time_once(&base));
-        on = on.min(time_once(&validated));
-    }
-    let overhead_pct = on.saturating_sub(off) as f64 * 100.0 / off as f64;
-    let mut totals = ResilienceTotals::default();
+    let mut series = paired(
+        "tv",
+        &["off_ns", "on_ns", "tv_overhead_pct"],
+        || time_ns(|| optimize_all(&progs, &PdceConfig::pde())),
+        || time_ns(|| optimize_all(&progs, &validated)),
+        overhead,
+    );
     for p in &progs {
-        let mut clone = p.clone();
-        let stats = optimize(&mut clone, &validated).expect("driver terminates");
-        totals.rollbacks += stats.rollbacks;
-        totals.degradations += stats.degradations;
-        totals.tv_checks += stats.tv_checks;
-        totals.tv_rollbacks += stats.tv_rollbacks;
-        totals.budget_exhaustions += stats.budget_exhaustions;
+        let stats = optimize(&mut p.clone(), &validated).expect("driver terminates");
+        assert_eq!(
+            stats.tv_rollbacks, 0,
+            "the uninjected optimizer miscompiled"
+        );
+        for (name, v) in [
+            ("rollbacks", stats.rollbacks),
+            ("degradations", stats.degradations),
+            ("tv_checks", stats.tv_checks),
+            ("tv_rollbacks", stats.tv_rollbacks),
+            ("budget_exhaustions", stats.budget_exhaustions),
+        ] {
+            *series[1].counters.entry(name.into()).or_default() += v;
+        }
     }
-    println!(
-        "workload: pde over {} structured programs, {vectors} vectors/round, best of {reps}\n",
-        progs.len()
-    );
-    println!("{:<26} {:>12}", "series", "best (µs)");
-    println!("{:<26} {:>12.1}", "validation off", off as f64 / 1e3);
-    println!("{:<26} {:>12.1}", "validation on", on as f64 / 1e3);
-    println!(
-        "\ntv overhead: {overhead_pct:.2}% (acceptance bar <{}%); the validated\n\
-         series ran {} round check(s) and rolled back {} (expected 0 on a\n\
-         correct optimizer).",
-        benchjson::MAX_TV_OVERHEAD_PCT,
-        totals.tv_checks,
-        totals.tv_rollbacks
-    );
-    assert_eq!(
-        totals.tv_rollbacks, 0,
-        "the uninjected optimizer miscompiled"
-    );
-    (
-        TvAb {
-            workload: format!(
-                "pde over {} structured programs (targets {:?}), {vectors} vectors/round, \
-                 best of {reps}",
-                progs.len(),
-                sizes
-            ),
-            vectors,
-            off_ns: off,
-            on_ns: on,
-            tv_overhead_pct: overhead_pct,
-        },
-        totals,
-    )
+    let workload =
+        format!("pde over structured programs {sizes:?} per side, {vectors} vectors/round");
+    (workload, series)
 }
 
 /// The shared-`CfgView` A/B (the CSR refactor's headline number): the
-/// scaling sweep's analysis workload timed with every consumer building
-/// its own flow-graph view per analysis — the pre-CSR access pattern,
-/// where each layer recomputed predecessors and traversal orders
-/// privately — versus one revision-memoized CSR view shared through
-/// the [`AnalysisCache`]. Interleaved best-of-N; the acceptance bar
-/// requires the shared view to save ≥10% wall time.
-fn t3_csr_sharing(quick: bool) -> CsrAb {
+/// same analysis consumers with every one building its own flow-graph
+/// view — the pre-CSR access pattern, where each layer recomputed
+/// predecessors and traversal orders privately — versus one
+/// revision-memoized CSR view shared through the [`AnalysisCache`].
+fn t3_csr_sharing(quick: bool) -> (String, Vec<Series>) {
     hr("T3: shared CSR CfgView vs per-consumer rebuilds (bar ≥10%)");
     let sizes: &[usize] = if quick {
         &[24, 48, 96]
     } else {
         &[24, 48, 96, 192, 384]
     };
-    let progs: Vec<Program> = sizes.iter().map(|&n| structured_of_size(n, 11)).collect();
+    let progs = programs(sizes, 11);
     // The adjacency/order-bound consumers the refactor unified — one
     // representative gen/kill solve (liveness, pdce-baselines), plus
     // dominators (pdce-ssa), reachability (pdce-ir validation), the
@@ -728,118 +674,71 @@ fn t3_csr_sharing(quick: bool) -> CsrAb {
     // reducibility (the naive sinker / generators). Heavier solver
     // payloads (dead, faint, delayability) are excluded: their
     // fixpoint cost is independent of how the adjacency is obtained
-    // and would only dilute the number this A/B isolates.
-    fn run_consumers(prog: &Program, view: &CfgView) {
-        std::hint::black_box(Liveness::compute(prog, view));
-        std::hint::black_box(DomInfo::compute(view));
-        std::hint::black_box(pdce_ir::validate::reaches(view, view.exit()));
-        std::hint::black_box(view.critical_edges().len());
-        std::hint::black_box(view.natural_back_edges());
-        std::hint::black_box(view.is_reducible());
+    // and would only dilute the number this A/B isolates. `view` is
+    // called once per consumer.
+    fn consumers(prog: &Program, view: impl Fn() -> Rc<CfgView>) {
+        std::hint::black_box(Liveness::compute(prog, &view()));
+        std::hint::black_box(DomInfo::compute(&view()));
+        let v = view();
+        std::hint::black_box(pdce_ir::validate::reaches(&v, v.exit()));
+        std::hint::black_box(view().critical_edges().len());
+        std::hint::black_box(view().natural_back_edges());
+        std::hint::black_box(view().is_reducible());
     }
-    let consumers = 6usize;
-    let legacy_once = || {
-        let t = Instant::now();
-        for p in &progs {
-            // Each consumer rebuilds adjacency + orders, as each layer
-            // did before the CfgView refactor.
-            std::hint::black_box(Liveness::compute(p, &CfgView::new(p)));
-            std::hint::black_box(DomInfo::compute(&CfgView::new(p)));
-            let v = CfgView::new(p);
-            std::hint::black_box(pdce_ir::validate::reaches(&v, v.exit()));
-            std::hint::black_box(CfgView::new(p).critical_edges().len());
-            std::hint::black_box(CfgView::new(p).natural_back_edges());
-            std::hint::black_box(CfgView::new(p).is_reducible());
-        }
-        t.elapsed().as_nanos()
-    };
-    let csr_once = || {
-        let t = Instant::now();
-        for p in &progs {
-            let mut cache = AnalysisCache::new();
-            let view = cache.cfg(p);
-            run_consumers(p, &view);
-        }
-        t.elapsed().as_nanos()
-    };
-    let reps = if quick { 9 } else { 15 };
-    legacy_once();
-    csr_once();
-    let (mut legacy, mut csr) = (u128::MAX, u128::MAX);
-    for _ in 0..reps {
-        legacy = legacy.min(legacy_once());
-        csr = csr.min(csr_once());
-    }
-    let reduction_pct = legacy.saturating_sub(csr) as f64 * 100.0 / legacy as f64;
-    println!(
-        "workload: {consumers} analyses over {} structured programs, best of {reps}\n",
-        progs.len()
+    let series = paired(
+        "csr",
+        &["legacy_ns", "csr_ns", "csr_walltime_reduction_pct"],
+        || {
+            time_ns(|| {
+                progs
+                    .iter()
+                    .for_each(|p| consumers(p, || Rc::new(CfgView::new(p))))
+            })
+        },
+        || {
+            time_ns(|| {
+                for p in &progs {
+                    let view = AnalysisCache::new().cfg(p);
+                    consumers(p, || view.clone());
+                }
+            })
+        },
+        |a, b| vec![a, b, (a - b) * 100.0 / a],
     );
-    println!("{:<30} {:>12}", "series", "best (µs)");
-    println!(
-        "{:<30} {:>12.1}",
-        "per-consumer view rebuilds",
-        legacy as f64 / 1e3
+    let workload = format!(
+        "6 analyses (liveness, dominators, reachability, critical edges, back edges, \
+         reducibility) over structured programs {sizes:?} per side"
     );
-    println!("{:<30} {:>12.1}", "one cached CSR view", csr as f64 / 1e3);
-    println!(
-        "\ncsr wall-time reduction: {reduction_pct:.2}% (acceptance bar ≥{}%).",
-        benchjson::MIN_CSR_WALLTIME_REDUCTION_PCT
-    );
-    CsrAb {
-        workload: format!(
-            "{consumers} analyses (liveness, dominators, reachability, critical edges, \
-             back edges, reducibility) over \
-             {} structured programs (targets {:?}), best of {reps}",
-            progs.len(),
-            sizes
-        ),
-        legacy_ns: legacy,
-        csr_ns: csr,
-        csr_walltime_reduction_pct: reduction_pct,
-    }
+    (workload, series)
 }
 
-/// The metrics-plane section (this PR's headline numbers). Three parts:
+/// The metrics-plane section. Three parts:
 ///
 /// 1. **Overhead A/B** — the same pde workload with registry recording
-///    enabled and suppressed via the runtime gate, interleaved
-///    best-of-N. Unlike the tracing A/B (which can only bound
-///    disabled-mode noise), `pdce_metrics::suppressed` genuinely turns
-///    the atomic updates off, so this is a direct on-vs-off measurement
-///    held against the <2% bar.
+///    suppressed via the runtime gate and enabled. Unlike the tracing
+///    A/A (which can only bound disabled-mode noise),
+///    `pdce_metrics::suppressed` genuinely turns the atomic updates off.
 /// 2. **Snapshot stability** — the structured corpus optimized through
 ///    the `pdce-par` pool at `jobs=1` and `jobs=4`; the
 ///    run-scoped `prometheus_deterministic()` exposition must be
 ///    byte-identical (deterministic families count logical work, not
 ///    wall time, and sum commutatively across threads).
 /// 3. **Per-pass latency quantiles** — `pdce_pass_wall_ns` read back
-///    from the registry after a pipeline run over the corpus.
-fn t4_metrics_plane(quick: bool) -> MetricsSection {
+///    from the registry after a pipeline run over the corpus; they are
+///    inclusive upper log₂-bucket edges.
+fn t4_metrics_plane(quick: bool) -> (String, Vec<Series>) {
     hr("T4: always-on metrics plane (overhead bar <2%, stable snapshots)");
     let sizes: &[usize] = if quick { &[24, 48] } else { &[24, 48, 96, 192] };
-    let progs: Vec<Program> = sizes.iter().map(|&n| structured_of_size(n, 11)).collect();
-    let time_once = || {
-        let t = Instant::now();
-        for p in &progs {
-            let mut clone = p.clone();
-            optimize(&mut clone, &PdceConfig::pde()).expect("driver terminates");
-        }
-        t.elapsed().as_nanos()
-    };
-    let reps = if quick { 7 } else { 11 };
-    // Warmup both gates, then interleave so drift hits them equally.
-    time_once();
-    pdce_metrics::suppressed(time_once);
-    let (mut on, mut off) = (u128::MAX, u128::MAX);
-    for _ in 0..reps {
-        on = on.min(time_once());
-        off = off.min(pdce_metrics::suppressed(time_once));
-    }
-    let overhead_pct = on.saturating_sub(off) as f64 * 100.0 / off as f64;
+    let progs = programs(sizes, 11);
+    let on = || time_ns(|| optimize_all(&progs, &PdceConfig::pde()));
+    let mut series = paired(
+        "metrics",
+        &["off_ns", "on_ns", "metrics_overhead_pct"],
+        || pdce_metrics::suppressed(on),
+        on,
+        overhead,
+    );
 
-    // Snapshot stability on the CFG corpus: same programs, different
-    // worker counts, byte-compared deterministic exposition deltas.
     let corpus_n: u64 = if quick { 40 } else { 200 };
     let corpus: Vec<Program> = (0..corpus_n)
         .map(|i| structured_of_size(24 + (i as usize % 5) * 12, 1_000 + i))
@@ -847,307 +746,214 @@ fn t4_metrics_plane(quick: bool) -> MetricsSection {
     let deterministic_delta = |jobs: usize| {
         let base = pdce_metrics::global().snapshot();
         pdce_par::map_indexed(jobs, &corpus, |_, p| {
-            let mut clone = p.clone();
-            optimize(&mut clone, &PdceConfig::pde()).expect("driver terminates");
+            optimize_all(std::slice::from_ref(p), &PdceConfig::pde())
         });
-        pdce_metrics::global()
-            .snapshot()
-            .since(&base)
-            .prometheus_deterministic()
+        let delta = pdce_metrics::global().snapshot().since(&base);
+        delta.prometheus_deterministic()
     };
-    let snap_seq = deterministic_delta(1);
-    let snap_par = deterministic_delta(4);
-    let snapshot_stable = snap_seq == snap_par;
+    let stable = deterministic_delta(1) == deterministic_delta(4);
+    series.push(Series::value(
+        "snapshot_stable",
+        f64::from(u8::from(stable)),
+    ));
 
-    // Per-pass latency: the registered pass pipeline is what feeds the
-    // `pdce_pass_wall_ns` family, so run it over a slice of the corpus
-    // and read the quantiles back from the run-scoped delta.
     let base = pdce_metrics::global().snapshot();
     let pipeline = Pipeline::parse("pde,pfe").expect("registered passes");
     for p in corpus.iter().take(if quick { 10 } else { 30 }) {
-        let mut clone = p.clone();
-        pipeline.run(&mut clone);
+        pipeline.run(&mut p.clone());
     }
-    let delta = pdce_metrics::global().snapshot().since(&base);
-    let mut pass_latency = Vec::new();
-    for s in &delta.series {
-        if s.name != "pdce_pass_wall_ns" {
+    for s in &pdce_metrics::global().snapshot().since(&base).series {
+        let pdce_metrics::Value::Histogram(h) = &s.value else {
+            continue;
+        };
+        if s.name != "pdce_pass_wall_ns" || h.count == 0 {
             continue;
         }
-        if let pdce_metrics::Value::Histogram(h) = &s.value {
-            if h.count == 0 {
-                continue;
-            }
-            let pass = s
-                .labels
-                .iter()
-                .find(|(k, _)| *k == "pass")
-                .map(|(_, v)| v.clone())
-                .unwrap_or_default();
-            pass_latency.push(PassLatencyRow {
-                pass,
-                count: h.count,
-                p50_ns: h.quantile(0.5),
-                p90_ns: h.quantile(0.9),
-                p99_ns: h.quantile(0.99),
-                max_ns: h.max_estimate(),
-            });
-        }
-    }
-
-    println!(
-        "workload: pde over {} structured programs, best of {reps}\n",
-        progs.len()
-    );
-    println!("{:<26} {:>12}", "series", "best (µs)");
-    println!("{:<26} {:>12.1}", "recording suppressed", off as f64 / 1e3);
-    println!("{:<26} {:>12.1}", "recording enabled", on as f64 / 1e3);
-    println!(
-        "\nmetrics overhead: {overhead_pct:.2}% (acceptance bar <{}%).",
-        benchjson::MAX_METRICS_OVERHEAD_PCT
-    );
-    println!(
-        "deterministic snapshot over the {corpus_n}-CFG corpus: jobs=1 vs jobs=4 {}",
-        if snapshot_stable {
-            "byte-identical"
-        } else {
-            "DIVERGED"
-        }
-    );
-    println!(
-        "\n{:<10} {:>7} {:>12} {:>12} {:>12} {:>12}",
-        "pass", "count", "p50 (ns)", "p90 (ns)", "p99 (ns)", "max (ns)"
-    );
-    for p in &pass_latency {
-        println!(
-            "{:<10} {:>7} {:>12} {:>12} {:>12} {:>12}",
-            p.pass, p.count, p.p50_ns, p.p90_ns, p.p99_ns, p.max_ns
+        let pass = s.labels.iter().find(|(k, _)| *k == "pass");
+        let name = format!("pass_latency:{}", pass.map_or("", |(_, v)| v.as_str()));
+        let quartiles = [0.25, 0.5, 0.75].map(|q| h.quantile(q) as f64);
+        let latency = Series {
+            n: h.count,
+            ..Series::of(&name, &quartiles)
+        };
+        series.push(
+            latency
+                .with("p90_ns", h.quantile(0.9))
+                .with("p99_ns", h.quantile(0.99))
+                .with("max_ns", h.max_estimate()),
         );
     }
-    println!("(quantiles are inclusive upper log₂-bucket edges)");
-    MetricsSection {
-        workload: format!(
-            "pde over {} structured programs (targets {:?}), best of {reps}; \
-             stability over a {corpus_n}-CFG corpus at jobs 1 vs 4",
-            progs.len(),
-            sizes
-        ),
-        off_ns: off,
-        on_ns: on,
-        metrics_overhead_pct: overhead_pct,
-        snapshot_stable,
-        pass_latency,
-    }
+    let workload = format!(
+        "pde over structured programs {sizes:?} per side; stability over a \
+         {corpus_n}-CFG corpus at jobs 1 vs 4"
+    );
+    (workload, series)
 }
 
-fn t5_serving(quick: bool) -> ServeSection {
+/// The `pdce serve` daemon: pairs of a cold replay (a fresh server, every
+/// request computed) and a warm replay (a server whose cache already
+/// holds the corpus) of the same requests. Throughput and latency
+/// quantiles come from the warm side; every response of either side
+/// must equal the first cold replay's.
+fn t5_serving(quick: bool) -> (String, Vec<Series>) {
     hr("T5: pdce serve throughput/latency (cold vs warm cache)");
-    // A corpus of small programs, each request encoded once so the cold
-    // and warm replays send byte-identical lines.
     let corpus_n: u64 = if quick { 60 } else { 200 };
-    let wall_ms_budget: u64 = 200;
-    let requests: Vec<String> = (0..corpus_n)
-        .map(|i| {
-            let prog = structured_of_size(10 + (i as usize % 5) * 4, 7_000 + i);
-            pdce_serve::protocol::encode_request(
-                None,
-                &pdce_ir::printer::print_program(&prog),
-                pdce_serve::Mode::Pde,
-            )
+    let requests = request_corpus(corpus_n, 10, 4, 7_000);
+    let server = || {
+        pdce_serve::Server::new(pdce_serve::ServeOptions {
+            wall_ms: Some(benchjson::SERVE_WALL_MS),
+            ..Default::default()
         })
-        .collect();
-    let server = pdce_serve::Server::new(pdce_serve::ServeOptions {
-        wall_ms: Some(wall_ms_budget),
-        ..pdce_serve::ServeOptions::default()
-    });
-    // Replay the corpus through the per-request serving path, recording
-    // each request's latency (the quantile source) and the replay wall
-    // time (the throughput source).
-    let replay = || -> (u128, Vec<u64>, Vec<String>) {
-        let mut lat = Vec::with_capacity(requests.len());
-        let mut responses = Vec::with_capacity(requests.len());
-        let total = Instant::now();
-        for line in &requests {
-            let t = Instant::now();
-            let response = server.respond_line(line).expect("one response per request");
-            lat.push(t.elapsed().as_nanos() as u64);
-            responses.push(response);
-        }
-        (total.elapsed().as_nanos(), lat, responses)
     };
-    let (cold_ns, _, cold_responses) = replay();
-    let (warm_ns, mut warm_lat, warm_responses) = replay();
-    let warm_identical = cold_responses == warm_responses;
-    let req_per_sec = corpus_n as f64 * 1e9 / warm_ns as f64;
-    warm_lat.sort_unstable();
-    let quantile = |q: f64| {
-        let rank = ((warm_lat.len() as f64 * q).ceil() as usize).clamp(1, warm_lat.len());
-        warm_lat[rank - 1]
+    let warm = server();
+    let (_, _, reference) = replay(&warm, &requests);
+    // Each side checks its answers against the first cold replay's.
+    let identical = std::cell::Cell::new(true);
+    let side = |server: &pdce_serve::Server| {
+        let (ns, lat, responses) = replay(server, &requests);
+        identical.set(identical.get() && responses == reference);
+        (ns, lat)
     };
-    let (p50_ns, p99_ns) = (quantile(0.5), quantile(0.99));
-    let warm_speedup_pct = cold_ns.saturating_sub(warm_ns) as f64 * 100.0 / cold_ns as f64;
-
-    println!("workload: {corpus_n} small structured programs, --wall-ms {wall_ms_budget}\n");
-    println!("{:<22} {:>12} {:>14}", "replay", "wall (ms)", "req/s");
-    for (name, ns) in [("cold (computed)", cold_ns), ("warm (cache hits)", warm_ns)] {
-        println!(
-            "{:<22} {:>12.2} {:>14.0}",
-            name,
-            ns as f64 / 1e6,
-            corpus_n as f64 * 1e9 / ns as f64
-        );
-    }
-    println!(
-        "\nwarm latency: p50 {:.1} µs, p99 {:.1} µs (admission cap {wall_ms_budget} ms)",
-        p50_ns as f64 / 1e3,
-        p99_ns as f64 / 1e3
+    let names = [
+        "cold_ns",
+        "warm_ns",
+        "warm_speedup_pct",
+        "req_per_sec",
+        "p50_ns",
+        "p99_ns",
+    ];
+    let mut series = paired(
+        "serve",
+        &names,
+        || side(&server()),
+        || side(&warm),
+        |(cold_ns, _), (warm_ns, mut lat)| {
+            lat.sort_by(f64::total_cmp);
+            let rank = |q: f64| lat[((lat.len() as f64 * q).ceil() as usize).max(1) - 1];
+            let speedup = (cold_ns - warm_ns) * 100.0 / cold_ns;
+            let req_per_sec = corpus_n as f64 * 1e9 / warm_ns;
+            vec![
+                cold_ns,
+                warm_ns,
+                speedup,
+                req_per_sec,
+                rank(0.5),
+                rank(0.99),
+            ]
+        },
     );
-    println!(
-        "warm responses byte-identical to cold: {warm_identical}; \
-         warm speedup {warm_speedup_pct:.1}% (bars: ≥{} req/s, ≥{}% speedup)",
-        benchjson::MIN_SERVE_REQ_PER_SEC,
-        benchjson::MIN_SERVE_WARM_SPEEDUP_PCT
+    let identical = Series::value("warm_identical", f64::from(u8::from(identical.get())));
+    series.push(identical.with("requests", corpus_n));
+    let workload = format!(
+        "{corpus_n} small structured programs through the serve path (--wall-ms {}), \
+         fresh cold server vs cache-resident warm server",
+        benchjson::SERVE_WALL_MS
     );
-    ServeSection {
-        workload: format!(
-            "{corpus_n} small structured programs replayed through the serve path, \
-             cold cache then warm"
-        ),
-        requests: corpus_n,
-        cold_ns,
-        warm_ns,
-        req_per_sec,
-        p50_ns,
-        p99_ns,
-        wall_ms_budget,
-        warm_identical,
-        warm_speedup_pct,
-    }
+    (workload, series)
 }
 
 /// The WAL + crash-recovery drill behind the self-healing serving
-/// plane: first an A/B that prices the journal (cold replays through
-/// an in-memory cache vs a journaled on-disk one, interleaved
-/// best-of-N, bar <5% overhead), then a kill -9 rehearsal — replay the
-/// corpus through a journaled server, read its `wal_appends` off the
-/// `{"op":"health"}` introspection line, and *drop the server without
-/// any clean save* so the append-only log is the only survivor. A
-/// second server recovers from that log and replays the same corpus;
-/// every request must come back (`requests_lost == 0`) and every
-/// answer must match its pre-crash bytes.
-fn t7_recovery(quick: bool) -> RecoverySection {
+/// plane: first an A/B that prices the journal (cold replays through an
+/// in-memory cache vs a journaled on-disk one), then a kill -9
+/// rehearsal — replay the corpus through a journaled server, read its
+/// `wal_appends` off the `{"op":"health"}` line, and *drop the server
+/// without any clean save* so the append-only log is the only survivor.
+/// A second server recovers from that log and replays the same corpus;
+/// every request must come back and every answer must match its
+/// pre-crash bytes.
+fn t7_recovery(quick: bool) -> (String, Vec<Series>) {
     hr("T7: WAL overhead + crash-recovery drill (bars: <5%, lose nothing)");
     // Mid-sized programs: the WAL-overhead claim is per *served
     // request*, so each request must carry a realistic optimize cost —
     // against trivial programs the fixed journal append would dominate
     // and the A/B would price the fsync cadence, not the serving plane.
     let corpus_n: u64 = if quick { 40 } else { 120 };
-    let requests: Vec<String> = (0..corpus_n)
-        .map(|i| {
-            let prog = structured_of_size(24 + (i as usize % 5) * 8, 9_000 + i);
-            pdce_serve::protocol::encode_request(
-                None,
-                &pdce_ir::printer::print_program(&prog),
-                pdce_serve::Mode::Pde,
-            )
-        })
-        .collect();
-    let replay = |server: &pdce_serve::Server| -> (u128, Vec<String>) {
-        let mut responses = Vec::with_capacity(requests.len());
-        let total = Instant::now();
-        for line in &requests {
-            responses.push(server.respond_line(line).expect("one response per request"));
-        }
-        (total.elapsed().as_nanos(), responses)
-    };
+    let requests = request_corpus(corpus_n, 24, 8, 9_000);
     let scratch = std::env::temp_dir().join(format!("pdce-bench-wal-{}", std::process::id()));
     std::fs::create_dir_all(&scratch).expect("create WAL scratch dir");
-
-    // A/B: journaling cost on the cold path (the only path that
-    // appends). Fresh caches each rep so both sides stay cold;
-    // interleaved best-of-N absorbs scheduler noise.
-    let reps = 5;
-    let (mut wal_off_ns, mut wal_on_ns) = (u128::MAX, u128::MAX);
-    for rep in 0..reps {
-        let off_server = pdce_serve::Server::new(pdce_serve::ServeOptions::default());
-        wal_off_ns = wal_off_ns.min(replay(&off_server).0);
-        let on_server = pdce_serve::Server::new(pdce_serve::ServeOptions {
-            cache_path: Some(scratch.join(format!("ab-{rep}.cache"))),
-            ..pdce_serve::ServeOptions::default()
-        });
-        wal_on_ns = wal_on_ns.min(replay(&on_server).0);
-    }
-    let wal_overhead_pct = (wal_on_ns as f64 - wal_off_ns as f64) * 100.0 / wal_off_ns as f64;
-
-    // Crash drill. `drop` without `save_cache` leaves exactly what a
-    // kill -9 leaves: the append-only log.
-    let drill_path = scratch.join("drill.cache");
-    let drill_opts = || pdce_serve::ServeOptions {
-        cache_path: Some(drill_path.clone()),
-        ..pdce_serve::ServeOptions::default()
+    let journaled = |name: &str| {
+        pdce_serve::Server::new(pdce_serve::ServeOptions {
+            cache_path: Some(scratch.join(name)),
+            ..Default::default()
+        })
     };
-    let pre_server = pdce_serve::Server::new(drill_opts());
-    let (_, pre) = replay(&pre_server);
-    let health = pre_server
-        .respond_line("{\"op\":\"health\"}")
-        .expect("health answers");
-    let wal_appends = health_counter(&health, "wal_appends");
+
+    // Journaling costs only on the cold path (the only path that
+    // appends), so both sides start from fresh caches.
+    let mut rep = 0;
+    let mut series = paired(
+        "recovery",
+        &["wal_off_ns", "wal_on_ns", "wal_overhead_pct"],
+        || replay(&pdce_serve::Server::new(Default::default()), &requests).0,
+        || {
+            rep += 1;
+            replay(&journaled(&format!("ab-{rep}.cache")), &requests).0
+        },
+        overhead,
+    );
+
+    let pre_server = journaled("drill.cache");
+    let (_, _, pre) = replay(&pre_server, &requests);
+    let health = pre_server.respond_line("{\"op\":\"health\"}");
+    let appends = health.and_then(|h| {
+        pdce_trace::json::parse(&h)
+            .ok()?
+            .get("wal_appends")?
+            .as_num()
+    });
     drop(pre_server);
-
-    let post_server = pdce_serve::Server::new(drill_opts());
-    let wal_recovered = post_server.cache_load_report().loaded as u64;
-    let mut requests_lost: u64 = 0;
-    let mut post = Vec::with_capacity(requests.len());
-    for line in &requests {
-        match post_server.respond_line(line) {
-            Some(response) => post.push(response),
-            None => requests_lost += 1,
-        }
-    }
-    let warm_identical_after_crash = requests_lost == 0 && pre == post;
+    let post_server = journaled("drill.cache");
+    let recovered = post_server.cache_load_report().loaded as u64;
+    let post: Vec<Option<String>> = requests
+        .iter()
+        .map(|l| post_server.respond_line(l))
+        .collect();
+    let lost = post.iter().filter(|r| r.is_none()).count();
+    let identical = post.into_iter().eq(pre.into_iter().map(Some));
     let _ = std::fs::remove_dir_all(&scratch);
-
-    println!("workload: {corpus_n} small structured programs, cold replays\n");
-    println!(
-        "WAL off {:.2} ms, on {:.2} ms → overhead {wal_overhead_pct:.2}% (bar <{}%)",
-        wal_off_ns as f64 / 1e6,
-        wal_on_ns as f64 / 1e6,
-        benchjson::MAX_WAL_OVERHEAD_PCT
+    series.push(
+        Series::value("requests_lost", lost as f64)
+            .with("requests", corpus_n)
+            .with(
+                "wal_appends",
+                appends.expect("health reports wal_appends") as u64,
+            )
+            .with("wal_recovered", recovered),
     );
-    println!(
-        "crash drill: {wal_appends} appends journaled, {wal_recovered} entries recovered, \
-         {requests_lost} requests lost, post-crash bytes identical: {warm_identical_after_crash}"
+    series.push(Series::value(
+        "warm_identical_after_crash",
+        f64::from(u8::from(identical)),
+    ));
+    let workload = format!(
+        "{corpus_n} small structured programs: cold replays with the cache in memory vs \
+         journaled; then journaled replay, drop without save, recover and replay"
     );
-    RecoverySection {
-        workload: format!(
-            "{corpus_n} small structured programs; journaled replay, drop without save, \
-             recover and replay"
-        ),
-        requests: corpus_n,
-        requests_lost,
-        warm_identical_after_crash,
-        wal_off_ns,
-        wal_on_ns,
-        wal_overhead_pct,
-        wal_appends,
-        wal_recovered,
-    }
+    (workload, series)
 }
 
-/// Pulls one non-negative counter out of a flat `{"op":"health"}`
-/// response line.
-fn health_counter(health: &str, field: &str) -> u64 {
-    let needle = format!("\"{field}\":");
-    let at = health.find(&needle).map(|i| i + needle.len());
-    let digits: String = at
+/// `n` small structured programs (`base + (i % 5)·step` blocks, seeds
+/// from `seed`), each encoded once as a pde request so every replay sends
+/// byte-identical lines.
+fn request_corpus(n: u64, base: usize, step: usize, seed: u64) -> Vec<String> {
+    (0..n)
         .map(|i| {
-            health[i..]
-                .chars()
-                .take_while(char::is_ascii_digit)
-                .collect()
+            let prog = structured_of_size(base + (i as usize % 5) * step, seed + i);
+            let text = pdce_ir::printer::print_program(&prog);
+            pdce_serve::protocol::encode_request(None, &text, pdce_serve::Mode::Pde)
         })
-        .unwrap_or_default();
-    digits
-        .parse()
-        .unwrap_or_else(|_| panic!("health line lacks `{field}`: {health}"))
+        .collect()
+}
+
+/// Replays `requests` through the per-request serving path: the wall
+/// time, each request's latency, and the responses.
+fn replay(server: &pdce_serve::Server, requests: &[String]) -> (f64, Vec<f64>, Vec<String>) {
+    let mut lat = Vec::with_capacity(requests.len());
+    let mut responses = Vec::with_capacity(requests.len());
+    let total = Instant::now();
+    for line in requests {
+        let t = Instant::now();
+        responses.push(server.respond_line(line).expect("one response per request"));
+        lat.push(t.elapsed().as_nanos() as f64);
+    }
+    (total.elapsed().as_nanos() as f64, lat, responses)
 }

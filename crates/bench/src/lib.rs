@@ -12,6 +12,5 @@ pub mod figures;
 pub mod sweep;
 pub mod timeit;
 
-pub use benchjson::{BenchSummary, FigureRow, SweepRow, TracingAb};
 pub use figures::{figure_corpus, verify_figure, Figure};
 pub use sweep::{fit_loglog_slope, measure, Measurement};

@@ -17,7 +17,6 @@
 
 use std::error::Error;
 use std::fmt;
-use std::sync::OnceLock;
 
 use pdce_dfa::{AnalysisCache, CacheStats};
 use pdce_ir::edgesplit::split_critical_edges;
@@ -130,9 +129,7 @@ pub struct PdceConfig {
     /// Translation validation: `Some(k)` re-executes the pre- and
     /// post-round programs on `k` seeded input vectors after every
     /// round and rolls the round back on an observable mismatch.
-    /// `None` falls back to the `TV` environment variable (`TV=k`, or
-    /// any other non-empty value for the default vector count); unset
-    /// means off.
+    /// `None` (and `Some(0)`) means off.
     pub validate: Option<u32>,
 }
 
@@ -166,10 +163,9 @@ impl PdceConfig {
         self
     }
 
-    /// The effective translation-validation vector count: the explicit
-    /// config wins, then the `TV` environment variable, then off.
+    /// The effective translation-validation vector count (`0` is off).
     pub fn tv_vectors(&self) -> u32 {
-        self.validate.unwrap_or_else(env_tv_vectors)
+        self.validate.unwrap_or(0)
     }
 
     /// The default global round cap for `prog` when [`max_rounds`] is
@@ -181,20 +177,6 @@ impl PdceConfig {
     pub fn default_round_cap(prog: &Program) -> usize {
         4 + prog.num_stmts().max(1) * prog.num_blocks().max(1)
     }
-}
-
-/// `TV` environment gate, parsed once: a number is the vector count
-/// (`0` disables), any other non-empty value enables the default count.
-fn env_tv_vectors() -> u32 {
-    static TV: OnceLock<u32> = OnceLock::new();
-    *TV.get_or_init(|| match std::env::var("TV") {
-        Ok(v) if v.trim().is_empty() => 0,
-        Ok(v) => v
-            .trim()
-            .parse::<u32>()
-            .unwrap_or(tv::TvOptions::default().vectors),
-        Err(_) => 0,
-    })
 }
 
 impl PdceConfig {

@@ -37,7 +37,7 @@ fn pdce_with_fault(fault: Option<&str>, args: &[&str], stdin: &str) -> (String, 
         .stdout(Stdio::piped())
         .stderr(Stdio::piped());
     // Never inherit a spec from the test runner's environment.
-    cmd.env_remove("FAULT_INJECT").env_remove("TV");
+    cmd.env_remove("FAULT_INJECT");
     if let Some(spec) = fault {
         cmd.env("FAULT_INJECT", spec);
     }

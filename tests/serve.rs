@@ -489,7 +489,7 @@ fn tcp_transport_serves_concurrent_connections() {
 fn serve_binary(args: &[&str], fault: Option<&str>, input: &str) -> (String, String, bool) {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_pdce"));
     cmd.arg("serve").args(args);
-    cmd.env_remove("FAULT_INJECT").env_remove("TV");
+    cmd.env_remove("FAULT_INJECT");
     if let Some(spec) = fault {
         cmd.env("FAULT_INJECT", spec);
     }
@@ -610,7 +610,7 @@ fn soak_survives_persistent_solver_budget_exhaustion() {
 fn spawn_unix_server(sock: &std::path::Path, extra: &[&str]) -> std::process::Child {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_pdce"));
     cmd.arg("serve").arg("--unix").arg(sock).args(extra);
-    cmd.env_remove("FAULT_INJECT").env_remove("TV");
+    cmd.env_remove("FAULT_INJECT");
     cmd.stdin(Stdio::null())
         .stdout(Stdio::null())
         .stderr(Stdio::null());
