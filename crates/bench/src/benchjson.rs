@@ -217,8 +217,6 @@ impl Series {
             .with("revisits", s.revisits)
             .with("word_ops", s.word_ops)
             .with("priority_pops", s.priority_pops)
-            .with("sparse_pops", s.sparse_pops)
-            .with("sparse_edge_visits", s.sparse_edge_visits)
     }
 }
 

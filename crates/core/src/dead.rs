@@ -92,6 +92,45 @@ pub(crate) fn apply_term_backward(prog: &Program, term: &Terminator, v: &mut Row
     }
 }
 
+/// The rolling backward walk that answers per-statement queries for
+/// both [`DeadSolution`] and [`FaintSolution`](crate::FaintSolution),
+/// which share the terminator transfer and differ in `stmt_rule`.
+///
+/// The `scratch` row, reused across calls, starts at block `n`'s exit
+/// row in `solution`, takes the terminator's transfer, then for each
+/// statement `k` last to first shows `f(k, after_k)` and applies
+/// `stmt_rule`. It ends at the block's entry row.
+pub(crate) fn walk_back(
+    prog: &Program,
+    solution: &Solution,
+    scratch: &RefCell<BitVec>,
+    n: NodeId,
+    stmt_rule: fn(&Program, &Stmt, &mut RowMut<'_>),
+    mut f: impl FnMut(usize, Row<'_>),
+) {
+    let block = prog.block(n);
+    // Taken, not borrowed, so a nested walk from `f` stays sound (it
+    // just allocates a row of its own).
+    let mut current = scratch.replace(BitVec::zeros(0));
+    if current.len() != solution.exit.width() {
+        current = BitVec::zeros(solution.exit.width());
+    }
+    let mut row = current.as_row_mut();
+    row.copy_from(solution.at_exit(n));
+    apply_term_backward(prog, &block.term, &mut row);
+    for (k, stmt) in block.stmts.iter().enumerate().rev() {
+        f(k, row.as_row());
+        stmt_rule(prog, stmt, &mut row);
+    }
+    debug_assert_eq!(row.as_row(), solution.at_entry(n));
+    scratch.replace(current);
+    // One row copy plus one sparse in-place transfer per instruction.
+    pdce_trace::record_solver(pdce_trace::SolverStats {
+        word_ops: solution.exit.stride() as u64 + block.stmts.len() as u64 + 1,
+        ..pdce_trace::SolverStats::ZERO
+    });
+}
+
 impl DeadSolution {
     /// Runs the analysis over `prog`.
     pub fn compute(prog: &Program, view: &CfgView) -> DeadSolution {
@@ -150,33 +189,15 @@ impl DeadSolution {
     /// [`DeadSolution::after_each_stmt`], which must materialize every
     /// intermediate vector. The borrowed row is overwritten after `f`
     /// returns; copy it with [`Row::to_bitvec`] to keep it.
-    pub fn for_each_stmt_after(
-        &self,
-        prog: &Program,
-        n: NodeId,
-        mut f: impl FnMut(usize, Row<'_>),
-    ) {
-        let block = prog.block(n);
-        // Taken, not borrowed, so a nested walk from `f` stays sound (it
-        // just allocates a row of its own).
-        let mut current = self.scratch.replace(BitVec::zeros(0));
-        if current.len() != self.solution.exit.width() {
-            current = BitVec::zeros(self.solution.exit.width());
-        }
-        let mut row = current.as_row_mut();
-        row.copy_from(self.at_exit(n));
-        apply_term_backward(prog, &block.term, &mut row);
-        for (k, stmt) in block.stmts.iter().enumerate().rev() {
-            f(k, row.as_row());
-            apply_stmt_backward(prog, stmt, &mut row);
-        }
-        debug_assert_eq!(row.as_row(), self.at_entry(n));
-        self.scratch.replace(current);
-        // One row copy plus one sparse in-place transfer per instruction.
-        pdce_trace::record_solver(pdce_trace::SolverStats {
-            word_ops: self.solution.exit.stride() as u64 + block.stmts.len() as u64 + 1,
-            ..pdce_trace::SolverStats::ZERO
-        });
+    pub fn for_each_stmt_after(&self, prog: &Program, n: NodeId, f: impl FnMut(usize, Row<'_>)) {
+        walk_back(
+            prog,
+            &self.solution,
+            &self.scratch,
+            n,
+            apply_stmt_backward,
+            f,
+        );
     }
 
     /// Deadness vectors *immediately after* each statement of block `n`

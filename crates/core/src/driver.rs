@@ -879,26 +879,47 @@ mod tests {
         assert_eq!(pdce_ir::printer::canonical_string(&p), original);
     }
 
-    /// The faint closure's pops count against `max_pops`, not only its
-    /// seeds: a budget of exactly the tagged pops of an unlimited pfe
-    /// run (which count one pop per seed) leaves no room for the
-    /// closure, so the configured run exhausts and the ladder degrades.
+    /// Faint's block-worklist pops count against `max_pops` like every
+    /// other solve: on Figure 1, pfe fits a budget of exactly its
+    /// unlimited run's pops, and one pop fewer exhausts the configured
+    /// run so the ladder degrades.
     #[test]
-    fn pop_budget_bounds_the_faint_closure() {
+    fn pop_budget_bounds_the_faint_worklist() {
         let unlimited = run(&PdceConfig::pfe(), FIG1).1;
-        assert!(unlimited.solver.sparse_pops > 0, "faint ran the closure");
-        let config = PdceConfig::pfe().with_budget(Budget {
-            max_pops: Some(unlimited.solver.pops()),
-            ..Budget::UNLIMITED
-        });
-        let mut p = parse(FIG1).unwrap();
-        let stats = optimize_resilient(&mut p, &config);
-        assert!(stats.degraded.is_some(), "{:?}", stats.failure_log);
-        assert!(stats.budget_exhaustions >= 1);
+        assert!(unlimited.solver.priority_pops > 0, "faint ran the worklist");
+        let with_pops = |max_pops: u64| {
+            let config = PdceConfig::pfe().with_budget(Budget {
+                max_pops: Some(max_pops),
+                ..Budget::UNLIMITED
+            });
+            let mut p = parse(FIG1).unwrap();
+            optimize_resilient(&mut p, &config)
+        };
+        let fits = with_pops(unlimited.solver.pops());
+        assert_eq!(fits.degraded, None, "{:?}", fits.failure_log);
+        assert_eq!(fits.budget_exhaustions, 0);
+        let short = with_pops(unlimited.solver.pops() - 1);
+        assert!(short.degraded.is_some(), "{:?}", short.failure_log);
+        assert!(short.budget_exhaustions >= 1);
         assert!(
-            stats.failure_log[0].starts_with("configured run failed (budget exhausted: pops"),
+            short.failure_log[0].starts_with("configured run failed (budget exhausted: pops"),
             "{:?}",
-            stats.failure_log
+            short.failure_log
+        );
+    }
+
+    /// pfe never asks the cache for the def-use chain graph: faint runs
+    /// on the block worklist, and the graph is kept only for the
+    /// benchmark's layer replica.
+    #[test]
+    fn pfe_builds_no_def_use_graph() {
+        let stats = run(&PdceConfig::pfe(), FIG1).1;
+        assert!(stats.cache.analysis_misses > 0, "{:?}", stats.cache);
+        assert_eq!(
+            (stats.cache.du_hits, stats.cache.du_misses),
+            (0, 0),
+            "{:?}",
+            stats.cache
         );
     }
 

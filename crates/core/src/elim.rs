@@ -7,8 +7,10 @@
 //! elimination–elimination effects (Figure 12) are handled by iterating
 //! the pass to a fixpoint in the driver.
 
-use pdce_dfa::{AnalysisCache, Preserves};
-use pdce_ir::{Program, Stmt};
+use std::rc::Rc;
+
+use pdce_dfa::{AnalysisCache, Preserves, Row};
+use pdce_ir::{NodeId, Program, Stmt};
 
 use crate::dead::DeadSolution;
 use crate::faint::FaintSolution;
@@ -50,78 +52,27 @@ pub fn eliminate_once_cached(
     mode: Mode,
     region: Option<&[bool]>,
 ) -> u64 {
-    let (pass_name, detail) = match mode {
-        Mode::Dead => ("dce", "lhs dead after"),
-        Mode::Faint => ("fce", "lhs faint after"),
+    let (pass_name, detail, fault_site) = match mode {
+        Mode::Dead => ("dce", "lhs dead after", "dead"),
+        Mode::Faint => ("fce", "lhs faint after", "faint"),
     };
     let trace_span = pdce_trace::span("transform", pass_name);
     let view = cache.cfg(prog);
     // Skip unreachable blocks: the solvers never evaluate them, so their
     // optimistic initial state would claim everything dead there.
     let in_region =
-        |n: pdce_ir::NodeId| region.is_none_or(|r| r[n.index()]) && view.rpo_index(n) != usize::MAX;
-    let mut removed = 0u64;
-    match mode {
-        Mode::Dead => {
-            let sol = cache.analysis::<DeadSolution, _>(prog, DeadSolution::compute);
-            let plans: Vec<(pdce_ir::NodeId, Vec<usize>)> = prog
-                .node_ids()
-                .filter(|&n| in_region(n))
-                .map(|n| {
-                    // The rolling visitor walks the block backwards once
-                    // instead of materializing one vector per statement.
-                    let stmts = &prog.block(n).stmts;
-                    let mut doomed: Vec<usize> = Vec::new();
-                    sol.for_each_stmt_after(prog, n, |k, after| {
-                        if let Stmt::Assign { lhs, .. } = stmts[k] {
-                            if after.get(lhs.index()) {
-                                doomed.push(k);
-                            }
-                        }
-                    });
-                    doomed.reverse(); // visitor runs last-to-first
-                    (n, doomed)
-                })
-                .collect();
-            let mut plans = plans;
-            if pdce_trace::fault::flip("dead") {
-                inject_decision_bitflip(prog, &mut plans);
-            }
-            record_eliminations(prog, &plans, pass_name, detail);
-            removed += apply_removals(prog, &plans);
-        }
-        Mode::Faint => {
-            // The revision-cached chain graph feeds the faint network,
-            // which is always solved cold (DESIGN.md §15).
-            let du = cache.du(prog);
-            let sol = cache.analysis::<FaintSolution, _>(prog, |p, view| {
-                FaintSolution::compute_with_du(p, view, &du)
-            });
-            let plans: Vec<(pdce_ir::NodeId, Vec<usize>)> = prog
-                .node_ids()
-                .filter(|&n| in_region(n))
-                .map(|n| {
-                    let doomed = prog
-                        .block(n)
-                        .stmts
-                        .iter()
-                        .enumerate()
-                        .filter_map(|(k, stmt)| match *stmt {
-                            Stmt::Assign { lhs, .. } if sol.faint_after(n, k, lhs) => Some(k),
-                            _ => None,
-                        })
-                        .collect();
-                    (n, doomed)
-                })
-                .collect();
-            let mut plans = plans;
-            if pdce_trace::fault::flip("faint") {
-                inject_decision_bitflip(prog, &mut plans);
-            }
-            record_eliminations(prog, &plans, pass_name, detail);
-            removed += apply_removals(prog, &plans);
-        }
+        |n: NodeId| region.is_none_or(|r| r[n.index()]) && view.rpo_index(n) != usize::MAX;
+    let analysis = ElimAnalysis::get(prog, cache, mode);
+    let mut plans: Vec<(NodeId, Vec<usize>)> = prog
+        .node_ids()
+        .filter(|&n| in_region(n))
+        .map(|n| (n, analysis.removable(prog, n)))
+        .collect();
+    if pdce_trace::fault::flip(fault_site) {
+        inject_decision_bitflip(prog, &mut plans);
     }
+    record_eliminations(prog, &plans, pass_name, detail);
+    let removed = apply_removals(prog, &plans);
     if removed > 0 {
         // Removals touch statement lists only; the CFG shape survives.
         cache.retain(prog, Preserves::Cfg);
@@ -134,11 +85,53 @@ pub fn eliminate_once_cached(
     removed
 }
 
+/// The analysis that drives eliminations in one mode, served from the
+/// cache. Both answer through the same rolling visitor, which walks a
+/// block backwards once instead of materializing one row per statement.
+pub(crate) enum ElimAnalysis {
+    Dead(Rc<DeadSolution>),
+    Faint(Rc<FaintSolution>),
+}
+
+impl ElimAnalysis {
+    /// `mode`'s analysis of `prog`, from `cache` when still valid.
+    pub(crate) fn get(prog: &Program, cache: &mut AnalysisCache, mode: Mode) -> ElimAnalysis {
+        match mode {
+            Mode::Dead => {
+                ElimAnalysis::Dead(cache.analysis::<DeadSolution, _>(prog, DeadSolution::compute))
+            }
+            Mode::Faint => ElimAnalysis::Faint(
+                cache.analysis::<FaintSolution, _>(prog, FaintSolution::compute),
+            ),
+        }
+    }
+
+    /// Indices of block `n`'s assignments whose left-hand side is dead
+    /// (faint) immediately after them, ascending.
+    pub(crate) fn removable(&self, prog: &Program, n: NodeId) -> Vec<usize> {
+        let stmts = &prog.block(n).stmts;
+        let mut doomed = Vec::new();
+        let mut visit = |k: usize, after: Row<'_>| {
+            if let Stmt::Assign { lhs, .. } = stmts[k] {
+                if after.get(lhs.index()) {
+                    doomed.push(k);
+                }
+            }
+        };
+        match self {
+            ElimAnalysis::Dead(d) => d.for_each_stmt_after(prog, n, &mut visit),
+            ElimAnalysis::Faint(f) => f.for_each_stmt_after(prog, n, &mut visit),
+        }
+        doomed.reverse(); // the walk runs last-to-first
+        doomed
+    }
+}
+
 /// Logs one provenance record per planned removal (only when a tracer is
 /// installed — statement pretty-printing is not free).
 fn record_eliminations(
     prog: &Program,
-    plans: &[(pdce_ir::NodeId, Vec<usize>)],
+    plans: &[(NodeId, Vec<usize>)],
     pass: &'static str,
     detail: &'static str,
 ) {
@@ -201,7 +194,7 @@ pub fn eliminate_fixpoint_cached(
 /// elimination decision bit by dooming the first assignment the
 /// analysis did *not* prove removable — a deliberate miscompile that
 /// per-round translation validation must catch and roll back.
-fn inject_decision_bitflip(prog: &Program, plans: &mut [(pdce_ir::NodeId, Vec<usize>)]) {
+fn inject_decision_bitflip(prog: &Program, plans: &mut [(NodeId, Vec<usize>)]) {
     for (n, doomed) in plans.iter_mut() {
         let stmts = &prog.block(*n).stmts;
         for (k, stmt) in stmts.iter().enumerate() {
@@ -214,7 +207,7 @@ fn inject_decision_bitflip(prog: &Program, plans: &mut [(pdce_ir::NodeId, Vec<us
     }
 }
 
-fn apply_removals(prog: &mut Program, plans: &[(pdce_ir::NodeId, Vec<usize>)]) -> u64 {
+fn apply_removals(prog: &mut Program, plans: &[(NodeId, Vec<usize>)]) -> u64 {
     let mut removed = 0u64;
     for (n, doomed) in plans {
         if doomed.is_empty() {

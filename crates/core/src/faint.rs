@@ -14,119 +14,49 @@
 //! X-FAINT_ι(x) = ∧_{ι' ∈ succ(ι)} N-FAINT_ι'(x)
 //! ```
 //!
-//! Following Section 5.2 we solve it slotwise, with the paper's
-//! subtlety: whenever slot `(ι, lhs_ι)` drops, the slots `(ι, z)` of all
-//! right-hand-side variables `z` of `ι` are re-evaluated. The network is
-//! solved by the sparse falsity closure of `pdce-dfa`, which touches
-//! only the slots falsity reaches — the §6.1.2
-//! `O(#slots + #dependency edges)` bound without materializing the
-//! edges. Every solve is cold (DESIGN.md §15).
+//! Read as a function of the whole row `X = X-FAINT_ι`, an instruction
+//! maps `X` to `N = N-FAINT_ι`:
+//!
+//! * `x := t`: `N = X` if `x ∈ X` (the assignment is faint, so its uses
+//!   do not count), otherwise `N = (X ∪ {x}) ∖ vars(t)`, which is
+//!   exactly the deadness transfer;
+//! * `out(t)` and branch conditions: `N = X ∖ vars(t)`;
+//! * everything else: `N = X`.
+//!
+//! Each rule is monotone in `X`, so the block transfer (terminator, then
+//! statements last to first) is too, and the greatest fixpoint of the
+//! slot equations is the greatest fixpoint of the block system. It is
+//! solved by the same backward, all-paths priority worklist as dead,
+//! from all-ones (DESIGN.md §15). Per-statement values are recovered by
+//! the rolling backward walk [`DeadSolution`](crate::DeadSolution) uses.
 
-use pdce_dfa::network::{solve_greatest_sparse, NetworkSolution};
-use pdce_dfa::{Csr, DuGraph, InstrKind};
-use pdce_ir::{CfgView, NodeId, Program, Var};
+use std::cell::RefCell;
 
-/// Result of the faint-variable analysis.
-#[derive(Debug)]
+use pdce_dfa::{solve_with, BitVec, Direction, DuGraph, Meet, Row, RowMut, Solution};
+use pdce_ir::{CfgView, NodeId, Program, Stmt, Var};
+
+use crate::dead::{apply_stmt_backward, apply_term_backward, walk_back};
+
+/// Result of the faint-variable analysis: `N-FAINT` at each block's
+/// entry and `X-FAINT` at its exit.
+#[derive(Debug, Clone)]
 pub struct FaintSolution {
-    num_vars: usize,
-    /// First instruction index of each block.
-    offsets: Vec<usize>,
-    /// `N-FAINT` value of every `(instruction, variable)` slot.
-    values: pdce_dfa::BitVec,
-    /// Successor instruction indices of every instruction, in CSR form.
-    next: Csr,
-    evaluations: u64,
+    solution: Solution,
+    /// The rolling row of [`FaintSolution::for_each_stmt_after`], kept
+    /// between calls so a walk over every block allocates once.
+    scratch: RefCell<BitVec>,
 }
 
-/// The slot network of one program, viewed through its def-use chain
-/// graph: the [`DuGraph`] already holds the instruction layout, the
-/// per-instruction kind/def/use facts, and the flow chains, so the
-/// network is a thin slot-arithmetic layer over it. The closure walks
-/// the use-def chains lazily; no dependency relation is materialized.
-struct Network<'a> {
-    num_vars: usize,
-    num_instrs: usize,
-    num_slots: usize,
-    du: &'a DuGraph,
-}
-
-impl<'a> Network<'a> {
-    fn new(du: &'a DuGraph) -> Network<'a> {
-        let num_vars = du.num_vars();
-        let num_instrs = du.num_instrs();
-        Network {
-            num_vars,
-            num_instrs,
-            num_slots: num_instrs * num_vars,
-            du,
+/// Applies a statement's faint transfer to `v` in place: an assignment
+/// whose left-hand side is faint after it is transparent; every other
+/// statement transfers as for deadness.
+fn apply_stmt_faint(prog: &Program, stmt: &Stmt, v: &mut RowMut<'_>) {
+    if let Stmt::Assign { lhs, .. } = *stmt {
+        if v.get(lhs.index()) {
+            return;
         }
     }
-
-    /// The constant-false slots under the all-true start value: Table 1
-    /// makes exactly the `RELV-USED` slots false unconditionally, so the
-    /// sparse falsity closure seeds from the relevant instructions' used
-    /// variables — every other equation is true while its inputs are.
-    fn false_seeds(&self) -> Vec<u32> {
-        let mut seeds = Vec::new();
-        for i in 0..self.num_instrs {
-            if self.du.kind(i) == InstrKind::Relevant {
-                for &u in self.du.uses_of(i) {
-                    seeds.push((i * self.num_vars + u as usize) as u32);
-                }
-            }
-        }
-        seeds
-    }
-
-    /// Lazy dependents of slot `s`, walking the use-def chains from the
-    /// target side via `prev`: slot (ν, y) is read by (ι, y) whenever
-    /// ν ∈ next(ι); additionally, for assignments, (ν, lhs) is read by
-    /// (ι, z) for every right-hand-side variable z.
-    fn sparse_dependents_of(&self, s: usize, out: &mut Vec<u32>) {
-        let nu = s / self.num_vars;
-        let y = (s % self.num_vars) as u32;
-        for &i in self.du.prev_of(nu) {
-            let i = i as usize;
-            out.push((i * self.num_vars) as u32 + y);
-            if self.du.kind(i) == InstrKind::Assign {
-                let lhs = self.du.def_of(i).expect("assignment defines").index() as u32;
-                if lhs == y {
-                    for &z in self.du.uses_of(i) {
-                        if z != y {
-                            out.push((i * self.num_vars + z as usize) as u32);
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// Table 1's `X-FAINT`: conjunction over successor instructions.
-    fn x_faint(&self, values: &pdce_dfa::BitVec, instr: usize, v: usize) -> bool {
-        self.du
-            .next_of(instr)
-            .iter()
-            .all(|&nu| values.get(nu as usize * self.num_vars + v))
-    }
-
-    /// Table 1's `N-FAINT` right-hand side for one slot.
-    fn eval(&self, s: usize, values: &pdce_dfa::BitVec) -> bool {
-        let instr = s / self.num_vars;
-        let x = s % self.num_vars;
-        match self.du.kind(instr) {
-            InstrKind::Neutral => self.x_faint(values, instr, x),
-            InstrKind::Relevant => {
-                !self.du.uses_of(instr).contains(&(x as u32)) && self.x_faint(values, instr, x)
-            }
-            InstrKind::Assign => {
-                let lhs = self.du.def_of(instr).expect("assignment defines").index();
-                (self.x_faint(values, instr, x) || x == lhs)
-                    && (self.x_faint(values, instr, lhs)
-                        || !self.du.uses_of(instr).contains(&(x as u32)))
-            }
-        }
-    }
+    apply_stmt_backward(prog, stmt, v);
 }
 
 impl FaintSolution {
@@ -146,89 +76,110 @@ impl FaintSolution {
     /// let faint = FaintSolution::compute(&prog, &pdce_ir::CfgView::new(&prog));
     /// let l = prog.block_by_name("l").unwrap();
     /// let x = prog.vars().lookup("x").unwrap();
-    /// assert!(faint.faint_after(l, 0, x));
+    /// assert!(faint.faint_after(&prog, l, 0, x));
     /// # Ok::<(), pdce_ir::ParseError>(())
     /// ```
     pub fn compute(prog: &Program, view: &CfgView) -> FaintSolution {
-        let du = DuGraph::build(prog, view);
-        FaintSolution::compute_with_du(prog, view, &du)
-    }
-
-    /// Runs the analysis against an already-built def-use chain graph
-    /// (typically the revision-cached one from `AnalysisCache::du`,
-    /// avoiding the program re-scan). `du` must describe `prog` under
-    /// `view`'s layout.
-    ///
-    /// The closure seeds the closed-form false slots and chases falsity
-    /// along the use-def chains.
-    pub fn compute_with_du(prog: &Program, view: &CfgView, du: &DuGraph) -> FaintSolution {
-        debug_assert!(view.layout_matches(prog), "view layout is stale");
-        debug_assert_eq!(du.num_instrs(), view.num_instrs(), "du graph is stale");
-        let net = Network::new(du);
-        let eval = |s: usize, values: &pdce_dfa::BitVec| net.eval(s, values);
-        let NetworkSolution {
-            values,
-            evaluations,
-        } = solve_greatest_sparse(
-            net.num_slots,
-            &net.false_seeds(),
-            |s, out| net.sparse_dependents_of(s, out),
-            eval,
+        let width = prog.num_vars();
+        let words = width.div_ceil(64) as u64;
+        let mut scratch = BitVec::zeros(width);
+        let solution = solve_with(
+            view,
+            Direction::Backward,
+            Meet::Intersection,
+            // Everything is faint at the end of the program.
+            BitVec::ones(width).as_row(),
+            |n, input, output| {
+                let block = prog.block(n);
+                let mut row = scratch.as_row_mut();
+                row.copy_from(input);
+                apply_term_backward(prog, &block.term, &mut row);
+                for stmt in block.stmts.iter().rev() {
+                    apply_stmt_faint(prog, stmt, &mut row);
+                }
+                // A greatest-fixpoint iteration only lowers rows, so the
+                // new value is a subset of the old one: intersecting
+                // writes it and reports the change in one pass.
+                let changed = output.intersect_with_changed(row.as_row());
+                (changed, 2 * words + block.stmts.len() as u64 + 1)
+            },
         );
-
         FaintSolution {
-            num_vars: net.num_vars,
-            offsets: du.block_offsets().to_vec(),
-            values,
-            next: du.next().clone(),
-            evaluations,
+            solution,
+            scratch: RefCell::new(scratch),
         }
     }
 
-    /// [`FaintSolution::compute_with_du`] under the signature of the
-    /// retired warm-start entry point: `prev` and `dirty` are ignored
-    /// and every solve is cold. Kept only because the benchmark's layer
-    /// replica (`perfbench/src/replica.rs`) calls it, until the next
-    /// benchmark change moves the replica to `AnalysisCache::analysis`.
+    /// [`FaintSolution::compute`]; `du` is ignored. Kept only because
+    /// the benchmark's layer replica (`perfbench/src/replica.rs`) calls
+    /// it, until the next benchmark change moves the replica to
+    /// `AnalysisCache::analysis` with [`FaintSolution::compute`].
+    pub fn compute_with_du(prog: &Program, view: &CfgView, _du: &DuGraph) -> FaintSolution {
+        FaintSolution::compute(prog, view)
+    }
+
+    /// [`FaintSolution::compute`] under the signature of the retired
+    /// warm-start entry point: `du`, `prev` and `dirty` are ignored and
+    /// every solve is cold. Kept only for the benchmark's layer replica,
+    /// like [`FaintSolution::compute_with_du`].
     pub fn compute_seeded_with_du(
         prog: &Program,
         view: &CfgView,
-        du: &DuGraph,
+        _du: &DuGraph,
         _prev: &FaintSolution,
         _dirty: &[NodeId],
     ) -> FaintSolution {
-        FaintSolution::compute_with_du(prog, view, du)
+        FaintSolution::compute(prog, view)
     }
 
-    fn instr_index(&self, n: NodeId, stmt_idx: usize) -> usize {
-        self.offsets[n.index()] + stmt_idx
+    /// `N-FAINT` row at the entry of block `n`.
+    pub fn at_entry(&self, n: NodeId) -> Row<'_> {
+        self.solution.at_entry(n)
     }
 
-    /// `N-FAINT` of variable `v` at statement `k` of block `n` (the
-    /// terminator is statement index `block.stmts.len()`).
-    pub fn faint_before(&self, n: NodeId, k: usize, v: Var) -> bool {
-        self.values
-            .get(self.instr_index(n, k) * self.num_vars + v.index())
+    /// `X-FAINT` row after the terminator of block `n` (the meet over
+    /// successor entries).
+    pub fn at_exit(&self, n: NodeId) -> Row<'_> {
+        self.solution.at_exit(n)
+    }
+
+    /// Visits the faintness row *immediately after* each statement of
+    /// block `n` (`X-FAINT` of every statement instruction), calling
+    /// `f(k, after_k)` in **reverse** statement order (`k` descending),
+    /// by the same rolling walk as
+    /// [`DeadSolution::for_each_stmt_after`](crate::DeadSolution::for_each_stmt_after).
+    /// The borrowed row is overwritten after `f` returns.
+    pub fn for_each_stmt_after(&self, prog: &Program, n: NodeId, f: impl FnMut(usize, Row<'_>)) {
+        walk_back(prog, &self.solution, &self.scratch, n, apply_stmt_faint, f);
     }
 
     /// `X-FAINT` of variable `v` immediately after statement `k` of
-    /// block `n`.
-    pub fn faint_after(&self, n: NodeId, k: usize, v: Var) -> bool {
-        let instr = self.instr_index(n, k);
-        self.next
-            .neighbors(instr)
-            .iter()
-            .all(|&nu| self.values.get(nu as usize * self.num_vars + v.index()))
+    /// block `n` (the terminator is statement index `block.stmts.len()`).
+    pub fn faint_after(&self, prog: &Program, n: NodeId, k: usize, v: Var) -> bool {
+        let mut faint = self.at_exit(n).get(v.index());
+        if k < prog.block(n).stmts.len() {
+            self.for_each_stmt_after(prog, n, |j, after| {
+                if j == k {
+                    faint = after.get(v.index());
+                }
+            });
+        }
+        faint
     }
 
-    /// `N-FAINT` of `v` at the entry of block `n`.
-    pub fn faint_at_entry(&self, n: NodeId, v: Var) -> bool {
-        self.faint_before(n, 0, v)
+    /// `N-FAINT` of variable `v` at statement `k` of block `n` (the
+    /// terminator is statement index `block.stmts.len()`): the value
+    /// after the instruction before it, or the block's entry row.
+    pub fn faint_before(&self, prog: &Program, n: NodeId, k: usize, v: Var) -> bool {
+        match k.checked_sub(1) {
+            Some(prev) => self.faint_after(prog, n, prev, v),
+            None => self.at_entry(n).get(v.index()),
+        }
     }
 
-    /// Number of slot evaluations (for the Section 6.1.2 experiments).
+    /// Number of block evaluations the solver performed.
     pub fn evaluations(&self) -> u64 {
-        self.evaluations
+        self.solution.evaluations
     }
 }
 
@@ -256,8 +207,8 @@ mod tests {
         .unwrap();
         let f = FaintSolution::compute(&p, &CfgView::new(&p));
         let l = p.block_by_name("l").unwrap();
-        assert!(f.faint_after(l, 0, var(&p, "x")));
-        assert!(f.faint_at_entry(l, var(&p, "x")));
+        assert!(f.faint_after(&p, l, 0, var(&p, "x")));
+        assert!(f.at_entry(l).get(var(&p, "x").index()));
     }
 
     /// The Horwitz/Demers/Teitelbaum-style chain: `y := x` where y is
@@ -273,8 +224,11 @@ mod tests {
         .unwrap();
         let f = FaintSolution::compute(&p, &CfgView::new(&p));
         let s = p.entry();
-        assert!(f.faint_after(s, 0, var(&p, "x")), "x only feeds faint y");
-        assert!(f.faint_after(s, 1, var(&p, "y")));
+        assert!(
+            f.faint_after(&p, s, 0, var(&p, "x")),
+            "x only feeds faint y"
+        );
+        assert!(f.faint_after(&p, s, 1, var(&p, "y")));
     }
 
     #[test]
@@ -288,10 +242,10 @@ mod tests {
         .unwrap();
         let f = FaintSolution::compute(&p, &CfgView::new(&p));
         let s = p.entry();
-        assert!(!f.faint_after(s, 0, var(&p, "x")));
-        assert!(!f.faint_after(s, 1, var(&p, "y")));
+        assert!(!f.faint_after(&p, s, 0, var(&p, "x")));
+        assert!(!f.faint_after(&p, s, 1, var(&p, "y")));
         assert!(
-            f.faint_after(s, 2, var(&p, "y")),
+            f.faint_after(&p, s, 2, var(&p, "y")),
             "after out(y), y is faint"
         );
     }
@@ -307,7 +261,7 @@ mod tests {
         )
         .unwrap();
         let f = FaintSolution::compute(&p, &CfgView::new(&p));
-        assert!(!f.faint_after(p.entry(), 0, var(&p, "x")));
+        assert!(!f.faint_after(&p, p.entry(), 0, var(&p, "x")));
     }
 
     #[test]
@@ -330,7 +284,7 @@ mod tests {
                 if let Some(lhs) = stmt.modified() {
                     if d.dead_after(&p, n, k, lhs) {
                         assert!(
-                            f.faint_after(n, k, lhs),
+                            f.faint_after(&p, n, k, lhs),
                             "dead ⟹ faint violated at {}[{}]",
                             p.block(n).name,
                             k
@@ -359,8 +313,8 @@ mod tests {
         let f = FaintSolution::compute(&p, &CfgView::new(&p));
         let s = p.entry();
         let n4 = p.block_by_name("n4").unwrap();
-        assert!(f.faint_after(s, 0, var(&p, "a")));
-        assert!(f.faint_after(n4, 0, var(&p, "y")));
+        assert!(f.faint_after(&p, s, 0, var(&p, "a")));
+        assert!(f.faint_after(&p, n4, 0, var(&p, "y")));
     }
 
     #[test]
@@ -378,15 +332,15 @@ mod tests {
         .unwrap();
         let f = FaintSolution::compute(&p, &CfgView::new(&p));
         let l = p.block_by_name("l").unwrap();
-        assert!(f.faint_after(l, 0, var(&p, "x")));
-        assert!(f.faint_after(l, 1, var(&p, "y")));
+        assert!(f.faint_after(&p, l, 0, var(&p, "x")));
+        assert!(f.faint_after(&p, l, 1, var(&p, "y")));
     }
 
-    /// Pins the engine: a solve runs the sparse closure and never the
-    /// bit-vector worklist, so a silent fallback fails here instead of
-    /// only losing speed.
+    /// Pins the engine: a solve pops the block worklist, so a faint
+    /// solve that stopped reaching it fails here instead of only
+    /// changing speed.
     #[test]
-    fn default_engine_is_the_sparse_closure() {
+    fn faint_solves_on_the_block_worklist() {
         let p = parse(
             "prog {
                block s { x := 1; y := x; z := y; out(z); goto e }
@@ -398,8 +352,8 @@ mod tests {
         let before = pdce_trace::solver_totals();
         FaintSolution::compute(&p, &view);
         let d = pdce_trace::solver_totals().since(&before);
-        assert!(d.sparse_pops > 0, "{d:?}");
-        assert_eq!(d.priority_pops, 0, "{d:?}");
+        assert!(d.priority_pops > 0, "{d:?}");
+        assert_eq!(d.sparse_pops, 0, "{d:?}");
     }
 
     #[test]
@@ -415,7 +369,7 @@ mod tests {
         .unwrap();
         let f = FaintSolution::compute(&p, &CfgView::new(&p));
         let l = p.block_by_name("l").unwrap();
-        assert!(!f.faint_after(l, 0, var(&p, "x")));
-        assert!(!f.faint_after(l, 1, var(&p, "y")));
+        assert!(!f.faint_after(&p, l, 0, var(&p, "x")));
+        assert!(!f.faint_after(&p, l, 1, var(&p, "y")));
     }
 }

@@ -32,9 +32,7 @@ use pdce_ir::printer::canonical_string;
 use pdce_ir::{NodeId, Program, Stmt};
 
 use crate::better::{is_better, BetterOptions};
-use crate::dead::DeadSolution;
-use crate::elim::Mode;
-use crate::faint::FaintSolution;
+use crate::elim::{ElimAnalysis, Mode};
 use crate::local::LocalInfo;
 use crate::patterns::PatternTable;
 use pdce_dfa::AnalysisCache;
@@ -119,43 +117,12 @@ fn single_eliminations(
     mode: Mode,
     out: &mut Vec<Program>,
 ) {
-    let dead = match mode {
-        Mode::Dead => Some(cache.analysis::<DeadSolution, _>(prog, DeadSolution::compute)),
-        Mode::Faint => None,
-    };
-    let faint = match mode {
-        Mode::Faint => {
-            let du = cache.du(prog);
-            Some(cache.analysis::<FaintSolution, _>(prog, |p, v| {
-                FaintSolution::compute_with_du(p, v, &du)
-            }))
-        }
-        Mode::Dead => None,
-    };
+    let analysis = ElimAnalysis::get(prog, cache, mode);
     for n in prog.node_ids() {
-        let stmts = &prog.block(n).stmts;
-        // Dead mode reads each statement's lhs off the rolling walk.
-        let mut dead_lhs = vec![false; stmts.len()];
-        if let Some(d) = &dead {
-            d.for_each_stmt_after(prog, n, |k, after| {
-                if let Stmt::Assign { lhs, .. } = stmts[k] {
-                    dead_lhs[k] = after.get(lhs.index());
-                }
-            });
-        }
-        for (k, stmt) in stmts.iter().enumerate() {
-            let Stmt::Assign { lhs, .. } = *stmt else {
-                continue;
-            };
-            let removable = match &faint {
-                None => dead_lhs[k],
-                Some(f) => f.faint_after(n, k, lhs),
-            };
-            if removable {
-                let mut next = prog.clone();
-                next.block_mut(n).stmts.remove(k);
-                out.push(next);
-            }
+        for k in analysis.removable(prog, n) {
+            let mut next = prog.clone();
+            next.block_mut(n).stmts.remove(k);
+            out.push(next);
         }
     }
 }

@@ -1,18 +1,16 @@
-//! The def-use chain graph the faint falsity closure propagates over.
+//! An instruction-level def-use chain graph.
 //!
-//! [`DuGraph`] is an instruction-level CSR snapshot of everything the
-//! sparse faint formulation reads: per-instruction kind/def/use facts,
+//! [`DuGraph`] is a CSR snapshot of per-instruction kind/def/use facts,
 //! the instruction successor relation (statements chain within a block,
-//! terminators branch along the `CfgView` edges) and its inverse. The
-//! graph is
-//! revision-cached in `AnalysisCache` next to the `CfgView` and rebuilt
-//! from scratch whenever the program changes (DESIGN.md §15).
+//! terminators branch along the `CfgView` edges) and its inverse, in the
+//! view's arena numbering: statements plus one terminator
+//! pseudo-instruction per block.
 //!
-//! The scan mirrors the faint network's instruction walk exactly —
-//! statements plus one terminator pseudo-instruction per block, in the
-//! view's arena numbering — so the faint analysis can rebuild its
-//! boolean implication network from these chains without touching the
-//! program again.
+//! No analysis reads it any more: faint runs on the block worklist
+//! (DESIGN.md §15). It stays, revision-cached by `AnalysisCache::du`,
+//! only because the benchmark's layer replica (`perfbench/src/replica.rs`)
+//! builds it under its `du` span, until the next benchmark change drops
+//! that span.
 
 use pdce_ir::{CfgView, NodeId, Program, Stmt, Var};
 
@@ -36,8 +34,6 @@ pub enum InstrKind {
 pub struct DuGraph {
     num_vars: usize,
     num_instrs: usize,
-    /// First instruction index of each block (the view's arena layout).
-    offsets: Vec<usize>,
     /// Per-instruction kind.
     kinds: Vec<InstrKind>,
     /// Per-instruction defined variable index; `u32::MAX` if none.
@@ -80,10 +76,6 @@ impl DuGraph {
     pub fn build(prog: &Program, view: &CfgView) -> DuGraph {
         debug_assert!(view.layout_matches(prog), "view layout is stale");
         let num_instrs = view.num_instrs();
-        let nblocks = prog.num_blocks();
-        let offsets: Vec<usize> = (0..nblocks)
-            .map(|i| view.instr_offsets()[i] as usize)
-            .collect();
 
         let mut kinds = Vec::with_capacity(num_instrs);
         let mut defs = Vec::with_capacity(num_instrs);
@@ -102,8 +94,7 @@ impl DuGraph {
         let num_vars = prog.num_vars();
 
         let next = Csr::build(num_instrs, |emit| {
-            for i in 0..offsets.len() {
-                let n = NodeId::from_index(i);
+            for n in prog.node_ids() {
                 let range = view.instr_range(n);
                 for k in range.start..range.end - 1 {
                     emit(k as u32, k as u32 + 1);
@@ -123,7 +114,6 @@ impl DuGraph {
         DuGraph {
             num_vars,
             num_instrs,
-            offsets,
             kinds,
             defs,
             uses,
@@ -141,11 +131,6 @@ impl DuGraph {
     /// pseudo-instruction per block).
     pub fn num_instrs(&self) -> usize {
         self.num_instrs
-    }
-
-    /// First instruction index of each block.
-    pub fn block_offsets(&self) -> &[usize] {
-        &self.offsets
     }
 
     /// Kind of instruction `i`.
@@ -171,11 +156,6 @@ impl DuGraph {
     /// Predecessor instructions of `i` (the use-def direction).
     pub fn prev_of(&self, i: usize) -> &[u32] {
         self.prev.neighbors(i)
-    }
-
-    /// The instruction successor CSR itself.
-    pub fn next(&self) -> &Csr {
-        &self.next
     }
 }
 

@@ -5,17 +5,15 @@
 //! * [`bitvec`] + [`matrix`] — dense fixed-width bit vectors, and the
 //!   row-strided [`BitMatrix`] every solve stores its per-node vectors
 //!   in, read through borrowed [`Row`] views;
-//! * [`solve`](mod@solve) — block-level gen/kill problems solved by a
-//!   priority worklist, covering the dead-variable (Table 1) and
-//!   delayability (Table 2) analyses of the paper plus the baseline
-//!   analyses (liveness, reaching definitions/copies, availability,
-//!   anticipability);
-//! * [`network`] — the sparse falsity closure, a greatest-fixpoint
-//!   solver for monotone boolean networks, needed for the faint-variable
-//!   analysis which is not expressible as a bit-vector problem (Section
-//!   5.2/6.1.2);
-//! * [`du`](mod@du) — the def-use chain graph the falsity closure walks
-//!   (DESIGN.md §15);
+//! * [`solve`](mod@solve) — block-level problems solved by one
+//!   priority worklist over word rows: gen/kill problems (the
+//!   dead-variable and delayability analyses of Tables 1–2 plus the
+//!   baseline analyses: liveness, reaching definitions/copies,
+//!   availability, anticipability) and, through a block-transfer
+//!   closure, the faint-variable analysis, which is not a gen/kill
+//!   problem (Section 5.2, DESIGN.md §15);
+//! * [`du`](mod@du) — an instruction-level def-use chain graph, kept
+//!   only for the benchmark's layer replica;
 //! * [`pass`](mod@pass) — the pass-manager framework: the [`Pass`] trait every
 //!   transform in the workspace implements, and the revision-keyed
 //!   [`AnalysisCache`] that shares `CfgView`s, dominators, and solver
@@ -39,7 +37,6 @@ pub mod bitvec;
 pub mod csr;
 pub mod du;
 pub mod matrix;
-pub mod network;
 pub mod pass;
 pub mod solve;
 
@@ -47,6 +44,5 @@ pub use bitvec::BitVec;
 pub use csr::Csr;
 pub use du::{DuGraph, InstrKind};
 pub use matrix::{BitMatrix, Row, RowMut};
-pub use network::{solve_greatest_sparse, NetworkSolution};
 pub use pass::{run_until_stable, AnalysisCache, CacheStats, Pass, PassOutcome, Preserves};
-pub use solve::{solve, BitProblem, Direction, Meet, Solution};
+pub use solve::{solve, solve_with, BitProblem, Direction, Meet, Solution};

@@ -301,8 +301,10 @@ impl AnalysisCache {
         }
     }
 
-    /// The memoized [`DuGraph`] of `prog` — the def-use chain graph the
-    /// faint closure propagates over, rebuilt from scratch on a miss.
+    /// The memoized [`DuGraph`] of `prog`, rebuilt from scratch on a
+    /// miss. No analysis asks for it; it is kept only because the
+    /// benchmark's layer replica (`perfbench/src/replica.rs`) times its
+    /// build, until the next benchmark change drops that span.
     pub fn du(&mut self, prog: &Program) -> Rc<DuGraph> {
         self.sync(prog);
         if let Some(du) = &self.du {

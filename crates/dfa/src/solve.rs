@@ -1,10 +1,13 @@
-//! Worklist solver for block-level bit-vector problems.
+//! Worklist solver for block-level data-flow problems over bit rows.
 //!
-//! The solver computes the *greatest* or *least* fixpoint of a gen/kill
-//! system over a control-flow graph, in either direction, with either
-//! meet. The paper's analyses are all all-paths problems (meet = ∩,
-//! greatest fixpoint): dead variables and delayability; the baselines add
-//! may-problems (reaching definitions/copies, meet = ∪, least fixpoint).
+//! The solver computes the *greatest* or *least* fixpoint of a
+//! monotone block-transfer system over a control-flow graph, in either
+//! direction, with either meet. The paper's analyses are all all-paths
+//! problems (meet = ∩, greatest fixpoint): dead variables and
+//! delayability are gen/kill problems ([`BitProblem`]); faint variables
+//! are not distributive and hand the solver their block transfer as a
+//! closure ([`solve_with`]). The baselines add may-problems (reaching
+//! definitions/copies, meet = ∪, least fixpoint).
 //!
 //! There is one engine: a direction-aware priority worklist that only
 //! re-evaluates nodes whose inputs may have changed, earliest in
@@ -20,7 +23,7 @@ use std::collections::BinaryHeap;
 use pdce_ir::{CfgView, NodeId};
 
 use crate::bitvec::BitVec;
-use crate::matrix::{BitMatrix, Row};
+use crate::matrix::{BitMatrix, Row, RowMut};
 
 /// Analysis direction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -91,14 +94,10 @@ impl Solution {
     }
 }
 
-/// Solves `problem` over the graph `view` with the priority worklist.
-///
-/// Every node in the iteration order is queued once up front; a node
-/// whose output changes re-queues the flow-successors whose meet reads
-/// it. Nodes outside the order (unreachable) are never evaluated, so
-/// their outputs stay the meet identity. The meet and the transfer
-/// write straight into the node's rows, so a solve allocates the same
-/// handful of buffers whatever the node count.
+/// Solves `problem` over the graph `view` with the priority worklist:
+/// [`solve_with`] under the distributive block transfer
+/// `f_n(X) = gen_n ∪ (X ∖ kill_n)`, charged three words per row (read,
+/// write, convergence compare).
 ///
 /// # Panics
 ///
@@ -119,6 +118,49 @@ pub fn solve(view: &CfgView, problem: &BitProblem<'_>) -> Solution {
     assert_eq!(boundary.len(), width, "boundary width mismatch");
     assert_eq!(gen.width(), width, "transfer width mismatch");
     assert_eq!(kill.width(), width, "transfer width mismatch");
+    let words = width.div_ceil(64) as u64;
+    solve_with(
+        view,
+        direction,
+        meet,
+        boundary.as_row(),
+        |node, input, output| {
+            let i = node.index();
+            (
+                output.set_transfer(input, gen.row(i), kill.row(i)),
+                words * 3,
+            )
+        },
+    )
+}
+
+/// Solves a block-level problem whose transfer is the closure
+/// `transfer(node, input, output)` with the priority worklist.
+///
+/// `transfer` overwrites `output` with `f_node(input)` and returns
+/// whether any bit changed plus the word operations it spent. `f` must
+/// be monotone; the worklist then reaches the extremal fixpoint from
+/// the optimistic start (all-ones under ∩, all-zeros under ∪), with
+/// `boundary` pinned at the entry's entry (forward) or the exit's exit
+/// (backward). Gen/kill problems are the distributive instance
+/// ([`solve`]); the faint analysis supplies a non-distributive one.
+///
+/// Every node in the iteration order is queued once up front; a node
+/// whose output changes re-queues the flow-successors whose meet reads
+/// it. Each pop is charged one pop against the active budget. Nodes
+/// outside the order (unreachable) are never evaluated, so their rows
+/// stay the meet identity. The meet and the transfer write straight
+/// into the node's rows, so a solve allocates the same handful of
+/// buffers whatever the node count.
+pub fn solve_with(
+    view: &CfgView,
+    direction: Direction,
+    meet: Meet,
+    boundary: Row<'_>,
+    mut transfer: impl FnMut(NodeId, Row<'_>, &mut RowMut<'_>) -> (bool, u64),
+) -> Solution {
+    let n = view.num_nodes();
+    let width = boundary.len();
     pdce_trace::fault::fire("solve");
     let trace_span = pdce_trace::span_with(
         "solver",
@@ -160,9 +202,7 @@ pub fn solve(view: &CfgView, problem: &BitProblem<'_>) -> Solution {
         Direction::Forward => view.entry(),
         Direction::Backward => view.exit(),
     };
-    input
-        .row_mut(boundary_node.index())
-        .copy_from(boundary.as_row());
+    input.row_mut(boundary_node.index()).copy_from(boundary);
 
     // Iterate in an order that converges fast: RPO for forward problems,
     // postorder for backward ones — both precomputed slices of the view.
@@ -208,13 +248,9 @@ pub fn solve(view: &CfgView, problem: &BitProblem<'_>) -> Solution {
                 }
             }
         }
-        // Gen/kill transfer (&!kill then |gen) plus the convergence
-        // compare.
-        word_ops += words * 3;
-        if output
-            .row_mut(i)
-            .set_transfer(input.row(i), gen.row(i), kill.row(i))
-        {
+        let (changed, ops) = transfer(node, input.row(i), &mut output.row_mut(i));
+        word_ops += ops;
+        if changed {
             // Re-queue flow-successors whose meet reads this node's
             // output.
             let dependents: &[NodeId] = match direction {
@@ -369,6 +405,147 @@ mod tests {
         assert!(sol.at_entry(k).get(0));
         assert!(!sol.at_exit(k).get(0));
         assert!(!sol.at_entry(p.exit()).get(0));
+    }
+
+    /// A chain `s → a → b → e` solved backward under ∩ with a
+    /// cross-bit rule no gen/kill pair expresses: bit 0 survives a block
+    /// only while bit 1 holds, and block `b` clears bit 1.
+    fn chain_with_cross_bit_rule() -> (Program, Solution) {
+        let p = parse(
+            "prog {
+               block s { goto a }
+               block a { goto b }
+               block b { goto e }
+               block e { halt }
+             }",
+        )
+        .unwrap();
+        let b = p.block_by_name("b").unwrap();
+        let sol = solve_with(
+            &CfgView::new(&p),
+            Direction::Backward,
+            Meet::Intersection,
+            BitVec::ones(2).as_row(),
+            |node, input, output| {
+                let mut next = input.to_bitvec();
+                if node == b {
+                    next.set(1, false);
+                }
+                if !next.get(1) {
+                    next.set(0, false);
+                }
+                (output.intersect_with_changed(next.as_row()), 1)
+            },
+        );
+        (p, sol)
+    }
+
+    #[test]
+    fn closure_transfer_propagates_along_a_chain() {
+        let (p, sol) = chain_with_cross_bit_rule();
+        let at = |name: &str| p.block_by_name(name).unwrap();
+        assert!(sol.at_exit(at("b")).get(0) && sol.at_exit(at("b")).get(1));
+        // Falsity enters at `b` and spreads through both bits upstream.
+        for name in ["s", "a", "b"] {
+            assert!(sol.at_entry(at(name)).none(), "{name}");
+        }
+        assert_eq!(sol.evaluations, 4, "one pop per block, no revisit");
+    }
+
+    /// Greatest fixpoint: the loop `h → h` supports its own bit, which
+    /// stays true although only `x` sets it and the exit's is false — a
+    /// least solution would have it false — as the faint analysis needs
+    /// for self-supporting cycles.
+    #[test]
+    fn closure_transfer_keeps_a_self_supporting_loop() {
+        let p = parse(
+            "prog {
+               block s { goto h }
+               block h { nondet h x }
+               block x { goto e }
+               block e { halt }
+             }",
+        )
+        .unwrap();
+        let (h, x) = (p.block_by_name("h").unwrap(), p.block_by_name("x").unwrap());
+        let sol = solve_with(
+            &CfgView::new(&p),
+            Direction::Backward,
+            Meet::Intersection,
+            BitVec::zeros(1).as_row(),
+            |node, input, output| {
+                let mut next = input.to_bitvec();
+                next.set(0, next.get(0) || node == x);
+                (output.intersect_with_changed(next.as_row()), 1)
+            },
+        );
+        assert!(sol.at_entry(h).get(0) && sol.at_exit(h).get(0));
+        assert!(!sol.at_exit(x).get(0), "the exit path is false");
+    }
+
+    #[test]
+    fn evaluation_count_is_bounded() {
+        // A monotone row can drop each bit at most once per node, so a
+        // node is re-evaluated at most once per bit and per
+        // flow-predecessor on top of its first visit.
+        let (p, sol) = chain_with_cross_bit_rule();
+        let view = CfgView::new(&p);
+        let bound: usize = view
+            .postorder()
+            .iter()
+            .map(|&n| 1 + 2 * view.succs(n).len())
+            .sum();
+        assert!(sol.evaluations as usize <= bound, "{}", sol.evaluations);
+    }
+
+    #[test]
+    fn worklist_pops_are_charged_against_the_budget() {
+        use pdce_trace::budget::{install, Budget};
+        use pdce_trace::sandbox::{catch, SandboxError};
+        let solve = |max_pops: u64| {
+            let _budget = install(Budget {
+                max_pops: Some(max_pops),
+                ..Budget::UNLIMITED
+            });
+            catch(chain_with_cross_bit_rule)
+        };
+        // One pop per block of the four-block chain: exactly 4 fits.
+        let (_, sol) = solve(4).expect("4 pops fit");
+        assert_eq!(sol.evaluations, 4);
+        match solve(3) {
+            Err(SandboxError::Budget(b)) => assert_eq!(b.resource, "pops"),
+            other => panic!("the worklist must exhaust the pop budget: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn worklist_observes_cancellation() {
+        use pdce_trace::budget::{install_cancel, CancelToken};
+        use pdce_trace::sandbox::{catch, SandboxError};
+        let p = diamond();
+        let token = CancelToken::new();
+        let _guard = install_cancel(token.clone());
+        let evaluations = std::cell::Cell::new(0);
+        let outcome = catch(|| {
+            solve_with(
+                &CfgView::new(&p),
+                Direction::Backward,
+                Meet::Intersection,
+                BitVec::ones(1).as_row(),
+                |_, input, output| {
+                    evaluations.set(evaluations.get() + 1);
+                    // Raised inside the first transfer, after its pop
+                    // was charged: only the next pop's checkpoint sees it.
+                    token.cancel();
+                    (output.intersect_with_changed(input), 1)
+                },
+            )
+        });
+        match outcome {
+            Err(SandboxError::Budget(b)) => assert_eq!(b.resource, "cancelled"),
+            other => panic!("the worklist must observe the cancel: {other:?}"),
+        }
+        assert_eq!(evaluations.get(), 1, "aborted at the second pop");
     }
 
     #[test]

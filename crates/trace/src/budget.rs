@@ -20,9 +20,8 @@ use std::time::{Duration, Instant};
 pub struct Budget {
     /// Maximum pde/pfe global rounds.
     pub max_rounds: Option<u64>,
-    /// Maximum dfa worklist pops (the bit-vector worklist's pops plus
-    /// every pop of the sparse faint closure), summed across all solver
-    /// runs under this budget.
+    /// Maximum dfa worklist pops (one per block evaluation, for every
+    /// analysis), summed across all solver runs under this budget.
     pub max_pops: Option<u64>,
     /// Wall-clock ceiling for the whole attempt.
     pub wall_time: Option<Duration>,

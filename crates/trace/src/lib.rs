@@ -545,27 +545,25 @@ impl Drop for RoundScope {
 /// counted quantities depend on timing.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SolverStats {
-    /// Solver runs (bit-vector worklists and faint closures); every
-    /// run starts cold.
+    /// Solver runs of the block worklist (dead, delay, faint and the
+    /// baselines); every run starts cold.
     pub problems: u64,
-    /// Worklist pops / node evaluations: transfer-function applications
-    /// (bit-vector) plus slot evaluations (network).
+    /// Node evaluations: block-transfer applications.
     pub evaluations: u64,
-    /// Re-evaluations beyond the first visit of each node/slot.
+    /// Re-evaluations beyond the first visit of each node.
     pub revisits: u64,
     /// `u64` word operations on bit vectors (meets, transfers,
     /// convergence compares), the paper's bit-vector cost unit.
     pub word_ops: u64,
-    /// Pops of the bit-vector priority worklist (reverse postorder /
-    /// postorder), which solves dead and delayability.
+    /// Pops of the priority worklist (reverse postorder / postorder),
+    /// which solves every analysis.
     pub priority_pops: u64,
-    /// Seeds of the faint falsity closure: one per constant-false slot.
-    /// The chain traversal the closure performs from them is counted
-    /// separately in `sparse_edge_visits`.
+    /// Always zero: the faint falsity closure that counted its seeds
+    /// here is gone. Kept only because the benchmark
+    /// (`perfbench/src/workloads.rs`) reads the solver stats by field,
+    /// until the next benchmark change.
     pub sparse_pops: u64,
-    /// Def-use chain edges traversed by the faint closure while
-    /// spreading falsity — the `O(affected edges)` quantity of the
-    /// sparse formulation.
+    /// Always zero, like `sparse_pops`, and kept for the same reason.
     pub sparse_edge_visits: u64,
 }
 
@@ -606,7 +604,7 @@ impl SolverStats {
         }
     }
 
-    /// Total pops of both engines: worklist pops plus closure seeds.
+    /// Total worklist pops (`sparse_pops` is always zero).
     pub fn pops(&self) -> u64 {
         self.priority_pops + self.sparse_pops
     }
@@ -682,25 +680,9 @@ mod solver_metrics {
     pub static PRIORITY_POPS: LazyLock<Arc<Counter>> = LazyLock::new(|| {
         global().counter(
             "pdce_solver_pops_total",
-            "Worklist pops by solver engine (priority worklist, sparse closure seeds)",
+            "Worklist pops by solver engine (one engine: the priority worklist)",
             Stability::Deterministic,
             &[("strategy", "priority")],
-        )
-    });
-    pub static SPARSE_POPS: LazyLock<Arc<Counter>> = LazyLock::new(|| {
-        global().counter(
-            "pdce_solver_pops_total",
-            "Worklist pops by solver engine (priority worklist, sparse closure seeds)",
-            Stability::Deterministic,
-            &[("strategy", "sparse")],
-        )
-    });
-    pub static SPARSE_EDGE_VISITS: LazyLock<Arc<Counter>> = LazyLock::new(|| {
-        global().counter(
-            "pdce_solver_edge_visits_total",
-            "Def-use chain edges traversed by the sparse faint closure",
-            Stability::Deterministic,
-            &[],
         )
     });
     pub static WORD_OPS: LazyLock<Arc<Counter>> = LazyLock::new(|| {
@@ -714,7 +696,7 @@ mod solver_metrics {
 }
 
 /// Adds one solver run's counters into the per-thread accumulator and
-/// mirrors the hot counters (pops, edge visits, word ops) into the
+/// mirrors the hot counters (pops, word ops) into the
 /// process-global metrics registry.
 pub fn record_solver(delta: SolverStats) {
     SOLVER.with(|s| {
@@ -723,8 +705,6 @@ pub fn record_solver(delta: SolverStats) {
         s.set(total);
     });
     solver_metrics::PRIORITY_POPS.add(delta.priority_pops);
-    solver_metrics::SPARSE_POPS.add(delta.sparse_pops);
-    solver_metrics::SPARSE_EDGE_VISITS.add(delta.sparse_edge_visits);
     solver_metrics::WORD_OPS.add(delta.word_ops);
 }
 

@@ -563,12 +563,7 @@ fn cmd_opt(args: &[String]) -> Result<(), CliError> {
                     "solver:      {} problem(s), {} evaluation(s), {} word op(s)",
                     stats.solver.problems, stats.solver.evaluations, stats.solver.word_ops
                 );
-                eprintln!(
-                    "pops:        {} worklist, {} closure seed(s) ({} edge visit(s))",
-                    stats.solver.priority_pops,
-                    stats.solver.sparse_pops,
-                    stats.solver.sparse_edge_visits
-                );
+                eprintln!("pops:        {} worklist", stats.solver.priority_pops);
                 if stats.truncated {
                     eprintln!("truncated:   yes");
                 }
@@ -741,12 +736,11 @@ fn cmd_opt_batch(opts: &BatchOptions) -> Result<(), CliError> {
     if opts.want_stats {
         eprintln!(
             "total:       {} file(s), {} eliminated, {} solver problem(s), \
-             {} worklist pop(s), {} closure seed(s)",
+             {} worklist pop(s)",
             opts.files.len() - errors,
             total_eliminated,
             totals.problems,
-            totals.priority_pops,
-            totals.sparse_pops
+            totals.priority_pops
         );
     }
     // One event per file, in argument order — the same merge rule as
@@ -944,7 +938,7 @@ fn cmd_analyze(args: &[String]) -> Result<(), CliError> {
             if let Some(lhs) = stmt.modified() {
                 if dead_after[k].get(lhs.index()) {
                     facts.push("lhs dead after");
-                } else if faint.faint_after(n, k, lhs) {
+                } else if faint.faint_after(&prog, n, k, lhs) {
                     facts.push("lhs faint after");
                 }
             }

@@ -1,11 +1,12 @@
-//! Allocation bound of the bit-vector solves: the dead solve, sinking's
-//! local predicates and the delay solve store every per-block vector in
-//! row-strided matrices, so each allocates the same number of buffers
-//! whatever the block count. Counted by the `alloc-metrics` global
-//! allocator; run with `cargo test --features alloc-metrics`.
+//! Allocation bound of the bit-vector solves: the dead and faint
+//! solves, sinking's local predicates and the delay solve store every
+//! per-block vector in row-strided matrices, so each allocates the same
+//! number of buffers whatever the block count. Counted by the
+//! `alloc-metrics` global allocator; run with `cargo test --features
+//! alloc-metrics`.
 #![cfg(feature = "alloc-metrics")]
 
-use pdce::core::{DeadSolution, DelayInfo, LocalInfo, PatternTable};
+use pdce::core::{DeadSolution, DelayInfo, FaintSolution, LocalInfo, PatternTable};
 use pdce::ir::{CfgView, Program};
 use pdce::progen::{structured, GenConfig};
 
@@ -36,13 +37,14 @@ fn allocs<T>(mut f: impl FnMut() -> T) -> u64 {
         .expect("three runs")
 }
 
-/// `[dead, local, delay]` allocation counts on `prog`.
-fn solve_allocs(prog: &Program) -> [u64; 3] {
+/// `[dead, faint, local, delay]` allocation counts on `prog`.
+fn solve_allocs(prog: &Program) -> [u64; 4] {
     let view = CfgView::new(prog);
     let table = PatternTable::build(prog);
     let local = LocalInfo::compute(prog, &table);
     [
         allocs(|| DeadSolution::compute(prog, &view)),
+        allocs(|| FaintSolution::compute(prog, &view)),
         allocs(|| LocalInfo::compute(prog, &table)),
         allocs(|| DelayInfo::compute(prog, &view, &table, &local)),
     ]
@@ -71,7 +73,7 @@ fn solve_allocations_do_not_grow_with_the_block_count() {
     assert_eq!(
         at_small,
         at_large,
-        "[dead, local, delay] allocations at {} vs {} blocks",
+        "[dead, faint, local, delay] allocations at {} vs {} blocks",
         small.num_blocks(),
         large.num_blocks()
     );

@@ -201,7 +201,7 @@ fn dead_implies_faint() {
                 for v in 0..p.num_vars() {
                     if after_k.get(v) {
                         assert!(
-                            faint.faint_after(n, k, pdce::ir::Var::from_index(v)),
+                            faint.faint_after(&p, n, k, pdce::ir::Var::from_index(v)),
                             "dead but not faint at {}[{}] var v{}",
                             p.block(n).name,
                             k,

@@ -141,12 +141,12 @@ fn assert_analyses_match(prog: &Program, what: &str) {
         }
         for k in 0..=len {
             assert_eq!(
-                row(&|v| faint.faint_before(n, k, v)),
+                row(&|v| faint.faint_before(prog, n, k, v)),
                 row(&|v| spec_faint.before(n, k, v)),
                 "{what}: N-FAINT at {name}[{k}]"
             );
             assert_eq!(
-                row(&|v| faint.faint_after(n, k, v)),
+                row(&|v| faint.faint_after(prog, n, k, v)),
                 row(&|v| spec_faint.after(n, k, v)),
                 "{what}: X-FAINT after {name}[{k}]"
             );
@@ -268,7 +268,7 @@ fn faint_matches_the_spec_after_a_new_variable() {
     p.stmts_mut(s).push(Stmt::Out(y_term));
     assert_analyses_match(&p, "after adding freshvar");
     let faint = FaintSolution::compute(&p, &CfgView::new(&p));
-    assert!(!faint.faint_after(s, 1, y), "out(freshvar) observes it");
+    assert!(!faint.faint_after(&p, s, 1, y), "out(freshvar) observes it");
 }
 
 #[test]

@@ -168,7 +168,7 @@ fn table1_faint_column_on_fig1_and_fig9() {
             if let Some(lhs) = stmt.modified() {
                 assert_eq!(
                     dead.dead_after(&p, n, k, lhs),
-                    faint.faint_after(n, k, lhs),
+                    faint.faint_after(&p, n, k, lhs),
                     "fig1 has no faint-only assignment ({}[{}])",
                     p.block(n).name,
                     k
@@ -192,5 +192,5 @@ fn table1_faint_column_on_fig1_and_fig9() {
     let l = p9.block_by_name("l").unwrap();
     let x = p9.vars().lookup("x").unwrap();
     assert!(!dead9.dead_after(&p9, l, 0, x), "not dead (self-use)");
-    assert!(faint9.faint_after(l, 0, x), "but faint (Figure 9)");
+    assert!(faint9.faint_after(&p9, l, 0, x), "but faint (Figure 9)");
 }
