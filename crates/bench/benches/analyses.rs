@@ -1,9 +1,9 @@
 //! C3/C6: costs of the component analyses (Section 6.1) — the dead,
-//! faint and delayability solvers, sinking's local predicates, the
-//! baseline liveness analysis, and the du-chain graph construction
-//! (including its quadratic worst case). The dead, local and delay
-//! groups add opt_large-sized cases (~270 blocks) with 20 and 96
-//! variables: one-word and two-word dead rows.
+//! faint and delayability solvers, sinking's pattern table and local
+//! predicates, the baseline liveness analysis, and the du-chain graph
+//! construction (including its quadratic worst case). The dead,
+//! patterns, local and delay groups add opt_large-sized cases (~270
+//! blocks) with 20 and 96 variables: one-word and two-word dead rows.
 //!
 //! Run with: `cargo bench -p pdce-bench --bench analyses`
 
@@ -33,7 +33,7 @@ fn workload_vars(n: usize, num_vars: usize) -> pdce_ir::Program {
     })
 }
 
-/// The size cases of the dead, local and delay groups: the block
+/// The size cases of the dead, patterns, local and delay groups: the block
 /// count alone at 8 variables, then ~270 blocks at 20 and 96 variables.
 fn row_cases(sizes: &[usize]) -> Vec<(String, pdce_ir::Program)> {
     let mut cases: Vec<_> = sizes
@@ -53,6 +53,11 @@ fn main() {
     for (label, prog) in row_cases(&sizes) {
         let view = CfgView::new(&prog);
         timeit::report(&label, || DeadSolution::compute(&prog, &view));
+    }
+
+    timeit::group("analysis_patterns");
+    for (label, prog) in row_cases(&sizes) {
+        timeit::report(&label, || PatternTable::build(&prog));
     }
 
     timeit::group("analysis_local");

@@ -145,7 +145,7 @@ mod tests {
         );
         assert_eq!(t.len(), 2); // y := a+b and y := 4
         let y_ab = (0..t.len())
-            .find(|&k| t.key(k).as_str() == "y := a + b")
+            .find(|&k| t.key(&p, k).as_str() == "y := a + b")
             .unwrap();
         let n2 = idx(&p, &d, "n2");
         let n3 = idx(&p, &d, "n3");

@@ -26,7 +26,8 @@ use pdce_trace::sandbox::{self, SandboxError};
 use pdce_trace::{fault, SolverStats};
 
 use crate::elim::{eliminate_fixpoint_cached, Mode};
-use crate::sink::{sink_assignments_cached, CriticalEdgeError};
+use crate::patterns::PatternTable;
+use crate::sink::{sink_with_table, CriticalEdgeError};
 use crate::tv;
 
 /// Registry handles for the driver/resilience counter families. The
@@ -363,7 +364,8 @@ pub fn optimize(prog: &mut Program, config: &PdceConfig) -> Result<PdceStats, Pd
 /// sinking pass of a round instead of being rebuilt per transform.
 /// Stability is detected through [`Program::revision`] — a round that
 /// performs no mutation ends the loop — which both transforms guarantee
-/// by never writing back unchanged statement lists.
+/// by never writing back unchanged statement lists. With sinking on, one
+/// [`PatternTable`] of the split input serves every round's `ask`.
 ///
 /// # Errors
 ///
@@ -389,6 +391,10 @@ pub fn optimize_with_cache(
     if config.sinking {
         stats.synthetic_blocks = split_critical_edges(prog).len() as u64;
     }
+    // Elimination removes patterns and sinking re-inserts existing ones,
+    // so the split input's table indexes every round's patterns: build it
+    // once and pin it for the run.
+    let table = config.sinking.then(|| PatternTable::build(prog));
     stats.initial_stmts = prog.num_stmts() as u64;
     stats.max_stmts = stats.initial_stmts;
 
@@ -449,9 +455,9 @@ pub fn optimize_with_cache(
         stats.eliminated_assignments += removed;
         stats.elimination_passes += passes;
 
-        if config.sinking {
+        if let Some(table) = &table {
             fault::fire("sink");
-            let outcome = sink_assignments_cached(prog, cache, region)?;
+            let outcome = sink_with_table(prog, cache, table, region)?;
             stats.sunk_assignments += outcome.removed;
             stats.inserted_assignments += outcome.inserted;
             stats.max_stmts = stats.max_stmts.max(prog.num_stmts() as u64);
@@ -921,6 +927,40 @@ mod tests {
             "{:?}",
             stats.cache
         );
+    }
+
+    /// A pde/pfe run builds one pattern table however many rounds it
+    /// takes, and dce/fce build none. Every view the run builds is a
+    /// cache miss, apart from the one critical-edge splitting builds.
+    #[test]
+    fn a_sinking_run_builds_one_pattern_table() {
+        let src = "prog {
+            block s { goto h }
+            block h { x := a + b; y := x + 1; nondet h after }
+            block after { out(x); goto e }
+            block e { halt }
+        }";
+        for config in [
+            PdceConfig::pde(),
+            PdceConfig::pfe(),
+            PdceConfig::dce_only(),
+            PdceConfig::fce_only(),
+        ] {
+            let mut p = parse(src).unwrap();
+            let tables = PatternTable::builds_on_this_thread();
+            let views = pdce_ir::CfgView::builds_on_this_thread();
+            let stats = optimize(&mut p, &config).unwrap();
+            let sinking = u64::from(config.sinking);
+            assert_eq!(PatternTable::builds_on_this_thread() - tables, sinking);
+            assert_eq!(
+                pdce_ir::CfgView::builds_on_this_thread() - views,
+                stats.cache.cfg_misses + sinking,
+                "{config:?}"
+            );
+            if config.sinking {
+                assert!(stats.rounds >= 3, "{} rounds", stats.rounds);
+            }
+        }
     }
 
     #[test]

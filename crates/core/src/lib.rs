@@ -67,4 +67,4 @@ pub use faint::FaintSolution;
 pub use local::LocalInfo;
 pub use passes::{DcePass, FcePass, PdePass, PfePass, SinkPass};
 pub use patterns::PatternTable;
-pub use sink::{sink_assignments, sinking_is_stable, SinkOutcome};
+pub use sink::{sink_assignments, sink_with_table, sinking_is_stable, SinkOutcome};

@@ -134,13 +134,13 @@ mod tests {
              }",
         );
         let y_ab = (0..t.len())
-            .find(|&k| t.key(k).as_str() == "y := a + b")
+            .find(|&k| t.key(&p, k).as_str() == "y := a + b")
             .unwrap();
         assert!(!i.locdelayed.row(p.entry().index()).get(y_ab));
         assert!(i.locblocked.row(p.entry().index()).get(y_ab));
         // `x := 3*y` is a candidate: nothing after it blocks it.
         let x_3y = (0..t.len())
-            .find(|&k| t.key(k).as_str() == "x := 3 * y")
+            .find(|&k| t.key(&p, k).as_str() == "x := 3 * y")
             .unwrap();
         assert!(i.locdelayed.row(p.entry().index()).get(x_3y));
     }
@@ -157,12 +157,12 @@ mod tests {
              }",
         );
         let y_ab = (0..t.len())
-            .find(|&k| t.key(k).as_str() == "y := a + b")
+            .find(|&k| t.key(&p, k).as_str() == "y := a + b")
             .unwrap();
         assert!(!i.locdelayed.row(p.entry().index()).get(y_ab));
         // `a := d` itself is a trailing candidate.
         let a_d = (0..t.len())
-            .find(|&k| t.key(k).as_str() == "a := d")
+            .find(|&k| t.key(&p, k).as_str() == "a := d")
             .unwrap();
         assert!(i.locdelayed.row(p.entry().index()).get(a_d));
         assert_eq!(
@@ -185,7 +185,7 @@ mod tests {
              }",
         );
         let y_ab = (0..t.len())
-            .find(|&k| t.key(k).as_str() == "y := a + b")
+            .find(|&k| t.key(&p, k).as_str() == "y := a + b")
             .unwrap();
         assert!(i.locdelayed.row(p.entry().index()).get(y_ab));
         assert_eq!(i.candidates_of(p.entry()), &[(2, y_ab)]);

@@ -3,7 +3,7 @@
 //! pass pipeline alongside the baselines, LCM, and the SSA passes.
 
 use pdce_dfa::{AnalysisCache, Pass, PassOutcome, Preserves};
-use pdce_ir::edgesplit::{has_critical_edges, split_critical_edges};
+use pdce_ir::edgesplit::split_critical_edges;
 use pdce_ir::Program;
 
 use crate::driver::{optimize_with_cache, PdceConfig};
@@ -63,7 +63,7 @@ impl Pass for SinkPass {
 
     fn run(&self, prog: &mut Program, cache: &mut AnalysisCache) -> PassOutcome {
         let mut out = PassOutcome::unchanged();
-        if has_critical_edges(prog) {
+        if !cache.cfg(prog).critical_edges().is_empty() {
             split_critical_edges(prog);
             out.merge(&PassOutcome {
                 changed: true,

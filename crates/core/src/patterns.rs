@@ -3,8 +3,10 @@
 //! The delayability analysis of Table 2 works on "bit-vectors of sinking
 //! candidates", one bit per assignment pattern occurring in the program.
 //! [`PatternTable`] assigns each distinct pattern `x := t` a dense index
-//! (stable for the lifetime of one analysis round) and answers the
-//! blocking queries that the local predicates are built from.
+//! and answers the blocking queries that the local predicates are built
+//! from. The driver builds one table per run and keeps its indices for
+//! every round (no round creates a pattern); pipelines take each
+//! revision's table from the analysis cache.
 //!
 //! Blocking is stored per variable, as two pattern masks: a read of `v`
 //! blocks row `v` of `by_use` (the patterns `v := t`), a write of `v`
@@ -13,17 +15,24 @@
 //! mask per variable it touches, ⌈a/64⌉ words each, instead of `a` term
 //! probes.
 
-use std::collections::HashMap;
-
 use pdce_dfa::{BitMatrix, RowMut};
+use pdce_ir::printer::write_term;
 use pdce_ir::{PatternKey, Program, Stmt, TermId, Terminator, Var};
+
+#[cfg(test)]
+thread_local! {
+    static BUILDS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
 
 /// Dense table of the assignment patterns occurring in a program.
 #[derive(Debug, Clone)]
 pub struct PatternTable {
+    /// Patterns in canonical-key order: index `i` is pattern `i`.
     patterns: Vec<(Var, TermId)>,
-    keys: Vec<PatternKey>,
-    index: HashMap<(Var, TermId), usize>,
+    /// The patterns `v := t` are `by_lhs[lhs_start[v]..lhs_start[v + 1]]`,
+    /// as `(t, index)` pairs sorted by `t`.
+    lhs_start: Vec<u32>,
+    by_lhs: Vec<(TermId, u32)>,
     /// Row per variable: the patterns a read of it blocks.
     by_use: BitMatrix,
     /// Row per variable: the patterns a write of it blocks.
@@ -32,48 +41,107 @@ pub struct PatternTable {
 
 impl PatternTable {
     /// Collects all assignment patterns of `prog`, in canonical-key order
-    /// so that indices (and hence insertion order during sinking) are
-    /// deterministic.
+    /// (the byte order of `"x := t"`) so that indices (and hence insertion
+    /// order during sinking) are deterministic.
+    ///
+    /// No key string is built. Patterns sort by lhs name, then by the
+    /// rendering of the rhs, which is the key order because every
+    /// identifier character sorts above the `' '` that ends the name in
+    /// the key. Both sorts are over ranks: the variables are ranked by
+    /// name once, and each distinct rhs is rendered once, into one
+    /// shared buffer, and ranked by its rendering.
     pub fn build(prog: &Program) -> PatternTable {
-        let mut pairs: Vec<(Var, TermId)> = Vec::new();
-        let mut seen: HashMap<(Var, TermId), ()> = HashMap::new();
-        for n in prog.node_ids() {
-            for stmt in &prog.block(n).stmts {
-                if let Stmt::Assign { lhs, rhs } = *stmt {
-                    if seen.insert((lhs, rhs), ()).is_none() {
-                        pairs.push((lhs, rhs));
-                    }
-                }
-            }
-        }
-        let mut keyed: Vec<(PatternKey, (Var, TermId))> = pairs
-            .into_iter()
-            .map(|(v, t)| (PatternKey::of(prog, v, t), (v, t)))
+        #[cfg(test)]
+        BUILDS.with(|b| b.set(b.get() + 1));
+        let mut occurring: Vec<(Var, TermId)> = prog
+            .node_ids()
+            .flat_map(|n| prog.block(n).stmts.iter())
+            .filter_map(|stmt| match *stmt {
+                Stmt::Assign { lhs, rhs } => Some((lhs, rhs)),
+                _ => None,
+            })
             .collect();
-        keyed.sort_by(|a, b| a.0.cmp(&b.0));
-        let width = keyed.len();
+        occurring.sort_unstable();
+        occurring.dedup();
+        let width = occurring.len();
+
+        let mut by_name: Vec<Var> = prog.vars().iter().collect();
+        by_name.sort_unstable_by(|&a, &b| prog.vars().name(a).cmp(prog.vars().name(b)));
+        let mut name_rank = vec![0u32; by_name.len()];
+        for (r, v) in by_name.into_iter().enumerate() {
+            name_rank[v.index()] = r as u32;
+        }
+
+        let mut rhs_ids: Vec<TermId> = occurring.iter().map(|&(_, t)| t).collect();
+        rhs_ids.sort_unstable();
+        rhs_ids.dedup();
+        let mut text = String::new();
+        let mut spans: Vec<(usize, usize)> = Vec::with_capacity(rhs_ids.len());
+        for &t in &rhs_ids {
+            let lo = text.len();
+            write_term(prog, t, &mut text);
+            spans.push((lo, text.len()));
+        }
+        let rendered = |k: usize| &text[spans[k].0..spans[k].1];
+        let mut by_text: Vec<usize> = (0..rhs_ids.len()).collect();
+        by_text.sort_unstable_by(|&a, &b| rendered(a).cmp(rendered(b)));
+        let mut rhs_rank = vec![0u32; rhs_ids.len()];
+        for (r, k) in by_text.into_iter().enumerate() {
+            rhs_rank[k] = r as u32;
+        }
+
+        let mut order: Vec<(u32, u32, u32)> = occurring
+            .iter()
+            .enumerate()
+            .map(|(at, &(x, t))| {
+                let rhs = rhs_ids.binary_search(&t).expect("ranked rhs");
+                (name_rank[x.index()], rhs_rank[rhs], at as u32)
+            })
+            .collect();
+        order.sort_unstable();
+
         let mut patterns = Vec::with_capacity(width);
-        let mut keys = Vec::with_capacity(width);
-        let mut index = HashMap::with_capacity(width);
+        let mut rank = vec![0u32; width];
         let mut by_use = BitMatrix::zeros(prog.num_vars(), width);
         let mut by_def = by_use.clone();
-        for (i, (key, (x, t))) in keyed.into_iter().enumerate() {
+        for (i, &(_, _, at)) in order.iter().enumerate() {
+            let (x, t) = occurring[at as usize];
+            rank[at as usize] = i as u32;
             by_use.row_mut(x.index()).set(i, true);
             by_def.row_mut(x.index()).set(i, true);
             for v in prog.terms().vars_of(t) {
                 by_def.row_mut(v.index()).set(i, true);
             }
-            index.insert((x, t), i);
             patterns.push((x, t));
-            keys.push(key);
         }
+        // `occurring` is sorted by (lhs, rhs): one contiguous, rhs-sorted
+        // run per left-hand side.
+        let mut lhs_start = vec![0u32; prog.num_vars() + 1];
+        for &(x, _) in &occurring {
+            lhs_start[x.index() + 1] += 1;
+        }
+        for v in 0..prog.num_vars() {
+            lhs_start[v + 1] += lhs_start[v];
+        }
+        let by_lhs = occurring
+            .iter()
+            .zip(&rank)
+            .map(|(&(_, t), &i)| (t, i))
+            .collect();
         PatternTable {
             patterns,
-            keys,
-            index,
+            lhs_start,
+            by_lhs,
             by_use,
             by_def,
         }
+    }
+
+    /// How many tables [`PatternTable::build`] has built on the calling
+    /// thread, so tests can pin how often a run builds one.
+    #[cfg(test)]
+    pub(crate) fn builds_on_this_thread() -> u64 {
+        BUILDS.with(std::cell::Cell::get)
     }
 
     /// Number of distinct patterns (the paper's `a`).
@@ -96,22 +164,28 @@ impl PatternTable {
         &self.patterns
     }
 
-    /// The canonical key of the pattern at `index`.
-    pub fn key(&self, index: usize) -> &PatternKey {
-        &self.keys[index]
+    /// The canonical key of the pattern at `index`, formatted from `prog`
+    /// (the program the table was built from, or a later revision of it).
+    pub fn key(&self, prog: &Program, index: usize) -> PatternKey {
+        let (lhs, rhs) = self.patterns[index];
+        PatternKey::of(prog, lhs, rhs)
     }
 
     /// Index of the pattern of an assignment statement, if it is one.
     pub fn index_of_stmt(&self, stmt: &Stmt) -> Option<usize> {
         match *stmt {
-            Stmt::Assign { lhs, rhs } => self.index.get(&(lhs, rhs)).copied(),
+            Stmt::Assign { lhs, rhs } => self.index_of(lhs, rhs),
             _ => None,
         }
     }
 
     /// Index of a pattern by parts.
     pub fn index_of(&self, lhs: Var, rhs: TermId) -> Option<usize> {
-        self.index.get(&(lhs, rhs)).copied()
+        let v = lhs.index();
+        let (lo, hi) = (*self.lhs_start.get(v)?, *self.lhs_start.get(v + 1)?);
+        let run = &self.by_lhs[lo as usize..hi as usize];
+        let k = run.binary_search_by_key(&rhs, |&(t, _)| t).ok()?;
+        Some(run[k].1 as usize)
     }
 
     /// ORs into `blocked` every pattern that `stmt` blocks: `by_use` of
@@ -187,11 +261,53 @@ mod tests {
         let table = PatternTable::build(&p);
         assert_eq!(table.len(), 2);
         // Canonical order: "x := a" < "y := a + b".
-        assert_eq!(table.key(0).as_str(), "x := a");
-        assert_eq!(table.key(1).as_str(), "y := a + b");
+        assert_eq!(table.key(&p, 0).as_str(), "x := a");
+        assert_eq!(table.key(&p, 1).as_str(), "y := a + b");
         let s0 = &p.block(p.entry()).stmts[0];
         assert_eq!(table.index_of_stmt(s0), Some(1));
         assert_eq!(table.index_of_stmt(&Stmt::Skip), None);
+    }
+
+    /// The string-free order is the byte order of the formatted keys,
+    /// also where one lhs name is a prefix of another (`v1` / `v10`,
+    /// `x` / `x_`) and where renderings differ only in sign or
+    /// parentheses, and the dense index finds every pattern.
+    #[test]
+    fn order_matches_formatted_keys() {
+        let p = parse(
+            "prog {
+               block s { v10 := 1; v1 := v10 + 2; x_ := x; x := -(1); x := -1;
+                         v1 := 3; v := v1 * v10; x := x_ - 1; goto e }
+               block e { halt }
+             }",
+        )
+        .unwrap();
+        let table = PatternTable::build(&p);
+        let keys: Vec<String> = (0..table.len())
+            .map(|i| table.key(&p, i).to_string())
+            .collect();
+        let mut sorted = keys.clone();
+        sorted.sort();
+        assert_eq!(keys, sorted);
+        assert_eq!(keys.len(), 8);
+        for stmt in &p.block(p.entry()).stmts {
+            let i = table.index_of_stmt(stmt).unwrap();
+            assert_eq!(
+                table.key(&p, i).as_str(),
+                pdce_ir::printer::print_stmt(&p, stmt)
+            );
+        }
+    }
+
+    #[test]
+    fn unknown_variables_have_no_index() {
+        let mut p = parse("prog { block s { x := a; goto e } block e { halt } }").unwrap();
+        let table = PatternTable::build(&p);
+        let fresh = p.var("fresh");
+        let a = p.vars().lookup("a").unwrap();
+        let t = p.terms_mut().var(a);
+        assert_eq!(table.index_of(fresh, t), None);
+        assert_eq!(table.index_of(p.vars().lookup("x").unwrap(), t), Some(0));
     }
 
     #[test]

@@ -18,7 +18,6 @@ use std::error::Error;
 use std::fmt;
 
 use pdce_dfa::{AnalysisCache, Preserves};
-use pdce_ir::edgesplit::has_critical_edges;
 use pdce_ir::{Program, Stmt, TermId, Var};
 
 use crate::delay::DelayInfo;
@@ -28,7 +27,10 @@ use crate::patterns::PatternTable;
 /// Cached delayability solution together with the inputs it was derived
 /// under. The delay fixpoint depends on the pattern indexing and the
 /// region mask, not just the program revision, so both are recorded and
-/// checked before a cache hit is trusted.
+/// checked before a cache hit is trusted. It hits in the driver's
+/// certifying round after a round whose elimination changed the program
+/// but whose sinking did not: that round sinks again at the same
+/// revision.
 struct CachedDelay {
     patterns: Vec<(Var, TermId)>,
     region: Option<Vec<bool>>,
@@ -109,10 +111,14 @@ pub fn sink_assignments_in(
 /// [`sink_assignments_in`] sharing analyses through an
 /// [`AnalysisCache`]: the `CfgView` and [`PatternTable`] are served
 /// from `cache` when still valid (the elimination step that precedes
-/// sinking in the driver leaves both alive, so a driver round builds the
-/// view exactly once). Blocks whose statement list would be rewritten
-/// identically are left untouched, so a stable program keeps its
-/// revision — and its cache — intact.
+/// sinking leaves both alive). Blocks whose statement list would be
+/// rewritten identically are left untouched, so a stable program keeps
+/// its revision — and its cache — intact.
+///
+/// The table is the current revision's, so this suits passes that may
+/// create patterns (copy propagation, LVN and SCCP do). The driver,
+/// whose rounds never create one, pins a single table for the whole run
+/// and calls [`sink_with_table`] instead.
 ///
 /// # Errors
 ///
@@ -122,16 +128,41 @@ pub fn sink_assignments_cached(
     cache: &mut AnalysisCache,
     region: Option<&[bool]>,
 ) -> Result<SinkOutcome, CriticalEdgeError> {
-    if has_critical_edges(prog) {
+    let table = cache.analysis::<PatternTable, _>(prog, |p, _| PatternTable::build(p));
+    sink_with_table(prog, cache, &table, region)
+}
+
+/// One `ask` pass whose bit-vectors range over `table`, which must index
+/// every assignment pattern of `prog` and may index more. Patterns that
+/// no longer occur have no candidates, so their delayability and
+/// insertion bits are all zero, and a sorted superset keeps the relative
+/// order of the patterns that do occur: the result is the same as with
+/// `prog`'s own table. Critical edges are read off the cached view.
+///
+/// # Errors
+///
+/// Returns [`CriticalEdgeError`] if the program has critical edges.
+pub fn sink_with_table(
+    prog: &mut Program,
+    cache: &mut AnalysisCache,
+    table: &PatternTable,
+    region: Option<&[bool]>,
+) -> Result<SinkOutcome, CriticalEdgeError> {
+    let view = cache.cfg(prog);
+    if !view.critical_edges().is_empty() {
         return Err(CriticalEdgeError);
     }
+    debug_assert!(
+        prog.node_ids()
+            .flat_map(|n| prog.block(n).stmts.iter())
+            .all(|s| !matches!(s, Stmt::Assign { .. }) || table.index_of_stmt(s).is_some()),
+        "the pattern table does not cover the program's assignments"
+    );
     let trace_span = pdce_trace::span("transform", "sink");
-    let view = cache.cfg(prog);
-    let table = cache.analysis::<PatternTable, _>(prog, |p, _| PatternTable::build(p));
     if table.is_empty() {
         return Ok(SinkOutcome::default());
     }
-    let mut local = LocalInfo::compute(prog, &table);
+    let mut local = LocalInfo::compute(prog, table);
     if let Some(allowed) = region {
         local.restrict_to(allowed);
     }
@@ -139,7 +170,7 @@ pub fn sink_assignments_cached(
     let cached = cache.analysis::<CachedDelay, _>(prog, |p, v| CachedDelay {
         patterns: table.pairs().to_vec(),
         region: region_key.clone(),
-        info: DelayInfo::compute(p, v, &table, &local),
+        info: DelayInfo::compute(p, v, table, &local),
     });
     // A fresh cache hit may have been produced under a different region
     // mask (or pattern indexing); it must not be trusted blindly.
@@ -148,7 +179,7 @@ pub fn sink_assignments_cached(
         if cached.patterns.as_slice() == table.pairs() && cached.region == region_key {
             &cached.info
         } else {
-            delay_direct = DelayInfo::compute(prog, &view, &table, &local);
+            delay_direct = DelayInfo::compute(prog, &view, table, &local);
             &delay_direct
         };
 
@@ -300,6 +331,7 @@ mod tests {
     use super::*;
     use pdce_ir::parser::parse;
     use pdce_ir::printer::{diff, structural_eq};
+    use pdce_ir::CfgView;
 
     fn sink(src: &str) -> Program {
         let mut p = parse(src).unwrap();
@@ -437,6 +469,63 @@ mod tests {
         )
         .unwrap();
         assert_eq!(sink_assignments(&mut p), Err(CriticalEdgeError));
+    }
+
+    /// Sinking reads critical edges off the cached view: every view a
+    /// call builds is a cache miss.
+    #[test]
+    fn sink_builds_no_view_outside_the_cache() {
+        let mut p = parse(
+            "prog {
+               block s  { x := 1; nondet a j }
+               block a  { goto j }
+               block j  { out(x); goto e }
+               block e  { halt }
+             }",
+        )
+        .unwrap();
+        let mut cache = AnalysisCache::new();
+        let views = CfgView::builds_on_this_thread();
+        let table = PatternTable::build(&p);
+        assert_eq!(
+            sink_with_table(&mut p, &mut cache, &table, None),
+            Err(CriticalEdgeError)
+        );
+        pdce_ir::edgesplit::split_critical_edges(&mut p);
+        let split_views = 1;
+        let outcome = sink_with_table(&mut p, &mut cache, &table, None).unwrap();
+        assert!(outcome.changed);
+        assert_eq!(
+            CfgView::builds_on_this_thread() - views,
+            cache.stats().cfg_misses + split_views
+        );
+    }
+
+    /// A table of a superset of the program's patterns (here: of the
+    /// program before a pattern was eliminated) sinks exactly like the
+    /// program's own table.
+    #[test]
+    fn superset_table_sinks_like_the_programs_own() {
+        let src = "prog {
+               block s  { z := c; i := 0; goto n1 }
+               block n1 { y := a + b; nondet n2 n3 }
+               block n2 { out(y + i); goto n4 }
+               block n3 { y := 4; goto n4 }
+               block n4 { out(y); goto e }
+               block e  { halt }
+             }";
+        let wide = parse(src).unwrap();
+        let table = PatternTable::build(&wide);
+        let mut pinned = wide.clone();
+        pinned.stmts_mut(pinned.entry()).remove(0);
+        let mut own = pinned.clone();
+        sink_with_table(&mut pinned, &mut AnalysisCache::new(), &table, None).unwrap();
+        sink_assignments(&mut own).unwrap();
+        assert_eq!(
+            pdce_ir::printer::print_program(&pinned),
+            pdce_ir::printer::print_program(&own)
+        );
+        assert!(PatternTable::build(&own).len() < table.len());
     }
 
     /// Figure 7 (m-to-n sinking): occurrences of `a := a+1` on both arms

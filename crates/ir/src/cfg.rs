@@ -11,7 +11,13 @@
 //! cache-contiguous edge slabs instead of pointer-hopping through
 //! `Vec<Block>`.
 
+use std::cell::Cell;
+
 use crate::program::{NodeId, Program};
+
+thread_local! {
+    static BUILDS: Cell<u64> = const { Cell::new(0) };
+}
 
 /// An immutable CSR snapshot of a program's control-flow structure.
 ///
@@ -67,6 +73,7 @@ impl CfgView {
     /// # Ok::<(), pdce_ir::ParseError>(())
     /// ```
     pub fn new(prog: &Program) -> CfgView {
+        BUILDS.with(|b| b.set(b.get() + 1));
         let n = prog.num_blocks();
 
         // Successor CSR, edges in branch order.
@@ -183,6 +190,12 @@ impl CfgView {
             instr_off.push(num_instrs);
         }
         instr_off
+    }
+
+    /// How many views [`CfgView::new`] has built on the calling thread,
+    /// so tests can pin which layers build their own.
+    pub fn builds_on_this_thread() -> u64 {
+        BUILDS.with(Cell::get)
     }
 
     /// Rebuilds only the instruction arena layout for `prog`, reusing

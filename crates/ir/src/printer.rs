@@ -14,15 +14,19 @@ use crate::term::{BinOp, TermData, TermId};
 /// Renders a term with minimal parentheses.
 pub fn print_term(prog: &Program, t: TermId) -> String {
     let mut out = String::new();
-    term_prec(prog, t, 0, &mut out);
+    write_term(prog, t, &mut out);
     out
+}
+
+/// Appends [`print_term`]'s rendering of `t` to `out`, so many terms can
+/// share one buffer.
+pub fn write_term(prog: &Program, t: TermId, out: &mut String) {
+    term_prec(prog, t, 0, out);
 }
 
 fn term_prec(prog: &Program, t: TermId, min_prec: u8, out: &mut String) {
     match prog.terms().data(t) {
-        TermData::Const(v) => {
-            let _ = write!(out, "{v}");
-        }
+        TermData::Const(v) => push_int(v, out),
         TermData::Var(v) => out.push_str(prog.vars().name(v)),
         TermData::Unary(op, a) => {
             out.push_str(op.symbol());
@@ -57,13 +61,36 @@ fn term_prec(prog: &Program, t: TermId, min_prec: u8, out: &mut String) {
             );
             let left_min = if non_assoc { prec + 1 } else { prec };
             term_prec(prog, a, left_min, out);
-            let _ = write!(out, " {} ", op.symbol());
+            out.push(' ');
+            out.push_str(op.symbol());
+            out.push(' ');
             term_prec(prog, b, prec + 1, out);
             if needs {
                 out.push(')');
             }
         }
     }
+}
+
+/// Appends `v` in decimal, as `{v}` formats it, without the formatting
+/// machinery (terms print once per pattern table and per printed
+/// program).
+fn push_int(v: i64, out: &mut String) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    let mut n = v.unsigned_abs();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    if v < 0 {
+        out.push('-');
+    }
+    out.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
 }
 
 /// Renders one statement (without trailing `;`).
@@ -189,6 +216,15 @@ mod tests {
         let printed = print_program(&p1);
         let p2 = parse(&printed).unwrap();
         assert!(structural_eq(&p1, &p2), "diff:\n{}", diff(&p1, &p2));
+    }
+
+    #[test]
+    fn integers_print_as_formatted() {
+        for v in [0, 7, -7, 10, -100, 1_234_567, i64::MAX, i64::MIN] {
+            let mut out = String::new();
+            push_int(v, &mut out);
+            assert_eq!(out, v.to_string());
+        }
     }
 
     #[test]

@@ -927,7 +927,7 @@ fn cmd_analyze(args: &[String]) -> Result<(), CliError> {
 
     println!("patterns:");
     for i in 0..table.len() {
-        println!("  [{i}] {}", table.key(i));
+        println!("  [{i}] {}", table.key(&prog, i));
     }
     for n in prog.node_ids() {
         let block = prog.block(n);
@@ -953,7 +953,10 @@ fn cmd_analyze(args: &[String]) -> Result<(), CliError> {
             println!("  {}{}", print_stmt(&prog, stmt), suffix);
         }
         let fmt_bits = |bits: pdce::dfa::Row<'_>| -> String {
-            let names: Vec<String> = bits.iter_ones().map(|i| table.key(i).to_string()).collect();
+            let names: Vec<String> = bits
+                .iter_ones()
+                .map(|i| table.key(&prog, i).to_string())
+                .collect();
             if names.is_empty() {
                 "∅".to_owned()
             } else {

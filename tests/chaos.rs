@@ -91,6 +91,16 @@ fn spawn_server(sock: &Path, cache: &Path, extra: &[&str]) -> Child {
     cmd.spawn().expect("binary spawns")
 }
 
+/// Asks a server for its health counters over an open connection.
+fn health_of(stream: &mut std::os::unix::net::UnixStream, reader: &mut impl BufRead) -> String {
+    stream
+        .write_all(b"{\"op\":\"health\",\"id\":\"h\"}\n")
+        .unwrap();
+    let mut line = String::new();
+    reader.read_line(&mut line).unwrap();
+    line
+}
+
 fn connect(sock: &Path) -> std::os::unix::net::UnixStream {
     let deadline = Instant::now() + Duration::from_secs(10);
     loop {
@@ -227,32 +237,52 @@ fn kill_restart_cycles_lose_no_requests_and_warm_replays_are_byte_identical() {
     }
     assert_eq!(lost, 0, "requests lost");
 
-    // Warm replay on the recovered server: byte-identical again, and
-    // actually warm (the cache survived three kills plus log damage).
-    for (i, request) in requests.iter().enumerate() {
-        stream.write_all(request.as_bytes()).unwrap();
-        stream.write_all(b"\n").unwrap();
-        let mut line = String::new();
-        reader.read_line(&mut line).unwrap();
+    // Warm replays on the recovered server: byte-identical again, and
+    // served from the cache exactly where it holds the answer. Log
+    // damage discards records of requests answered before a kill, and
+    // those are never resent, so the first replay misses exactly the
+    // requests missing from the cache (the test's requests are its only
+    // entries); the second replays a complete cache.
+    let recovered = health_of(&mut stream, &mut reader);
+    assert!(
+        health_field(&recovered, "wal_recovered") > 0.0,
+        "the final restart recovered nothing from the log: {recovered}"
+    );
+    assert_eq!(
+        health_field(&recovered, "cache_entries"),
+        health_field(&recovered, "wal_recovered") + health_field(&recovered, "cache_misses"),
+        "every entry is a recovered record or an answer computed since: {recovered}"
+    );
+    let mut before = recovered;
+    for replay in 0..2 {
+        let cached = health_field(&before, "cache_entries");
+        for (i, request) in requests.iter().enumerate() {
+            stream.write_all(request.as_bytes()).unwrap();
+            stream.write_all(b"\n").unwrap();
+            let mut line = String::new();
+            reader.read_line(&mut line).unwrap();
+            assert_eq!(
+                line.trim_end(),
+                reference[i],
+                "warm replay {replay}, request {i} diverged after recovery"
+            );
+        }
+        let after = health_of(&mut stream, &mut reader);
+        let delta = |field| health_field(&after, field) - health_field(&before, field);
         assert_eq!(
-            line.trim_end(),
-            reference[i],
-            "warm replay {i} diverged after recovery"
+            (delta("cache_hits"), delta("cache_misses")),
+            (cached, requests.len() as f64 - cached),
+            "warm replay {replay} was not served from the recovered cache; \
+             before: {before} after: {after}"
         );
+        assert_eq!(
+            health_field(&after, "cache_entries"),
+            requests.len() as f64,
+            "{after}"
+        );
+        before = after;
     }
-    stream
-        .write_all(b"{\"op\":\"health\",\"id\":\"h\"}\n{\"op\":\"shutdown\"}\n")
-        .unwrap();
-    let mut health = String::new();
-    reader.read_line(&mut health).unwrap();
-    assert!(
-        health_field(&health, "wal_recovered") > 0.0,
-        "the final restart recovered nothing from the log: {health}"
-    );
-    assert!(
-        health_field(&health, "cache_hits") >= requests.len() as f64,
-        "the warm replay was not served from the recovered cache: {health}"
-    );
+    stream.write_all(b"{\"op\":\"shutdown\"}\n").unwrap();
     let mut ack = String::new();
     reader.read_line(&mut ack).unwrap();
     assert!(ack.contains("\"shutdown\":true"));

@@ -14,12 +14,19 @@
 //! * **dead ⟹ faint** (Section 3).
 //! * **The degradation ladder**: every rung below the configured run
 //!   keeps its documented contract.
+//! * **The run-pinned pattern universe**: no round creates a pattern,
+//!   so one table of the split input serves every round's `ask`.
 
 use pdce::baselines::copy_propagate;
 use pdce::core::better::{check_improvement, BetterOptions};
 use pdce::core::driver::{optimize, optimize_resilient, DegradedMode, PdceConfig};
+use pdce::core::elim::{eliminate_fixpoint_cached, Mode};
+use pdce::core::sink::{sink_assignments_cached, sink_with_table};
+use pdce::core::PatternTable;
+use pdce::dfa::AnalysisCache;
+use pdce::ir::edgesplit::split_critical_edges;
 use pdce::ir::interp::{run, Env, ExecLimits, ReplayOracle, SeededOracle};
-use pdce::ir::printer::canonical_string;
+use pdce::ir::printer::{canonical_string, print_program};
 use pdce::ir::Program;
 use pdce::lcm::lazy_code_motion;
 use pdce::progen::{structured, tangled, GenConfig};
@@ -126,6 +133,74 @@ fn pde_on_tangled_irreducible_programs() {
         check_preserves_and_no_impairment(&p, &PdceConfig::pde());
         check_preserves_and_no_impairment(&p, &PdceConfig::pfe());
     }
+}
+
+/// Whether every assignment pattern of `prog` has an index in `table`.
+fn table_covers(table: &PatternTable, prog: &Program) -> bool {
+    PatternTable::build(prog)
+        .pairs()
+        .iter()
+        .all(|&(x, t)| table.index_of(x, t).is_some())
+}
+
+/// The driver's round loop on the split `prog`, sinking either over one
+/// table pinned for the run or over each revision's own table; returns
+/// the printed result and the rounds taken.
+fn round_loop(prog: &Program, mode: Mode, pinned: bool) -> (String, usize) {
+    let mut prog = prog.clone();
+    let mut cache = AnalysisCache::new();
+    let table = PatternTable::build(&prog);
+    let cap = PdceConfig::default_round_cap(&prog);
+    let mut rounds = 0;
+    loop {
+        rounds += 1;
+        assert!(rounds <= cap, "no fixpoint within {cap} rounds");
+        let before = prog.revision();
+        eliminate_fixpoint_cached(&mut prog, &mut cache, mode, None);
+        assert!(table_covers(&table, &prog), "elimination created a pattern");
+        if pinned {
+            sink_with_table(&mut prog, &mut cache, &table, None).unwrap();
+        } else {
+            sink_assignments_cached(&mut prog, &mut cache, None).unwrap();
+        }
+        assert!(table_covers(&table, &prog), "sinking created a pattern");
+        if prog.revision() == before {
+            return (print_program(&prog), rounds);
+        }
+    }
+}
+
+#[test]
+fn one_pinned_pattern_table_serves_every_round() {
+    let mut multi_round = 0;
+    for seed in seeds(15) {
+        for p in [
+            structured(&small_config(seed, true)),
+            tangled(&small_config(seed, true), 6),
+        ] {
+            let mut split = p.clone();
+            split_critical_edges(&mut split);
+            for (mode, config) in [
+                (Mode::Dead, PdceConfig::pde()),
+                (Mode::Faint, PdceConfig::pfe()),
+            ] {
+                let (pinned, rounds) = round_loop(&split, mode, true);
+                let (per_round, _) = round_loop(&split, mode, false);
+                assert_eq!(
+                    pinned, per_round,
+                    "seed {seed}: pinned table changed the output"
+                );
+                let mut driven = p.clone();
+                optimize(&mut driven, &config).unwrap();
+                assert_eq!(print_program(&driven), pinned, "seed {seed}");
+                multi_round += usize::from(rounds > 2);
+            }
+        }
+    }
+    assert!(
+        multi_round > CASES,
+        "too few runs took several rounds: {multi_round}"
+    );
 }
 
 #[test]

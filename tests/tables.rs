@@ -95,7 +95,7 @@ fn table2_delayability_fixpoint_on_fig1() {
     let node = |name: &str| p.block_by_name(name).unwrap().index();
     let pat = |key: &str| {
         (0..table.len())
-            .find(|&i| table.key(i).as_str() == key)
+            .find(|&i| table.key(&p, i).as_str() == key)
             .unwrap()
     };
     let a1 = pat("y := 4");
