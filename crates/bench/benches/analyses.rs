@@ -4,6 +4,9 @@
 //! construction (including its quadratic worst case). The dead,
 //! patterns, local and delay groups add opt_large-sized cases (~270
 //! blocks) with 20 and 96 variables: one-word and two-word dead rows.
+//! The text group times `parse` and `print_program` on the same cases,
+//! the layers every `pdce opt` run and every serve miss begins and ends
+//! with.
 //!
 //! Run with: `cargo bench -p pdce-bench --bench analyses`
 
@@ -11,6 +14,8 @@ use pdce_baselines::duchain::DuGraph;
 use pdce_baselines::liveness::Liveness;
 use pdce_bench::timeit;
 use pdce_core::{DeadSolution, DelayInfo, FaintSolution, LocalInfo, PatternTable};
+use pdce_ir::parser::parse;
+use pdce_ir::printer::print_program;
 use pdce_ir::CfgView;
 use pdce_progen::{many_defs_many_uses, structured, GenConfig};
 use pdce_ssa::SsaWeb;
@@ -79,6 +84,13 @@ fn main() {
         let table = PatternTable::build(&prog);
         let local = LocalInfo::compute(&prog, &table);
         timeit::report(&label, || DelayInfo::compute(&prog, &view, &table, &local));
+    }
+
+    timeit::group("text");
+    for (label, prog) in row_cases(&sizes) {
+        let text = print_program(&prog);
+        timeit::report(&format!("parse/{label}"), || parse(&text).unwrap());
+        timeit::report(&format!("print/{label}"), || print_program(&prog));
     }
 
     timeit::group("analysis_liveness");

@@ -217,18 +217,18 @@ pub fn sink_with_table(
         for (k, stmt) in old.iter().enumerate() {
             if doomed.peek() == Some(&k) {
                 doomed.next();
-                outcome.removed += 1;
             } else {
                 new_stmts.push(*stmt);
             }
         }
         new_stmts.extend(exit_ins.iter_ones().map(make));
-        outcome.inserted += inserted as u64;
-        // Write back only when the list actually differs (a stable block
-        // re-derives its own statements: candidates removed and
-        // re-inserted in place). Skipping the write keeps the program
-        // revision — and therefore the cache — intact.
+        // Write back and count only when the list actually differs (a
+        // stable block re-derives its own statements: candidates removed
+        // and re-inserted in place). Skipping the write keeps the
+        // program revision — and therefore the cache — intact.
         if new_stmts != *old {
+            outcome.removed += candidates.len() as u64;
+            outcome.inserted += inserted as u64;
             if pdce_trace::enabled() {
                 // Provenance: candidates leave this block; instances
                 // re-materialize at the recorded insertion points (a

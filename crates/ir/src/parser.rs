@@ -28,7 +28,7 @@ use crate::error::ParseError;
 use crate::lexer::{lex, Keyword, Spanned, Token};
 use crate::program::{Block, NodeId, Program, Terminator};
 use crate::stmt::Stmt;
-use crate::term::{BinOp, TermArena, TermData, TermId, UnOp};
+use crate::term::{BinOp, TermArena, TermId, UnOp};
 use crate::validate::validate;
 use crate::var::VarPool;
 use std::collections::HashMap;
@@ -84,7 +84,7 @@ pub fn parse_expr_into(
     parser.vars = std::mem::take(vars);
     parser.terms = std::mem::take(terms);
     let result = parser.expr();
-    let trailing = parser.peek() != &Token::Eof;
+    let trailing = parser.peek() != Token::Eof;
     *vars = std::mem::take(&mut parser.vars);
     *terms = std::mem::take(&mut parser.terms);
     let t = result?;
@@ -98,22 +98,24 @@ pub fn parse_expr_into(
     Ok(t)
 }
 
-struct RawBlock {
-    name: String,
+/// A parsed block whose jump targets are still names (they may refer
+/// forward), borrowed from the input.
+struct RawBlock<'a> {
+    name: &'a str,
     stmts: Vec<Stmt>,
-    term: RawTerminator,
+    term: RawTerminator<'a>,
     line: u32,
     col: u32,
 }
 
-enum RawTerminator {
-    Goto(String),
+enum RawTerminator<'a> {
+    Goto(&'a str),
     Cond {
         cond: TermId,
-        then_to: String,
-        else_to: String,
+        then_to: &'a str,
+        else_to: &'a str,
     },
-    Nondet(Vec<String>),
+    Nondet(Vec<&'a str>),
     Halt,
 }
 
@@ -124,27 +126,31 @@ enum RawTerminator {
 /// legitimate program or the printer produces.
 const MAX_EXPR_DEPTH: u32 = 256;
 
-struct Parser {
-    tokens: Vec<Spanned>,
+struct Parser<'a> {
+    tokens: Vec<Spanned<'a>>,
     pos: usize,
     depth: u32,
     vars: VarPool,
     terms: TermArena,
+    /// The `Var` term of each interned variable, by variable index, so
+    /// a variable operand costs one hash (its name) rather than two.
+    var_terms: Vec<Option<TermId>>,
 }
 
-impl Parser {
-    fn new(tokens: Vec<Spanned>) -> Parser {
+impl<'a> Parser<'a> {
+    fn new(tokens: Vec<Spanned<'a>>) -> Parser<'a> {
         Parser {
             tokens,
             pos: 0,
             depth: 0,
             vars: VarPool::new(),
             terms: TermArena::new(),
+            var_terms: Vec::new(),
         }
     }
 
-    fn peek(&self) -> &Token {
-        &self.tokens[self.pos].token
+    fn peek(&self) -> Token<'a> {
+        self.tokens[self.pos].token
     }
 
     fn here(&self) -> (u32, u32) {
@@ -152,12 +158,10 @@ impl Parser {
         (s.line, s.col)
     }
 
-    fn bump(&mut self) -> Token {
-        let t = self.tokens[self.pos].token.clone();
+    fn bump(&mut self) {
         if self.pos + 1 < self.tokens.len() {
             self.pos += 1;
         }
-        t
     }
 
     fn error(&self, msg: impl Into<String>) -> ParseError {
@@ -165,7 +169,7 @@ impl Parser {
         ParseError::new(line, col, msg)
     }
 
-    fn expect(&mut self, want: &Token, what: &str) -> Result<(), ParseError> {
+    fn expect(&mut self, want: Token<'_>, what: &str) -> Result<(), ParseError> {
         if self.peek() == want {
             self.bump();
             Ok(())
@@ -176,7 +180,7 @@ impl Parser {
 
     fn expect_keyword(&mut self, kw: Keyword) -> Result<(), ParseError> {
         match self.peek() {
-            Token::Keyword(k) if *k == kw => {
+            Token::Keyword(k) if k == kw => {
                 self.bump();
                 Ok(())
             }
@@ -184,8 +188,8 @@ impl Parser {
         }
     }
 
-    fn ident(&mut self, what: &str) -> Result<String, ParseError> {
-        match self.peek().clone() {
+    fn ident(&mut self, what: &str) -> Result<&'a str, ParseError> {
+        match self.peek() {
             Token::Ident(name) => {
                 self.bump();
                 Ok(name)
@@ -196,22 +200,19 @@ impl Parser {
 
     fn program(&mut self) -> Result<Program, ParseError> {
         self.expect_keyword(Keyword::Prog)?;
-        self.expect(&Token::LBrace, "`{`")?;
+        self.expect(Token::LBrace, "`{`")?;
         let mut raw_blocks = Vec::new();
         while matches!(self.peek(), Token::Keyword(Keyword::Block)) {
             raw_blocks.push(self.block()?);
         }
-        self.expect(&Token::RBrace, "`}`")?;
+        self.expect(Token::RBrace, "`}`")?;
         if raw_blocks.is_empty() {
             return Err(self.error("program has no blocks"));
         }
 
-        let mut by_name: HashMap<String, NodeId> = HashMap::new();
+        let mut by_name: HashMap<&str, NodeId> = HashMap::with_capacity(raw_blocks.len());
         for (i, rb) in raw_blocks.iter().enumerate() {
-            if by_name
-                .insert(rb.name.clone(), NodeId::from_index(i))
-                .is_some()
-            {
+            if by_name.insert(rb.name, NodeId::from_index(i)).is_some() {
                 return Err(ParseError::new(
                     rb.line,
                     rb.col,
@@ -219,7 +220,7 @@ impl Parser {
                 ));
             }
         }
-        let resolve = |name: &str, rb: &RawBlock| -> Result<NodeId, ParseError> {
+        let resolve = |name: &str, rb: &RawBlock<'_>| -> Result<NodeId, ParseError> {
             by_name.get(name).copied().ok_or_else(|| {
                 ParseError::new(
                     rb.line,
@@ -229,9 +230,9 @@ impl Parser {
             })
         };
 
-        let mut exit = None;
+        let mut exit: Option<(NodeId, &str)> = None;
         let mut blocks = Vec::with_capacity(raw_blocks.len());
-        for (i, rb) in raw_blocks.iter().enumerate() {
+        for (i, rb) in raw_blocks.iter_mut().enumerate() {
             let term = match &rb.term {
                 RawTerminator::Goto(t) => Terminator::Goto(resolve(t, rb)?),
                 RawTerminator::Cond {
@@ -251,30 +252,25 @@ impl Parser {
                     Terminator::Nondet(ids)
                 }
                 RawTerminator::Halt => {
-                    if let Some(prev) = exit {
-                        let prev: NodeId = prev;
+                    if let Some((_, prev)) = exit {
                         return Err(ParseError::new(
                             rb.line,
                             rb.col,
-                            format!(
-                                "multiple `halt` blocks: `{}` and `{}`",
-                                raw_blocks[prev.index()].name,
-                                rb.name
-                            ),
+                            format!("multiple `halt` blocks: `{prev}` and `{}`", rb.name),
                         ));
                     }
-                    exit = Some(NodeId::from_index(i));
+                    exit = Some((NodeId::from_index(i), rb.name));
                     Terminator::Halt
                 }
             };
             blocks.push(Block {
-                name: rb.name.clone(),
-                stmts: rb.stmts.clone(),
+                name: rb.name.to_owned(),
+                stmts: std::mem::take(&mut rb.stmts),
                 term,
                 split_of: None,
             });
         }
-        let exit = exit.ok_or_else(|| self.error("program has no `halt` block"))?;
+        let (exit, _) = exit.ok_or_else(|| self.error("program has no `halt` block"))?;
 
         Ok(Program::from_parts(
             std::mem::take(&mut self.vars),
@@ -285,14 +281,14 @@ impl Parser {
         ))
     }
 
-    fn block(&mut self) -> Result<RawBlock, ParseError> {
+    fn block(&mut self) -> Result<RawBlock<'a>, ParseError> {
         let (line, col) = self.here();
         self.expect_keyword(Keyword::Block)?;
         let name = self.ident("block name")?;
-        self.expect(&Token::LBrace, "`{`")?;
+        self.expect(Token::LBrace, "`{`")?;
         let mut stmts = Vec::new();
         let term = loop {
-            match self.peek().clone() {
+            match self.peek() {
                 Token::Keyword(Keyword::Goto) => {
                     self.bump();
                     break RawTerminator::Goto(self.ident("jump target")?);
@@ -324,23 +320,23 @@ impl Parser {
                 }
                 Token::Keyword(Keyword::Skip) => {
                     self.bump();
-                    self.expect(&Token::Semi, "`;`")?;
+                    self.expect(Token::Semi, "`;`")?;
                     stmts.push(Stmt::Skip);
                 }
                 Token::Keyword(Keyword::Out) => {
                     self.bump();
-                    self.expect(&Token::LParen, "`(`")?;
+                    self.expect(Token::LParen, "`(`")?;
                     let t = self.expr()?;
-                    self.expect(&Token::RParen, "`)`")?;
-                    self.expect(&Token::Semi, "`;`")?;
+                    self.expect(Token::RParen, "`)`")?;
+                    self.expect(Token::Semi, "`;`")?;
                     stmts.push(Stmt::Out(t));
                 }
                 Token::Ident(name) => {
                     self.bump();
-                    self.expect(&Token::Assign, "`:=`")?;
+                    self.expect(Token::Assign, "`:=`")?;
                     let rhs = self.expr()?;
-                    self.expect(&Token::Semi, "`;`")?;
-                    let lhs = self.vars.intern(&name);
+                    self.expect(Token::Semi, "`;`")?;
+                    let lhs = self.vars.intern(name);
                     stmts.push(Stmt::Assign { lhs, rhs });
                 }
                 other => {
@@ -351,10 +347,10 @@ impl Parser {
             }
         };
         // Optional trailing semicolon after the terminator.
-        if self.peek() == &Token::Semi {
+        if self.peek() == Token::Semi {
             self.bump();
         }
-        self.expect(&Token::RBrace, "`}`")?;
+        self.expect(Token::RBrace, "`}`")?;
         Ok(RawBlock {
             name,
             stmts,
@@ -383,7 +379,7 @@ impl Parser {
 
     fn or_expr(&mut self) -> Result<TermId, ParseError> {
         let mut lhs = self.and_expr()?;
-        while self.peek() == &Token::OrOr {
+        while self.peek() == Token::OrOr {
             self.bump();
             let rhs = self.and_expr()?;
             lhs = self.terms.binary(BinOp::Or, lhs, rhs);
@@ -393,7 +389,7 @@ impl Parser {
 
     fn and_expr(&mut self) -> Result<TermId, ParseError> {
         let mut lhs = self.cmp_expr()?;
-        while self.peek() == &Token::AndAnd {
+        while self.peek() == Token::AndAnd {
             self.bump();
             let rhs = self.cmp_expr()?;
             lhs = self.terms.binary(BinOp::And, lhs, rhs);
@@ -466,7 +462,7 @@ impl Parser {
                 // `Const(-1)` rather than `Neg(Const(1))`. A programmatic
                 // `Neg(Const(c))` is printed as `-(c)` by the printer,
                 // which this fold deliberately does not touch.
-                if let Token::Int(v) = *self.peek() {
+                if let Token::Int(v) = self.peek() {
                     self.bump();
                     return Ok(self.terms.constant(v.wrapping_neg()));
                 }
@@ -483,20 +479,24 @@ impl Parser {
     }
 
     fn atom(&mut self) -> Result<TermId, ParseError> {
-        match self.peek().clone() {
+        match self.peek() {
             Token::Int(v) => {
                 self.bump();
                 Ok(self.terms.constant(v))
             }
             Token::Ident(name) => {
                 self.bump();
-                let v = self.vars.intern(&name);
-                Ok(self.terms.intern(TermData::Var(v)))
+                let v = self.vars.intern(name);
+                if v.index() >= self.var_terms.len() {
+                    self.var_terms.resize(v.index() + 1, None);
+                }
+                let terms = &mut self.terms;
+                Ok(*self.var_terms[v.index()].get_or_insert_with(|| terms.var(v)))
             }
             Token::LParen => {
                 self.bump();
                 let t = self.expr()?;
-                self.expect(&Token::RParen, "`)`")?;
+                self.expect(Token::RParen, "`)`")?;
                 Ok(t)
             }
             other => Err(self.error(format!("expected expression, found {other:?}"))),
@@ -507,6 +507,7 @@ impl Parser {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::term::TermData;
 
     const FIG1: &str = "prog {
         block s  { goto n1 }

@@ -95,49 +95,95 @@ fn push_int(v: i64, out: &mut String) {
 
 /// Renders one statement (without trailing `;`).
 pub fn print_stmt(prog: &Program, stmt: &Stmt) -> String {
+    let mut out = String::new();
+    write_stmt(prog, stmt, &mut out);
+    out
+}
+
+/// Appends [`print_stmt`]'s rendering of `stmt` to `out`.
+pub fn write_stmt(prog: &Program, stmt: &Stmt, out: &mut String) {
     match *stmt {
-        Stmt::Skip => "skip".to_owned(),
+        Stmt::Skip => out.push_str("skip"),
         Stmt::Assign { lhs, rhs } => {
-            format!("{} := {}", prog.vars().name(lhs), print_term(prog, rhs))
+            out.push_str(prog.vars().name(lhs));
+            out.push_str(" := ");
+            write_term(prog, rhs, out);
         }
-        Stmt::Out(t) => format!("out({})", print_term(prog, t)),
+        Stmt::Out(t) => {
+            out.push_str("out(");
+            write_term(prog, t, out);
+            out.push(')');
+        }
     }
 }
 
 /// Renders a terminator.
 pub fn print_terminator(prog: &Program, term: &Terminator) -> String {
-    let name = |n: NodeId| prog.block(n).name.clone();
+    let mut out = String::new();
+    write_terminator(prog, term, &mut out);
+    out
+}
+
+/// Appends [`print_terminator`]'s rendering of `term` to `out`.
+pub fn write_terminator(prog: &Program, term: &Terminator, out: &mut String) {
+    let name = |n: NodeId| prog.block(n).name.as_str();
     match term {
-        Terminator::Goto(n) => format!("goto {}", name(*n)),
+        Terminator::Goto(n) => {
+            out.push_str("goto ");
+            out.push_str(name(*n));
+        }
         Terminator::Cond {
             cond,
             then_to,
             else_to,
-        } => format!(
-            "if {} then {} else {}",
-            print_term(prog, *cond),
-            name(*then_to),
-            name(*else_to)
-        ),
-        Terminator::Nondet(ns) => {
-            let targets: Vec<String> = ns.iter().map(|&n| name(n)).collect();
-            format!("nondet {}", targets.join(" "))
+        } => {
+            out.push_str("if ");
+            write_term(prog, *cond, out);
+            out.push_str(" then ");
+            out.push_str(name(*then_to));
+            out.push_str(" else ");
+            out.push_str(name(*else_to));
         }
-        Terminator::Halt => "halt".to_owned(),
+        Terminator::Nondet(ns) => {
+            out.push_str("nondet ");
+            for (k, &n) in ns.iter().enumerate() {
+                if k > 0 {
+                    out.push(' ');
+                }
+                out.push_str(name(n));
+            }
+        }
+        Terminator::Halt => out.push_str("halt"),
     }
 }
 
-/// Renders a whole program in the textual language (blocks in node order).
+/// Renders a whole program in the textual language (blocks in node order)
+/// into one buffer, sized up front from the program's shape.
 pub fn print_program(prog: &Program) -> String {
-    let mut out = String::from("prog {\n");
+    // Block frame and terminator line, plus each statement line, at
+    // their usual printed widths (a name, an operator, two operands).
+    let estimate: usize = prog
+        .node_ids()
+        .map(|n| {
+            let b = prog.block(n);
+            48 + b.name.len() + 24 * b.stmts.len()
+        })
+        .sum();
+    let mut out = String::with_capacity(estimate + 16);
+    out.push_str("prog {\n");
     for n in prog.node_ids() {
         let b = prog.block(n);
-        let _ = writeln!(out, "  block {} {{", b.name);
+        out.push_str("  block ");
+        out.push_str(&b.name);
+        out.push_str(" {\n");
         for s in &b.stmts {
-            let _ = writeln!(out, "    {};", print_stmt(prog, s));
+            out.push_str("    ");
+            write_stmt(prog, s, &mut out);
+            out.push_str(";\n");
         }
-        let _ = writeln!(out, "    {}", print_terminator(prog, &b.term));
-        out.push_str("  }\n");
+        out.push_str("    ");
+        write_terminator(prog, &b.term, &mut out);
+        out.push_str("\n  }\n");
     }
     out.push_str("}\n");
     out
@@ -150,17 +196,22 @@ pub fn print_program(prog: &Program) -> String {
 /// same block names, same statements up to term structure) iff their
 /// canonical strings are equal — regardless of node numbering or arena ids.
 pub fn canonical_string(prog: &Program) -> String {
-    let mut lines: Vec<String> = Vec::with_capacity(prog.num_blocks());
-    for n in prog.node_ids() {
-        let b = prog.block(n);
-        let stmts: Vec<String> = b.stmts.iter().map(|s| print_stmt(prog, s)).collect();
-        lines.push(format!(
-            "{}: [{}] {}",
-            b.name,
-            stmts.join("; "),
-            print_terminator(prog, &b.term)
-        ));
-    }
+    let mut lines: Vec<String> = prog
+        .node_ids()
+        .map(|n| {
+            let b = prog.block(n);
+            let mut line = format!("{}: [", b.name);
+            for (k, s) in b.stmts.iter().enumerate() {
+                if k > 0 {
+                    line.push_str("; ");
+                }
+                write_stmt(prog, s, &mut line);
+            }
+            line.push_str("] ");
+            write_terminator(prog, &b.term, &mut line);
+            line
+        })
+        .collect();
     lines.sort();
     format!(
         "entry={} exit={}\n{}",

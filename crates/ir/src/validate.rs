@@ -66,12 +66,12 @@ pub fn reachable_from(prog: &Program, start: NodeId) -> Vec<bool> {
     let mut stack = vec![start];
     seen[start.index()] = true;
     while let Some(n) = stack.pop() {
-        for m in prog.successors(n) {
+        prog.block(n).term.for_each_successor(|m| {
             if !seen[m.index()] {
                 seen[m.index()] = true;
                 stack.push(m);
             }
-        }
+        });
     }
     seen
 }

@@ -15,7 +15,7 @@
 //! in full before it.
 //!
 //! ```text
-//! pdce-serve-cache v2
+//! pdce-serve-cache v3
 //! <16-hex fnv64 of body>\t{"key":"…","program":…,…}     # insert
 //! <16-hex fnv64 of body>\t{"evict":"…"}                  # evict
 //! ```
@@ -30,10 +30,11 @@ use std::path::Path;
 
 use crate::cache::fnv64;
 
-/// On-disk header for the WAL-backed format. The v1 header (snapshot
-/// only) is deliberately not recognized: a v1 file reloads as empty
-/// and is reclaimed as a v2 log.
-pub const HEADER: &str = "pdce-serve-cache v2";
+/// On-disk header for the WAL-backed format. Older headers are
+/// deliberately not recognized: a v1 file (snapshot only) or a v2 log
+/// (whose payloads counted a stable block's re-derived statements as
+/// sunk and inserted) reloads as empty and is reclaimed as a v3 log.
+pub const HEADER: &str = "pdce-serve-cache v3";
 
 /// Registry handles for the log. Appends/compactions/recovery counts
 /// are deterministic for a fixed request sequence; fsync cadence is a
@@ -330,6 +331,7 @@ mod tests {
     #[test]
     fn unrecognized_headers_mean_fresh() {
         assert!(scan("pdce-serve-cache v1\nwhatever").is_none());
+        assert!(scan("pdce-serve-cache v2\nwhatever").is_none());
         assert!(scan("").is_none());
         assert!(scan(HEADER).is_none(), "torn header line");
     }

@@ -1,12 +1,19 @@
-//! Allocation bound of the bit-vector solves: the dead and faint
-//! solves, sinking's local predicates and the delay solve store every
-//! per-block vector in row-strided matrices, so each allocates the same
-//! number of buffers whatever the block count. Counted by the
-//! `alloc-metrics` global allocator; run with `cargo test --features
-//! alloc-metrics`.
+//! Allocation bounds of the bit-vector solves and the text layer.
+//!
+//! The dead and faint solves, sinking's local predicates and the delay
+//! solve store every per-block vector in row-strided matrices, so each
+//! allocates the same number of buffers whatever the block count. The
+//! printer writes a whole program into one pre-sized buffer, and the
+//! parser borrows every token from its input, so parsing allocates per
+//! block (a name, a statement list), never per token.
+//!
+//! Counted by the `alloc-metrics` global allocator; run with `cargo
+//! test --features alloc-metrics`.
 #![cfg(feature = "alloc-metrics")]
 
 use pdce::core::{DeadSolution, DelayInfo, FaintSolution, LocalInfo, PatternTable};
+use pdce::ir::parser::parse;
+use pdce::ir::printer::print_program;
 use pdce::ir::{CfgView, Program};
 use pdce::progen::{structured, GenConfig};
 
@@ -22,6 +29,13 @@ fn program(blocks: usize) -> Program {
         expr_depth: 2,
         nondet: true,
     })
+}
+
+/// The counter is process-wide: the tests here take turns so that one
+/// test's allocations never land in another's count.
+fn serial() -> std::sync::MutexGuard<'static, ()> {
+    static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    SERIAL.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 /// Allocations `f` makes, as the minimum over three runs so that a
@@ -52,6 +66,7 @@ fn solve_allocs(prog: &Program) -> [u64; 4] {
 
 #[test]
 fn solve_allocations_do_not_grow_with_the_block_count() {
+    let _serial = serial();
     assert!(
         pdce_metrics::alloc::active(),
         "the counting allocator is not installed"
@@ -77,4 +92,28 @@ fn solve_allocations_do_not_grow_with_the_block_count() {
         small.num_blocks(),
         large.num_blocks()
     );
+}
+
+/// `print_program` allocates its one buffer (at most once more if the
+/// size estimate falls short) whatever the block count; `parse`
+/// allocates a bounded number of buffers per block plus a fixed set
+/// (token vector, interners, validation), never one per token.
+#[test]
+fn text_layer_allocations_are_constant_in_print_and_per_block_in_parse() {
+    let _serial = serial();
+    // Warm-up, as above.
+    print_program(&parse(&print_program(&program(20))).unwrap());
+    for blocks in [60, 200, 400] {
+        let text = print_program(&program(blocks));
+        let prog = parse(&text).unwrap();
+        let n = prog.num_blocks() as u64;
+        let printed = allocs(|| print_program(&prog));
+        assert!(printed <= 2, "print_program: {printed} allocations at {n} blocks");
+        let parsed = allocs(|| parse(&text).unwrap());
+        assert!(
+            parsed <= 4 * n + 512,
+            "parse: {parsed} allocations at {n} blocks ({} bytes of text)",
+            text.len()
+        );
+    }
 }

@@ -7,12 +7,47 @@
 //! `better` relation of Definition 3.6 (the result dominates the input
 //! on every corresponding path).
 
+use std::rc::Rc;
+
 use pdce::core::better::{check_improvement, BetterOptions};
-use pdce::core::driver::{optimize, pde, pfe, PdceConfig};
+use pdce::core::driver::{optimize, PdceConfig, PdceError, PdceStats};
 use pdce::core::elim::{eliminate_once, Mode};
 use pdce::ir::parser::parse;
 use pdce::ir::printer::{canonical_string, diff, structural_eq};
 use pdce::ir::Program;
+use pdce::trace::{self, ProvAction};
+
+/// Runs the driver under a provenance collector and checks that the
+/// sunk and inserted counts it reports are exactly the sink pass's
+/// provenance records: a block that re-derives its own statements
+/// counts as neither.
+fn optimize_counted(p: &mut Program, config: &PdceConfig) -> Result<PdceStats, PdceError> {
+    let collector = Rc::new(trace::Collector::new());
+    let stats = {
+        let _guard = trace::install(collector.clone());
+        optimize(p, config)?
+    };
+    let log = collector.provenance();
+    let records = |action| {
+        log.iter()
+            .filter(|r| r.pass == "sink" && r.action == action)
+            .count() as u64
+    };
+    assert_eq!(
+        (stats.sunk_assignments, stats.inserted_assignments),
+        (records(ProvAction::Sunk), records(ProvAction::Inserted)),
+        "sunk/inserted counts vs sink provenance records"
+    );
+    Ok(stats)
+}
+
+fn pde(p: &mut Program) -> Result<PdceStats, PdceError> {
+    optimize_counted(p, &PdceConfig::pde())
+}
+
+fn pfe(p: &mut Program) -> Result<PdceStats, PdceError> {
+    optimize_counted(p, &PdceConfig::pfe())
+}
 
 fn assert_result(got: &Program, want_src: &str) {
     let want = parse(want_src).unwrap();
@@ -61,6 +96,9 @@ fn fig_1_2_motivating_example() {
         }",
     );
     assert_eq!(stats.eliminated_assignments, 1);
+    // `y := a + b` leaves n1 for the entries of n2 and n3; n2's own
+    // `y := 4` is re-inserted at its exit behind the new entry copy.
+    assert_eq!((stats.sunk_assignments, stats.inserted_assignments), (2, 3));
     assert_improves(src, &p);
 }
 
