@@ -158,7 +158,9 @@ pub fn write_terminator(prog: &Program, term: &Terminator, out: &mut String) {
 }
 
 /// Renders a whole program in the textual language (blocks in node order)
-/// into one buffer, sized up front from the program's shape.
+/// into one buffer, sized up front from the program's shape and trimmed
+/// to the text at the end, since callers keep printed programs (the
+/// serve cache holds one per entry).
 pub fn print_program(prog: &Program) -> String {
     // Block frame and terminator line, plus each statement line, at
     // their usual printed widths (a name, an operator, two operands).
@@ -186,6 +188,7 @@ pub fn print_program(prog: &Program) -> String {
         out.push_str("\n  }\n");
     }
     out.push_str("}\n");
+    out.shrink_to_fit();
     out
 }
 
