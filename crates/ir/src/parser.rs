@@ -132,6 +132,9 @@ struct Parser<'a> {
     depth: u32,
     vars: VarPool,
     terms: TermArena,
+    /// The `Var` term of each interned variable, by variable index, so
+    /// a variable operand costs one hash (its name) rather than two.
+    var_terms: Vec<Option<TermId>>,
 }
 
 impl<'a> Parser<'a> {
@@ -142,6 +145,7 @@ impl<'a> Parser<'a> {
             depth: 0,
             vars: VarPool::new(),
             terms: TermArena::new(),
+            var_terms: Vec::new(),
         }
     }
 
@@ -483,7 +487,11 @@ impl<'a> Parser<'a> {
             Token::Ident(name) => {
                 self.bump();
                 let v = self.vars.intern(name);
-                Ok(self.terms.var(v))
+                if v.index() >= self.var_terms.len() {
+                    self.var_terms.resize(v.index() + 1, None);
+                }
+                let terms = &mut self.terms;
+                Ok(*self.var_terms[v.index()].get_or_insert_with(|| terms.var(v)))
             }
             Token::LParen => {
                 self.bump();

@@ -5,6 +5,7 @@
 //! Section 2 of the paper) an O(1) comparison and gives dense indices for
 //! the bit-vector analyses.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt;
 
@@ -178,38 +179,46 @@ impl TermArena {
     ///
     /// Panics if a child [`TermId`] does not belong to this arena.
     pub fn intern(&mut self, data: TermData) -> TermId {
-        if let Some(&id) = self.dedup.get(&data) {
-            return id;
-        }
+        // One hash per call: a miss fills the vacant slot once the
+        // term's variable run is in place.
+        let TermArena {
+            data: terms,
+            starts,
+            vars,
+            dedup,
+        } = self;
+        let slot = match dedup.entry(data) {
+            Entry::Occupied(hit) => return *hit.get(),
+            Entry::Vacant(slot) => slot,
+        };
+        let range = |t: TermId| (starts[t.index()] as usize, starts[t.index() + 1] as usize);
         match data {
             TermData::Const(_) => {}
-            TermData::Var(v) => self.vars.push(v),
+            TermData::Var(v) => vars.push(v),
             TermData::Unary(_, a) => {
-                let (lo, hi) = self.var_range(a);
-                self.vars.extend_from_within(lo..hi);
+                let (lo, hi) = range(a);
+                vars.extend_from_within(lo..hi);
             }
             TermData::Binary(_, a, b) => {
                 // Merge the children's sorted runs straight onto the
                 // end of the flat array; they sit before it, so the
                 // pushes never overwrite what is still to be read.
-                let (mut i, ahi) = self.var_range(a);
-                let (mut j, bhi) = self.var_range(b);
+                let (mut i, ahi) = range(a);
+                let (mut j, bhi) = range(b);
                 while i < ahi && j < bhi {
-                    let (x, y) = (self.vars[i], self.vars[j]);
-                    self.vars.push(x.min(y));
+                    let (x, y) = (vars[i], vars[j]);
+                    vars.push(x.min(y));
                     i += usize::from(x <= y);
                     j += usize::from(y <= x);
                 }
-                self.vars.extend_from_within(i..ahi);
-                self.vars.extend_from_within(j..bhi);
+                vars.extend_from_within(i..ahi);
+                vars.extend_from_within(j..bhi);
             }
         }
-        let id = TermId(u32::try_from(self.data.len()).expect("too many terms"));
-        self.data.push(data);
-        self.starts
-            .push(u32::try_from(self.vars.len()).expect("too many term variables"));
-        self.dedup.insert(data, id);
-        id
+        let id = TermId(u32::try_from(terms.len()).expect("too many terms"));
+        terms.push(data);
+        starts.push(u32::try_from(vars.len()).expect("too many term variables"));
+        *slot.insert(id)
     }
 
     /// Convenience: intern an integer constant.
