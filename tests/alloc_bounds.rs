@@ -35,7 +35,9 @@ fn program(blocks: usize) -> Program {
 /// test's allocations never land in another's count.
 fn serial() -> std::sync::MutexGuard<'static, ()> {
     static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    SERIAL.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+    SERIAL
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 /// Allocations `f` makes, as the minimum over three runs so that a
@@ -108,7 +110,10 @@ fn text_layer_allocations_are_constant_in_print_and_per_block_in_parse() {
         let prog = parse(&text).unwrap();
         let n = prog.num_blocks() as u64;
         let printed = allocs(|| print_program(&prog));
-        assert!(printed <= 2, "print_program: {printed} allocations at {n} blocks");
+        assert!(
+            printed <= 2,
+            "print_program: {printed} allocations at {n} blocks"
+        );
         let parsed = allocs(|| parse(&text).unwrap());
         assert!(
             parsed <= 4 * n + 512,

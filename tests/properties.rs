@@ -562,7 +562,10 @@ fn printing_a_parsed_printout_is_byte_identical() {
         assert_eq!(lines.next(), Some("prog {"), "case {case}");
         for n in p.node_ids() {
             let b = p.block(n);
-            assert_eq!(lines.next(), Some(format!("  block {} {{", b.name).as_str()));
+            assert_eq!(
+                lines.next(),
+                Some(format!("  block {} {{", b.name).as_str())
+            );
             for st in &b.stmts {
                 let want = format!("    {};", print_stmt(&p, st));
                 assert_eq!(lines.next(), Some(want.as_str()), "case {case}");
