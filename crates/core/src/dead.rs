@@ -99,7 +99,10 @@ pub(crate) fn apply_term_backward(prog: &Program, term: &Terminator, v: &mut Row
 /// The `scratch` row, reused across calls, starts at block `n`'s exit
 /// row in `solution`, takes the terminator's transfer, then for each
 /// statement `k` last to first shows `f(k, after_k)` and applies
-/// `stmt_rule`. It ends at the block's entry row.
+/// `stmt_rule`. It ends at the block's entry row. Returns the word
+/// operations spent, for the caller to record: a public query records
+/// each walk ([`record_walks`]), an elimination pass sums its walks and
+/// records them once.
 pub(crate) fn walk_back(
     prog: &Program,
     solution: &Solution,
@@ -107,7 +110,7 @@ pub(crate) fn walk_back(
     n: NodeId,
     stmt_rule: fn(&Program, &Stmt, &mut RowMut<'_>),
     mut f: impl FnMut(usize, Row<'_>),
-) {
+) -> u64 {
     let block = prog.block(n);
     // Taken, not borrowed, so a nested walk from `f` stays sound (it
     // just allocates a row of its own).
@@ -125,8 +128,14 @@ pub(crate) fn walk_back(
     debug_assert_eq!(row.as_row(), solution.at_entry(n));
     scratch.replace(current);
     // One row copy plus one sparse in-place transfer per instruction.
+    solution.exit.stride() as u64 + block.stmts.len() as u64 + 1
+}
+
+/// Records the word operations of [`walk_back`] walks in the solver
+/// counters.
+pub(crate) fn record_walks(word_ops: u64) {
     pdce_trace::record_solver(pdce_trace::SolverStats {
-        word_ops: solution.exit.stride() as u64 + block.stmts.len() as u64 + 1,
+        word_ops,
         ..pdce_trace::SolverStats::ZERO
     });
 }
@@ -190,6 +199,17 @@ impl DeadSolution {
     /// intermediate vector. The borrowed row is overwritten after `f`
     /// returns; copy it with [`Row::to_bitvec`] to keep it.
     pub fn for_each_stmt_after(&self, prog: &Program, n: NodeId, f: impl FnMut(usize, Row<'_>)) {
+        record_walks(self.walk_stmts_after(prog, n, f));
+    }
+
+    /// [`DeadSolution::for_each_stmt_after`] without recording the walk:
+    /// returns its word operations instead.
+    pub(crate) fn walk_stmts_after(
+        &self,
+        prog: &Program,
+        n: NodeId,
+        f: impl FnMut(usize, Row<'_>),
+    ) -> u64 {
         walk_back(
             prog,
             &self.solution,
@@ -197,7 +217,7 @@ impl DeadSolution {
             n,
             apply_stmt_backward,
             f,
-        );
+        )
     }
 
     /// Deadness vectors *immediately after* each statement of block `n`

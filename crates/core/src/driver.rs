@@ -7,10 +7,15 @@
 //!   `G_PFE`).
 //!
 //! Critical edges are split up front (Section 2.1). Each global round
-//! first drives the elimination step to its own fixpoint (capturing the
-//! elimination–elimination effects of Figure 12) and then applies one
-//! sinking pass; the loop ends when a full round leaves the program
-//! structurally unchanged. Termination is guaranteed by the paper's
+//! first drives the elimination step to its own fixpoint and then
+//! applies one sinking pass; the loop ends when a full round leaves the
+//! program structurally unchanged. `dce` repeats its pass until one
+//! removes nothing, capturing the elimination–elimination effects of
+//! Figure 12. `fce` runs one pass per round: faint elimination has no
+//! such effect (Section 4.4), since removing assignments that are faint
+//! after them leaves the faint solution of the rest unchanged, so a
+//! second pass could only certify that nothing is left (the argument is
+//! in [`eliminate_fixpoint_cached`]'s documentation). Termination is guaranteed by the paper's
 //! fixpoint argument (Theorem 3.7); a defensive round cap derived from
 //! the Section 6.3 bound (`r ≤ i·b`) turns any implementation bug into an
 //! error instead of an endless loop.

@@ -3,16 +3,17 @@
 //! "Process every basic block by successively eliminating all assignments
 //! whose left-hand side variables are dead (faint) immediately after
 //! them." One pass over a fixed analysis solution is sound: removing a
-//! dead assignment never makes anything *less* dead. Second-order
-//! elimination–elimination effects (Figure 12) are handled by iterating
-//! the pass to a fixpoint in the driver.
+//! dead assignment never makes anything *less* dead. Dead elimination
+//! has second-order elimination–elimination effects (Figure 12), so its
+//! pass is iterated to a fixpoint; faint elimination has none, so one
+//! pass is final (see [`eliminate_fixpoint_cached`]).
 
 use std::rc::Rc;
 
 use pdce_dfa::{AnalysisCache, Preserves, Row};
 use pdce_ir::{NodeId, Program, Stmt};
 
-use crate::dead::DeadSolution;
+use crate::dead::{record_walks, DeadSolution};
 use crate::faint::FaintSolution;
 
 /// Which notion of uselessness drives eliminations.
@@ -41,11 +42,11 @@ pub fn eliminate_once_in(prog: &mut Program, mode: Mode, region: Option<&[bool]>
 
 /// [`eliminate_once_in`] sharing analyses through an [`AnalysisCache`]:
 /// the `CfgView` and the dead/faint solution are served from `cache`
-/// when the program has not changed since they were computed (which is
-/// exactly the case in the stability-certifying final pass of the
-/// fixpoint iteration, and whenever a preceding pass in a pipeline left
-/// them valid). After removals the cache is retained at
-/// [`Preserves::Cfg`]: eliminations only edit statement lists.
+/// when the program has not changed since they were computed (as in a
+/// driver round whose previous round's sinking changed nothing, and
+/// whenever a preceding pass in a pipeline left them valid). After
+/// removals the cache is retained at [`Preserves::Cfg`]: eliminations
+/// only edit statement lists.
 pub fn eliminate_once_cached(
     prog: &mut Program,
     cache: &mut AnalysisCache,
@@ -63,11 +64,7 @@ pub fn eliminate_once_cached(
     let in_region =
         |n: NodeId| region.is_none_or(|r| r[n.index()]) && view.rpo_index(n) != usize::MAX;
     let analysis = ElimAnalysis::get(prog, cache, mode);
-    let mut plans: Vec<(NodeId, Vec<usize>)> = prog
-        .node_ids()
-        .filter(|&n| in_region(n))
-        .map(|n| (n, analysis.removable(prog, n)))
-        .collect();
+    let mut plans = analysis.plan(prog, prog.node_ids().filter(|&n| in_region(n)));
     if pdce_trace::fault::flip(fault_site) {
         inject_decision_bitflip(prog, &mut plans);
     }
@@ -106,24 +103,37 @@ impl ElimAnalysis {
         }
     }
 
-    /// Indices of block `n`'s assignments whose left-hand side is dead
-    /// (faint) immediately after them, ascending.
-    pub(crate) fn removable(&self, prog: &Program, n: NodeId) -> Vec<usize> {
-        let stmts = &prog.block(n).stmts;
-        let mut doomed = Vec::new();
-        let mut visit = |k: usize, after: Row<'_>| {
-            if let Stmt::Assign { lhs, .. } = stmts[k] {
-                if after.get(lhs.index()) {
-                    doomed.push(k);
-                }
-            }
-        };
-        match self {
-            ElimAnalysis::Dead(d) => d.for_each_stmt_after(prog, n, &mut visit),
-            ElimAnalysis::Faint(f) => f.for_each_stmt_after(prog, n, &mut visit),
-        }
-        doomed.reverse(); // the walk runs last-to-first
-        doomed
+    /// Each of `blocks` with the indices of its assignments whose
+    /// left-hand side is dead (faint) immediately after them, ascending.
+    /// The walks' word operations are summed and recorded once, not once
+    /// per block.
+    pub(crate) fn plan(
+        &self,
+        prog: &Program,
+        blocks: impl Iterator<Item = NodeId>,
+    ) -> Vec<(NodeId, Vec<usize>)> {
+        let mut word_ops = 0;
+        let plans = blocks
+            .map(|n| {
+                let stmts = &prog.block(n).stmts;
+                let mut doomed = Vec::new();
+                let mut visit = |k: usize, after: Row<'_>| {
+                    if let Stmt::Assign { lhs, .. } = stmts[k] {
+                        if after.get(lhs.index()) {
+                            doomed.push(k);
+                        }
+                    }
+                };
+                word_ops += match self {
+                    ElimAnalysis::Dead(d) => d.walk_stmts_after(prog, n, &mut visit),
+                    ElimAnalysis::Faint(f) => f.walk_stmts_after(prog, n, &mut visit),
+                };
+                doomed.reverse(); // the walk runs last-to-first
+                (n, doomed)
+            })
+            .collect();
+        record_walks(word_ops);
+        plans
     }
 }
 
@@ -155,7 +165,9 @@ fn record_eliminations(
 
 /// Iterates [`eliminate_once`] until no assignment is removable, which
 /// captures elimination–elimination second-order effects (Figure 12) for
-/// the dead mode. Returns `(total removed, passes that removed something)`.
+/// the dead mode; the faint mode stops after one pass, which is already
+/// final (see [`eliminate_fixpoint_cached`]). Returns `(total removed,
+/// passes that removed something)`.
 pub fn eliminate_fixpoint(prog: &mut Program, mode: Mode) -> (u64, u64) {
     eliminate_fixpoint_in(prog, mode, None)
 }
@@ -172,6 +184,26 @@ pub fn eliminate_fixpoint_in(
 /// [`eliminate_fixpoint_in`] sharing analyses through an
 /// [`AnalysisCache`]. The `CfgView` is built (at most) once for the
 /// whole iteration instead of once per pass.
+///
+/// Dead mode repeats its pass until one removes nothing: removing
+/// `y := a + b` can make `a := c + 1` dead (Figure 12). Faint mode
+/// returns after its first pass, because removing assignments that are
+/// faint after them never makes another assignment faint (Section 4.4).
+/// Let `F` be the faint solution of `P`, and `P'` be `P` without any set
+/// of assignments `x := t` that each have `x` faint after them in `F`.
+/// Such an assignment maps `F`'s row after it to itself, exactly as no
+/// instruction does, and every other equation of `P'` is one of `P`'s.
+/// So `F` is a fixpoint of `P'` and lies below its greatest fixpoint
+/// `F'`. Conversely `F' ⊇ F` still has `x` faint after each removed
+/// assignment, so `F'` with those assignments put back is a fixpoint of
+/// `P`, and lies below `F`. Hence `F' = F`: the assignments faint in
+/// `P'` are exactly those faint in `P` that were kept. The pass removes
+/// every faint assignment in the region, so a second pass in the same
+/// region removes nothing, whatever the region (and so under any
+/// hot-region mask). Debug builds re-check this after every faint pass
+/// that removed something, unless a fault is injected (a `bitflip`
+/// removes an assignment that is not faint, which the argument does not
+/// cover).
 pub fn eliminate_fixpoint_cached(
     prog: &mut Program,
     cache: &mut AnalysisCache,
@@ -187,6 +219,13 @@ pub fn eliminate_fixpoint_cached(
         }
         total += removed;
         passes += 1;
+        if mode == Mode::Faint {
+            debug_assert!(
+                pdce_trace::fault::armed() || !crate::faint::faint_assignment_remains(prog, region),
+                "a second fce pass would remove an assignment"
+            );
+            return (total, passes);
+        }
     }
 }
 

@@ -35,7 +35,7 @@ use std::cell::RefCell;
 use pdce_dfa::{solve_with, BitVec, Direction, DuGraph, Meet, Row, RowMut, Solution};
 use pdce_ir::{CfgView, NodeId, Program, Stmt, Var};
 
-use crate::dead::{apply_stmt_backward, apply_term_backward, walk_back};
+use crate::dead::{apply_stmt_backward, apply_term_backward, record_walks, walk_back};
 
 /// Result of the faint-variable analysis: `N-FAINT` at each block's
 /// entry and `X-FAINT` at its exit.
@@ -57,6 +57,65 @@ fn apply_stmt_faint(prog: &Program, stmt: &Stmt, v: &mut RowMut<'_>) {
         }
     }
     apply_stmt_backward(prog, stmt, v);
+}
+
+/// Whether a reachable block that `region` allows holds an assignment
+/// whose left-hand side is faint immediately after it: what one more fce
+/// pass would remove. The faint rows come from a plain round-robin sweep
+/// of the block transfer, outside the counted worklist, so the
+/// debug-build check of the one-pass rule in
+/// [`eliminate_fixpoint_cached`](crate::elim::eliminate_fixpoint_cached)
+/// moves no solver counter, budget, cache statistic or fault site.
+pub(crate) fn faint_assignment_remains(prog: &Program, region: Option<&[bool]>) -> bool {
+    let width = prog.num_vars();
+    let succs: Vec<Vec<NodeId>> = prog.node_ids().map(|n| prog.successors(n)).collect();
+    let mut reachable = vec![false; prog.num_blocks()];
+    let mut stack = vec![prog.entry()];
+    while let Some(n) = stack.pop() {
+        if !std::mem::replace(&mut reachable[n.index()], true) {
+            stack.extend(&succs[n.index()]);
+        }
+    }
+    // Block `n`'s N-FAINT row from its successors' rows (all-ones at the
+    // end of the program), showing `visit` each statement with the row
+    // immediately after it.
+    let transfer = |entry: &[BitVec], n: NodeId, visit: &mut dyn FnMut(&Stmt, &BitVec)| {
+        let mut row = BitVec::ones(width);
+        for m in &succs[n.index()] {
+            row.intersect_with(&entry[m.index()]);
+        }
+        let block = prog.block(n);
+        apply_term_backward(prog, &block.term, &mut row.as_row_mut());
+        for stmt in block.stmts.iter().rev() {
+            visit(stmt, &row);
+            apply_stmt_faint(prog, stmt, &mut row.as_row_mut());
+        }
+        row
+    };
+    let mut entry = vec![BitVec::ones(width); prog.num_blocks()];
+    let mut changed = true;
+    while changed {
+        changed = false;
+        for i in (0..prog.num_blocks()).rev() {
+            let n = NodeId::from_index(i);
+            let row = transfer(&entry, n, &mut |_, _| {});
+            if row != entry[n.index()] {
+                entry[n.index()] = row;
+                changed = true;
+            }
+        }
+    }
+    prog.node_ids()
+        .filter(|&n| reachable[n.index()] && region.is_none_or(|r| r[n.index()]))
+        .any(|n| {
+            let mut found = false;
+            transfer(&entry, n, &mut |stmt, after| {
+                if let Stmt::Assign { lhs, .. } = *stmt {
+                    found |= after.get(lhs.index());
+                }
+            });
+            found
+        })
 }
 
 impl FaintSolution {
@@ -150,7 +209,18 @@ impl FaintSolution {
     /// [`DeadSolution::for_each_stmt_after`](crate::DeadSolution::for_each_stmt_after).
     /// The borrowed row is overwritten after `f` returns.
     pub fn for_each_stmt_after(&self, prog: &Program, n: NodeId, f: impl FnMut(usize, Row<'_>)) {
-        walk_back(prog, &self.solution, &self.scratch, n, apply_stmt_faint, f);
+        record_walks(self.walk_stmts_after(prog, n, f));
+    }
+
+    /// [`FaintSolution::for_each_stmt_after`] without recording the
+    /// walk: returns its word operations instead.
+    pub(crate) fn walk_stmts_after(
+        &self,
+        prog: &Program,
+        n: NodeId,
+        f: impl FnMut(usize, Row<'_>),
+    ) -> u64 {
+        walk_back(prog, &self.solution, &self.scratch, n, apply_stmt_faint, f)
     }
 
     /// `X-FAINT` of variable `v` immediately after statement `k` of

@@ -38,7 +38,8 @@ impl Pass for DcePass {
     }
 }
 
-/// Iterated faint code elimination (`fce` to its fixpoint).
+/// Faint code elimination (`fce`): one pass reaches its fixpoint,
+/// since faint elimination has no elimination–elimination effect.
 pub struct FcePass;
 
 impl Pass for FcePass {

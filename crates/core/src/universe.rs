@@ -118,8 +118,8 @@ fn single_eliminations(
     out: &mut Vec<Program>,
 ) {
     let analysis = ElimAnalysis::get(prog, cache, mode);
-    for n in prog.node_ids() {
-        for k in analysis.removable(prog, n) {
+    for (n, doomed) in analysis.plan(prog, prog.node_ids()) {
+        for k in doomed {
             let mut next = prog.clone();
             next.block_mut(n).stmts.remove(k);
             out.push(next);

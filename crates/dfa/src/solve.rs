@@ -12,13 +12,12 @@
 //! There is one engine: a direction-aware priority worklist that only
 //! re-evaluates nodes whose inputs may have changed, earliest in
 //! iteration order first (reverse postorder for forward problems,
-//! postorder for backward ones). Every solve starts cold from the
+//! postorder for backward ones). The queue is a bitset over order
+//! positions, popped lowest bit first, which is a min-heap's pop order
+//! without its per-pop cost. Every solve starts cold from the
 //! optimistic bound; monotone systems over finite lattices have a unique
 //! extremal fixpoint from there, which the executable specification in
 //! `tests/support/` checks bit for bit.
-
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 use pdce_ir::{CfgView, NodeId};
 
@@ -206,26 +205,36 @@ pub fn solve_with(
 
     // Iterate in an order that converges fast: RPO for forward problems,
     // postorder for backward ones — both precomputed slices of the view.
+    // A node's position in the order comes from the view's RPO index
+    // (postorder is its reverse), so a solve builds no position table.
     let order: &[NodeId] = match direction {
         Direction::Forward => view.rpo(),
         Direction::Backward => view.postorder(),
     };
-    // Position of each node in the iteration order; u32::MAX for nodes
-    // outside it.
-    let mut order_pos = vec![u32::MAX; n];
-    for (i, &node) in order.iter().enumerate() {
-        order_pos[node.index()] = i as u32;
-    }
+    let position = |node: NodeId| match view.rpo_index(node) {
+        usize::MAX => None,
+        i => Some(match direction {
+            Direction::Forward => i,
+            Direction::Backward => order.len() - 1 - i,
+        }),
+    };
 
     let mut evaluations: u64 = 0;
     let mut word_ops: u64 = 0;
-    // Min-heap over order positions, seeded with every node; `queued`
-    // dedups so a position is in the heap at most once.
-    let mut heap: BinaryHeap<Reverse<u32>> = (0..order.len() as u32).map(Reverse).collect();
-    let mut queued = BitVec::ones(order.len());
-    while let Some(Reverse(pos)) = heap.pop() {
-        queued.set(pos as usize, false);
-        let node = order[pos as usize];
+    // The worklist is a bitset over order positions, seeded with every
+    // node. Popping the lowest set bit at or above `cursor` (the first
+    // word that may hold one) is exactly a min-heap's pop order; a
+    // re-queued lower position moves the cursor back down.
+    let mut queued = vec![u64::MAX; order.len().div_ceil(64)];
+    if let Some(tail) = queued.last_mut() {
+        *tail >>= (64 - order.len() % 64) % 64;
+    }
+    let mut cursor = 0;
+    while let Some(offset) = queued[cursor..].iter().position(|&w| w != 0) {
+        cursor += offset;
+        let word = queued[cursor];
+        queued[cursor] = word & (word - 1);
+        let node = order[cursor * 64 + word.trailing_zeros() as usize];
         let i = node.index();
         evaluations += 1;
         pdce_trace::budget::charge_pops(1);
@@ -258,10 +267,9 @@ pub fn solve_with(
                 Direction::Backward => view.preds(node),
             };
             for &d in dependents {
-                let dpos = order_pos[d.index()];
-                if dpos != u32::MAX && !queued.get(dpos as usize) {
-                    queued.set(dpos as usize, true);
-                    heap.push(Reverse(dpos));
+                if let Some(pos) = position(d) {
+                    queued[pos / 64] |= 1 << (pos % 64);
+                    cursor = cursor.min(pos / 64);
                 }
             }
         }

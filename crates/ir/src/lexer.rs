@@ -258,7 +258,10 @@ pub fn lex(input: &str) -> Result<Vec<Spanned<'_>>, ParseError> {
                 tokens.push(Spanned { token, line, col });
                 col += (i - start) as u32;
             }
-            other => {
+            _ => {
+                // `i` is always on a character boundary: every token
+                // and comment before it ends on an ASCII byte.
+                let other = input[i..].chars().next().unwrap_or(c);
                 return Err(ParseError::new(
                     line,
                     col,

@@ -206,6 +206,7 @@ impl<'a> Parser<'a> {
             raw_blocks.push(self.block()?);
         }
         self.expect(Token::RBrace, "`}`")?;
+        self.expect(Token::Eof, "end of input after the program")?;
         if raw_blocks.is_empty() {
             return Err(self.error("program has no blocks"));
         }

@@ -37,13 +37,18 @@ const CASES: &[(&str, &str, (u32, u32), &str)] = &[
         (1, 25),
         "unexpected character `@`",
     ),
-    // The lexer scans bytes: a multi-byte character is reported by its
-    // first byte read as Latin-1.
+    // A multi-byte character is reported whole, not by its first byte.
     (
         "unknown_nonascii",
         "prog { block s { x := é; goto e } block e { halt } }",
         (1, 23),
-        "unexpected character `Ã`",
+        "unexpected character `é`",
+    ),
+    (
+        "unknown_nonascii_three_bytes",
+        "prog { block s { x := 変数; goto e } block e { halt } }",
+        (1, 23),
+        "unexpected character `変`",
     ),
     (
         "oversized_int",
@@ -100,6 +105,31 @@ const CASES: &[(&str, &str, (u32, u32), &str)] = &[
         "program has no `halt` block",
     ),
     ("no_blocks", "prog { }", (1, 9), "program has no blocks"),
+    // Nothing but comments and whitespace may follow the program.
+    (
+        "trailing_ident",
+        "prog { block s { halt } } extra",
+        (1, 27),
+        "expected end of input after the program, found Ident(\"extra\")",
+    ),
+    (
+        "trailing_brace",
+        "prog { block s { halt } } }",
+        (1, 27),
+        "expected end of input after the program, found RBrace",
+    ),
+    (
+        "trailing_program",
+        "prog { block s { goto e } block e { halt } }\nprog { block t { halt } }",
+        (2, 1),
+        "expected end of input after the program, found Keyword(Prog)",
+    ),
+    (
+        "trailing_before_semantics",
+        "prog { } extra",
+        (1, 10),
+        "expected end of input after the program, found Ident(\"extra\")",
+    ),
     (
         "stmt_after_terminator",
         "prog { block s { goto e; x := 1; } block e { halt } }",
@@ -228,5 +258,18 @@ fn too_deeply_nested_expressions_report_where_the_cap_is_hit() {
         let e = parse(&src).unwrap_err();
         assert_eq!((e.line, e.col), at);
         assert_eq!(e.message, "expression too deeply nested");
+    }
+}
+
+/// Whitespace and comments after the closing `}` are still accepted:
+/// only tokens make trailing input an error.
+#[test]
+fn comments_and_whitespace_may_follow_the_program() {
+    for src in [
+        "prog { block s { halt } }\n",
+        "prog { block s { halt } }  // done\n\n",
+        "prog { block s { halt } }\n// trailing note",
+    ] {
+        assert!(parse(src).is_ok(), "{src:?}");
     }
 }

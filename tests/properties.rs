@@ -12,6 +12,8 @@
 //!   increase on any corresponding path.
 //! * **Idempotence**: the drivers are fixpoints of themselves.
 //! * **dead ⟹ faint** (Section 3).
+//! * **One fce pass is final** (Section 4.4), with or without a region
+//!   mask.
 //! * **The degradation ladder**: every rung below the configured run
 //!   keeps its documented contract.
 //! * **The run-pinned pattern universe**: no round creates a pattern,
@@ -262,6 +264,76 @@ fn pfe_subsumes_pde() {
         );
         assert!(report.holds(), "violations: {:#?}", report.violations);
     }
+}
+
+/// The corpus programs, in file-name order.
+fn corpus() -> Vec<Program> {
+    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/corpus");
+    let mut files: Vec<_> = std::fs::read_dir(dir)
+        .expect("corpus directory exists")
+        .map(|e| e.expect("corpus entry").path())
+        .filter(|p| p.extension().is_some_and(|x| x == "pdce"))
+        .collect();
+    files.sort();
+    files
+        .iter()
+        .map(|path| parse(&std::fs::read_to_string(path).unwrap()).expect("corpus parses"))
+        .collect()
+}
+
+/// Section 4.4: faint elimination has no elimination–elimination
+/// effect, so one fce pass is final — a second one removes nothing, on
+/// the whole program and under a random hot-region mask alike (the
+/// argument is in `eliminate_fixpoint_cached`'s documentation). Dead
+/// elimination is the contrast: on some of these programs its second
+/// pass does remove something (Figure 12).
+#[test]
+fn one_fce_pass_leaves_nothing_faint() {
+    use pdce::core::elim::eliminate_once_in;
+    let mut rng = Rng::new(0x0fce_0001);
+    let mut programs = corpus();
+    for seed in seeds(30) {
+        programs.push(structured(&small_config(seed, true)));
+        let config = GenConfig {
+            target_blocks: rng.gen_range_inclusive(40, 200),
+            num_vars: rng.gen_range_inclusive(8, 20),
+            max_depth: 10,
+            ..small_config(seed, true)
+        };
+        programs.push(structured(&config));
+        programs.push(tangled(&config, 4));
+    }
+    let (mut first_removed, mut masked_removed, mut dead_second) = (0, 0, 0);
+    for (i, prog) in programs.iter().enumerate() {
+        let mask: Vec<bool> = (0..prog.num_blocks())
+            .map(|_| rng.gen_range(0, 2) == 0)
+            .collect();
+        for region in [None, Some(&mask[..])] {
+            let mut p = prog.clone();
+            let removed = eliminate_once_in(&mut p, Mode::Faint, region);
+            match region {
+                None => first_removed += removed,
+                Some(_) => masked_removed += removed,
+            }
+            assert_eq!(
+                eliminate_once_in(&mut p, Mode::Faint, region),
+                0,
+                "program {i} (masked: {}): a second fce pass removed something",
+                region.is_some()
+            );
+        }
+        let mut p = prog.clone();
+        eliminate_once_in(&mut p, Mode::Dead, None);
+        dead_second += eliminate_once_in(&mut p, Mode::Dead, None);
+    }
+    assert!(
+        first_removed > 0 && masked_removed > 0,
+        "vacuous: no first pass removed anything"
+    );
+    assert!(
+        dead_second > 0,
+        "no program shows dead elimination's second-order effect"
+    );
 }
 
 #[test]

@@ -1,9 +1,12 @@
 //! Shared support for the integration tests: the executable
-//! specification every analysis and optimizer is checked against, and
-//! the random statement mutator the oracles perturb programs with.
+//! specification every analysis and optimizer is checked against, the
+//! heap-ordered reference worklist the solver's pop order is checked
+//! against, and the random statement mutator the oracles perturb
+//! programs with.
 #![allow(dead_code)]
 
 pub mod spec;
+pub mod worklist;
 
 use pdce::dfa::Row;
 use pdce::ir::{NodeId, Program};
