@@ -9,8 +9,8 @@
 
 use std::collections::HashMap;
 
-use pdce_dfa::{solve, AnalysisCache, BitMatrix, BitProblem, BitVec, Direction, Meet, RowMut};
-use pdce_ir::{Program, Stmt, TermData, TermId, Var};
+use pdce_dfa::{solve, BitMatrix, BitProblem, BitVec, Direction, Meet, RowMut};
+use pdce_ir::{CfgView, Program, Stmt, TermData, TermId, Var};
 
 /// A copy pattern `x := y`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -73,18 +73,12 @@ fn apply_stmt(
 /// number of replaced variable occurrences. Run to a fixpoint externally
 /// if chains of copies should collapse fully.
 pub fn copy_propagate_once(prog: &mut Program) -> u64 {
-    copy_propagate_once_cached(prog, &mut AnalysisCache::new())
-}
-
-/// Like [`copy_propagate_once`], but reads the CFG from `cache`'s
-/// memoized [`CfgView`].
-pub fn copy_propagate_once_cached(prog: &mut Program, cache: &mut AnalysisCache) -> u64 {
     let copies = collect_copies(prog);
     if copies.is_empty() {
         return 0;
     }
     let width = copies.len();
-    let view = cache.cfg(prog);
+    let view = CfgView::new(prog);
     // Block transfers composed in place, statements in execution order.
     let mut gen = BitMatrix::zeros(prog.num_blocks(), width);
     let mut kill = BitMatrix::zeros(prog.num_blocks(), width);
@@ -151,15 +145,9 @@ pub fn copy_propagate_once_cached(prog: &mut Program, cache: &mut AnalysisCache)
 /// Runs copy propagation to a fixpoint (bounded by the variable count,
 /// the longest possible copy chain).
 pub fn copy_propagate(prog: &mut Program) -> u64 {
-    copy_propagate_cached(prog, &mut AnalysisCache::new())
-}
-
-/// Like [`copy_propagate`], but shares `cache`'s [`CfgView`] across the
-/// fixpoint rounds.
-pub fn copy_propagate_cached(prog: &mut Program, cache: &mut AnalysisCache) -> u64 {
     let mut total = 0;
     for _ in 0..prog.num_vars().max(1) {
-        let replaced = copy_propagate_once_cached(prog, cache);
+        let replaced = copy_propagate_once(prog);
         if replaced == 0 {
             break;
         }

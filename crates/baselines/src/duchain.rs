@@ -20,7 +20,7 @@
 
 use std::collections::VecDeque;
 
-use pdce_dfa::{solve, AnalysisCache, BitMatrix, BitProblem, BitVec, Direction, Meet, Row};
+use pdce_dfa::{solve, BitMatrix, BitProblem, BitVec, Direction, Meet, Row};
 use pdce_ir::{CfgView, NodeId, Program, Stmt, Var};
 
 /// A definition occurrence: statement `k` of block `n` (an assignment).
@@ -194,14 +194,7 @@ fn reaching_defs_of(reach: &BitVec, of_var: Row<'_>) -> Vec<usize> {
 /// Def-use-chain DCE: removes every unmarked assignment. Returns the
 /// number of removed assignments.
 pub fn duchain_dce(prog: &mut Program) -> u64 {
-    duchain_dce_cached(prog, &mut AnalysisCache::new())
-}
-
-/// Like [`duchain_dce`], but reads the CFG from `cache`'s memoized
-/// [`CfgView`] instead of rebuilding the adjacency per call.
-pub fn duchain_dce_cached(prog: &mut Program, cache: &mut AnalysisCache) -> u64 {
-    let view = cache.cfg(prog);
-    let graph = DuGraph::build(prog, &view);
+    let graph = DuGraph::build(prog, &CfgView::new(prog));
     let marked = graph.mark();
     let mut removed = 0u64;
     // Group doomed statement indices per block, then rebuild.

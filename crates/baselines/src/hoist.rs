@@ -26,9 +26,9 @@
 //! related-work tests measure.
 
 use pdce_core::patterns::PatternTable;
-use pdce_dfa::{solve, AnalysisCache, BitMatrix, BitProblem, BitVec, Direction, Meet};
+use pdce_dfa::{solve, BitMatrix, BitProblem, BitVec, Direction, Meet};
 use pdce_ir::edgesplit::has_critical_edges;
-use pdce_ir::{Program, Stmt};
+use pdce_ir::{CfgView, Program, Stmt};
 
 pub use pdce_core::sink::CriticalEdgeError;
 
@@ -69,19 +69,10 @@ pub struct HoistOutcome {
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 pub fn hoist_assignments(prog: &mut Program) -> Result<HoistOutcome, CriticalEdgeError> {
-    hoist_assignments_cached(prog, &mut AnalysisCache::new())
-}
-
-/// Like [`hoist_assignments`], but reads the CFG from `cache`'s
-/// memoized [`CfgView`].
-pub fn hoist_assignments_cached(
-    prog: &mut Program,
-    cache: &mut AnalysisCache,
-) -> Result<HoistOutcome, CriticalEdgeError> {
     if has_critical_edges(prog) {
         return Err(CriticalEdgeError);
     }
-    let view = cache.cfg(prog);
+    let view = CfgView::new(prog);
     let table = PatternTable::build(prog);
     if table.is_empty() {
         return Ok(HoistOutcome::default());

@@ -13,26 +13,16 @@
 //!   partner),
 //! * [`hoist`] — Dhamdhere-style assignment *hoisting* (\[9\]): the dual
 //!   motion, which merges partially redundant assignments but cannot
-//!   eliminate partially dead ones,
-//! * [`lvn`] — local value numbering, the in-block companion that
-//!   handles the redundancies block-level LCM leaves behind.
+//!   eliminate partially dead ones.
 
 pub mod copyprop;
 pub mod duchain;
 pub mod hoist;
 pub mod liveness;
-pub mod lvn;
 pub mod naive_sink;
-pub mod passes;
 
-pub use copyprop::{
-    copy_propagate, copy_propagate_cached, copy_propagate_once, copy_propagate_once_cached,
-};
-pub use duchain::{duchain_dce, duchain_dce_cached, DuGraph};
-pub use hoist::{hoist_assignments, hoist_assignments_cached, HoistOutcome};
-pub use liveness::{liveness_dce, liveness_dce_cached, Liveness};
-pub use lvn::{local_value_numbering, LvnStats};
-pub use naive_sink::{naive_sink, naive_sink_cached, NaiveSinkOutcome};
-pub use passes::{
-    CopyPropPass, DuchainDcePass, HoistPass, LivenessDcePass, LvnPass, NaiveSinkPass,
-};
+pub use copyprop::{copy_propagate, copy_propagate_once};
+pub use duchain::{duchain_dce, DuGraph};
+pub use hoist::{hoist_assignments, HoistOutcome};
+pub use liveness::{liveness_dce, Liveness};
+pub use naive_sink::{naive_sink, NaiveSinkOutcome};

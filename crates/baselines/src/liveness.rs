@@ -97,15 +97,12 @@ impl Liveness {
 
 /// Iterated liveness-based DCE. Returns the number of assignments
 /// removed.
+///
+/// One [`AnalysisCache`] serves every round: the edits are
+/// statement-only, so the topology survives and the cache merely
+/// refreshes the instruction layout.
 pub fn liveness_dce(prog: &mut Program) -> u64 {
-    liveness_dce_cached(prog, &mut AnalysisCache::new())
-}
-
-/// Like [`liveness_dce`], but shares `cache`'s [`CfgView`] across the
-/// fixpoint rounds: the edits are statement-only, so the topology
-/// survives every round and the cache merely refreshes the instruction
-/// layout.
-pub fn liveness_dce_cached(prog: &mut Program, cache: &mut AnalysisCache) -> u64 {
+    let mut cache = AnalysisCache::new();
     let mut total = 0;
     loop {
         let view = cache.cfg(prog);

@@ -58,17 +58,13 @@ pub struct NaiveSinkOutcome {
 /// # Ok::<(), pdce_ir::ParseError>(())
 /// ```
 pub fn naive_sink(prog: &mut Program) -> NaiveSinkOutcome {
-    naive_sink_cached(prog, &mut AnalysisCache::new())
-}
-
-/// Like [`naive_sink`], but shares `cache`'s [`CfgView`] across the
-/// sweeps: moves only edit statement lists, so the topology survives
-/// every sweep and the cache merely refreshes the instruction layout.
-pub fn naive_sink_cached(prog: &mut Program, cache: &mut AnalysisCache) -> NaiveSinkOutcome {
+    // Moves only edit statement lists, so the topology survives every
+    // sweep and the cache merely refreshes the instruction layout.
+    let mut cache = AnalysisCache::new();
     let mut outcome = NaiveSinkOutcome::default();
     let max_passes = prog.num_blocks() * 2 + 4;
     for _ in 0..max_passes {
-        if !one_pass(prog, cache, &mut outcome) {
+        if !one_pass(prog, &mut cache, &mut outcome) {
             break;
         }
     }

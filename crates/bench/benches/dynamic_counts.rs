@@ -1,14 +1,15 @@
 //! D1: dynamic cost of optimized programs — interpreter runs of the
 //! original vs. dce / pde / pfe outputs (the "who wins" series), plus
-//! the cost of running each optimization pipeline itself. Every level
-//! is a [`Pipeline`] spec over the registered passes.
+//! the cost of running each optimization level itself.
 //!
 //! Run with: `cargo bench -p pdce-bench --bench dynamic_counts`
 
+use pdce_baselines::liveness_dce;
 use pdce_bench::timeit;
+use pdce_core::driver::{optimize, PdceConfig};
+use pdce_core::elim::{eliminate_fixpoint, Mode};
 use pdce_ir::interp::{run, Env, ExecLimits, SeededOracle};
 use pdce_ir::Program;
-use pdce_pass::Pipeline;
 use pdce_progen::{structured, GenConfig};
 
 fn workload() -> Program {
@@ -39,11 +40,30 @@ fn execute(prog: &Program) -> u64 {
     t.executed_assignments
 }
 
-const LEVELS: &[(&str, &str)] = &[
-    ("dce", "liveness-dce"),
-    ("fce_only", "fce"),
-    ("pde", "pde"),
-    ("pfe", "pfe"),
+fn liveness(prog: &mut Program) {
+    liveness_dce(prog);
+}
+
+fn fce_only(prog: &mut Program) {
+    eliminate_fixpoint(prog, Mode::Faint);
+}
+
+fn pde(prog: &mut Program) {
+    optimize(prog, &PdceConfig::pde()).expect("driver terminates");
+}
+
+fn pfe(prog: &mut Program) {
+    optimize(prog, &PdceConfig::pfe()).expect("driver terminates");
+}
+
+/// One optimization level: its name and the transform it runs.
+type Level = (&'static str, fn(&mut Program));
+
+const LEVELS: &[Level] = &[
+    ("dce", liveness),
+    ("fce_only", fce_only),
+    ("pde", pde),
+    ("pfe", pfe),
 ];
 
 fn main() {
@@ -52,9 +72,9 @@ fn main() {
     timeit::group("interp_by_opt_level");
     timeit::report("original", || execute(&original));
     let mut optimized = Vec::new();
-    for (name, spec) in LEVELS {
+    for (name, level) in LEVELS {
         let mut prog = original.clone();
-        Pipeline::parse(spec).unwrap().run(&mut prog);
+        level(&mut prog);
         optimized.push((*name, prog));
     }
     for (name, prog) in &optimized {
@@ -62,11 +82,11 @@ fn main() {
     }
 
     timeit::group("optimizer_by_level");
-    for (name, spec) in LEVELS {
-        let pipeline = Pipeline::parse(spec).unwrap();
+    for (name, level) in LEVELS {
         timeit::report(name, || {
             let mut clone = original.clone();
-            pipeline.run(&mut clone)
+            level(&mut clone);
+            clone
         });
     }
 }

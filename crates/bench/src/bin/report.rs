@@ -21,16 +21,16 @@ use std::rc::Rc;
 use std::time::Instant;
 
 use pdce_baselines::duchain::DuGraph;
-use pdce_baselines::Liveness;
+use pdce_baselines::{liveness_dce, naive_sink, Liveness};
 use pdce_bench::benchjson::{self, paired, Document, Record, Series, BARS};
 use pdce_bench::{figure_corpus, fit_loglog_slope, measure, verify_figure};
 use pdce_core::driver::{optimize, PdceConfig};
 use pdce_core::elim::{eliminate_fixpoint, Mode};
 use pdce_core::{DeadSolution, DelayInfo, FaintSolution, LocalInfo, PatternTable};
 use pdce_dfa::AnalysisCache;
+use pdce_ir::edgesplit::split_critical_edges;
 use pdce_ir::interp::{run, Env, ExecLimits, ReplayOracle, SeededOracle};
 use pdce_ir::{CfgView, Program};
-use pdce_pass::Pipeline;
 use pdce_progen::{
     diamond_ladder, faint_chain, many_defs_many_uses, second_order_tower, structured, GenConfig,
 };
@@ -488,7 +488,7 @@ fn c6_duchain_size() {
     );
 }
 
-/// The pass manager's analysis cache: CFG-view rebuilds avoided inside
+/// The analysis cache: CFG-view rebuilds avoided inside
 /// the iterated pde/pfe drivers (elimination and sinking share one view
 /// per round; the stable final round reuses the previous round's
 /// data-flow solutions outright).
@@ -526,16 +526,18 @@ fn d1_dynamic_costs() {
     println!("average over 20 random programs × 3 runs each; lower is better\n");
     let mut totals = [0u64; 5];
     let names = ["original", "dce", "pde", "pfe", "naive-sink"];
-    // Every optimization level is a pipeline spec over registered passes.
-    let specs = ["liveness-dce", "pde", "pfe", "split-edges,naive-sink"];
     let mut impairments = 0u32;
     for seed in 0..20u64 {
         let original = structured_of_size(40, seed.wrapping_mul(101));
-        let [dce, pde_p, pfe_p, naive] = specs.map(|spec| {
-            let mut prog = original.clone();
-            Pipeline::parse(spec).unwrap().run(&mut prog);
-            prog
-        });
+        let mut dce = original.clone();
+        liveness_dce(&mut dce);
+        let mut pde_p = original.clone();
+        optimize(&mut pde_p, &PdceConfig::pde()).expect("driver terminates");
+        let mut pfe_p = original.clone();
+        optimize(&mut pfe_p, &PdceConfig::pfe()).expect("driver terminates");
+        let mut naive = original.clone();
+        split_critical_edges(&mut naive);
+        naive_sink(&mut naive);
 
         for run_seed in [3u64, 17, 99] {
             let inputs: [(&str, i64); 2] = [("v0", 4), ("v1", -7)];
@@ -724,9 +726,9 @@ fn t3_csr_sharing(quick: bool) -> (String, Vec<Series>) {
 ///    run-scoped `prometheus_deterministic()` exposition must be
 ///    byte-identical (deterministic families count logical work, not
 ///    wall time, and sum commutatively across threads).
-/// 3. **Per-pass latency quantiles** — `pdce_pass_wall_ns` read back
-///    from the registry after a pipeline run over the corpus; they are
-///    inclusive upper log₂-bucket edges.
+/// 3. **Driver latency quantiles** — each `optimize` call timed over a
+///    slice of the corpus, pde and then pfe on its output, one
+///    `pass_latency:<mode>` series per mode.
 fn t4_metrics_plane(quick: bool) -> (String, Vec<Series>) {
     hr("T4: always-on metrics plane (overhead bar <2%, stable snapshots)");
     let sizes: &[usize] = if quick { &[24, 48] } else { &[24, 48, 96, 192] };
@@ -758,30 +760,24 @@ fn t4_metrics_plane(quick: bool) -> (String, Vec<Series>) {
         f64::from(u8::from(stable)),
     ));
 
-    let base = pdce_metrics::global().snapshot();
-    let pipeline = Pipeline::parse("pde,pfe").expect("registered passes");
+    let modes = [("pde", PdceConfig::pde()), ("pfe", PdceConfig::pfe())];
+    let mut latencies = [Vec::new(), Vec::new()];
     for p in corpus.iter().take(if quick { 10 } else { 30 }) {
-        pipeline.run(&mut p.clone());
-    }
-    for s in &pdce_metrics::global().snapshot().since(&base).series {
-        let pdce_metrics::Value::Histogram(h) = &s.value else {
-            continue;
-        };
-        if s.name != "pdce_pass_wall_ns" || h.count == 0 {
-            continue;
+        let mut prog = p.clone();
+        for ((_, config), samples) in modes.iter().zip(&mut latencies) {
+            samples.push(time_ns(|| {
+                optimize(&mut prog, config).expect("driver terminates");
+            }));
         }
-        let pass = s.labels.iter().find(|(k, _)| *k == "pass");
-        let name = format!("pass_latency:{}", pass.map_or("", |(_, v)| v.as_str()));
-        let quartiles = [0.25, 0.5, 0.75].map(|q| h.quantile(q) as f64);
-        let latency = Series {
-            n: h.count,
-            ..Series::of(&name, &quartiles)
-        };
+    }
+    for ((mode, _), mut samples) in modes.iter().zip(latencies) {
+        samples.sort_by(f64::total_cmp);
+        let rank = |q: f64| samples[((q * samples.len() as f64).ceil() as usize).max(1) - 1] as u64;
         series.push(
-            latency
-                .with("p90_ns", h.quantile(0.9))
-                .with("p99_ns", h.quantile(0.99))
-                .with("max_ns", h.max_estimate()),
+            Series::of(&format!("pass_latency:{mode}"), &samples)
+                .with("p90_ns", rank(0.9))
+                .with("p99_ns", rank(0.99))
+                .with("max_ns", rank(1.0)),
         );
     }
     let workload = format!(

@@ -57,7 +57,7 @@ fn human(ns: u128) -> String {
     format!("{:.2?}", Duration::from_nanos(ns as u64))
 }
 
-/// [`bench`] plus an aligned one-line summary on stdout.
+/// [`bench()`] plus an aligned one-line summary on stdout.
 pub fn report<R>(label: &str, f: impl FnMut() -> R) -> Timing {
     let t = bench(label, f);
     println!(

@@ -830,8 +830,8 @@ mod tests {
         assert_eq!(got.num_stmts(), 1);
     }
 
-    /// Regression: a prior pass (e.g. SCCP branch folding) can leave
-    /// unreachable blocks before simplify_cfg runs. The solvers never
+    /// Regression: an input may carry unreachable blocks (branch
+    /// folding leaves them until simplify_cfg runs). The solvers never
     /// evaluate such blocks, so their optimistic initial state must not
     /// feed the transformations — this used to diverge (the program grew
     /// by two statements per round inside the unreachable block).

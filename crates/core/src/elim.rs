@@ -43,8 +43,7 @@ pub fn eliminate_once_in(prog: &mut Program, mode: Mode, region: Option<&[bool]>
 /// [`eliminate_once_in`] sharing analyses through an [`AnalysisCache`]:
 /// the `CfgView` and the dead/faint solution are served from `cache`
 /// when the program has not changed since they were computed (as in a
-/// driver round whose previous round's sinking changed nothing, and
-/// whenever a preceding pass in a pipeline left them valid). After
+/// driver round whose previous round's sinking changed nothing). After
 /// removals the cache is retained at [`Preserves::Cfg`]: eliminations
 /// only edit statement lists.
 pub fn eliminate_once_cached(

@@ -49,7 +49,6 @@ pub mod driver;
 pub mod elim;
 pub mod faint;
 pub mod local;
-pub mod passes;
 pub mod patterns;
 pub mod sink;
 pub mod tv;
@@ -65,6 +64,5 @@ pub use driver::{
 pub use elim::{eliminate_fixpoint, eliminate_once, Mode};
 pub use faint::FaintSolution;
 pub use local::LocalInfo;
-pub use passes::{DcePass, FcePass, PdePass, PfePass, SinkPass};
 pub use patterns::PatternTable;
 pub use sink::{sink_assignments, sink_with_table, sinking_is_stable, SinkOutcome};

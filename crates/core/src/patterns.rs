@@ -5,8 +5,8 @@
 //! [`PatternTable`] assigns each distinct pattern `x := t` a dense index
 //! and answers the blocking queries that the local predicates are built
 //! from. The driver builds one table per run and keeps its indices for
-//! every round (no round creates a pattern); pipelines take each
-//! revision's table from the analysis cache.
+//! every round (no round creates a pattern); `sink_assignments_cached`
+//! takes each revision's table from the analysis cache.
 //!
 //! Blocking is stored per variable, as two pattern masks: a read of `v`
 //! blocks row `v` of `by_use` (the patterns `v := t`), a write of `v`

@@ -115,8 +115,8 @@ pub fn sink_assignments_in(
 /// rewritten identically are left untouched, so a stable program keeps
 /// its revision — and its cache — intact.
 ///
-/// The table is the current revision's, so this suits passes that may
-/// create patterns (copy propagation, LVN and SCCP do). The driver,
+/// The table is the current revision's, so this suits callers whose
+/// edits may create patterns (copy propagation does). The driver,
 /// whose rounds never create one, pins a single table for the whole run
 /// and calls [`sink_with_table`] instead.
 ///

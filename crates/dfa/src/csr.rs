@@ -1,12 +1,12 @@
 //! Flat CSR (compressed sparse row) adjacency for solver dependency
 //! graphs.
 //!
-//! The worklist solvers in [`network`](crate::network) re-walk a slot's
-//! dependents on every flip; storing those lists as `Vec<Vec<u32>>`
-//! scatters them across the heap and costs a pointer chase per slot.
+//! The def-use graph in [`du`](crate::du) walks an instruction's uses
+//! and its flow neighbours; storing those lists as `Vec<Vec<u32>>`
+//! scatters them across the heap and costs a pointer chase per node.
 //! [`Csr`] packs all edges into one array with per-node offset ranges —
 //! the same layout `pdce_ir::CfgView` uses for block adjacency — so a
-//! flip's dependents are one contiguous slice.
+//! node's neighbours are one contiguous slice.
 
 /// A directed adjacency structure in CSR form: neighbors of node `s`
 /// occupy `edges[off[s] .. off[s + 1]]`, in insertion order.

@@ -14,10 +14,10 @@
 //!   problem (Section 5.2, DESIGN.md §15);
 //! * [`du`](mod@du) — an instruction-level def-use chain graph, kept
 //!   only for the benchmark's layer replica;
-//! * [`pass`](mod@pass) — the pass-manager framework: the [`Pass`] trait every
-//!   transform in the workspace implements, and the revision-keyed
-//!   [`AnalysisCache`] that shares `CfgView`s, dominators, and solver
-//!   solutions across passes instead of rebuilding them per transform.
+//! * [`pass`](mod@pass) — the revision-keyed [`AnalysisCache`] that
+//!   shares `CfgView`s, dominators, and solver solutions between the
+//!   elimination and sinking steps instead of rebuilding them per
+//!   transform.
 //!
 //! # Example
 //!
@@ -44,5 +44,5 @@ pub use bitvec::BitVec;
 pub use csr::Csr;
 pub use du::{DuGraph, InstrKind};
 pub use matrix::{BitMatrix, Row, RowMut};
-pub use pass::{run_until_stable, AnalysisCache, CacheStats, Pass, PassOutcome, Preserves};
+pub use pass::{AnalysisCache, CacheStats, Preserves};
 pub use solve::{solve, solve_with, BitProblem, Direction, Meet, Solution};

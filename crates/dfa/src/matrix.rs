@@ -9,7 +9,7 @@
 //! last word are always zero.
 //!
 //! Readers borrow a row as a [`Row`] (the read API of
-//! [`BitVec`](crate::BitVec): `get`, `iter_ones`, `none`/`any`,
+//! [`BitVec`]: `get`, `iter_ones`, `none`/`any`,
 //! `count_ones`, and an explicit `to_bitvec` for callers that keep a
 //! copy); writers borrow a [`RowMut`], which carries the set algebra.
 //! `BitVec` is the one-row, owned case and lends both views.

@@ -1,20 +1,13 @@
-//! The pass-manager framework: the [`Pass`] trait every transform in the
-//! workspace implements, and the revision-keyed [`AnalysisCache`] that
-//! lets passes share control-flow and data-flow analyses instead of
-//! rebuilding them from scratch.
+//! The revision-keyed [`AnalysisCache`] that lets transforms share
+//! control-flow and data-flow analyses instead of rebuilding them from
+//! scratch.
 //!
-//! The paper's global algorithm is itself a pass pipeline — *repeat
-//! { dce/fce ; ask } until stabilization* (Section 5.1) — and all the
-//! surrounding machinery (baselines, LCM, the SSA passes) composes the
-//! same way. This module gives that composition a single shape:
-//!
-//! * a pass is `run(&mut Program, &mut AnalysisCache) -> PassOutcome`;
-//! * the cache memoizes [`CfgView`], dominators, and arbitrary typed
-//!   analysis solutions, keyed by [`Program::revision`];
-//! * a pass that mutates the program declares what survives via
-//!   [`Preserves`], so a transform that only edits statement lists (and
-//!   leaves every terminator alone) keeps the CFG-shaped entries alive
-//!   across the mutation.
+//! * the cache memoizes [`CfgView`], dominators, the def-use graph and
+//!   arbitrary typed analysis solutions, keyed by [`Program::revision`];
+//! * a transform that mutates the program declares what survives via
+//!   [`Preserves`], so one that only edits statement lists (and leaves
+//!   every terminator alone) keeps the CFG-shaped entries alive across
+//!   the mutation.
 //!
 //! Correctness never depends on the declarations: an undeclared mutation
 //! bumps the program revision and the next cache access rebuilds
@@ -58,76 +51,17 @@ mod cache_metrics {
     pub static DU_MISS: LazyLock<Arc<Counter>> = LazyLock::new(|| event("du_miss"));
 }
 
-/// What a pass guarantees about cached analyses after it ran.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// What a transform guarantees about cached analyses after it ran.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Preserves {
-    /// Nothing survives: the pass may have rewired the graph (branch
-    /// folding, edge splitting, block merging).
-    #[default]
+    /// Nothing survives: the transform may have rewired the graph
+    /// (branch folding, edge splitting, block merging).
     Nothing,
-    /// The control-flow shape survives: the pass only edited statement
-    /// lists, never terminators or the block set. [`CfgView`],
-    /// orderings, and dominators stay valid; data-flow solutions do not.
+    /// The control-flow shape survives: the transform only edited
+    /// statement lists, never terminators or the block set.
+    /// [`CfgView`], orderings, and dominators stay valid; data-flow
+    /// solutions do not.
     Cfg,
-    /// Everything survives: the pass did not mutate the program at all.
-    All,
-}
-
-/// Outcome of one pass execution.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct PassOutcome {
-    /// Whether the program changed structurally.
-    pub changed: bool,
-    /// Statements removed (eliminations and sink-removals).
-    pub removed: u64,
-    /// Statements inserted (sink/hoist/LCM insertion points).
-    pub inserted: u64,
-    /// Statements or terms rewritten in place (copy propagation, LVN,
-    /// constant folding).
-    pub rewritten: u64,
-    /// What the pass preserved in the analysis cache.
-    pub preserves: Preserves,
-}
-
-impl PassOutcome {
-    /// An outcome for a pass that did nothing.
-    pub fn unchanged() -> PassOutcome {
-        PassOutcome {
-            preserves: Preserves::All,
-            ..PassOutcome::default()
-        }
-    }
-
-    /// Folds another outcome into this one (for passes made of passes).
-    /// The weaker preservation wins.
-    pub fn merge(&mut self, other: &PassOutcome) {
-        self.changed |= other.changed;
-        self.removed += other.removed;
-        self.inserted += other.inserted;
-        self.rewritten += other.rewritten;
-        self.preserves = match (self.preserves, other.preserves) {
-            (Preserves::Nothing, _) | (_, Preserves::Nothing) => Preserves::Nothing,
-            (Preserves::Cfg, _) | (_, Preserves::Cfg) => Preserves::Cfg,
-            (Preserves::All, Preserves::All) => Preserves::All,
-        };
-    }
-}
-
-/// A program transformation that can run inside a pipeline.
-///
-/// Implementations must leave the cache *consistent*: after `run`
-/// returns, every entry still in the cache must be valid for the current
-/// program. The easiest ways to comply are (a) don't touch the cache and
-/// let revision tracking invalidate it, or (b) call
-/// [`AnalysisCache::retain`] with an honest [`Preserves`] level after
-/// mutating.
-pub trait Pass {
-    /// Stable, human-readable pass name (used by spec parsing and
-    /// instrumentation).
-    fn name(&self) -> &'static str;
-
-    /// Runs the pass on `prog`, sharing analyses through `cache`.
-    fn run(&self, prog: &mut Program, cache: &mut AnalysisCache) -> PassOutcome;
 }
 
 /// Cache hit/miss counters, split by the expensive entry kinds.
@@ -187,7 +121,7 @@ impl CacheStats {
 /// A revision-keyed memo of analyses for **one** program.
 ///
 /// The cache compares [`Program::revision`] on every access; a mismatch
-/// drops every entry (unless the mutating pass called [`retain`] to keep
+/// drops every entry (unless the mutating transform called [`retain`] to keep
 /// the CFG-shaped ones). A cache must not be shared between different
 /// programs — clones included — because revisions of unrelated programs
 /// are incomparable.
@@ -396,46 +330,8 @@ impl AnalysisCache {
                 self.analyses.clear();
                 self.revision = Some(prog.revision());
             }
-            Preserves::All => {
-                self.revision = Some(prog.revision());
-            }
         }
     }
-
-    /// Drops everything unconditionally.
-    pub fn invalidate(&mut self) {
-        self.revision = None;
-        self.cfg = None;
-        self.doms = None;
-        self.du = None;
-        self.analyses.clear();
-    }
-}
-
-/// Runs `passes` in order repeatedly until a full round leaves the
-/// program's revision unchanged (i.e. no pass mutated anything), or
-/// until `max_rounds` is hit. Returns the merged outcome and the number
-/// of rounds executed (including the final no-change round).
-pub fn run_until_stable(
-    passes: &[&dyn Pass],
-    prog: &mut Program,
-    cache: &mut AnalysisCache,
-    max_rounds: usize,
-) -> (PassOutcome, usize) {
-    let mut total = PassOutcome::unchanged();
-    let mut rounds = 0;
-    while rounds < max_rounds {
-        rounds += 1;
-        let before = prog.revision();
-        for pass in passes {
-            let outcome = pass.run(prog, cache);
-            total.merge(&outcome);
-        }
-        if prog.revision() == before {
-            break;
-        }
-    }
-    (total, rounds)
 }
 
 #[cfg(test)]
@@ -630,47 +526,5 @@ mod tests {
         assert!(Rc::ptr_eq(&a, &b));
         assert_eq!(cache.stats().dom_hits, 1);
         assert_eq!(a[p.entry().index()], Some(p.entry()));
-    }
-
-    #[test]
-    fn run_until_stable_counts_rounds() {
-        struct PopOnce;
-        impl Pass for PopOnce {
-            fn name(&self) -> &'static str {
-                "pop-once"
-            }
-            fn run(&self, prog: &mut Program, cache: &mut AnalysisCache) -> PassOutcome {
-                let entry = prog.entry();
-                if prog.block(entry).stmts.is_empty() {
-                    return PassOutcome::unchanged();
-                }
-                prog.block_mut(entry).stmts.pop();
-                cache.retain(prog, Preserves::Cfg);
-                PassOutcome {
-                    changed: true,
-                    removed: 1,
-                    preserves: Preserves::Cfg,
-                    ..PassOutcome::default()
-                }
-            }
-        }
-        let mut p = prog();
-        let mut cache = AnalysisCache::new();
-        let (outcome, rounds) = run_until_stable(&[&PopOnce], &mut p, &mut cache, 100);
-        assert_eq!(outcome.removed, 1);
-        assert!(outcome.changed);
-        assert_eq!(rounds, 2, "one working round + one stable round");
-    }
-
-    #[test]
-    fn outcome_merge_takes_weakest_preservation() {
-        let mut a = PassOutcome::unchanged();
-        a.merge(&PassOutcome {
-            preserves: Preserves::Cfg,
-            ..PassOutcome::default()
-        });
-        assert_eq!(a.preserves, Preserves::Cfg);
-        a.merge(&PassOutcome::default());
-        assert_eq!(a.preserves, Preserves::Nothing);
     }
 }

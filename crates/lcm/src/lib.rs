@@ -14,9 +14,7 @@
 //! * exercise the `pdce-dfa` framework with a second full client.
 
 pub mod exprs;
-pub mod passes;
 pub mod transform;
 
 pub use exprs::{ExprLocal, ExprTable};
-pub use passes::LcmPass;
-pub use transform::{lazy_code_motion, lazy_code_motion_cached, LcmCriticalEdgeError, LcmStats};
+pub use transform::{lazy_code_motion, LcmCriticalEdgeError, LcmStats};

@@ -28,9 +28,9 @@
 use std::error::Error;
 use std::fmt;
 
-use pdce_dfa::{solve, AnalysisCache, BitMatrix, BitProblem, BitVec, Direction, Meet};
+use pdce_dfa::{solve, BitMatrix, BitProblem, BitVec, Direction, Meet};
 use pdce_ir::edgesplit::has_critical_edges;
-use pdce_ir::{NodeId, Program, Stmt, TermData, Terminator, Var};
+use pdce_ir::{CfgView, NodeId, Program, Stmt, TermData, Terminator, Var};
 
 use crate::exprs::{ExprLocal, ExprTable};
 
@@ -87,15 +87,6 @@ impl Error for LcmCriticalEdgeError {}
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 pub fn lazy_code_motion(prog: &mut Program) -> Result<LcmStats, LcmCriticalEdgeError> {
-    lazy_code_motion_cached(prog, &mut AnalysisCache::new())
-}
-
-/// Like [`lazy_code_motion`], but reads the CFG from `cache`'s memoized
-/// [`CfgView`] instead of rebuilding the adjacency per call.
-pub fn lazy_code_motion_cached(
-    prog: &mut Program,
-    cache: &mut AnalysisCache,
-) -> Result<LcmStats, LcmCriticalEdgeError> {
     if has_critical_edges(prog) {
         return Err(LcmCriticalEdgeError);
     }
@@ -108,7 +99,7 @@ pub fn lazy_code_motion_cached(
         return Ok(stats);
     }
     let width = table.len();
-    let view = cache.cfg(prog);
+    let view = CfgView::new(prog);
     let local = ExprLocal::compute(prog, &table);
 
     // Both problems kill what is not transparent.

@@ -2,10 +2,9 @@
 //!
 //! The counters always exist so instrumentation can read them
 //! unconditionally; they only move once a binary installs
-//! [`CountingAlloc`] as its `#[global_allocator]`, which the root `pdce`
+//! `CountingAlloc` as its `#[global_allocator]`, which the root `pdce`
 //! crate does when built with the `alloc-metrics` feature. Without the
-//! feature the snapshots stay at zero and per-pass allocation deltas
-//! render as empty series.
+//! feature the snapshots stay at zero.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -29,7 +28,7 @@ impl AllocSnapshot {
 }
 
 /// Read the cumulative allocation counters. All zeros unless a
-/// [`CountingAlloc`] is installed as the global allocator.
+/// `CountingAlloc` is installed as the global allocator.
 pub fn snapshot() -> AllocSnapshot {
     AllocSnapshot {
         bytes: BYTES.load(Ordering::Relaxed),

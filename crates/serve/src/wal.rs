@@ -5,7 +5,7 @@
 //! computed since startup. This module replaces that with an
 //! append-only log sharing the cache's FNV-64 line framing: every
 //! insert and every eviction is appended as one checksummed line, the
-//! file is `fdatasync`ed every [`Wal::fsync_every`] appends, and the
+//! file is `fdatasync`ed every `fsync_every` appends, and the
 //! log is compacted into a plain snapshot (atomic temp + rename) once
 //! it outgrows the live set. Recovery replays the **longest valid
 //! prefix**: the scan stops at the first line whose checksum, framing,

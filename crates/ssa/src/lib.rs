@@ -15,16 +15,10 @@
 //!   [`web::ssa_dce`], whose removal power coincides with faint
 //!   code elimination — verified against both `pdce-core`'s fce and the
 //!   dense du-chain marking of `pdce-baselines` in the cross-crate
-//!   tests,
-//! * [`sccp`](mod@sccp) — sparse conditional constant propagation on top of the
-//!   web (Wegman & Zadeck, the paper's reference \[30\]).
+//!   tests.
 
 pub mod domfront;
-pub mod passes;
-pub mod sccp;
 pub mod web;
 
 pub use domfront::DomInfo;
-pub use passes::{SccpPass, SsaDcePass};
-pub use sccp::{sccp, sccp_cached, SccpSolution, SccpStats, Value};
-pub use web::{ssa_dce, ssa_dce_cached, Consumer, DefSite, SsaWeb, UseRecord};
+pub use web::{ssa_dce, DefSite, SsaWeb};

@@ -8,7 +8,7 @@
 //! edges on real programs — the sparsity the paper's Section 5.2 credits
 //! with the `O(i·v)` bound, versus the dense du-graph's `O(i²·v)`.
 
-use pdce_dfa::{AnalysisCache, BitVec};
+use pdce_dfa::BitVec;
 use pdce_ir::{CfgView, NodeId, Program, Stmt, Var};
 
 use crate::domfront::DomInfo;
@@ -39,46 +39,6 @@ pub enum DefSite {
     },
 }
 
-/// Who consumes an SSA value.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Consumer {
-    /// The right-hand side of the assignment that is definition `def`.
-    AssignRhs {
-        /// Consuming definition id.
-        def: u32,
-    },
-    /// An `out` statement.
-    Out {
-        /// Block of the statement.
-        block: NodeId,
-        /// Statement index.
-        stmt: usize,
-    },
-    /// A branch condition.
-    Cond {
-        /// Block whose terminator reads the value.
-        block: NodeId,
-    },
-    /// A φ argument arriving over the edge from `pred`.
-    PhiArg {
-        /// The φ definition id.
-        phi: u32,
-        /// Predecessor block the argument flows in from.
-        pred: NodeId,
-    },
-}
-
-/// One recorded use: `def` is read by `consumer` through variable `var`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct UseRecord {
-    /// The supplying definition.
-    pub def: u32,
-    /// The consumer.
-    pub consumer: Consumer,
-    /// The source variable the consumer reads.
-    pub var: Var,
-}
-
 /// The sparse SSA def-use web of a program.
 #[derive(Debug)]
 pub struct SsaWeb {
@@ -90,9 +50,6 @@ pub struct SsaWeb {
     /// Definitions read by a relevant statement (`out` / branch
     /// condition).
     pub relevant: BitVec,
-    /// Every use, with its consumer — the journal sparse analyses like
-    /// SCCP walk.
-    pub uses: Vec<UseRecord>,
     /// Number of φ-functions placed.
     pub num_phis: usize,
     /// Total sparse use edges (supplier entries + relevant uses).
@@ -130,7 +87,6 @@ struct Builder<'a> {
     defs: Vec<DefSite>,
     suppliers: Vec<Vec<u32>>,
     relevant_uses: Vec<u32>,
-    uses: Vec<UseRecord>,
     edges: u64,
     /// φ def id per (block, var), dense map.
     phi_at: Vec<Option<u32>>,
@@ -149,7 +105,6 @@ impl<'a> Builder<'a> {
             defs: Vec::new(),
             suppliers: Vec::new(),
             relevant_uses: Vec::new(),
-            uses: Vec::new(),
             edges: 0,
             phi_at: vec![None; prog.num_blocks() * prog.num_vars()],
             stacks: vec![Vec::new(); prog.num_vars()],
@@ -210,7 +165,6 @@ impl<'a> Builder<'a> {
             defs: self.defs,
             suppliers: self.suppliers,
             relevant,
-            uses: self.uses,
             num_phis,
             edges,
         }
@@ -242,11 +196,6 @@ impl<'a> Builder<'a> {
                     for &v in self.prog.terms().vars_of(t) {
                         let d = self.current(v);
                         self.relevant_uses.push(d);
-                        self.uses.push(UseRecord {
-                            def: d,
-                            consumer: Consumer::Out { block, stmt: k },
-                            var: v,
-                        });
                         self.edges += 1;
                     }
                 }
@@ -259,11 +208,6 @@ impl<'a> Builder<'a> {
                     for &v in self.prog.terms().vars_of(rhs) {
                         let d = self.current(v);
                         self.suppliers[id as usize].push(d);
-                        self.uses.push(UseRecord {
-                            def: d,
-                            consumer: Consumer::AssignRhs { def: id },
-                            var: v,
-                        });
                         self.edges += 1;
                     }
                     self.stacks[lhs.index()].push(id);
@@ -277,11 +221,6 @@ impl<'a> Builder<'a> {
             for &v in self.prog.terms().vars_of(c) {
                 let d = self.current(v);
                 self.relevant_uses.push(d);
-                self.uses.push(UseRecord {
-                    def: d,
-                    consumer: Consumer::Cond { block },
-                    var: v,
-                });
                 self.edges += 1;
             }
         }
@@ -290,14 +229,8 @@ impl<'a> Builder<'a> {
         for &succ in self.view.succs(block) {
             for v in 0..self.num_vars {
                 if let Some(phi) = self.phi_at[succ.index() * self.num_vars + v] {
-                    let var = Var::from_index(v);
-                    let d = self.current(var);
+                    let d = self.current(Var::from_index(v));
                     self.suppliers[phi as usize].push(d);
-                    self.uses.push(UseRecord {
-                        def: d,
-                        consumer: Consumer::PhiArg { phi, pred: block },
-                        var,
-                    });
                     self.edges += 1;
                 }
             }
@@ -337,14 +270,7 @@ impl<'a> Builder<'a> {
 /// # Ok::<(), pdce_ir::ParseError>(())
 /// ```
 pub fn ssa_dce(prog: &mut Program) -> u64 {
-    ssa_dce_cached(prog, &mut AnalysisCache::new())
-}
-
-/// Like [`ssa_dce`], but reads the CFG from `cache`'s memoized
-/// [`CfgView`] instead of rebuilding the adjacency per call.
-pub fn ssa_dce_cached(prog: &mut Program, cache: &mut AnalysisCache) -> u64 {
-    let view = cache.cfg(prog);
-    let web = SsaWeb::build(prog, &view);
+    let web = SsaWeb::build(prog, &CfgView::new(prog));
     let marked = web.mark();
     let mut doomed: Vec<Vec<usize>> = vec![Vec::new(); prog.num_blocks()];
     for (i, def) in web.defs.iter().enumerate() {

@@ -205,8 +205,8 @@ pub struct ProvenanceRecord {
 
 /// A sink for trace events and provenance records.
 ///
-/// The instrumentation sites in `pdce-dfa`, `pdce-core`, and
-/// `pdce-pass` route through the thread-local tracer installed with
+/// The instrumentation sites in `pdce-dfa` and `pdce-core` route
+/// through the thread-local tracer installed with
 /// [`install`]; when none is installed they reduce to a flag check.
 /// [`Collector`] is the standard implementation; custom tracers can
 /// stream, filter, or drop events instead of buffering them.
@@ -434,8 +434,8 @@ pub fn span_with(
 }
 
 /// Opens a span that always measures wall time, so callers needing the
-/// elapsed time (e.g. pipeline per-pass metrics) get it from the same
-/// guard whether or not tracing is on.
+/// elapsed time get it from the same guard whether or not tracing is
+/// on.
 pub fn timed_span(cat: &'static str, name: impl Into<Cow<'static, str>>) -> Span {
     let mut s = span(cat, name);
     s.start = Some(Instant::now());
@@ -516,8 +516,7 @@ pub fn round() -> u64 {
 
 /// Enters global round `n`: emits a `round` span and makes `n` the
 /// round recorded by provenance entries until the guard drops. Nested
-/// scopes (a pipeline `repeat(...)` round driving the full `pde`
-/// driver, which has rounds of its own) shadow and restore correctly.
+/// scopes shadow and restore correctly.
 pub fn round_scope(n: u64) -> RoundScope {
     let prev = ROUND.with(|r| r.replace(n));
     let span = span_with("round", "round", vec![("n", ArgValue::U64(n))]);
@@ -539,9 +538,9 @@ impl Drop for RoundScope {
 /// Aggregated data-flow solver telemetry.
 ///
 /// Accumulated per-thread and **always on** (a few integer adds per
-/// solver run): unlike spans, these counters feed `PdceStats` and
-/// `PipelineReport` accounting, which must not depend on whether a
-/// tracer is installed. Deterministic for a fixed input: none of the
+/// solver run): unlike spans, these counters feed `PdceStats`
+/// accounting, which must not depend on whether a tracer is
+/// installed. Deterministic for a fixed input: none of the
 /// counted quantities depend on timing.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SolverStats {

@@ -1,7 +1,7 @@
 //! The `pdce` command-line tool.
 //!
 //! ```text
-//! pdce opt     [--mode pde|pfe|dce|fce | --passes SPEC] [--region a,b,c]
+//! pdce opt     [--mode pde|pfe|dce|fce] [--region a,b,c]
 //!              [--max-rounds N] [--stats] [--trace FILE.json] [--explain]
 //!              [FILE]                              optimize a program
 //! pdce run     [--in name=value]... [--seed N] [--fuel N] [FILE]
@@ -48,15 +48,13 @@ fn main() -> ExitCode {
 }
 
 const USAGE: &str = "usage:
-  pdce opt     [--mode pde|pfe|dce|fce | --passes SPEC] [--region a,b,c]
+  pdce opt     [--mode pde|pfe|dce|fce] [--region a,b,c]
                [--max-rounds N] [--jobs N]
                [--simplify] [--stats] [--verify]
                [--validate-semantics[=K]] [--max-pops N] [--wall-ms N]
                [--trace FILE.json] [--explain] [--metrics]
                [--metrics-out FILE.prom] [--events-out FILE.jsonl]
                [FILE...]
-               SPEC is a comma-separated pass list with repeat(...) groups,
-               e.g. --passes 'sccp,lvn,repeat(fce,sink),simplify'
                --trace writes a Chrome trace_events JSON (chrome://tracing,
                ui.perfetto.dev); --explain prints the provenance log: which
                pass moved/inserted/eliminated which statement in which round;
@@ -76,7 +74,7 @@ const USAGE: &str = "usage:
                latency quantiles) to the --stats output; --metrics-out
                writes the same registry as a Prometheus text-exposition
                snapshot at exit; --events-out writes a structured JSONL
-               event log (run id, per-file and per-pass attribution)
+               event log (run id, per-file attribution)
                whose bytes are independent of --jobs
   pdce serve   [--tcp ADDR | --unix PATH] [--jobs N]
                [--max-rounds N] [--max-pops N] [--wall-ms N]
@@ -333,7 +331,6 @@ fn cmd_opt(args: &[String]) -> Result<(), CliError> {
         args,
         &[
             "mode",
-            "passes",
             "region",
             "max-rounds",
             "trace",
@@ -356,7 +353,6 @@ fn cmd_opt(args: &[String]) -> Result<(), CliError> {
     // (relevant in-process; from a fresh CLI process it is all zeros).
     let metrics_base = pdce::metrics::global().snapshot();
     let mut config = PdceConfig::pde();
-    let mut passes_spec: Option<String> = None;
     let mut trace_path: Option<String> = None;
     let mut jobs = 1usize;
     let mut want_stats = false;
@@ -370,7 +366,6 @@ fn cmd_opt(args: &[String]) -> Result<(), CliError> {
     let mut events_out: Option<String> = None;
     for (name, value) in &parsed.flags {
         match name.as_str() {
-            "passes" => passes_spec = Some(value.clone()),
             "mode" => {
                 config = match value.as_str() {
                     "pde" => PdceConfig::pde(),
@@ -455,9 +450,6 @@ fn cmd_opt(args: &[String]) -> Result<(), CliError> {
         run_id,
     };
     if parsed.files.len() > 1 {
-        if passes_spec.is_some() {
-            return Err(usage("--passes is single-file only"));
-        }
         return cmd_opt_batch(&BatchOptions {
             files: &parsed.files,
             config: &config,
@@ -487,101 +479,57 @@ fn cmd_opt(args: &[String]) -> Result<(), CliError> {
         let _guard = collector
             .as_ref()
             .map(|c| pdce::trace::install(c.clone() as std::rc::Rc<dyn pdce::trace::Tracer>));
-        if let Some(spec) = &passes_spec {
-            if parsed
-                .flags
-                .iter()
-                .any(|(n, _)| n == "mode" || n == "region" || n == "max-rounds")
-            {
-                return Err(usage("--passes replaces --mode/--region/--max-rounds"));
-            }
-            let pipeline = pdce::pass::Pipeline::parse(spec).map_err(|e| usage(e.to_string()))?;
-            let report = pipeline.run(&mut prog);
-            if telemetry.wants_events() {
-                for m in &report.passes {
-                    events.record(
-                        pdce::metrics::events::Event::new("pass")
-                            .field("file", display.as_str())
-                            .field("pass", m.name.as_str())
-                            .field("runs", m.runs)
-                            .field("changed_runs", m.changed_runs)
-                            .field("removed", m.removed)
-                            .field("inserted", m.inserted)
-                            .field("rewritten", m.rewritten),
-                    );
-                }
-            }
-            if want_simplify {
-                pdce::ir::simplify_cfg(&mut prog);
-            }
-            print!("{}", print_program(&prog));
-            for failure in &report.failures {
-                eprintln!("warning: {failure}");
-            }
+        let stats = optimize_resilient(&mut prog, &config);
+        if telemetry.wants_events() {
+            events.record(file_event(&display, 0, &stats));
+        }
+        for note in &stats.failure_log {
+            eprintln!("warning: {note}");
+        }
+        if want_simplify {
+            let s = pdce::ir::simplify_cfg(&mut prog);
             if want_stats {
-                eprint!("{}", report.render());
                 eprintln!(
-                    "cache:       {} hit(s), {} miss(es)",
-                    report.cache.hits(),
-                    report.cache.misses()
+                    "simplify:    {} forwarded, {} merged, {} removed",
+                    s.forwarded, s.merged, s.removed
                 );
-                if report.rollbacks > 0 {
-                    eprintln!("rollbacks:   {}", report.rollbacks);
-                }
             }
-        } else {
-            let stats = optimize_resilient(&mut prog, &config);
-            if telemetry.wants_events() {
-                events.record(file_event(&display, 0, &stats));
+        }
+        print!("{}", print_program(&prog));
+        if want_stats {
+            eprintln!("rounds:      {}", stats.rounds);
+            eprintln!("eliminated:  {}", stats.eliminated_assignments);
+            eprintln!("sunk:        {}", stats.sunk_assignments);
+            eprintln!("inserted:    {}", stats.inserted_assignments);
+            eprintln!("synthetic:   {}", stats.synthetic_blocks);
+            eprintln!("growth ω:    {:.2}", stats.growth_factor());
+            eprintln!(
+                "cache:       {} rebuild(s) avoided, {} rebuild(s) paid",
+                stats.cache.hits(),
+                stats.cache.misses()
+            );
+            eprintln!(
+                "solver:      {} problem(s), {} evaluation(s), {} word op(s)",
+                stats.solver.problems, stats.solver.evaluations, stats.solver.word_ops
+            );
+            eprintln!("pops:        {} worklist", stats.solver.priority_pops);
+            if stats.truncated {
+                eprintln!("truncated:   yes");
             }
-            for note in &stats.failure_log {
-                eprintln!("warning: {note}");
-            }
-            if want_simplify {
-                let s = pdce::ir::simplify_cfg(&mut prog);
-                if want_stats {
-                    eprintln!(
-                        "simplify:    {} forwarded, {} merged, {} removed",
-                        s.forwarded, s.merged, s.removed
-                    );
-                }
-            }
-            print!("{}", print_program(&prog));
-            if want_stats {
-                eprintln!("rounds:      {}", stats.rounds);
-                eprintln!("eliminated:  {}", stats.eliminated_assignments);
-                eprintln!("sunk:        {}", stats.sunk_assignments);
-                eprintln!("inserted:    {}", stats.inserted_assignments);
-                eprintln!("synthetic:   {}", stats.synthetic_blocks);
-                eprintln!("growth ω:    {:.2}", stats.growth_factor());
+            if stats.rollbacks > 0 || stats.degradations > 0 || stats.budget_exhaustions > 0 {
                 eprintln!(
-                    "cache:       {} rebuild(s) avoided, {} rebuild(s) paid",
-                    stats.cache.hits(),
-                    stats.cache.misses()
+                    "resilience:  {} rollback(s), {} degradation(s), {} budget exhaustion(s)",
+                    stats.rollbacks, stats.degradations, stats.budget_exhaustions
                 );
+            }
+            if stats.tv_checks > 0 {
                 eprintln!(
-                    "solver:      {} problem(s), {} evaluation(s), {} word op(s)",
-                    stats.solver.problems, stats.solver.evaluations, stats.solver.word_ops
+                    "validated:   {} tv check(s), {} tv rollback(s)",
+                    stats.tv_checks, stats.tv_rollbacks
                 );
-                eprintln!("pops:        {} worklist", stats.solver.priority_pops);
-                if stats.truncated {
-                    eprintln!("truncated:   yes");
-                }
-                if stats.rollbacks > 0 || stats.degradations > 0 || stats.budget_exhaustions > 0 {
-                    eprintln!(
-                        "resilience:  {} rollback(s), {} degradation(s), {} budget exhaustion(s)",
-                        stats.rollbacks, stats.degradations, stats.budget_exhaustions
-                    );
-                }
-                if stats.tv_checks > 0 {
-                    eprintln!(
-                        "validated:   {} tv check(s), {} tv rollback(s)",
-                        stats.tv_checks, stats.tv_rollbacks
-                    );
-                }
-                if let Some(mode) = stats.degraded {
-                    eprintln!("degraded:    {}", mode.label());
-                }
+            }
+            if let Some(mode) = stats.degraded {
+                eprintln!("degraded:    {}", mode.label());
             }
         }
     }

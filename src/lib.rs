@@ -9,8 +9,6 @@
 //! * [`baselines`] — DCE variants, naive sinking, copy propagation
 //! * [`lcm`] — lazy code motion (partial redundancy elimination)
 //! * [`ssa`] — SSA form (Cytron et al.) and sparse SSA-based DCE
-//! * [`pass`] — the unified pass pipeline: registry, spec parser,
-//!   per-pass instrumentation, shared analysis cache
 //! * [`progen`] — random program generators
 //! * [`serve`] — optimization-as-a-service: newline-delimited JSON
 //!   protocol, budget admission control, persistent result cache
@@ -41,27 +39,10 @@
 //! assert!(stats.eliminated_assignments > 0 || stats.sunk_assignments > 0);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
-//!
-//! Or compose any of the workspace's transforms through the pipeline:
-//!
-//! ```
-//! use pdce::ir::parser::parse;
-//! use pdce::pass::Pipeline;
-//!
-//! let mut prog = parse(
-//!     "prog {
-//!        block s  { x := a + b; y := x; out(y); goto e }
-//!        block e  { halt }
-//!      }",
-//! )?;
-//! let report = Pipeline::parse("copyprop,repeat(dce,sink)")?.run(&mut prog);
-//! assert!(report.outcome.changed);
-//! # Ok::<(), Box<dyn std::error::Error>>(())
-//! ```
 
 // With `--features alloc-metrics`, route every allocation in this crate's
-// binaries and tests through the counting allocator so the per-pass
-// allocation histograms carry real data.
+// binaries and tests through the counting allocator so allocation
+// snapshots carry real data.
 #[cfg(feature = "alloc-metrics")]
 #[global_allocator]
 static COUNTING_ALLOC: pdce_metrics::alloc::CountingAlloc = pdce_metrics::alloc::CountingAlloc;
@@ -73,7 +54,6 @@ pub use pdce_ir as ir;
 pub use pdce_lcm as lcm;
 pub use pdce_metrics as metrics;
 pub use pdce_par as par;
-pub use pdce_pass as pass;
 pub use pdce_progen as progen;
 pub use pdce_serve as serve;
 pub use pdce_ssa as ssa;

@@ -1,10 +1,10 @@
 //! The hand-written corpus (`corpus/*.pdce`): realistic programs run
 //! through every optimizer with full guarantee checking — parse, all
-//! four driver modes, hoisting, LCM, SCCP, LVN, simplification; verify
+//! four driver modes, hoisting, LCM, simplification; verify
 //! semantics, per-path dominance, idempotence, and print/parse
 //! round-trips for each.
 
-use pdce::baselines::{hoist_assignments, local_value_numbering};
+use pdce::baselines::hoist_assignments;
 use pdce::core::better::{check_improvement, BetterOptions};
 use pdce::core::driver::{optimize, PdceConfig};
 use pdce::ir::edgesplit::split_critical_edges;
@@ -13,7 +13,6 @@ use pdce::ir::parser::parse;
 use pdce::ir::printer::canonical_string;
 use pdce::ir::{simplify_cfg, Program};
 use pdce::lcm::lazy_code_motion;
-use pdce::ssa::sccp;
 
 const INPUTS: [(&str, i64); 6] = [
     ("a", 54),
@@ -128,17 +127,6 @@ fn auxiliary_passes_on_corpus() {
         split_critical_edges(&mut pre);
         lazy_code_motion(&mut pre).unwrap();
         assert_equivalent(&name, &split_ref, &pre, "lcm");
-
-        // SCCP (+ cleanup).
-        let mut folded = prog.clone();
-        sccp(&mut folded);
-        simplify_cfg(&mut folded);
-        assert_equivalent(&name, &prog, &folded, "sccp+simplify");
-
-        // LVN.
-        let mut numbered = prog.clone();
-        local_value_numbering(&mut numbered);
-        assert_equivalent(&name, &prog, &numbered, "lvn");
     }
 }
 
@@ -147,8 +135,6 @@ fn full_stack_on_corpus() {
     for (name, prog) in corpus() {
         let mut opt = prog.clone();
         split_critical_edges(&mut opt);
-        sccp(&mut opt);
-        local_value_numbering(&mut opt);
         lazy_code_motion(&mut opt).unwrap();
         optimize(&mut opt, &PdceConfig::pfe()).unwrap();
         simplify_cfg(&mut opt);

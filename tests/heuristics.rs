@@ -2,13 +2,18 @@
 //! localization. Both must stay semantics-preserving and never impair
 //! an execution — every intermediate program of the exhaustive
 //! iteration already has those properties, so cutting early or
-//! restricting scope only costs optimality, never correctness.
+//! restricting scope only costs optimality, never correctness. The
+//! round cap's error behaviour and the sinker's shared CFG build sit
+//! here too, next to the truncation cases that share their workloads.
 
 use pdce::core::better::{check_improvement, BetterOptions};
-use pdce::core::driver::{optimize, PdceConfig};
+use pdce::core::driver::{optimize, LimitBehavior, PdceConfig, PdceError};
+use pdce::core::sink::{sink_assignments_cached, sinking_is_stable_cached};
+use pdce::dfa::AnalysisCache;
 use pdce::ir::interp::{run, Env, ExecLimits, ReplayOracle, SeededOracle};
 use pdce::ir::parser::parse;
-use pdce::ir::printer::{canonical_string, structural_eq};
+use pdce::ir::printer::{canonical_string, print_stmt, structural_eq};
+use pdce::ir::Program;
 use pdce::progen::{second_order_tower, structured, GenConfig};
 
 #[test]
@@ -173,4 +178,128 @@ fn truncated_run_is_resumable() {
         }
     }
     assert_eq!(canonical_string(&step), canonical_string(&full));
+}
+
+/// Two independent Figure-1 gadgets feeding one exit: `a1..a3` sinks
+/// and eliminates `x`, `b1..b3` would do the same for `z`.
+fn two_gadgets() -> Program {
+    parse(
+        "prog {
+           block s  { goto a1 }
+           block a1 { x := u + v; nondet a2 a3 }
+           block a2 { out(x); goto b1 }
+           block a3 { x := 1; goto b1 }
+           block b1 { z := u * v; nondet b2 b3 }
+           block b2 { out(z); goto e }
+           block b3 { z := 2; goto e }
+           block e  { out(x); out(z); halt }
+         }",
+    )
+    .unwrap()
+}
+
+fn outputs_of(prog: &Program, decisions: Option<Vec<usize>>) -> (Vec<i64>, Vec<usize>) {
+    let inputs: [(&str, i64); 2] = [("u", 3), ("v", -4)];
+    let mut env = Env::with_values(prog, &inputs);
+    let trace = match decisions {
+        Some(d) => {
+            let mut oracle = ReplayOracle::new(d);
+            run(prog, &mut env, &mut oracle, ExecLimits::default())
+        }
+        None => {
+            let mut oracle = SeededOracle::new(13);
+            run(prog, &mut env, &mut oracle, ExecLimits::default())
+        }
+    };
+    (trace.outputs, trace.decisions)
+}
+
+#[test]
+fn region_restriction_leaves_outside_blocks_verbatim() {
+    let original = two_gadgets();
+    let mut restricted = original.clone();
+    let stats = optimize(
+        &mut restricted,
+        &PdceConfig::pde().with_region(["a1", "a2", "a3"]),
+    )
+    .unwrap();
+    assert!(
+        stats.eliminated_assignments + stats.sunk_assignments > 0,
+        "the a-gadget is optimizable"
+    );
+
+    // The b-gadget is outside the region: statement-for-statement intact.
+    for name in ["b1", "b2", "b3", "e"] {
+        let before = original.block_by_name(name).unwrap();
+        let after = restricted.block_by_name(name).unwrap();
+        let render = |p: &Program, n| {
+            p.block(n)
+                .stmts
+                .iter()
+                .map(|s| print_stmt(p, s))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(
+            render(&original, before),
+            render(&restricted, after),
+            "block {name} must be untouched outside the region"
+        );
+    }
+
+    let (reference, decisions) = outputs_of(&original, None);
+    let (got, _) = outputs_of(&restricted, Some(decisions));
+    assert_eq!(reference, got, "region restriction broke semantics");
+}
+
+#[test]
+fn truncate_stops_gracefully_with_a_correct_partial_result() {
+    // The tower needs one round per link, far more than the cap of 1.
+    let original = second_order_tower(12);
+    let mut truncated = original.clone();
+    let stats = optimize(&mut truncated, &PdceConfig::pde().truncating_after(1)).unwrap();
+    assert!(stats.truncated, "cap of 1 must truncate on the tower");
+    assert_eq!(stats.rounds, 1);
+
+    let full_rounds = {
+        let mut full = original.clone();
+        optimize(&mut full, &PdceConfig::pde()).unwrap().rounds
+    };
+    assert!(full_rounds > 1, "workload must actually need iteration");
+
+    // The partial result is still semantics-preserving.
+    let (reference, decisions) = outputs_of(&original, None);
+    let (got, _) = outputs_of(&truncated, Some(decisions));
+    assert_eq!(reference, got, "truncated result broke semantics");
+}
+
+#[test]
+fn error_limit_behavior_reports_the_round_cap() {
+    let mut prog = second_order_tower(12);
+    let config = PdceConfig {
+        max_rounds: Some(1),
+        on_limit: LimitBehavior::Error,
+        ..PdceConfig::pde()
+    };
+    match optimize(&mut prog, &config) {
+        // The driver reports the round that exceeded the cap: cap + 1.
+        Err(PdceError::RoundLimitExceeded { rounds }) => assert_eq!(rounds, 2),
+        other => panic!("expected RoundLimitExceeded, got {other:?}"),
+    }
+}
+
+/// Regression for the historic double CFG build in the sinker: running
+/// the sinking transformation and then the stability check against one
+/// cache must build the CFG view exactly once.
+#[test]
+fn sink_and_stability_check_share_one_cfg_build() {
+    let mut prog = two_gadgets();
+    let mut cache = AnalysisCache::new();
+    sink_assignments_cached(&mut prog, &mut cache, None).unwrap();
+    assert!(sinking_is_stable_cached(&prog, &mut cache));
+    let stats = cache.stats();
+    assert_eq!(
+        stats.cfg_misses, 1,
+        "sinking must reuse one CfgView end to end: {stats:?}"
+    );
+    assert!(stats.cfg_hits >= 1, "stability check must hit the cache");
 }

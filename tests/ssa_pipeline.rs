@@ -1,46 +1,10 @@
-//! SSA-substrate integration: SCCP and PDE reinforcing each other, and
-//! the sparse web on hostile control flow.
+//! SSA-substrate integration: the sparse web on hostile control flow,
+//! and sparse SSA-based DCE against pfe (Section 5.2).
 
 use pdce::core::driver::{optimize, PdceConfig};
-use pdce::ir::parser::parse;
-use pdce::ir::{simplify_cfg, CfgView};
+use pdce::ir::CfgView;
 use pdce::progen::{tangled, GenConfig};
-use pdce::ssa::{sccp, ssa_dce, SsaWeb};
-
-/// SCCP folds the branch, simplification removes the dead arm, and pde
-/// then eliminates an assignment that was only "live" because of the
-/// unreachable path — neither pass alone gets there.
-#[test]
-fn sccp_unlocks_pde_opportunities() {
-    // y is assigned before a branch whose condition SCCP can decide, and
-    // observed only on the statically-dead arm.
-    let src = "prog {
-        block s  { k := 1; y := a + b; if k == 1 then t else f }
-        block t  { out(a); goto e }
-        block f  { out(y); goto e }
-        block e  { halt }
-    }";
-    // pde alone keeps y := a + b: the f path (statically present)
-    // observes it.
-    let mut pde_only = parse(src).unwrap();
-    optimize(&mut pde_only, &PdceConfig::pde()).unwrap();
-    assert!(
-        pdce::ir::printer::print_program(&pde_only).contains("a + b"),
-        "pde alone must keep the assignment"
-    );
-
-    // SCCP proves the f arm unreachable; after simplification pde drops
-    // the assignment entirely.
-    let mut combined = parse(src).unwrap();
-    sccp(&mut combined);
-    simplify_cfg(&mut combined);
-    optimize(&mut combined, &PdceConfig::pde()).unwrap();
-    assert!(
-        !pdce::ir::printer::print_program(&combined).contains("a + b"),
-        "sccp + simplify + pde must remove it:\n{}",
-        pdce::ir::printer::print_program(&combined)
-    );
-}
+use pdce::ssa::{ssa_dce, SsaWeb};
 
 /// The SSA web stays sparse on tangled, irreducible graphs: edges grow
 /// linearly with statements (φs included), never quadratically.
@@ -85,26 +49,4 @@ fn ssa_dce_finds_nothing_after_pfe() {
         optimize(&mut p, &PdceConfig::pfe()).unwrap();
         assert_eq!(ssa_dce(&mut p), 0, "seed {seed}");
     }
-}
-
-/// Branch folding composes with the paper's Figure 1: a constant branch
-/// in front of the figure changes nothing about the pde result shape.
-#[test]
-fn constant_guard_before_fig1() {
-    let src = "prog {
-        block g  { mode := 2; if mode == 2 then n1 else dead }
-        block dead { out(999); goto n1 }
-        block n1 { y := a + b; nondet n2 n3 }
-        block n2 { y := 4; goto n4 }
-        block n3 { out(y); goto n4 }
-        block n4 { out(y); goto e }
-        block e  { halt }
-    }";
-    let mut p = parse(src).unwrap();
-    sccp(&mut p);
-    simplify_cfg(&mut p);
-    optimize(&mut p, &PdceConfig::pde()).unwrap();
-    assert!(p.block_by_name("dead").is_none());
-    let n1 = p.block_by_name("n1").unwrap();
-    assert!(p.block(n1).stmts.is_empty(), "figure-1 sinking still fires");
 }
