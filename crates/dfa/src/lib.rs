@@ -15,7 +15,7 @@
 //! * [`du`](mod@du) — an instruction-level def-use chain graph, kept
 //!   only for the benchmark's layer replica;
 //! * [`pass`](mod@pass) — the revision-keyed [`AnalysisCache`] that
-//!   shares `CfgView`s, dominators, and solver solutions between the
+//!   shares `CfgView`s and solver solutions between the
 //!   elimination and sinking steps instead of rebuilding them per
 //!   transform.
 //!

@@ -2,7 +2,7 @@
 //! control-flow and data-flow analyses instead of rebuilding them from
 //! scratch.
 //!
-//! * the cache memoizes [`CfgView`], dominators, the def-use graph and
+//! * the cache memoizes [`CfgView`], the def-use graph and
 //!   arbitrary typed analysis solutions, keyed by [`Program::revision`];
 //! * a transform that mutates the program declares what survives via
 //!   [`Preserves`], so one that only edits statement lists (and leaves
@@ -18,7 +18,7 @@ use std::any::{Any, TypeId};
 use std::collections::HashMap;
 use std::rc::Rc;
 
-use pdce_ir::{CfgView, ChangeSet, NodeId, Program};
+use pdce_ir::{CfgView, ChangeSet, Program};
 
 use crate::du::DuGraph;
 
@@ -43,8 +43,6 @@ mod cache_metrics {
     pub static CFG_HIT: LazyLock<Arc<Counter>> = LazyLock::new(|| event("cfg_hit"));
     pub static CFG_MISS: LazyLock<Arc<Counter>> = LazyLock::new(|| event("cfg_miss"));
     pub static CFG_RELAYOUT: LazyLock<Arc<Counter>> = LazyLock::new(|| event("cfg_relayout"));
-    pub static DOM_HIT: LazyLock<Arc<Counter>> = LazyLock::new(|| event("dom_hit"));
-    pub static DOM_MISS: LazyLock<Arc<Counter>> = LazyLock::new(|| event("dom_miss"));
     pub static ANALYSIS_HIT: LazyLock<Arc<Counter>> = LazyLock::new(|| event("analysis_hit"));
     pub static ANALYSIS_MISS: LazyLock<Arc<Counter>> = LazyLock::new(|| event("analysis_miss"));
     pub static DU_HIT: LazyLock<Arc<Counter>> = LazyLock::new(|| event("du_hit"));
@@ -59,7 +57,7 @@ pub enum Preserves {
     Nothing,
     /// The control-flow shape survives: the transform only edited
     /// statement lists, never terminators or the block set.
-    /// [`CfgView`], orderings, and dominators stay valid; data-flow
+    /// [`CfgView`] and its orderings stay valid; data-flow
     /// solutions do not.
     Cfg,
 }
@@ -71,10 +69,6 @@ pub struct CacheStats {
     pub cfg_hits: u64,
     /// [`CfgView`] requests that had to rebuild.
     pub cfg_misses: u64,
-    /// Dominator-tree requests served from cache.
-    pub dom_hits: u64,
-    /// Dominator-tree requests that had to rebuild.
-    pub dom_misses: u64,
     /// Typed analysis solutions served from cache.
     pub analysis_hits: u64,
     /// Typed analysis solutions that had to be recomputed.
@@ -93,12 +87,12 @@ pub struct CacheStats {
 impl CacheStats {
     /// Total hits over all entry kinds.
     pub fn hits(&self) -> u64 {
-        self.cfg_hits + self.dom_hits + self.analysis_hits + self.du_hits
+        self.cfg_hits + self.analysis_hits + self.du_hits
     }
 
     /// Total misses over all entry kinds.
     pub fn misses(&self) -> u64 {
-        self.cfg_misses + self.dom_misses + self.analysis_misses + self.du_misses
+        self.cfg_misses + self.analysis_misses + self.du_misses
     }
 
     /// The counter delta since an `earlier` snapshot of the same cache
@@ -107,8 +101,6 @@ impl CacheStats {
         CacheStats {
             cfg_hits: self.cfg_hits - earlier.cfg_hits,
             cfg_misses: self.cfg_misses - earlier.cfg_misses,
-            dom_hits: self.dom_hits - earlier.dom_hits,
-            dom_misses: self.dom_misses - earlier.dom_misses,
             analysis_hits: self.analysis_hits - earlier.analysis_hits,
             analysis_misses: self.analysis_misses - earlier.analysis_misses,
             cfg_relayouts: self.cfg_relayouts - earlier.cfg_relayouts,
@@ -150,7 +142,6 @@ pub struct AnalysisCache {
     /// Revision the cached entries are valid for.
     revision: Option<u64>,
     cfg: Option<Rc<CfgView>>,
-    doms: Option<Rc<Vec<Option<NodeId>>>>,
     /// The def-use chain graph the faint closure propagates over,
     /// revision-cached like the view (DESIGN.md §15).
     du: Option<Rc<DuGraph>>,
@@ -173,8 +164,8 @@ impl AnalysisCache {
     ///
     /// The mutation log makes this finer than all-or-nothing: when
     /// `Program::changes_since` proves every intervening mutation was
-    /// statement-local, the cached [`CfgView`]'s adjacency, orders, and
-    /// dominators are still valid — only the instruction-arena layout
+    /// statement-local, the cached [`CfgView`]'s adjacency and orders
+    /// are still valid — only the instruction-arena layout
     /// may need a [`CfgView::relayout`]. Structural or unexplained
     /// deltas drop the CFG-shaped entries as before.
     fn sync(&mut self, prog: &Program) {
@@ -190,7 +181,6 @@ impl AnalysisCache {
             self.refresh_cfg_layout(prog);
         } else {
             self.cfg = None;
-            self.doms = None;
         }
         self.analyses.clear();
         self.du = None;
@@ -254,22 +244,6 @@ impl AnalysisCache {
         du
     }
 
-    /// The memoized immediate-dominator vector of `prog`.
-    pub fn dominators(&mut self, prog: &Program) -> Rc<Vec<Option<NodeId>>> {
-        self.sync(prog);
-        if let Some(doms) = &self.doms {
-            self.stats.dom_hits += 1;
-            cache_metrics::DOM_HIT.inc();
-            return Rc::clone(doms);
-        }
-        self.stats.dom_misses += 1;
-        cache_metrics::DOM_MISS.inc();
-        let view = self.cfg(prog);
-        let doms = Rc::new(view.immediate_dominators());
-        self.doms = Some(Rc::clone(&doms));
-        doms
-    }
-
     /// The memoized analysis solution of type `T`, computing it with
     /// `build` on a miss. The type is the key: one slot per `T`.
     pub fn analysis<T, F>(&mut self, prog: &Program, build: F) -> Rc<T>
@@ -316,7 +290,6 @@ impl AnalysisCache {
             Preserves::Nothing => {
                 // The graph may have been rewired.
                 self.cfg = None;
-                self.doms = None;
                 self.du = None;
                 self.analyses.clear();
                 self.revision = Some(prog.revision());
@@ -515,16 +488,5 @@ mod tests {
         cache.retain(&p, Preserves::Nothing);
         cache.du(&p);
         assert_eq!(cache.stats().du_misses, 3);
-    }
-
-    #[test]
-    fn dominators_cached() {
-        let p = prog();
-        let mut cache = AnalysisCache::new();
-        let a = cache.dominators(&p);
-        let b = cache.dominators(&p);
-        assert!(Rc::ptr_eq(&a, &b));
-        assert_eq!(cache.stats().dom_hits, 1);
-        assert_eq!(a[p.entry().index()], Some(p.entry()));
     }
 }

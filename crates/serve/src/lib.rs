@@ -40,5 +40,5 @@ pub mod wal;
 
 pub use cache::{CacheKey, LoadReport, PersistentCache};
 pub use protocol::{Mode, Op, Request, ResultPayload, Status};
-pub use quarantine::{Breaker, BreakerState, Quarantine};
+pub use quarantine::Quarantine;
 pub use server::{ServeOptions, ServeSummary, Server};

@@ -61,7 +61,7 @@ pub enum Op {
     Optimize,
     /// Liveness probe: answered with `"pong":true`, no program needed.
     Ping,
-    /// Self-healing introspection: request/cache/WAL/quarantine/breaker
+    /// Self-healing introspection: request/cache/WAL/quarantine/watchdog
     /// counters as one flat JSON object, no program needed.
     Health,
     /// Drain everything already read, answer, and stop this connection
@@ -263,10 +263,9 @@ pub fn render_pong(id: &Option<String>) -> String {
     out
 }
 
-/// Renders the `health` introspection response. Each field value must
-/// already be a valid JSON token (a number, `true`, or a quoted
-/// string); the server composes them from its counters.
-pub fn render_health(id: &Option<String>, fields: &[(&'static str, String)]) -> String {
+/// Renders the `health` introspection response: one numeric field per
+/// server counter, in the given order.
+pub fn render_health(id: &Option<String>, fields: &[(&'static str, u64)]) -> String {
     let mut out = String::with_capacity(fields.len() * 24 + 32);
     push_id(&mut out, id);
     let _ = write!(out, "\"status\":{},\"health\":true", Status::Ok.code());
@@ -363,17 +362,14 @@ mod tests {
     fn health_responses_are_valid_json() {
         let line = render_health(
             &Some("h".into()),
-            &[
-                ("requests", "7".to_string()),
-                ("breaker_state", "\"closed\"".to_string()),
-            ],
+            &[("requests", 7), ("quarantine_size", 1)],
         );
         let doc = json::parse(&line).unwrap();
         assert_eq!(doc.get("id").unwrap().as_str(), Some("h"));
         assert_eq!(doc.get("status").unwrap().as_num(), Some(0.0));
         assert_eq!(doc.get("health").unwrap().as_bool(), Some(true));
         assert_eq!(doc.get("requests").unwrap().as_num(), Some(7.0));
-        assert_eq!(doc.get("breaker_state").unwrap().as_str(), Some("closed"));
+        assert_eq!(doc.get("quarantine_size").unwrap().as_num(), Some(1.0));
     }
 
     #[test]

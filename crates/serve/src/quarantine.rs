@@ -1,30 +1,29 @@
-//! Poison-request quarantine and the sandbox-failure circuit breaker.
+//! Poison-request quarantine, and the circuit breaker kept for the
+//! benchmark's replica.
 //!
 //! The resilience ladder makes any *single* optimization attempt total,
 //! but a poison request — one whose optimization panics, blows its
 //! budget, or wedges a worker every time it is seen — would otherwise
 //! burn a full ladder descent (and a watchdog deadline) on every
-//! repeat. Two mechanisms stop that:
+//! repeat. The **quarantine** stops that: it counts *strikes* per
+//! canonical content hash. Every request whose attempt degraded (any
+//! ladder rung engaged, a watchdog deadline fired, or a failure escaped
+//! the ladder) takes a strike; at `max_strikes` the hash enters the
+//! quarantine set and later repeats short-circuit to a structured
+//! identity answer (rung `"quarantined"`) before any optimization work.
+//! The set is persisted next to the cache with the same checksummed
+//! line framing, so a poison request stays quarantined across restarts.
 //!
-//! - **Quarantine** counts *strikes* per canonical content hash. Every
-//!   request whose attempt degraded (any ladder rung engaged, a
-//!   watchdog deadline fired, or an internal error escaped) takes a
-//!   strike; at `max_strikes` the hash enters the quarantine set and
-//!   later repeats short-circuit to a structured identity answer
-//!   (rung `"quarantined"`) before any optimization work. The set is
-//!   persisted next to the cache with the same checksummed line
-//!   framing, so a poison request stays quarantined across restarts.
-//! - **The breaker** watches the *rolling* sandbox-failure rate across
-//!   requests. When more than half of a full recent window failed, it
-//!   trips `Open`: admission degrades batch-wide to the identity rung
-//!   (rung `"breaker-open"`) for a cooldown, protecting the fleet from
-//!   a systemic fault (a bad deploy, a poisoned corpus) instead of
-//!   grinding every request through a doomed ladder. After the
-//!   cooldown it goes `HalfOpen` and admits probes; enough consecutive
-//!   probe successes close it again, one failure re-opens it.
+//! [`Breaker`] and [`BreakerConfig`] are not on the server's request
+//! path. The frozen benchmark replica (`perfbench/src/replica.rs`)
+//! still constructs and consults one, so they stay until the replica
+//! drops them. The breaker watches a rolling failure window: at least
+//! half of a full window failing trips it `Open`, which denies
+//! admission for a cooldown; then it goes `HalfOpen`, where enough
+//! consecutive successes close it and one failure re-opens it.
 //!
 //! Both structures are deterministic for a fixed request sequence, so
-//! the soak tests can assert exact state transitions.
+//! the tests can assert exact state transitions.
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::path::{Path, PathBuf};
@@ -148,43 +147,20 @@ impl Quarantine {
     }
 }
 
-/// Breaker position (exposed as the `pdce_serve_breaker_state` gauge:
-/// 0 = closed, 1 = half-open, 2 = open).
+/// Breaker position.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BreakerState {
     /// Normal admission.
     Closed,
-    /// Tripped: every request is served at the identity rung for the
-    /// remaining cooldown (counted in requests).
+    /// Tripped: every admission is denied for the remaining cooldown
+    /// (counted in requests).
     Open { cooldown: u32 },
-    /// Probing: requests run the full ladder again; `successes`
-    /// consecutive clean answers close the breaker, one failure
-    /// re-opens it.
+    /// Probing: requests are admitted again; `successes` consecutive
+    /// clean answers close the breaker, one failure re-opens it.
     HalfOpen { successes: u32 },
 }
 
-impl BreakerState {
-    /// The gauge encoding.
-    pub fn gauge(self) -> i64 {
-        match self {
-            BreakerState::Closed => 0,
-            BreakerState::HalfOpen { .. } => 1,
-            BreakerState::Open { .. } => 2,
-        }
-    }
-
-    /// Stable label for the `health` introspection response.
-    pub fn label(self) -> &'static str {
-        match self {
-            BreakerState::Closed => "closed",
-            BreakerState::HalfOpen { .. } => "half-open",
-            BreakerState::Open { .. } => "open",
-        }
-    }
-}
-
-/// Tuning knobs for [`Breaker`]; the defaults suit both production and
-/// the deterministic soak tests.
+/// Tuning knobs for [`Breaker`]; the replica uses the defaults.
 #[derive(Debug, Clone, Copy)]
 pub struct BreakerConfig {
     /// Rolling-window size; the failure rate is only consulted once
@@ -207,7 +183,8 @@ impl Default for BreakerConfig {
     }
 }
 
-/// The rolling sandbox-failure circuit breaker.
+/// The rolling failure-window circuit breaker (kept for the benchmark
+/// replica only; the server does not use it).
 #[derive(Debug)]
 pub struct Breaker {
     config: BreakerConfig,
@@ -232,11 +209,10 @@ impl Breaker {
         self.state
     }
 
-    /// Consulted at admission: `true` when the request may run the
-    /// full ladder, `false` when it must be served at the identity
-    /// rung. `Open` counts the request against the cooldown and moves
-    /// to `HalfOpen` when it expires; `HalfOpen` admits every request
-    /// as a probe.
+    /// Consulted at admission: `true` when the request may run, `false`
+    /// while the breaker is open. `Open` counts the request against the
+    /// cooldown and moves to `HalfOpen` when it expires; `HalfOpen`
+    /// admits every request as a probe.
     pub fn admit(&mut self) -> bool {
         match self.state {
             BreakerState::Closed | BreakerState::HalfOpen { .. } => true,
@@ -253,8 +229,7 @@ impl Breaker {
         }
     }
 
-    /// Records one admitted request's outcome (`failed` = any ladder
-    /// degradation, watchdog deadline, or escaped error).
+    /// Records one admitted request's outcome.
     pub fn record(&mut self, failed: bool) {
         match self.state {
             BreakerState::Closed => {
@@ -279,7 +254,7 @@ impl Breaker {
                     };
                 }
             }
-            // Identity-rung answers while open are not samples.
+            // Denied requests while open are not samples.
             BreakerState::Open { .. } => {}
         }
     }

@@ -18,17 +18,19 @@
 //! rung) instead of stalling the fleet. A worker panic is sandboxed by
 //! the pool and answered as a structured `status` 2 error.
 //!
-//! The self-healing layer sits on top of admission: an optimization
-//! attempt that escapes the resilience ladder is retried on
-//! progressively lower rungs with capped exponential backoff; a
-//! program hash that keeps failing is quarantined (persisted next to
-//! the cache) and short-circuited to an identity answer; a rolling
-//! window of failures trips a circuit breaker that degrades *all*
-//! admission to the identity rung until half-open probes succeed; and
-//! batches are dispatched under a watchdog (`pdce_par::supervised_map`)
-//! whose soft deadline raises the cooperative cancellation flag and
-//! whose hard deadline abandons a wedged worker, so one hostage request
-//! never stalls its batch.
+//! The self-healing layer sits on top of admission. There is one
+//! failure path: the optimizer's own resilience ladder
+//! (`optimize_resilient`: configured → elimination-only → identity)
+//! runs once per computed request, and a failure that escapes it
+//! anyway is answered with the input unchanged at the `"identity"`
+//! rung. Either way a degraded answer strikes its program hash and is
+//! not cached; a hash that keeps failing is quarantined (persisted
+//! next to the cache) and short-circuited to an identity answer. The
+//! optimizer is deterministic, so re-running a failed request could
+//! not answer differently. Batches are dispatched under a watchdog
+//! (`pdce_par::supervised_map`) whose soft deadline raises the
+//! cooperative cancellation flag and whose hard deadline abandons a
+//! wedged worker, so one hostage request never stalls its batch.
 
 use std::io::{BufRead, Read, Write};
 use std::path::PathBuf;
@@ -49,13 +51,13 @@ use crate::protocol::{
     render_error, render_health, render_pong, render_result, render_shutdown, Mode, Op, Request,
     ResultPayload, Status,
 };
-use crate::quarantine::{Breaker, BreakerConfig, Quarantine};
+use crate::quarantine::Quarantine;
 
 /// Registry handles for the serving plane. Request/cache counters are
 /// deterministic for a fixed request sequence; latency and batch-size
 /// families are timing-dependent and registered as such.
 mod serve_metrics {
-    use pdce_metrics::{global, Counter, Gauge, Histogram, Stability};
+    use pdce_metrics::{global, Counter, Histogram, Stability};
     use std::sync::{Arc, LazyLock};
 
     pub fn requests(status: &'static str) -> Arc<Counter> {
@@ -72,8 +74,8 @@ mod serve_metrics {
     }
 
     /// Failure-path counters are timing-tainted: wall-budget trips (and
-    /// therefore strikes, breaker samples, and retries) depend on the
-    /// clock, so they are excluded from byte-stability checks.
+    /// therefore strikes) depend on the clock, so they are excluded
+    /// from byte-stability checks.
     fn timing_counter(name: &'static str, help: &'static str) -> Arc<Counter> {
         global().counter(name, help, Stability::Timing, &[])
     }
@@ -112,12 +114,6 @@ mod serve_metrics {
             "Requests short-circuited by the poison-request quarantine",
         )
     });
-    pub static RETRIES: LazyLock<Arc<Counter>> = LazyLock::new(|| {
-        timing_counter(
-            "pdce_serve_retries_total",
-            "Optimization attempts re-run on a lower rung after an escaped failure",
-        )
-    });
     pub static WATCHDOG_TIMEOUTS: LazyLock<Arc<Counter>> = LazyLock::new(|| {
         timing_counter(
             "pdce_serve_watchdog_timeouts_total",
@@ -128,14 +124,6 @@ mod serve_metrics {
         timing_counter(
             "pdce_serve_idle_wakeups_total",
             "Poll-loop wakeups that found no pending input (bounded by idle backoff)",
-        )
-    });
-    pub static BREAKER_STATE: LazyLock<Arc<Gauge>> = LazyLock::new(|| {
-        global().gauge(
-            "pdce_serve_breaker_state",
-            "Circuit-breaker position: 0 closed, 1 half-open, 2 open",
-            Stability::Timing,
-            &[],
         )
     });
 }
@@ -172,9 +160,6 @@ pub struct ServeOptions {
     /// Failed attempts before a program hash is quarantined (0
     /// disables the quarantine entirely).
     pub max_strikes: u32,
-    /// Base of the capped exponential backoff between retry attempts,
-    /// in milliseconds.
-    pub retry_backoff_ms: u64,
     /// Soft watchdog deadline per batched request: past it, the
     /// worker's cancellation flag is raised so a cooperative staller
     /// degrades to an in-band answer. `None` derives `2 * wall_ms`.
@@ -199,7 +184,6 @@ impl Default for ServeOptions {
             cache: true,
             wal_fsync_every: crate::cache::DEFAULT_FSYNC_EVERY,
             max_strikes: 3,
-            retry_backoff_ms: 2,
             watchdog_soft_ms: None,
             watchdog_hard_ms: None,
         }
@@ -227,7 +211,7 @@ enum Incoming {
 }
 
 /// A rendered response plus the shutdown signal it may carry and the
-/// quarantine/breaker verdict of a *computed* answer (cache hits and
+/// quarantine verdict of a *computed* answer (cache hits and
 /// short-circuits carry none). Verdicts are settled by the dispatcher
 /// (or `respond_line`), never by the worker itself, so an abandoned
 /// zombie worker can never double-count its item.
@@ -237,12 +221,12 @@ struct Reply {
     verdict: Option<Verdict>,
 }
 
-/// What a computed answer means for the self-healing state machines.
+/// What a computed answer means for the quarantine.
 #[derive(Clone, Copy)]
 struct Verdict {
     key: CacheKey,
-    /// Degraded (any non-`none` rung) or retried: a strike and a
-    /// breaker failure sample. Clean answers absolve the hash.
+    /// Degraded (any non-`none` rung) or escaped: a strike. Clean
+    /// answers absolve the hash.
     failed: bool,
 }
 
@@ -258,12 +242,10 @@ pub struct Server {
     opts: ServeOptions,
     cache: Mutex<PersistentCache>,
     quarantine: Mutex<Quarantine>,
-    breaker: Mutex<Breaker>,
     requests: AtomicU64,
     ok: AtomicU64,
     bad_input: AtomicU64,
     internal: AtomicU64,
-    retries: AtomicU64,
     wedged: AtomicU64,
     stop: AtomicBool,
 }
@@ -286,12 +268,10 @@ impl Server {
             opts,
             cache: Mutex::new(cache),
             quarantine: Mutex::new(quarantine),
-            breaker: Mutex::new(Breaker::new(BreakerConfig::default())),
             requests: AtomicU64::new(0),
             ok: AtomicU64::new(0),
             bad_input: AtomicU64::new(0),
             internal: AtomicU64::new(0),
-            retries: AtomicU64::new(0),
             wedged: AtomicU64::new(0),
             stop: AtomicBool::new(false),
         }
@@ -429,28 +409,23 @@ impl Server {
             .collect()
     }
 
-    /// Applies a computed answer's verdict to the quarantine and the
-    /// breaker. Runs on the dispatcher (exactly once per answered
-    /// item), so zombie workers abandoned by the watchdog never settle.
+    /// Applies a computed answer's verdict to the quarantine. Runs on
+    /// the dispatcher (exactly once per answered item), so zombie
+    /// workers abandoned by the watchdog never settle.
     fn settle(&self, verdict: &Verdict) {
-        {
-            let mut quarantine = self.quarantine.lock().expect("quarantine lock");
-            if verdict.failed {
-                quarantine.strike(verdict.key);
-            } else {
-                quarantine.absolve(verdict.key);
-            }
+        let mut quarantine = self.quarantine.lock().expect("quarantine lock");
+        if verdict.failed {
+            quarantine.strike(verdict.key);
+        } else {
+            quarantine.absolve(verdict.key);
         }
-        let mut breaker = self.breaker.lock().expect("breaker lock");
-        breaker.record(verdict.failed);
-        serve_metrics::BREAKER_STATE.set(breaker.state().gauge());
     }
 
     /// Synthesizes the answer for a request whose worker blew the hard
     /// watchdog deadline: the program comes back unchanged at the
-    /// `"watchdog-timeout"` rung, the hash is struck, and the breaker
-    /// records a failure — a repeat offender is quarantined before it
-    /// can hold another batch hostage.
+    /// `"watchdog-timeout"` rung and the hash is struck — a repeat
+    /// offender is quarantined before it can hold another batch
+    /// hostage.
     fn wedged_reply(&self, incoming: &Incoming) -> Reply {
         self.wedged.fetch_add(1, Ordering::Relaxed);
         serve_metrics::WATCHDOG_TIMEOUTS.inc();
@@ -612,40 +587,24 @@ impl Server {
             let quarantine = self.quarantine.lock().expect("quarantine lock");
             (quarantine.len() as u64, quarantine.hits)
         };
-        let (breaker_state, breaker_trips) = {
-            let breaker = self.breaker.lock().expect("breaker lock");
-            (breaker.state(), breaker.trips)
-        };
-        let fields: Vec<(&'static str, String)> = vec![
-            (
-                "requests",
-                self.requests.load(Ordering::Relaxed).to_string(),
-            ),
-            ("ok", self.ok.load(Ordering::Relaxed).to_string()),
-            (
-                "bad_input",
-                self.bad_input.load(Ordering::Relaxed).to_string(),
-            ),
-            (
-                "internal",
-                self.internal.load(Ordering::Relaxed).to_string(),
-            ),
-            ("cache_entries", cache_entries.to_string()),
-            ("cache_bytes", cache_bytes.to_string()),
-            ("cache_hits", cache_hits.to_string()),
-            ("cache_misses", cache_misses.to_string()),
-            ("wal_appends", wal_appends.to_string()),
-            ("wal_fsyncs", wal_fsyncs.to_string()),
-            ("wal_compactions", wal_compactions.to_string()),
-            ("wal_recovered", (report.loaded as u64).to_string()),
-            ("wal_discarded", (report.skipped as u64).to_string()),
-            ("wal_errors", wal_errors.to_string()),
-            ("quarantine_size", quarantine_size.to_string()),
-            ("quarantine_hits", quarantine_hits.to_string()),
-            ("breaker_state", format!("\"{}\"", breaker_state.label())),
-            ("breaker_trips", breaker_trips.to_string()),
-            ("retries", self.retries.load(Ordering::Relaxed).to_string()),
-            ("wedged", self.wedged.load(Ordering::Relaxed).to_string()),
+        let fields = [
+            ("requests", self.requests.load(Ordering::Relaxed)),
+            ("ok", self.ok.load(Ordering::Relaxed)),
+            ("bad_input", self.bad_input.load(Ordering::Relaxed)),
+            ("internal", self.internal.load(Ordering::Relaxed)),
+            ("cache_entries", cache_entries),
+            ("cache_bytes", cache_bytes),
+            ("cache_hits", cache_hits),
+            ("cache_misses", cache_misses),
+            ("wal_appends", wal_appends),
+            ("wal_fsyncs", wal_fsyncs),
+            ("wal_compactions", wal_compactions),
+            ("wal_recovered", report.loaded as u64),
+            ("wal_discarded", report.skipped as u64),
+            ("wal_errors", wal_errors),
+            ("quarantine_size", quarantine_size),
+            ("quarantine_hits", quarantine_hits),
+            ("wedged", self.wedged.load(Ordering::Relaxed)),
         ];
         render_health(id, &fields)
     }
@@ -725,7 +684,7 @@ impl Server {
                 return (render_result(&req.id, &payload), Status::Ok, None);
             }
         }
-        let parsed = match parse(&req.program) {
+        let mut parsed = match parse(&req.program) {
             Ok(p) => p,
             Err(e) => {
                 let msg = if e.line == 0 {
@@ -766,24 +725,32 @@ impl Server {
                 return (render_result(&req.id, &payload), Status::Ok, None);
             }
         }
-        // Circuit breaker: when the rolling failure rate has tripped
-        // it, admission degrades batch-wide to the identity rung until
-        // half-open probes succeed. Denied requests are not breaker
-        // samples (no verdict).
-        let admit_full = {
-            let mut breaker = self.breaker.lock().expect("breaker lock");
-            let admit = breaker.admit();
-            serve_metrics::BREAKER_STATE.set(breaker.state().gauge());
-            admit
+        // One attempt: `optimize_resilient` walks its own ladder and
+        // always returns, and the optimizer is deterministic, so a
+        // failure that escapes it anyway (our bug, or an injected
+        // `serve`-site fault) is answered with the input unchanged.
+        let config = self.config_for(req.mode, &admitted);
+        let outcome = pdce_trace::sandbox::catch(|| {
+            pdce_trace::fault::fire("serve");
+            optimize_resilient(&mut parsed, &config)
+        });
+        let (payload, failed) = match outcome {
+            Ok(stats) => {
+                let payload = ResultPayload {
+                    program: print_program(&parsed),
+                    rounds: stats.rounds,
+                    eliminated: stats.eliminated_assignments,
+                    sunk: stats.sunk_assignments,
+                    inserted: stats.inserted_assignments,
+                    rung: stats.degraded.map_or("none", |m| m.label()).to_string(),
+                };
+                (payload, stats.degraded.is_some())
+            }
+            Err(_) => (identity_payload(canonical, "identity"), true),
         };
-        if !admit_full {
-            let payload = identity_payload(canonical, "breaker-open");
-            return (render_result(&req.id, &payload), Status::Ok, None);
-        }
-        let (payload, failed) = self.attempt_with_retries(req, &admitted, &canonical, parsed);
-        // Only clean, un-retried answers are cached: a transient
-        // degradation must not pin a worse answer for every warm
-        // replay that follows.
+        // Only clean answers are cached: a degraded or escaped answer
+        // must not pin a worse answer for every warm replay that
+        // follows.
         if use_cache && !failed {
             self.cache
                 .lock()
@@ -795,76 +762,6 @@ impl Server {
             Status::Ok,
             Some(Verdict { key, failed }),
         )
-    }
-
-    /// Runs the optimization with the retry ladder wrapped around the
-    /// resilience ladder: an attempt that *escapes*
-    /// [`optimize_resilient`] (our bug, or an injected `serve`-site
-    /// fault) is retried after a capped exponential backoff on a
-    /// progressively lower configuration — full, then one reduced
-    /// round, then elimination-only — before giving up and answering
-    /// identity. Returns the payload plus whether the answer counts as
-    /// a failure (degraded rung or any retry).
-    fn attempt_with_retries(
-        &self,
-        req: &Request,
-        admitted: &AdmittedBudget,
-        canonical: &str,
-        parsed: pdce_ir::Program,
-    ) -> (ResultPayload, bool) {
-        const MAX_ATTEMPTS: u32 = 3;
-        const BACKOFF_CAP_MS: u64 = 100;
-        let mut prog_slot = Some(parsed);
-        let mut attempt = 0u32;
-        loop {
-            let reduced = AdmittedBudget {
-                rounds: Some(1),
-                validate: None,
-                ..*admitted
-            };
-            let config = match attempt {
-                0 => self.config_for(req.mode, admitted),
-                1 => self.config_for(req.mode, &reduced),
-                _ => self.config_for(Mode::Dce, &reduced),
-            };
-            let mut prog = match prog_slot.take().or_else(|| parse(canonical).ok()) {
-                Some(p) => p,
-                None => return (identity_payload(canonical.to_string(), "identity"), true),
-            };
-            let outcome = pdce_trace::sandbox::catch(|| {
-                pdce_trace::fault::fire("serve");
-                optimize_resilient(&mut prog, &config)
-            });
-            match outcome {
-                Ok(stats) => {
-                    let payload = ResultPayload {
-                        program: print_program(&prog),
-                        rounds: stats.rounds,
-                        eliminated: stats.eliminated_assignments,
-                        sunk: stats.sunk_assignments,
-                        inserted: stats.inserted_assignments,
-                        rung: stats.degraded.map_or("none", |m| m.label()).to_string(),
-                    };
-                    return (payload, stats.degraded.is_some() || attempt > 0);
-                }
-                Err(_) => {
-                    attempt += 1;
-                    self.retries.fetch_add(1, Ordering::Relaxed);
-                    serve_metrics::RETRIES.inc();
-                    if attempt >= MAX_ATTEMPTS {
-                        return (identity_payload(canonical.to_string(), "identity"), true);
-                    }
-                    let backoff = self
-                        .opts
-                        .retry_backoff_ms
-                        .saturating_mul(1 << (attempt - 1))
-                        .min(BACKOFF_CAP_MS);
-                    if backoff > 0 {
-                        std::thread::sleep(Duration::from_millis(backoff));
-                    }
-                }
-            }
-        }
     }
 
     /// Serves one connection: `reader` → batched requests → `writer`.
@@ -1039,7 +936,6 @@ impl Server {
 }
 
 /// Effective (post-admission) per-request budgets.
-#[derive(Clone, Copy)]
 struct AdmittedBudget {
     rounds: Option<u64>,
     pops: Option<u64>,
@@ -1048,9 +944,8 @@ struct AdmittedBudget {
 }
 
 /// The unchanged-program answer used by every short-circuit: the
-/// quarantine, the open breaker, watchdog timeouts, and exhausted
-/// retries. Always correct (the identity transformation), always
-/// cheap, never cached.
+/// quarantine, watchdog timeouts, and escaped failures. Always correct
+/// (the identity transformation), always cheap, never cached.
 fn identity_payload(program: String, rung: &str) -> ResultPayload {
     ResultPayload {
         program,
@@ -1350,20 +1245,23 @@ mod tests {
         assert_eq!(doc.get("health").unwrap().as_bool(), Some(true));
         // The health request itself is counted before it renders.
         assert_eq!(doc.get("requests").unwrap().as_num(), Some(2.0));
-        assert_eq!(doc.get("breaker_state").unwrap().as_str(), Some("closed"));
         for key in [
             "cache_entries",
             "wal_appends",
             "wal_recovered",
             "quarantine_size",
             "quarantine_hits",
-            "breaker_trips",
-            "retries",
             "wedged",
         ] {
             assert!(
                 doc.get(key).is_some(),
                 "health field `{key}` missing: {line}"
+            );
+        }
+        for key in ["breaker_state", "breaker_trips", "retries"] {
+            assert!(
+                doc.get(key).is_none(),
+                "removed health field `{key}` present: {line}"
             );
         }
     }
@@ -1399,50 +1297,63 @@ mod tests {
     }
 
     #[test]
-    fn a_failing_window_trips_the_breaker_to_identity_admission() {
+    fn persistent_sink_panics_answer_elimination_only_and_shed_nothing() {
         let s = Arc::new(Server::new(ServeOptions {
-            max_strikes: 0, // isolate the breaker from the quarantine
+            max_strikes: 0, // no quarantine: every request is computed
             ..ServeOptions::default()
         }));
-        // 16 distinct failing programs fill the rolling window.
-        for i in 0..16 {
-            let program = format!(
-                "prog {{ block s {{ v{i} := {i}; out(v{i}); goto e }} block e {{ halt }} }}"
-            );
-            let response = s.respond_line(&poison_request(&program)).unwrap();
-            assert_eq!(rung_of(&response), "identity");
-        }
-        // Tripped: even a clean request is served at the identity rung.
-        let denied = s.respond_line(&request(FIG1)).unwrap();
-        assert_eq!(rung_of(&denied), "breaker-open");
+        // A failing stretch of distinct requests never sheds the later
+        // ones to identity: each one runs the optimizer's own ladder.
+        pdce_trace::fault::with_faults("panic:sink:*", || {
+            for i in 0..20 {
+                let program = format!(
+                    "prog {{ block s {{ v{i} := {i}; out(v{i}); goto e }} block e {{ halt }} }}"
+                );
+                let response = s.respond_line(&request(&program)).unwrap();
+                assert_eq!(status_of_line(&response), 0.0, "request {i}");
+                assert_eq!(rung_of(&response), "elimination-only", "request {i}");
+            }
+        });
+    }
+
+    fn quarantine_size(s: &Server) -> f64 {
         let health = s.respond_line(r#"{"op":"health"}"#).unwrap();
-        let doc = pdce_trace::json::parse(&health).unwrap();
-        assert_eq!(doc.get("breaker_state").unwrap().as_str(), Some("open"));
-        assert_eq!(doc.get("breaker_trips").unwrap().as_num(), Some(1.0));
+        pdce_trace::json::parse(&health)
+            .unwrap()
+            .get("quarantine_size")
+            .unwrap()
+            .as_num()
+            .unwrap()
     }
 
     #[test]
-    fn escaped_failures_retry_on_a_lower_rung_with_backoff() {
+    fn escaped_failure_answers_identity_and_strikes() {
         let s = Arc::new(Server::new(ServeOptions {
-            retry_backoff_ms: 1,
+            max_strikes: 2,
             ..ServeOptions::default()
         }));
-        // The first attempt panics at the serve site; the retry (second
-        // occurrence) runs clean on the reduced configuration.
+        // The one attempt panics at the serve site, outside the
+        // optimizer's own ladder: the input comes back unchanged.
         let response = pdce_trace::fault::with_faults("panic:serve:1", || {
             s.respond_line(&request(FIG1)).unwrap()
         });
         assert_eq!(status_of_line(&response), 0.0);
-        assert_eq!(rung_of(&response), "none");
-        let health = s.respond_line(r#"{"op":"health"}"#).unwrap();
-        let doc = pdce_trace::json::parse(&health).unwrap();
-        assert_eq!(doc.get("retries").unwrap().as_num(), Some(1.0));
-        // A persistent escape exhausts the ladder and answers identity.
-        let always = pdce_trace::fault::with_faults("panic:serve:*", || {
-            s.respond_line(&poison_request(FIG1)).unwrap()
+        assert_eq!(rung_of(&response), "identity");
+        let doc = pdce_trace::json::parse(&response).unwrap();
+        let canonical = print_program(&parse(FIG1).unwrap());
+        assert_eq!(
+            doc.get("program").unwrap().as_str(),
+            Some(canonical.as_str())
+        );
+        assert_eq!(doc.get("rounds").unwrap().as_num(), Some(0.0));
+        // One strike: below the threshold of two, so not quarantined,
+        // and a second escape is what quarantines the hash.
+        assert_eq!(quarantine_size(&s), 0.0);
+        let again = pdce_trace::fault::with_faults("panic:serve:1", || {
+            s.respond_line(&request(FIG1)).unwrap()
         });
-        assert_eq!(status_of_line(&always), 0.0);
-        assert_eq!(rung_of(&always), "identity");
+        assert_eq!(rung_of(&again), "identity");
+        assert_eq!(quarantine_size(&s), 1.0);
     }
 
     fn status_of_line(line: &str) -> f64 {
@@ -1455,20 +1366,19 @@ mod tests {
     }
 
     #[test]
-    fn retried_answers_are_not_cached() {
-        let s = Arc::new(Server::new(ServeOptions {
-            retry_backoff_ms: 0,
-            ..ServeOptions::default()
-        }));
-        // The retried answer ran a reduced configuration; caching it
-        // would pin the worse answer for every warm replay.
-        let retried = pdce_trace::fault::with_faults("panic:serve:1", || {
+    fn escaped_failures_are_not_cached() {
+        let s = server();
+        // The escaped answer is the unchanged input; caching it would
+        // pin the worse answer for every warm replay.
+        let escaped = pdce_trace::fault::with_faults("panic:serve:1", || {
             s.respond_line(&request(FIG1)).unwrap()
         });
         let clean = s.respond_line(&request(FIG1)).unwrap();
-        assert_eq!(status_of_line(&retried), 0.0);
+        assert_eq!(status_of_line(&escaped), 0.0);
+        assert_eq!(rung_of(&escaped), "identity");
         assert_eq!(status_of_line(&clean), 0.0);
-        assert_eq!(s.summary().cache_hits, 0, "retried answer was cached");
+        assert_eq!(rung_of(&clean), "none", "the repeat was computed");
+        assert_eq!(s.summary().cache_hits, 0, "escaped answer was cached");
     }
 
     #[test]

@@ -337,32 +337,21 @@ fn with_tracer(f: impl FnOnce(&dyn Tracer)) {
 
 /// An RAII span guard: records a [`Phase::Begin`] event on creation and
 /// the matching [`Phase::End`] on [`finish`](Span::finish) (or drop).
-///
-/// A plain [`span`] costs nothing when tracing is disabled; a
-/// [`timed_span`] additionally reads the monotonic clock so callers can
-/// use the elapsed time for their own bookkeeping either way.
+/// It costs nothing, and reads no clock, when tracing is disabled.
 pub struct Span {
     live: bool,
     cat: &'static str,
-    start: Option<Instant>,
 }
 
 impl Span {
-    /// Nanoseconds since the span started (0 for untimed disabled spans).
-    pub fn elapsed_ns(&self) -> u128 {
-        self.start.map_or(0, |s| s.elapsed().as_nanos())
-    }
-
-    /// Ends the span, returning the elapsed nanoseconds.
-    pub fn finish(self) -> u128 {
+    /// Ends the span.
+    pub fn finish(self) {
         self.finish_with(Vec::new())
     }
 
     /// Ends the span with arguments attached to the end event (Perfetto
-    /// merges begin- and end-args into the slice), returning the
-    /// elapsed nanoseconds.
-    pub fn finish_with(mut self, args: Vec<(&'static str, ArgValue)>) -> u128 {
-        let elapsed = self.elapsed_ns();
+    /// merges begin- and end-args into the slice).
+    pub fn finish_with(mut self, args: Vec<(&'static str, ArgValue)>) {
         if self.live {
             self.live = false;
             with_tracer(|t| {
@@ -376,7 +365,6 @@ impl Span {
                 });
             });
         }
-        elapsed
     }
 }
 
@@ -410,11 +398,7 @@ pub fn span_with(
     args: Vec<(&'static str, ArgValue)>,
 ) -> Span {
     if !enabled() {
-        return Span {
-            live: false,
-            cat,
-            start: None,
-        };
+        return Span { live: false, cat };
     }
     with_tracer(|t| {
         t.record(Event {
@@ -426,20 +410,7 @@ pub fn span_with(
             args,
         });
     });
-    Span {
-        live: true,
-        cat,
-        start: None,
-    }
-}
-
-/// Opens a span that always measures wall time, so callers needing the
-/// elapsed time get it from the same guard whether or not tracing is
-/// on.
-pub fn timed_span(cat: &'static str, name: impl Into<Cow<'static, str>>) -> Span {
-    let mut s = span(cat, name);
-    s.start = Some(Instant::now());
-    s
+    Span { live: true, cat }
 }
 
 /// Records a counter sample.
@@ -721,10 +692,10 @@ mod tests {
     fn disabled_tracing_records_nothing_and_costs_no_clock() {
         assert!(!enabled());
         let s = span("cat", "name");
-        assert_eq!(s.elapsed_ns(), 0);
+        assert!(!s.live, "a disabled span owes no end event");
         counter("x", 1);
         instant("cat", "i", Vec::new());
-        assert_eq!(s.finish(), 0);
+        s.finish();
     }
 
     #[test]
@@ -760,16 +731,6 @@ mod tests {
         assert_eq!(events[1].phase, Phase::End);
         assert!(events[1].args.is_empty());
         assert_eq!(events[3].args, vec![("k", ArgValue::U64(5))]);
-    }
-
-    #[test]
-    fn timed_span_measures_even_when_disabled() {
-        let s = timed_span("cat", "t");
-        std::hint::black_box(0u64);
-        assert!(s.start.is_some());
-        // The value is clock-dependent; the test is that finish()
-        // returns a reading (rather than panicking) with no tracer on.
-        let _ns: u128 = s.finish();
     }
 
     #[test]

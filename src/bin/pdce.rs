@@ -63,9 +63,9 @@ const USAGE: &str = "usage:
                workers (0 = all cores) with deterministic, jobs-independent
                output
                --validate-semantics runs translation validation after
-               every round on K seeded input vectors (default 8; the TV
-               env var works too) and rolls back any round that changes
-               observable behaviour; --max-pops / --wall-ms bound the
+               every round on K seeded input vectors (default 8) and
+               rolls back any round that changes observable
+               behaviour; --max-pops / --wall-ms bound the
                solver worklist and wall clock — an exhausted budget
                degrades the run down the resilience ladder instead of
                failing (elimination only, and finally the identity
@@ -79,7 +79,7 @@ const USAGE: &str = "usage:
   pdce serve   [--tcp ADDR | --unix PATH] [--jobs N]
                [--max-rounds N] [--max-pops N] [--wall-ms N]
                [--validate-semantics[=K]] [--cache FILE] [--cache-bytes N]
-               [--fsync-every N] [--max-strikes K] [--retry-backoff-ms N]
+               [--fsync-every N] [--max-strikes K]
                [--watchdog-soft-ms N] [--watchdog-hard-ms N]
                [--no-cache] [--max-request-bytes N] [--metrics-out FILE.prom]
                long-lived optimization service: newline-delimited JSON
@@ -94,14 +94,15 @@ const USAGE: &str = "usage:
                restarts; --cache-bytes bounds it (LRU). Inserts are
                journaled to a checksummed write-ahead log beside the
                cache file and fsynced every --fsync-every appends, so a
-               crash loses at most the unsynced tail. Requests that
-               panic or blow their budget are retried on lower rungs
-               with --retry-backoff-ms exponential backoff; after
-               --max-strikes failures a program hash is quarantined
-               (0 disables). --watchdog-soft-ms/--watchdog-hard-ms
-               bound wall time per request even for wedged workers.
-               {\"op\":\"health\"} returns a one-line self-healing
-               snapshot (WAL, quarantine, breaker, retry counters).
+               crash loses at most the unsynced tail. A request that
+               panics or blows its budget is answered once, at the
+               ladder's rung (identity at worst), and never cached;
+               after --max-strikes failures its program hash is
+               quarantined (0 disables). --watchdog-soft-ms and
+               --watchdog-hard-ms bound wall time per request even for
+               wedged workers. {\"op\":\"health\"} returns a one-line
+               snapshot of the request, cache, WAL, quarantine and
+               watchdog counters.
                The loop exits on stdin EOF or an {\"op\":\"shutdown\"}
                request, after draining every request already read.
   pdce run     [--in name=value]... [--seed N] [--fuel N] [FILE]
@@ -1020,7 +1021,6 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
             "cache-bytes",
             "fsync-every",
             "max-strikes",
-            "retry-backoff-ms",
             "watchdog-soft-ms",
             "watchdog-hard-ms",
             "max-request-bytes",
@@ -1072,7 +1072,6 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
                 opts.max_strikes = u32::try_from(parse_u64(name, value)?)
                     .map_err(|_| usage(format!("bad --max-strikes `{value}`")))?;
             }
-            "retry-backoff-ms" => opts.retry_backoff_ms = parse_u64(name, value)?,
             "watchdog-soft-ms" => opts.watchdog_soft_ms = Some(parse_u64(name, value)?),
             "watchdog-hard-ms" => opts.watchdog_hard_ms = Some(parse_u64(name, value)?),
             "max-request-bytes" => {

@@ -2,7 +2,8 @@
 //! serve` binary under mid-flight SIGKILL + restart cycles with a
 //! shared crash-consistent cache, torn/truncated/bitflipped WAL tails
 //! between restarts, randomized `FAULT_INJECT` schedules, watchdog
-//! rescue of stalled and wedged workers, and quarantine persistence.
+//! rescue of stalled and wedged workers, quarantine persistence, and
+//! panics that escape the optimizer's ladder.
 //!
 //! The invariants the soak drives at:
 //! - every request is eventually answered exactly once, byte-identical
@@ -71,8 +72,9 @@ fn health_field(line: &str, field: &str) -> f64 {
 }
 
 /// Spawns the binary listening on a Unix socket with a persistent
-/// cache; stdio is discarded (the test talks over the socket).
-fn spawn_server(sock: &Path, cache: &Path, extra: &[&str]) -> Child {
+/// cache, under an optional `FAULT_INJECT` schedule; stdio is discarded
+/// (the test talks over the socket).
+fn spawn_server(sock: &Path, cache: &Path, extra: &[&str], fault: Option<&str>) -> Child {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_pdce"));
     cmd.arg("serve")
         .arg("--unix")
@@ -85,6 +87,9 @@ fn spawn_server(sock: &Path, cache: &Path, extra: &[&str]) -> Child {
         .arg("1")
         .args(extra);
     cmd.env_remove("FAULT_INJECT");
+    if let Some(spec) = fault {
+        cmd.env("FAULT_INJECT", spec);
+    }
     cmd.stdin(Stdio::null())
         .stdout(Stdio::null())
         .stderr(Stdio::null());
@@ -99,6 +104,18 @@ fn health_of(stream: &mut std::os::unix::net::UnixStream, reader: &mut impl BufR
     let mut line = String::new();
     reader.read_line(&mut line).unwrap();
     line
+}
+
+/// Sends one request line and reads its one-line answer.
+fn ask(
+    stream: &mut std::os::unix::net::UnixStream,
+    reader: &mut impl BufRead,
+    line: &str,
+) -> String {
+    stream.write_all(line.as_bytes()).unwrap();
+    let mut response = String::new();
+    reader.read_line(&mut response).unwrap();
+    response.trim_end().to_string()
 }
 
 fn connect(sock: &Path) -> std::os::unix::net::UnixStream {
@@ -172,7 +189,7 @@ fn kill_restart_cycles_lose_no_requests_and_warm_replays_are_byte_identical() {
             .filter(|&i| answered[i].is_none())
             .collect();
         assert!(!pending.is_empty(), "cycle {cycle} has work left");
-        let mut child = spawn_server(&sock, &cache, &[]);
+        let mut child = spawn_server(&sock, &cache, &[], None);
         let mut stream = connect(&sock);
         for &i in &pending {
             stream.write_all(requests[i].as_bytes()).unwrap();
@@ -200,7 +217,7 @@ fn kill_restart_cycles_lose_no_requests_and_warm_replays_are_byte_identical() {
     }
 
     // Final clean cycle: finish the remainder, then a full warm replay.
-    let mut child = spawn_server(&sock, &cache, &[]);
+    let mut child = spawn_server(&sock, &cache, &[], None);
     let stream = connect(&sock);
     let mut reader = BufReader::new(stream.try_clone().unwrap());
     let mut stream = stream;
@@ -471,19 +488,10 @@ fn quarantine_survives_a_restart_and_short_circuits_immediately() {
         format!("{{\"id\":\"p\",\"program\":{escaped},\"max_pops\":0,\"no_cache\":true}}\n");
     let flags = ["--max-strikes", "2"];
 
-    let mut child = spawn_server(&sock, &cache, &flags);
+    let mut child = spawn_server(&sock, &cache, &flags, None);
     let stream = connect(&sock);
     let mut reader = BufReader::new(stream.try_clone().unwrap());
     let mut stream = stream;
-    let ask = |stream: &mut std::os::unix::net::UnixStream,
-               reader: &mut BufReader<std::os::unix::net::UnixStream>,
-               line: &str|
-     -> String {
-        stream.write_all(line.as_bytes()).unwrap();
-        let mut response = String::new();
-        reader.read_line(&mut response).unwrap();
-        response.trim_end().to_string()
-    };
     // Two strikes compute (and fail); the third short-circuits.
     for expect in ["identity", "identity", "quarantined"] {
         let response = ask(&mut stream, &mut reader, &poison);
@@ -502,7 +510,7 @@ fn quarantine_survives_a_restart_and_short_circuits_immediately() {
 
     // Restart: the persisted set short-circuits on the first sighting,
     // without burning fresh strikes.
-    let mut child = spawn_server(&sock, &cache, &flags);
+    let mut child = spawn_server(&sock, &cache, &flags, None);
     let stream = connect(&sock);
     let mut reader = BufReader::new(stream.try_clone().unwrap());
     let mut stream = stream;
@@ -519,6 +527,45 @@ fn quarantine_survives_a_restart_and_short_circuits_immediately() {
     );
     assert_eq!(health_field(&health, "quarantine_size"), 1.0, "{health}");
     assert!(health_field(&health, "quarantine_hits") >= 1.0, "{health}");
+    let ack = ask(&mut stream, &mut reader, "{\"op\":\"shutdown\"}\n");
+    assert!(ack.contains("\"shutdown\":true"));
+    assert!(child.wait().unwrap().success());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+// ---------------------------------------------------------------------
+// Failures that escape the optimizer's own ladder
+// ---------------------------------------------------------------------
+
+#[test]
+fn escaped_serve_panics_answer_identity_then_quarantine() {
+    let dir = fresh_dir("escaped");
+    let sock = dir.join("e.sock");
+    let cache = dir.join("e.cache");
+    // Every request panics at the serve site, outside the optimizer's
+    // own ladder. Each computed answer is the unchanged input at the
+    // identity rung and a strike; the second strike quarantines.
+    let request = format!("{}\n", corpus(1)[0]);
+    let mut child = spawn_server(
+        &sock,
+        &cache,
+        &["--max-strikes", "2"],
+        Some("panic:serve:*"),
+    );
+    let stream = connect(&sock);
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut stream = stream;
+    for expect in ["identity", "identity", "quarantined"] {
+        let response = ask(&mut stream, &mut reader, &request);
+        assert_eq!(status_of(&response), 0.0, "{response}");
+        assert_eq!(rung_of(&response), expect, "got: {response}");
+    }
+    let health = health_of(&mut stream, &mut reader);
+    assert_eq!(health_field(&health, "quarantine_size"), 1.0, "{health}");
+    assert!(
+        json::parse(&health).unwrap().get("retries").is_none(),
+        "health still reports a retry counter: {health}"
+    );
     let ack = ask(&mut stream, &mut reader, "{\"op\":\"shutdown\"}\n");
     assert!(ack.contains("\"shutdown\":true"));
     assert!(child.wait().unwrap().success());

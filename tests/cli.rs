@@ -118,6 +118,21 @@ fn passes_flag_is_an_unknown_flag() {
 }
 
 #[test]
+fn backoff_flag_is_an_unknown_flag() {
+    let out = Command::new(env!("CARGO_BIN_EXE_pdce"))
+        .args(["serve", "--retry-backoff-ms", "1"])
+        .stdin(Stdio::null())
+        .output()
+        .expect("binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "stderr: {stderr}");
+    assert!(
+        stderr.contains("unknown flag --retry-backoff-ms"),
+        "stderr: {stderr}"
+    );
+}
+
+#[test]
 fn run_executes_and_prints_outputs() {
     let (stdout, stderr, ok) = pdce(&["run", "--in", "a=2", "--in", "b=3", "--seed", "1"], FIG1);
     assert!(ok, "stderr: {stderr}");
