@@ -798,6 +798,12 @@ const WARM_LATENCIES: usize = 1000;
 /// of the same requests. Throughput and latency quantiles come from the
 /// warm side, whose wall time is the mean over its replays; every
 /// response of either side must equal the first cold replay's.
+///
+/// A second set of pairs prices dispatch: the warm replay through
+/// `respond_line` (the request path alone) against the same replay
+/// through `respond_batch(1, ..)` (one supervised batch per request, as
+/// `pdce serve` answers a stdio request). `dispatch_ns` is their
+/// difference per request.
 fn t5_serving(quick: bool) -> (String, Vec<Series>) {
     hr("T5: pdce serve throughput/latency (cold vs warm cache)");
     let corpus_n: u64 = if quick { 60 } else { 200 };
@@ -808,7 +814,7 @@ fn t5_serving(quick: bool) -> (String, Vec<Series>) {
             ..Default::default()
         })
     };
-    let warm = server();
+    let warm = std::sync::Arc::new(server());
     let (_, _, reference) = replay(&warm, &requests);
     // Each side checks its answers against the first cold replay's.
     let identical = std::cell::Cell::new(true);
@@ -855,6 +861,22 @@ fn t5_serving(quick: bool) -> (String, Vec<Series>) {
             ]
         },
     );
+    let batch_side = || {
+        let total = Instant::now();
+        let responses: Vec<String> = (requests.iter())
+            .flat_map(|line| warm.respond_batch(1, std::slice::from_ref(line)))
+            .collect();
+        let ns = total.elapsed().as_nanos() as f64;
+        identical.set(identical.get() && responses == reference);
+        ns
+    };
+    series.extend(paired(
+        "serve",
+        &["dispatch_line_ns", "dispatch_batch_ns", "dispatch_ns"],
+        || side(&warm).0,
+        batch_side,
+        |line_ns, batch_ns| vec![line_ns, batch_ns, (batch_ns - line_ns) / corpus_n as f64],
+    ));
     let identical = Series::value("warm_identical", f64::from(u8::from(identical.get())));
     series.push(
         identical

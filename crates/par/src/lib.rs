@@ -22,7 +22,7 @@ use std::time::Instant;
 
 pub mod supervised;
 
-pub use supervised::{supervised_map, ItemOutcome, SupervisorOptions};
+pub use supervised::{supervised_map, ItemOutcome, SupervisedPool, SupervisorOptions};
 
 /// Registry handles for pool telemetry: items processed, and the
 /// queue-wait histogram — how long each item sat between batch start and

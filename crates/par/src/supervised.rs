@@ -4,9 +4,10 @@
 //! [`crate::try_map_indexed`] sandboxes *panics*, but a worker stuck in
 //! a non-terminating (or fault-stalled) solve never returns to the
 //! sandbox at all — and scoped threads would pin the whole batch to the
-//! lifetime of its slowest hostage. This module runs workers on
-//! *detached* threads under a supervisor that enforces two deadlines
-//! per item:
+//! lifetime of its slowest hostage. A [`SupervisedPool`] runs its
+//! workers on *detached* threads that live as long as the pool, and
+//! each [`SupervisedPool::map`] call supervises its batch with two
+//! deadlines per item:
 //!
 //! - **Soft**: the item's cooperative cancellation token
 //!   ([`pdce_trace::budget::CancelToken`]) is raised; every budget
@@ -14,17 +15,20 @@
 //!   cooperating worker frees itself within one checkpoint interval.
 //! - **Hard**: the worker is presumed wedged (sleeping in foreign code,
 //!   ignoring cancellation). Its item is marked
-//!   [`ItemOutcome::Wedged`], a replacement worker is spawned so the
-//!   rest of the batch keeps full parallelism, and whatever the
-//!   hostage thread eventually produces is discarded — each slot is
-//!   decided exactly once.
+//!   [`ItemOutcome::Wedged`], the hostage gives up its slot, and one
+//!   replacement thread takes the slot so the pool stays at strength.
+//!   Whatever the hostage eventually produces is discarded — each slot
+//!   is decided exactly once — and the hostage then exits instead of
+//!   rejoining, so the pool never holds more than `jobs` slot workers.
 //!
+//! Workers are spawned lazily, one per slot, the first time a batch
+//! needs them; a thread is replaced only when the watchdog abandons it.
 //! Results still come back in item order, and with no deadlines
-//! configured the call degenerates to the scoped pool.
+//! configured a batch runs on the scoped pool instead.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc, Condvar, Mutex, Weak};
 use std::time::{Duration, Instant};
 
 use pdce_trace::budget::{install_cancel, CancelToken};
@@ -53,10 +57,10 @@ mod watchdog_metrics {
     });
 }
 
-/// Watchdog configuration for one supervised batch.
+/// Watchdog configuration for a supervised pool.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SupervisorOptions {
-    /// Worker threads (clamped to `1..=items.len()`).
+    /// Worker slots (at least 1).
     pub jobs: usize,
     /// Per-item wall deadline after which the item's cancellation
     /// token is raised. `None` disables the soft phase.
@@ -78,6 +82,74 @@ pub enum ItemOutcome<R> {
     Wedged,
 }
 
+/// Work queued for the pool's threads. Returns whether the thread
+/// keeps its slot: `false` means the watchdog abandoned it mid-item and
+/// a replacement already holds the slot, so the thread exits.
+type Task = Box<dyn FnOnce() -> bool + Send>;
+
+/// The queue the slot workers share with the pool handle.
+struct Slots {
+    state: Mutex<SlotState>,
+    ready: Condvar,
+    jobs: usize,
+}
+
+struct SlotState {
+    tasks: VecDeque<Task>,
+    /// Threads holding a slot: spawned, not yet abandoned.
+    workers: usize,
+    /// Set when the pool is dropped; idle workers exit.
+    closed: bool,
+}
+
+impl Slots {
+    /// Queues `task`, filling an empty slot with a new thread if there
+    /// is one.
+    fn submit(self: &Arc<Slots>, task: Task) {
+        let spawn = {
+            let mut state = self.state.lock().expect("pool lock");
+            state.tasks.push_back(task);
+            let spawn = state.workers < self.jobs;
+            state.workers += usize::from(spawn);
+            spawn
+        };
+        if spawn {
+            let slots = Arc::clone(self);
+            std::thread::spawn(move || slots.work());
+        } else {
+            self.ready.notify_one();
+        }
+    }
+
+    /// Gives up the slot of a thread the watchdog abandoned, so the
+    /// next [`Slots::submit`] spawns its replacement.
+    fn vacate(&self) {
+        self.state.lock().expect("pool lock").workers -= 1;
+    }
+
+    /// A slot worker: runs queued tasks until the pool closes or the
+    /// watchdog abandons it.
+    fn work(&self) {
+        loop {
+            let task = {
+                let mut state = self.state.lock().expect("pool lock");
+                loop {
+                    if state.closed {
+                        return;
+                    }
+                    if let Some(task) = state.tasks.pop_front() {
+                        break task;
+                    }
+                    state = self.ready.wait(state).expect("pool lock");
+                }
+            };
+            if !task() {
+                return;
+            }
+        }
+    }
+}
+
 /// A worker's registration while its item is in flight.
 struct InFlight {
     start: Instant,
@@ -85,8 +157,9 @@ struct InFlight {
     cancelled: bool,
 }
 
-/// Shared state between the supervisor and its (detached) workers.
-struct Shared<T, R, F> {
+/// One batch's state, shared between its supervisor and the claim
+/// loops running it.
+struct Batch<T, R, F> {
     items: Vec<T>,
     f: F,
     next: AtomicUsize,
@@ -97,74 +170,175 @@ struct Shared<T, R, F> {
     tx: mpsc::Sender<(usize, Result<R, ItemPanic>)>,
 }
 
-/// Applies `f` to every item under watchdog supervision (see the
-/// module docs). Results are in item order; a panicking item comes
-/// back as [`ItemOutcome::Panicked`], one that outlives the hard
-/// deadline as [`ItemOutcome::Wedged`] — the batch always completes.
-///
-/// With neither deadline set this is [`crate::try_map_indexed`] with
-/// its scoped (non-leaking) pool; deadlines require detached workers,
-/// since a wedged scoped thread would block the scope forever.
+/// A pool of `jobs` long-lived worker threads that runs batches under
+/// watchdog supervision (see the module docs). Dropping the pool ends
+/// its idle workers; a hostage still asleep exits when it wakes.
+pub struct SupervisedPool {
+    opts: SupervisorOptions,
+    slots: Arc<Slots>,
+}
+
+impl SupervisedPool {
+    /// A pool with `opts.jobs` slots (at least one). No thread starts
+    /// until a batch needs it.
+    pub fn new(opts: SupervisorOptions) -> SupervisedPool {
+        let jobs = opts.jobs.max(1);
+        SupervisedPool {
+            opts: SupervisorOptions { jobs, ..opts },
+            slots: Arc::new(Slots {
+                state: Mutex::new(SlotState {
+                    tasks: VecDeque::new(),
+                    workers: 0,
+                    closed: false,
+                }),
+                ready: Condvar::new(),
+                jobs,
+            }),
+        }
+    }
+
+    /// Applies `f` to every item with `min(jobs, items)` claim loops on
+    /// the pool's workers (`jobs` clamped to `1..=` the pool's slots).
+    /// Results are in item order; a panicking item comes back as
+    /// [`ItemOutcome::Panicked`], one that outlives the hard deadline as
+    /// [`ItemOutcome::Wedged`] — the batch always completes.
+    ///
+    /// With neither deadline set this is [`crate::try_map_indexed`]
+    /// with its scoped (non-leaking) pool of `jobs` workers, and the
+    /// pool's own threads are not used.
+    pub fn map<T, R, F>(&self, jobs: usize, items: Vec<T>, f: F) -> Vec<ItemOutcome<R>>
+    where
+        T: Send + Sync + 'static,
+        R: Send + 'static,
+        F: Fn(usize, &T) -> R + Send + Sync + 'static,
+    {
+        if self.opts.soft_deadline.is_none() && self.opts.hard_deadline.is_none() {
+            return crate::try_map_indexed(jobs, &items, f)
+                .into_iter()
+                .map(|r| match r {
+                    Ok(v) => ItemOutcome::Done(v),
+                    Err(p) => ItemOutcome::Panicked(p),
+                })
+                .collect();
+        }
+        let total = items.len();
+        if total == 0 {
+            return Vec::new();
+        }
+        let (tx, rx) = mpsc::channel();
+        let batch = Arc::new(Batch {
+            items,
+            f,
+            next: AtomicUsize::new(0),
+            inflight: Mutex::new(HashMap::new()),
+            abandoned: Mutex::new(HashSet::new()),
+            tx,
+        });
+        for _ in 0..jobs.clamp(1, self.opts.jobs).min(total) {
+            self.slots.submit(claim_loop(&batch));
+        }
+        let mut slots: Vec<Option<ItemOutcome<R>>> = (0..total).map(|_| None).collect();
+        let mut pending = total;
+        while pending > 0 {
+            let timeout = next_event_in(&batch.inflight, &self.opts);
+            match rx.recv_timeout(timeout) {
+                Ok((i, result)) => {
+                    if slots[i].is_none() {
+                        slots[i] = Some(match result {
+                            Ok(v) => ItemOutcome::Done(v),
+                            Err(p) => ItemOutcome::Panicked(p),
+                        });
+                        pending -= 1;
+                    }
+                    // A filled slot means the worker raced the hard
+                    // deadline and lost: the late result is discarded.
+                }
+                Err(mpsc::RecvTimeoutError::Timeout) => {
+                    pending -= self.enforce_deadlines(&batch, &mut slots);
+                }
+                // Unreachable while the supervisor holds `batch` (and
+                // its sender); kept as a defensive drain.
+                Err(mpsc::RecvTimeoutError::Disconnected) => break,
+            }
+        }
+        slots
+            .into_iter()
+            .map(|s| s.expect("every slot is decided exactly once"))
+            .collect()
+    }
+
+    /// Raises cancellation at soft deadlines and abandons workers at
+    /// hard deadlines, handing each hostage's slot to a replacement.
+    /// Returns how many slots were decided (as wedged).
+    fn enforce_deadlines<T, R, F>(
+        &self,
+        batch: &Arc<Batch<T, R, F>>,
+        slots: &mut [Option<ItemOutcome<R>>],
+    ) -> usize
+    where
+        T: Send + Sync + 'static,
+        R: Send + 'static,
+        F: Fn(usize, &T) -> R + Send + Sync + 'static,
+    {
+        let now = Instant::now();
+        let mut wedged: Vec<usize> = Vec::new();
+        {
+            let mut inflight = batch.inflight.lock().expect("inflight lock");
+            for (&i, entry) in inflight.iter_mut() {
+                let elapsed = now.saturating_duration_since(entry.start);
+                if let Some(soft) = self.opts.soft_deadline {
+                    if !entry.cancelled && elapsed >= soft {
+                        entry.token.cancel();
+                        entry.cancelled = true;
+                        watchdog_metrics::CANCELLED.inc();
+                    }
+                }
+                if let Some(hard) = self.opts.hard_deadline {
+                    if elapsed >= hard {
+                        wedged.push(i);
+                    }
+                }
+            }
+            if !wedged.is_empty() {
+                let mut abandoned = batch.abandoned.lock().expect("abandoned lock");
+                for &i in &wedged {
+                    inflight.remove(&i);
+                    abandoned.insert(i);
+                }
+            }
+        }
+        let mut decided = 0;
+        for i in wedged {
+            // The hostage thread is lost to its sleep: its slot goes to
+            // a fresh thread, which picks up this batch's claim loop.
+            self.slots.vacate();
+            self.slots.submit(claim_loop(batch));
+            if slots[i].is_none() {
+                slots[i] = Some(ItemOutcome::Wedged);
+                decided += 1;
+                watchdog_metrics::WEDGED.inc();
+            }
+        }
+        decided
+    }
+}
+
+impl Drop for SupervisedPool {
+    fn drop(&mut self) {
+        self.slots.state.lock().expect("pool lock").closed = true;
+        self.slots.ready.notify_all();
+    }
+}
+
+/// One-shot form of [`SupervisedPool::map`]: a pool of `opts.jobs`
+/// slots for this batch alone.
 pub fn supervised_map<T, R, F>(opts: SupervisorOptions, items: Vec<T>, f: F) -> Vec<ItemOutcome<R>>
 where
     T: Send + Sync + 'static,
     R: Send + 'static,
     F: Fn(usize, &T) -> R + Send + Sync + 'static,
 {
-    if opts.soft_deadline.is_none() && opts.hard_deadline.is_none() {
-        return crate::try_map_indexed(opts.jobs, &items, f)
-            .into_iter()
-            .map(|r| match r {
-                Ok(v) => ItemOutcome::Done(v),
-                Err(p) => ItemOutcome::Panicked(p),
-            })
-            .collect();
-    }
-    let total = items.len();
-    if total == 0 {
-        return Vec::new();
-    }
-    let jobs = opts.jobs.max(1).min(total);
-    let (tx, rx) = mpsc::channel();
-    let shared = Arc::new(Shared {
-        items,
-        f,
-        next: AtomicUsize::new(0),
-        inflight: Mutex::new(HashMap::new()),
-        abandoned: Mutex::new(HashSet::new()),
-        tx,
-    });
-    for _ in 0..jobs {
-        spawn_worker(Arc::clone(&shared));
-    }
-    let mut slots: Vec<Option<ItemOutcome<R>>> = (0..total).map(|_| None).collect();
-    let mut pending = total;
-    while pending > 0 {
-        let timeout = next_event_in(&shared.inflight, &opts);
-        match rx.recv_timeout(timeout) {
-            Ok((i, result)) => {
-                if slots[i].is_none() {
-                    slots[i] = Some(match result {
-                        Ok(v) => ItemOutcome::Done(v),
-                        Err(p) => ItemOutcome::Panicked(p),
-                    });
-                    pending -= 1;
-                }
-                // A filled slot means the worker raced the hard
-                // deadline and lost: the late result is discarded.
-            }
-            Err(mpsc::RecvTimeoutError::Timeout) => {
-                pending -= enforce_deadlines(&shared, &opts, &mut slots);
-            }
-            // Unreachable while the supervisor holds `shared` (and its
-            // sender); kept as a defensive drain.
-            Err(mpsc::RecvTimeoutError::Disconnected) => break,
-        }
-    }
-    slots
-        .into_iter()
-        .map(|s| s.expect("every slot is decided exactly once"))
-        .collect()
+    SupervisedPool::new(opts).map(opts.jobs, items, f)
 }
 
 /// How long the supervisor may sleep before the nearest soft/hard
@@ -191,103 +365,64 @@ fn next_event_in(inflight: &Mutex<HashMap<usize, InFlight>>, opts: &SupervisorOp
     nearest.map_or(IDLE_POLL, |n| n.clamp(Duration::from_millis(1), IDLE_POLL))
 }
 
-/// Raises cancellation at soft deadlines and abandons workers at hard
-/// deadlines, spawning replacements. Returns how many slots were
-/// decided (as wedged).
-fn enforce_deadlines<T, R, F>(
-    shared: &Arc<Shared<T, R, F>>,
-    opts: &SupervisorOptions,
-    slots: &mut [Option<ItemOutcome<R>>],
-) -> usize
+/// A claim loop for `batch`: claims and runs items until none are left
+/// (the thread keeps its slot) or until the watchdog abandons the item
+/// it was running (the thread exits). The task holds the batch weakly,
+/// so one still queued after its batch completed does nothing and keeps
+/// nothing alive.
+fn claim_loop<T, R, F>(batch: &Arc<Batch<T, R, F>>) -> Task
 where
     T: Send + Sync + 'static,
     R: Send + 'static,
     F: Fn(usize, &T) -> R + Send + Sync + 'static,
 {
-    let now = Instant::now();
-    let mut wedged: Vec<usize> = Vec::new();
-    {
-        let mut inflight = shared.inflight.lock().expect("inflight lock");
-        for (&i, entry) in inflight.iter_mut() {
-            let elapsed = now.saturating_duration_since(entry.start);
-            if let Some(soft) = opts.soft_deadline {
-                if !entry.cancelled && elapsed >= soft {
-                    entry.token.cancel();
-                    entry.cancelled = true;
-                    watchdog_metrics::CANCELLED.inc();
-                }
-            }
-            if let Some(hard) = opts.hard_deadline {
-                if elapsed >= hard {
-                    wedged.push(i);
-                }
-            }
-        }
-        if !wedged.is_empty() {
-            let mut abandoned = shared.abandoned.lock().expect("abandoned lock");
-            for &i in &wedged {
-                inflight.remove(&i);
-                abandoned.insert(i);
-            }
-        }
-    }
-    let mut decided = 0;
-    for i in wedged {
-        if slots[i].is_none() {
-            slots[i] = Some(ItemOutcome::Wedged);
-            decided += 1;
-            watchdog_metrics::WEDGED.inc();
-            // The hostage thread is lost to its sleep; restore the
-            // batch's parallelism with a fresh worker.
-            spawn_worker(Arc::clone(shared));
-        }
-    }
-    decided
-}
-
-fn spawn_worker<T, R, F>(shared: Arc<Shared<T, R, F>>)
-where
-    T: Send + Sync + 'static,
-    R: Send + 'static,
-    F: Fn(usize, &T) -> R + Send + Sync + 'static,
-{
-    std::thread::spawn(move || loop {
-        let i = shared.next.fetch_add(1, Ordering::Relaxed);
-        if i >= shared.items.len() {
-            break;
-        }
-        let token = CancelToken::new();
-        shared.inflight.lock().expect("inflight lock").insert(
-            i,
-            InFlight {
-                start: Instant::now(),
-                token: token.clone(),
-                cancelled: false,
-            },
-        );
-        let result = {
-            let _cancel = install_cancel(token);
-            pdce_trace::sandbox::catch(|| (shared.f)(i, &shared.items[i])).map_err(|e| ItemPanic {
-                index: i,
-                message: e.to_string(),
-            })
+    let batch: Weak<Batch<T, R, F>> = Arc::downgrade(batch);
+    Box::new(move || {
+        let Some(batch) = batch.upgrade() else {
+            return true;
         };
-        shared.inflight.lock().expect("inflight lock").remove(&i);
-        // If the supervisor already gave up on this item, a
-        // replacement worker owns the claim loop now — deliver
-        // nothing and retire this thread.
-        if shared.abandoned.lock().expect("abandoned lock").remove(&i) {
-            break;
+        loop {
+            let i = batch.next.fetch_add(1, Ordering::Relaxed);
+            if i >= batch.items.len() {
+                return true;
+            }
+            let token = CancelToken::new();
+            batch.inflight.lock().expect("inflight lock").insert(
+                i,
+                InFlight {
+                    start: Instant::now(),
+                    token: token.clone(),
+                    cancelled: false,
+                },
+            );
+            let result = {
+                let _cancel = install_cancel(token);
+                pdce_trace::sandbox::catch(|| (batch.f)(i, &batch.items[i])).map_err(|e| {
+                    ItemPanic {
+                        index: i,
+                        message: e.to_string(),
+                    }
+                })
+            };
+            batch.inflight.lock().expect("inflight lock").remove(&i);
+            // If the supervisor already gave up on this item, a
+            // replacement holds this thread's slot — deliver nothing
+            // and retire.
+            if batch.abandoned.lock().expect("abandoned lock").remove(&i) {
+                return false;
+            }
+            // The receiver outlives every undecided item, so a send
+            // cannot fail while this one is pending.
+            let _ = batch.tx.send((i, result));
         }
-        if shared.tx.send((i, result)).is_err() {
-            break;
-        }
-    });
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::AtomicBool;
+    use std::thread::ThreadId;
 
     fn opts(jobs: usize, soft_ms: u64, hard_ms: u64) -> SupervisorOptions {
         SupervisorOptions {
@@ -295,6 +430,73 @@ mod tests {
             soft_deadline: Some(Duration::from_millis(soft_ms)),
             hard_deadline: Some(Duration::from_millis(hard_ms)),
         }
+    }
+
+    thread_local! {
+        /// Set on the first item a thread runs; its drop (at thread
+        /// exit) counts the exit.
+        static EXIT_SENTINEL: std::cell::RefCell<Option<ExitSentinel>> =
+            const { std::cell::RefCell::new(None) };
+    }
+
+    struct ExitSentinel(Arc<AtomicUsize>);
+
+    impl Drop for ExitSentinel {
+        fn drop(&mut self) {
+            self.0.fetch_add(1, Ordering::SeqCst);
+        }
+    }
+
+    /// Registers the current thread's exit with `exits` (once).
+    fn count_exit_of_this_thread(exits: &Arc<AtomicUsize>) {
+        EXIT_SENTINEL.with(|s| {
+            s.borrow_mut()
+                .get_or_insert_with(|| ExitSentinel(Arc::clone(exits)));
+        });
+    }
+
+    /// Blocks until `n` items have arrived (for at most 10 s), so a
+    /// batch of `n` such items runs on `n` distinct threads at once.
+    fn rendezvous(arrived: &(Mutex<usize>, Condvar), n: usize) {
+        let (count, all_here) = arrived;
+        let mut count = count.lock().unwrap();
+        *count += 1;
+        all_here.notify_all();
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while *count < n {
+            let left = deadline.saturating_duration_since(Instant::now());
+            assert!(!left.is_zero(), "only {} of {n} items ran at once", *count);
+            count = all_here.wait_timeout(count, left).unwrap().0;
+        }
+    }
+
+    /// Runs a batch of `n` items that rendezvous, recording each
+    /// thread's exit in `exits`; returns the threads they ran on.
+    fn meet(pool: &SupervisedPool, n: usize, exits: &Arc<AtomicUsize>) -> HashSet<ThreadId> {
+        let arrived = Arc::new((Mutex::new(0), Condvar::new()));
+        let exits = Arc::clone(exits);
+        thread_ids(pool.map(n, vec![(); n], move |_, ()| {
+            count_exit_of_this_thread(&exits);
+            rendezvous(&arrived, n);
+            (std::thread::current().id(), ())
+        }))
+    }
+
+    fn wait_for(what: &str, cond: impl Fn() -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !cond() {
+            assert!(Instant::now() < deadline, "timed out waiting for {what}");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+    }
+
+    fn thread_ids<R: std::fmt::Debug>(out: Vec<ItemOutcome<(ThreadId, R)>>) -> HashSet<ThreadId> {
+        out.into_iter()
+            .map(|o| match o {
+                ItemOutcome::Done((id, _)) => id,
+                other => panic!("expected a result, got {other:?}"),
+            })
+            .collect()
     }
 
     #[test]
@@ -394,5 +596,113 @@ mod tests {
             .iter()
             .enumerate()
             .all(|(i, o)| matches!(o, ItemOutcome::Done(v) if *v == i as u32)));
+    }
+
+    #[test]
+    fn one_item_batches_reuse_the_pools_threads() {
+        let pool = SupervisedPool::new(opts(2, 5_000, 10_000));
+        let mut seen = HashSet::new();
+        for k in 0..200u32 {
+            let out = pool.map(2, vec![k], |_, &x| (std::thread::current().id(), x));
+            seen.extend(thread_ids(out));
+        }
+        assert!(
+            seen.len() <= 2,
+            "200 one-item batches ran on {} threads",
+            seen.len()
+        );
+        assert!(!seen.contains(&std::thread::current().id()));
+    }
+
+    #[test]
+    fn a_wedge_replaces_one_worker_and_the_hostage_does_not_rejoin() {
+        let exits = Arc::new(AtomicUsize::new(0));
+        let wedge = Duration::from_millis(1_000);
+        let pool = SupervisedPool::new(opts(2, 50, 200));
+        let hostage: Arc<Mutex<Option<ThreadId>>> = Arc::default();
+        let first = {
+            let (exits, hostage) = (Arc::clone(&exits), Arc::clone(&hostage));
+            pool.map(2, (0..6u32).collect(), move |_, &x| {
+                count_exit_of_this_thread(&exits);
+                if x == 0 {
+                    *hostage.lock().unwrap() = Some(std::thread::current().id());
+                    std::thread::sleep(wedge);
+                }
+                x
+            })
+        };
+        assert!(
+            matches!(first[0], ItemOutcome::Wedged),
+            "got {:?}",
+            first[0]
+        );
+        let hostage = hostage.lock().unwrap().expect("item 0 ran");
+        // While the hostage sleeps, two threads still meet: the pool is
+        // at strength.
+        let during = meet(&pool, 2, &exits);
+        assert!(!during.contains(&hostage));
+        wait_for("the hostage to wake and exit", || {
+            exits.load(Ordering::SeqCst) == 1
+        });
+        let mut after = HashSet::new();
+        for _ in 0..5 {
+            after.extend(meet(&pool, 2, &exits));
+        }
+        assert_eq!(after, during, "later batches run on the same 2 threads");
+        assert_eq!(exits.load(Ordering::SeqCst), 1, "only the hostage exited");
+    }
+
+    #[test]
+    fn dropping_the_pool_ends_its_idle_workers() {
+        let exits = Arc::new(AtomicUsize::new(0));
+        let pool = SupervisedPool::new(opts(3, 5_000, 10_000));
+        meet(&pool, 3, &exits);
+        assert_eq!(exits.load(Ordering::SeqCst), 0, "workers outlive a batch");
+        drop(pool);
+        wait_for("every worker to exit", || exits.load(Ordering::SeqCst) == 3);
+    }
+
+    #[test]
+    fn no_cancel_token_or_budget_leaks_into_the_next_item() {
+        // One slot, so every item runs on the same thread: a panic
+        // under an installed budget, then a soft-cancelled staller,
+        // then an item that must see neither.
+        let pool = SupervisedPool::new(opts(1, 30, 5_000));
+        let thread = |out: &[ItemOutcome<ThreadId>]| match &out[0] {
+            ItemOutcome::Done(id) => *id,
+            other => panic!("expected a result, got {other:?}"),
+        };
+        let first = thread(&pool.map(1, vec![()], |_, ()| std::thread::current().id()));
+        let out = pool.map(1, vec![()], |_, ()| {
+            let _budget = pdce_trace::budget::install(pdce_trace::budget::Budget {
+                max_pops: Some(1),
+                ..Default::default()
+            });
+            assert!(pdce_trace::budget::active());
+            panic!("dies with a budget installed");
+        });
+        assert!(
+            matches!(out[0], ItemOutcome::Panicked(_)),
+            "got {:?}",
+            out[0]
+        );
+        let out: Vec<ItemOutcome<()>> = pool.map(1, vec![()], |_, ()| loop {
+            std::thread::sleep(Duration::from_millis(1));
+            pdce_trace::budget::check_cancelled();
+        });
+        match &out[0] {
+            ItemOutcome::Panicked(p) => assert!(p.message.contains("cancelled"), "{}", p.message),
+            other => panic!("expected cancellation, got {other:?}"),
+        }
+        let clean = Arc::new(AtomicBool::new(false));
+        let seen = Arc::clone(&clean);
+        let last = thread(&pool.map(1, vec![()], move |_, ()| {
+            // A leaked raised token would unwind here.
+            pdce_trace::budget::check_cancelled();
+            seen.store(!pdce_trace::budget::active(), Ordering::SeqCst);
+            std::thread::current().id()
+        }));
+        assert_eq!(first, last, "every item ran on the pool's one worker");
+        assert!(clean.load(Ordering::SeqCst), "a budget leaked across items");
     }
 }

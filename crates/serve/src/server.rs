@@ -1,12 +1,14 @@
 //! The serving loop: admission control, cache, pool sharding, transport.
 //!
-//! A [`Server`] is a stateless-per-request engine plus two shared
-//! resources: the persistent result cache and the configured budget
-//! caps. Connections feed it newline-delimited requests; each
-//! connection runs an *adaptive batching* dispatcher — block for the
-//! first pending line, then greedily drain whatever else has already
-//! arrived (up to `jobs * 8`) and shard the batch across the
-//! `pdce-par` pool. An idle client gets single-request latency; a
+//! A [`Server`] is a stateless-per-request engine plus three shared
+//! resources: the persistent result cache, the configured budget caps
+//! and one supervised worker pool (`pdce_par::SupervisedPool`, one
+//! long-lived thread per `jobs` slot, started by the first batch).
+//! Connections feed it newline-delimited requests; each connection runs
+//! an *adaptive batching* dispatcher — block for the first pending
+//! line, then greedily drain whatever else has already arrived (up to
+//! `jobs * 8`) and shard the batch across the pool, which every
+//! connection shares. An idle client gets single-request latency; a
 //! flooding client gets full-pool throughput; and because the pool
 //! reassembles results in item order, responses always come back in
 //! request order regardless of worker count.
@@ -27,10 +29,13 @@
 //! not cached; a hash that keeps failing is quarantined (persisted
 //! next to the cache) and short-circuited to an identity answer. The
 //! optimizer is deterministic, so re-running a failed request could
-//! not answer differently. Batches are dispatched under a watchdog
-//! (`pdce_par::supervised_map`) whose soft deadline raises the
-//! cooperative cancellation flag and whose hard deadline abandons a
-//! wedged worker, so one hostage request never stalls its batch.
+//! not answer differently. The pool supervises every batch with a
+//! watchdog whose soft deadline raises the cooperative cancellation
+//! flag and whose hard deadline abandons a wedged worker and gives its
+//! slot to a fresh thread, so one hostage request never stalls its
+//! batch or shrinks the pool. Status counts and quarantine verdicts are
+//! settled on the dispatcher, so a hostage that wakes later counts
+//! nothing.
 
 use std::io::{BufRead, Read, Write};
 use std::path::PathBuf;
@@ -44,7 +49,7 @@ use pdce_ir::parser::parse;
 use pdce_ir::printer::print_program;
 use pdce_trace::budget::Budget;
 
-use pdce_par::{supervised_map, ItemOutcome, SupervisorOptions};
+use pdce_par::{ItemOutcome, SupervisedPool, SupervisorOptions};
 
 use crate::cache::{CacheKey, PersistentCache};
 use crate::protocol::{
@@ -131,7 +136,11 @@ mod serve_metrics {
 /// Server configuration: transport-independent knobs.
 #[derive(Debug, Clone)]
 pub struct ServeOptions {
-    /// Worker threads per connection batch (1 = inline).
+    /// Worker threads in the server's one supervised pool, shared by
+    /// every connection; a batch runs on at most this many. The threads
+    /// start with the first batch and live as long as the server. With
+    /// no watchdog deadline (`wall_ms` and both watchdog knobs `None`)
+    /// each batch runs on a scoped pool instead, inline at 1.
     pub jobs: usize,
     /// Server-wide cap on per-request rounds (requests may go lower).
     pub max_rounds: Option<u64>,
@@ -210,15 +219,28 @@ enum Incoming {
     BadUtf8,
 }
 
-/// A rendered response plus the shutdown signal it may carry and the
-/// quarantine verdict of a *computed* answer (cache hits and
-/// short-circuits carry none). Verdicts are settled by the dispatcher
-/// (or `respond_line`), never by the worker itself, so an abandoned
-/// zombie worker can never double-count its item.
+/// A rendered response plus its status, the shutdown signal it may
+/// carry and the quarantine verdict of a *computed* answer (cache hits
+/// and short-circuits carry none). Status counts and verdicts are
+/// settled by the dispatcher (or `respond_line`), never by the worker
+/// itself, so an abandoned zombie worker can never double-count its
+/// item.
 struct Reply {
     line: String,
+    status: Status,
     shutdown: bool,
     verdict: Option<Verdict>,
+}
+
+impl Reply {
+    fn new(line: String, status: Status) -> Reply {
+        Reply {
+            line,
+            status,
+            shutdown: false,
+            verdict: None,
+        }
+    }
 }
 
 /// What a computed answer means for the quarantine.
@@ -248,6 +270,9 @@ pub struct Server {
     internal: AtomicU64,
     wedged: AtomicU64,
     stop: AtomicBool,
+    /// The supervised workers every batch runs on, one per `jobs`
+    /// slot, started by the first batch.
+    pool: SupervisedPool,
 }
 
 impl Server {
@@ -265,6 +290,7 @@ impl Server {
             None => Quarantine::in_memory(opts.max_strikes),
         };
         Server {
+            pool: SupervisedPool::new(supervisor(&opts)),
             opts,
             cache: Mutex::new(cache),
             quarantine: Mutex::new(quarantine),
@@ -316,14 +342,13 @@ impl Server {
     /// blank lines (which produce no response).
     pub fn respond_line(&self, line: &str) -> Option<String> {
         let reply = self.respond(&Incoming::Line(line.to_string()))?;
-        if let Some(verdict) = &reply.verdict {
-            self.settle(verdict);
-        }
+        self.settle(&reply);
         Some(reply.line)
     }
 
-    /// Shards `lines` across the worker pool and returns the responses
-    /// in request order (blank lines yield empty strings).
+    /// Shards `lines` across `min(jobs, lines)` of the pool's workers
+    /// (at most [`ServeOptions::jobs`]) and returns the responses in
+    /// request order (blank lines yield empty strings).
     pub fn respond_batch(self: &Arc<Server>, jobs: usize, lines: &[String]) -> Vec<String> {
         let incoming: Vec<Incoming> = lines
             .iter()
@@ -344,75 +369,54 @@ impl Server {
         }
     }
 
-    /// The per-item watchdog deadlines: explicit knobs win, otherwise
-    /// the soft phase is twice the admitted wall budget (the ladder
-    /// should have degraded long before) and the hard phase one second
-    /// past that.
-    fn watchdog(&self) -> (Option<Duration>, Option<Duration>) {
-        let soft_ms = self
-            .opts
-            .watchdog_soft_ms
-            .or(self.opts.wall_ms.map(|w| w.saturating_mul(2).max(50)));
-        let hard_ms = self
-            .opts
-            .watchdog_hard_ms
-            .or(soft_ms.map(|s| s.saturating_add(1_000)));
-        (
-            soft_ms.map(Duration::from_millis),
-            hard_ms.map(Duration::from_millis),
-        )
-    }
-
-    /// Runs one batch through the supervised pool. Panicking items come
-    /// back as structured internal errors instead of poisoning the
-    /// batch; a wedged item (hard watchdog deadline) is abandoned and
-    /// answered as an identity-rung response while its siblings finish
-    /// on a replacement worker.
+    /// Runs one batch through the server's supervised pool with
+    /// `min(jobs, batch)` claim loops. Panicking items come back as
+    /// structured internal errors instead of poisoning the batch; a
+    /// wedged item (hard watchdog deadline) is abandoned and answered as
+    /// an identity-rung response while its siblings finish on the
+    /// worker that replaces the hostage.
     fn process_batch(self: &Arc<Server>, jobs: usize, batch: Vec<Incoming>) -> Vec<Option<Reply>> {
         serve_metrics::BATCH_ITEMS.observe(batch.len() as u64);
         let items: Vec<Arc<Incoming>> = batch.into_iter().map(Arc::new).collect();
         let originals = items.clone();
-        let (soft_deadline, hard_deadline) = self.watchdog();
         let worker = {
             let server = Arc::clone(self);
             move |_: usize, inc: &Arc<Incoming>| server.respond(inc)
         };
-        let opts = SupervisorOptions {
-            jobs,
-            soft_deadline,
-            hard_deadline,
-        };
-        supervised_map(opts, items, worker)
+        self.pool
+            .map(jobs, items, worker)
             .into_iter()
             .enumerate()
-            .map(|(i, outcome)| match outcome {
-                ItemOutcome::Done(reply) => {
-                    if let Some(verdict) = reply.as_ref().and_then(|r| r.verdict.as_ref()) {
-                        self.settle(verdict);
-                    }
-                    reply
-                }
-                ItemOutcome::Panicked(p) => {
-                    self.count(Status::Internal);
-                    Some(Reply {
-                        line: render_error(
+            .map(|(i, outcome)| {
+                let reply = match outcome {
+                    ItemOutcome::Done(reply) => reply,
+                    ItemOutcome::Panicked(p) => Some(Reply::new(
+                        render_error(
                             &None,
                             Status::Internal,
                             &format!("internal error: worker panicked: {}", p.message),
                         ),
-                        shutdown: false,
-                        verdict: None,
-                    })
+                        Status::Internal,
+                    )),
+                    ItemOutcome::Wedged => Some(self.wedged_reply(&originals[i])),
+                };
+                if let Some(reply) = &reply {
+                    self.settle(reply);
                 }
-                ItemOutcome::Wedged => Some(self.wedged_reply(&originals[i])),
+                reply
             })
             .collect()
     }
 
-    /// Applies a computed answer's verdict to the quarantine. Runs on
-    /// the dispatcher (exactly once per answered item), so zombie
-    /// workers abandoned by the watchdog never settle.
-    fn settle(&self, verdict: &Verdict) {
+    /// Counts an answer's status and applies a computed answer's
+    /// verdict to the quarantine. Runs on the dispatcher (exactly once
+    /// per answered item), so zombie workers abandoned by the watchdog
+    /// never settle.
+    fn settle(&self, reply: &Reply) {
+        self.count(reply.status);
+        let Some(verdict) = reply.verdict else {
+            return;
+        };
         let mut quarantine = self.quarantine.lock().expect("quarantine lock");
         if verdict.failed {
             quarantine.strike(verdict.key);
@@ -436,37 +440,30 @@ impl Server {
                     let admitted = self.admit(&req);
                     let options = self.canonical_options(&req, &admitted);
                     let key = CacheKey::compute(&canonical, &options);
-                    self.settle(&Verdict { key, failed: true });
-                    self.count(Status::Ok);
                     let payload = identity_payload(canonical, "watchdog-timeout");
                     return Reply {
-                        line: render_result(&req.id, &payload),
-                        shutdown: false,
-                        verdict: None,
+                        verdict: Some(Verdict { key, failed: true }),
+                        ..Reply::new(render_result(&req.id, &payload), Status::Ok)
                     };
                 }
-                self.count(Status::Internal);
-                return Reply {
-                    line: render_error(
+                return Reply::new(
+                    render_error(
                         &req.id,
                         Status::Internal,
                         "internal error: request abandoned past the hard watchdog deadline",
                     ),
-                    shutdown: false,
-                    verdict: None,
-                };
+                    Status::Internal,
+                );
             }
         }
-        self.count(Status::Internal);
-        Reply {
-            line: render_error(
+        Reply::new(
+            render_error(
                 &None,
                 Status::Internal,
                 "internal error: request abandoned past the hard watchdog deadline",
             ),
-            shutdown: false,
-            verdict: None,
-        }
+            Status::Internal,
+        )
     }
 
     fn count(&self, status: Status) {
@@ -483,29 +480,21 @@ impl Server {
     fn respond(&self, incoming: &Incoming) -> Option<Reply> {
         let started = Instant::now();
         let reply = match incoming {
-            Incoming::Oversized(len) => {
-                self.count(Status::BadInput);
-                Some(Reply {
-                    line: render_error(
-                        &None,
-                        Status::BadInput,
-                        &format!(
-                            "request of {len} bytes exceeds the {}-byte limit",
-                            self.opts.max_request_bytes
-                        ),
+            Incoming::Oversized(len) => Some(Reply::new(
+                render_error(
+                    &None,
+                    Status::BadInput,
+                    &format!(
+                        "request of {len} bytes exceeds the {}-byte limit",
+                        self.opts.max_request_bytes
                     ),
-                    shutdown: false,
-                    verdict: None,
-                })
-            }
-            Incoming::BadUtf8 => {
-                self.count(Status::BadInput);
-                Some(Reply {
-                    line: render_error(&None, Status::BadInput, "request is not valid UTF-8"),
-                    shutdown: false,
-                    verdict: None,
-                })
-            }
+                ),
+                Status::BadInput,
+            )),
+            Incoming::BadUtf8 => Some(Reply::new(
+                render_error(&None, Status::BadInput, "request is not valid UTF-8"),
+                Status::BadInput,
+            )),
             Incoming::Line(line) => {
                 if line.trim().is_empty() {
                     return None;
@@ -521,54 +510,35 @@ impl Server {
         let req = match Request::decode(line) {
             Ok(req) => req,
             Err(msg) => {
-                self.count(Status::BadInput);
-                return Reply {
-                    line: render_error(&None, Status::BadInput, &msg),
-                    shutdown: false,
-                    verdict: None,
-                };
+                return Reply::new(
+                    render_error(&None, Status::BadInput, &msg),
+                    Status::BadInput,
+                )
             }
         };
         match req.op {
-            Op::Ping => {
-                self.count(Status::Ok);
-                Reply {
-                    line: render_pong(&req.id),
-                    shutdown: false,
-                    verdict: None,
-                }
-            }
-            Op::Health => {
-                self.count(Status::Ok);
-                Reply {
-                    line: self.health_reply(&req.id),
-                    shutdown: false,
-                    verdict: None,
-                }
-            }
+            Op::Ping => Reply::new(render_pong(&req.id), Status::Ok),
+            Op::Health => Reply::new(self.health_reply(&req.id), Status::Ok),
             Op::Shutdown => {
-                self.count(Status::Ok);
                 self.stop.store(true, Ordering::Relaxed);
                 Reply {
-                    line: render_shutdown(&req.id),
                     shutdown: true,
-                    verdict: None,
+                    ..Reply::new(render_shutdown(&req.id), Status::Ok)
                 }
             }
             Op::Optimize => {
                 let (line, status, verdict) = self.optimize_request(&req);
-                self.count(status);
                 Reply {
-                    line,
-                    shutdown: false,
                     verdict,
+                    ..Reply::new(line, status)
                 }
             }
         }
     }
 
     /// Renders the `health` introspection answer: every self-healing
-    /// counter as one flat JSON object.
+    /// counter as one flat JSON object. The answer counts itself among
+    /// `requests` and `ok`, though it is settled only after it renders.
     fn health_reply(&self, id: &Option<String>) -> String {
         let (cache_entries, cache_bytes, cache_hits, cache_misses, wal_stats, wal_errors, report) = {
             let cache = self.cache.lock().expect("cache lock");
@@ -588,8 +558,8 @@ impl Server {
             (quarantine.len() as u64, quarantine.hits)
         };
         let fields = [
-            ("requests", self.requests.load(Ordering::Relaxed)),
-            ("ok", self.ok.load(Ordering::Relaxed)),
+            ("requests", self.requests.load(Ordering::Relaxed) + 1),
+            ("ok", self.ok.load(Ordering::Relaxed) + 1),
             ("bad_input", self.bad_input.load(Ordering::Relaxed)),
             ("internal", self.internal.load(Ordering::Relaxed)),
             ("cache_entries", cache_entries),
@@ -932,6 +902,24 @@ impl Server {
         })?;
         self.save_cache()?;
         Ok(self.summary())
+    }
+}
+
+/// The server's pool: `opts.jobs` slots under per-item watchdog
+/// deadlines. Explicit knobs win; otherwise the soft phase is twice the
+/// admitted wall budget (the ladder should have degraded long before)
+/// and the hard phase one second past that.
+fn supervisor(opts: &ServeOptions) -> SupervisorOptions {
+    let soft_ms = opts
+        .watchdog_soft_ms
+        .or(opts.wall_ms.map(|w| w.saturating_mul(2).max(50)));
+    let hard_ms = opts
+        .watchdog_hard_ms
+        .or(soft_ms.map(|s| s.saturating_add(1_000)));
+    SupervisorOptions {
+        jobs: opts.jobs,
+        soft_deadline: soft_ms.map(Duration::from_millis),
+        hard_deadline: hard_ms.map(Duration::from_millis),
     }
 }
 

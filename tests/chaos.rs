@@ -72,9 +72,19 @@ fn health_field(line: &str, field: &str) -> f64 {
 }
 
 /// Spawns the binary listening on a Unix socket with a persistent
-/// cache, under an optional `FAULT_INJECT` schedule; stdio is discarded
-/// (the test talks over the socket).
+/// cache and two workers, under an optional `FAULT_INJECT` schedule;
+/// stdio is discarded (the test talks over the socket).
 fn spawn_server(sock: &Path, cache: &Path, extra: &[&str], fault: Option<&str>) -> Child {
+    spawn_server_with_jobs(2, sock, cache, extra, fault)
+}
+
+fn spawn_server_with_jobs(
+    jobs: usize,
+    sock: &Path,
+    cache: &Path,
+    extra: &[&str],
+    fault: Option<&str>,
+) -> Child {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_pdce"));
     cmd.arg("serve")
         .arg("--unix")
@@ -82,7 +92,7 @@ fn spawn_server(sock: &Path, cache: &Path, extra: &[&str], fault: Option<&str>) 
         .arg("--cache")
         .arg(cache)
         .arg("--jobs")
-        .arg("2")
+        .arg(jobs.to_string())
         .arg("--fsync-every")
         .arg("1")
         .args(extra);
@@ -468,6 +478,100 @@ fn hard_deadline_abandons_a_wedged_worker_and_answers_its_request() {
         timed_out, 1,
         "exactly the wedged request is answered at the watchdog rung:\n{stdout}"
     );
+}
+
+/// The daemon's thread count, read from `/proc/<pid>/task`.
+#[cfg(target_os = "linux")]
+fn threads_of(child: &Child) -> usize {
+    std::fs::read_dir(format!("/proc/{}/task", child.id()))
+        .expect("the daemon is alive")
+        .count()
+}
+
+/// Kills the daemon when dropped, so a failed assertion does not
+/// leave it running.
+struct Daemon(Child);
+
+impl Drop for Daemon {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
+#[test]
+fn repeated_wedges_keep_the_pool_at_strength() {
+    // One worker slot and two wedges: `wedge` sleeps 1.5 s through
+    // cancellation, at the 2nd and the 5th computed request (the second
+    // directive does not count the hit the first one fired on). Each wedge
+    // hands the slot to a replacement, so every later request is
+    // answered well inside the soft deadline instead of queueing
+    // behind a hostage; once the hostages wake they exit rather than
+    // rejoin, and their late results are never delivered.
+    let soft = Duration::from_millis(250);
+    let dir = fresh_dir("wedges");
+    let sock = dir.join("w.sock");
+    let cache = dir.join("w.cache");
+    let mut daemon = Daemon(spawn_server_with_jobs(
+        1,
+        &sock,
+        &cache,
+        &["--watchdog-soft-ms", "250", "--watchdog-hard-ms", "500"],
+        Some("wedge:serve:2,wedge:serve:4"),
+    ));
+    let stream = connect(&sock);
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut stream = stream;
+    let requests = corpus(8);
+    let mut timed_out = Vec::new();
+    #[cfg(target_os = "linux")]
+    let mut before_wedges = 0;
+    for (i, request) in requests.iter().enumerate() {
+        let started = Instant::now();
+        let response = ask(&mut stream, &mut reader, &format!("{request}\n"));
+        let took = started.elapsed();
+        assert_eq!(status_of(&response), 0.0, "{response}");
+        assert!(
+            response.contains(&format!("\"id\":\"c{i}\"")),
+            "request c{i} got someone else's answer: {response}"
+        );
+        if rung_of(&response) == "watchdog-timeout" {
+            timed_out.push(i);
+        } else {
+            assert!(
+                took < soft,
+                "request c{i} took {took:?}, past the {soft:?} soft deadline"
+            );
+        }
+        #[cfg(target_os = "linux")]
+        if i == 0 {
+            // The pool's one worker is up; this is its full strength.
+            before_wedges = threads_of(&daemon.0);
+        }
+    }
+    assert_eq!(timed_out, [1, 4], "exactly the wedged requests time out");
+    #[cfg(target_os = "linux")]
+    {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while threads_of(&daemon.0) != before_wedges {
+            assert!(
+                Instant::now() < deadline,
+                "the daemon kept {} threads after its hostages woke, against {before_wedges} before",
+                threads_of(&daemon.0)
+            );
+            std::thread::sleep(Duration::from_millis(20));
+        }
+    }
+    // A hostage that woke delivered nothing: the next line on the
+    // connection answers the next request.
+    let pong = ask(&mut stream, &mut reader, "{\"op\":\"ping\",\"id\":\"p\"}\n");
+    assert!(pong.contains("\"pong\":true"), "stray answer: {pong}");
+    let health = health_of(&mut stream, &mut reader);
+    assert_eq!(health_field(&health, "requests"), 10.0, "{health}");
+    let ack = ask(&mut stream, &mut reader, "{\"op\":\"shutdown\"}\n");
+    assert!(ack.contains("\"shutdown\":true"));
+    assert!(daemon.0.wait().unwrap().success());
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 // ---------------------------------------------------------------------

@@ -583,6 +583,31 @@ fn soak_under(fault: &str, expect_rungs: &[&str]) {
 }
 
 #[test]
+fn an_answer_after_a_sandboxed_panic_matches_a_fresh_server() {
+    // Workers outlive their requests, so with one slot the request
+    // after an escaped panic runs on the thread that panicked. It must
+    // see nothing the panic left behind: its answer is byte-identical to
+    // the same request on a fresh server.
+    let requests: Vec<String> = corpus_requests().into_iter().take(2).collect();
+    let args = ["--jobs", "1", "--no-cache"];
+    let input = format!("{0}\n{0}\n{1}\n", requests[0], requests[1]);
+    let (faulted, stderr, ok) = serve_binary(&args, Some("panic:serve:1"), &input);
+    assert!(ok, "daemon died under panic:serve:1: {stderr}");
+    let faulted: Vec<&str> = faulted.lines().collect();
+    assert_eq!(faulted.len(), 3, "every request answered once");
+    assert!(
+        faulted[0].contains("\"rung\":\"identity\""),
+        "the first answer escaped the ladder: {}",
+        faulted[0]
+    );
+    let (fresh, stderr, ok) =
+        serve_binary(&args, None, &format!("{}\n{}\n", requests[0], requests[1]));
+    assert!(ok, "stderr: {stderr}");
+    let fresh: Vec<&str> = fresh.lines().collect();
+    assert_eq!(faulted[1..], fresh[..]);
+}
+
+#[test]
 fn soak_survives_persistent_sink_panics() {
     soak_under("panic:sink:*", &["elimination-only", "identity"]);
 }
