@@ -26,7 +26,7 @@ use pdce_bench::benchjson::{self, paired, Document, Record, Series, BARS};
 use pdce_bench::{figure_corpus, fit_loglog_slope, measure, verify_figure};
 use pdce_core::driver::{optimize, PdceConfig};
 use pdce_core::elim::{eliminate_fixpoint, Mode};
-use pdce_core::{DeadSolution, DelayInfo, FaintSolution, LocalInfo, PatternTable};
+use pdce_core::{DeadSolution, DelayInfo, FaintSolution, LocalInfo, PatternTable, RunTotals};
 use pdce_dfa::AnalysisCache;
 use pdce_ir::edgesplit::split_critical_edges;
 use pdce_ir::interp::{run, Env, ExecLimits, ReplayOracle, SeededOracle};
@@ -35,6 +35,7 @@ use pdce_progen::{
     diamond_ladder, faint_chain, many_defs_many_uses, second_order_tower, structured, GenConfig,
 };
 use pdce_ssa::{DomInfo, SsaWeb};
+use pdce_trace::metrics::Snapshot;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -718,14 +719,16 @@ fn t3_csr_sharing(quick: bool) -> (String, Vec<Series>) {
 /// The metrics-plane section. Three parts:
 ///
 /// 1. **Overhead A/B** — the same pde workload with registry recording
-///    suppressed via the runtime gate and enabled. Unlike the tracing
-///    A/A (which can only bound disabled-mode noise),
-///    `pdce_metrics::suppressed` genuinely turns the atomic updates off.
+///    suppressed via the runtime gate and enabled. The optimizer counts
+///    into `PdceStats` and writes nothing to the registry, so both
+///    sides run the same code and the bar bounds the noise of the
+///    measurement.
 /// 2. **Snapshot stability** — the structured corpus optimized through
-///    the `pdce-par` pool at `jobs=1` and `jobs=4`; the
-///    run-scoped `prometheus_deterministic()` exposition must be
-///    byte-identical (deterministic families count logical work, not
-///    wall time, and sum commutatively across threads).
+///    the `pdce-par` pool at `jobs=1` and `jobs=4`; the optimizer
+///    families rendered from the returned stats must have a
+///    byte-identical `prometheus_deterministic()` exposition
+///    (deterministic families count logical work, not wall time, and
+///    sum commutatively across items).
 /// 3. **Driver latency quantiles** — each `optimize` call timed over a
 ///    slice of the corpus, pde and then pfe on its output, one
 ///    `pass_latency:<mode>` series per mode.
@@ -737,7 +740,7 @@ fn t4_metrics_plane(quick: bool) -> (String, Vec<Series>) {
     let mut series = paired(
         "metrics",
         &["off_ns", "on_ns", "metrics_overhead_pct"],
-        || pdce_metrics::suppressed(on),
+        || pdce_trace::metrics::suppressed(on),
         on,
         overhead,
     );
@@ -746,15 +749,20 @@ fn t4_metrics_plane(quick: bool) -> (String, Vec<Series>) {
     let corpus: Vec<Program> = (0..corpus_n)
         .map(|i| structured_of_size(24 + (i as usize % 5) * 12, 1_000 + i))
         .collect();
-    let deterministic_delta = |jobs: usize| {
-        let base = pdce_metrics::global().snapshot();
-        pdce_par::map_indexed(jobs, &corpus, |_, p| {
-            optimize_all(std::slice::from_ref(p), &PdceConfig::pde())
-        });
-        let delta = pdce_metrics::global().snapshot().since(&base);
-        delta.prometheus_deterministic()
+    let deterministic_series = |jobs: usize| {
+        let config = PdceConfig::pde();
+        let mut runs = RunTotals::default();
+        for run in pdce_par::map_indexed(jobs, &corpus, |_, p| {
+            let stats = optimize(&mut p.clone(), &config).expect("driver terminates");
+            RunTotals::of(&config, &stats)
+        }) {
+            runs.add(&run);
+        }
+        let mut snap = Snapshot::default();
+        runs.render(&mut snap);
+        snap.prometheus_deterministic()
     };
-    let stable = deterministic_delta(1) == deterministic_delta(4);
+    let stable = deterministic_series(1) == deterministic_series(4);
     series.push(Series::value(
         "snapshot_stable",
         f64::from(u8::from(stable)),

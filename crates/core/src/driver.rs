@@ -35,64 +35,6 @@ use crate::patterns::PatternTable;
 use crate::sink::{sink_with_table, CriticalEdgeError};
 use crate::tv;
 
-/// Registry handles for the driver/resilience counter families. The
-/// degradation counter is labelled by the rung degraded *to* and
-/// registered on first use (degradations are rare, so the registration
-/// lock is off the hot path by construction).
-mod resilience_metrics {
-    use pdce_metrics::{global, Counter, Stability};
-    use std::sync::{Arc, LazyLock};
-
-    fn counter(name: &'static str, help: &'static str) -> Arc<Counter> {
-        global().counter(name, help, Stability::Deterministic, &[])
-    }
-
-    pub static ROUNDS: LazyLock<Arc<Counter>> =
-        LazyLock::new(|| counter("pdce_rounds_total", "Global optimization rounds executed"));
-    pub static TV_CHECKS: LazyLock<Arc<Counter>> = LazyLock::new(|| {
-        counter(
-            "pdce_tv_checks_total",
-            "Translation-validation round checks",
-        )
-    });
-    pub static TV_ROLLBACKS: LazyLock<Arc<Counter>> = LazyLock::new(|| {
-        counter(
-            "pdce_tv_rollbacks_total",
-            "Rounds rolled back by translation validation",
-        )
-    });
-    pub static ROLLBACKS: LazyLock<Arc<Counter>> = LazyLock::new(|| {
-        counter(
-            "pdce_rollbacks_total",
-            "Program snapshots restored after a failed round or rung",
-        )
-    });
-    pub static BUDGET_EXHAUSTIONS: LazyLock<Arc<Counter>> = LazyLock::new(|| {
-        counter(
-            "pdce_budget_exhaustions_total",
-            "Attempts stopped by a resource budget",
-        )
-    });
-
-    pub fn degraded_to(rung: &'static str) -> Arc<Counter> {
-        global().counter(
-            "pdce_degradations_total",
-            "Resilience-ladder degradations by destination rung",
-            Stability::Deterministic,
-            &[("to", rung)],
-        )
-    }
-
-    pub fn driver_run(driver: &'static str) -> Arc<Counter> {
-        global().counter(
-            "pdce_driver_runs_total",
-            "Driver invocations by mode",
-            Stability::Deterministic,
-            &[("driver", driver)],
-        )
-    }
-}
-
 /// What to do when the global round cap is reached (the paper's
 /// Section 7 suggests "simply cutting the global iteration process
 /// after ... a fixed number of iterations" as a practical heuristic).
@@ -167,6 +109,17 @@ impl PdceConfig {
     pub fn with_validation(mut self, k: u32) -> PdceConfig {
         self.validate = Some(k);
         self
+    }
+
+    /// The driver's name: `pde`, `pfe`, `dce` or `fce` by mode and
+    /// sinking (the trace span's name and the `driver` metric label).
+    pub fn driver_name(&self) -> &'static str {
+        match (self.mode, self.sinking) {
+            (Mode::Dead, true) => "pde",
+            (Mode::Faint, true) => "pfe",
+            (Mode::Dead, false) => "dce",
+            (Mode::Faint, false) => "fce",
+        }
     }
 
     /// The effective translation-validation vector count (`0` is off).
@@ -362,11 +315,13 @@ pub fn optimize(prog: &mut Program, config: &PdceConfig) -> Result<PdceStats, Pd
     optimize_with_cache(prog, config, &mut AnalysisCache::new())
 }
 
-/// [`optimize`] sharing analyses through a caller-provided
-/// [`AnalysisCache`], the driver's integration point with the pass
-/// manager: one `CfgView` (and one dead/faint solution, where the
-/// program allows it) is shared across all elimination passes and the
-/// sinking pass of a round instead of being rebuilt per transform.
+/// [`optimize`] on a caller-provided [`AnalysisCache`]; [`optimize`]
+/// and every rung of [`optimize_resilient`] pass a fresh one, so a
+/// failed attempt's analyses are discarded with the attempt. Within
+/// the run the cache shares one `CfgView` (and one dead/faint
+/// solution, where the program allows it) across all elimination
+/// passes and the sinking pass of a round instead of rebuilding it per
+/// transform.
 /// Stability is detected through [`Program::revision`] — a round that
 /// performs no mutation ends the loop — which both transforms guarantee
 /// by never writing back unchanged statement lists. With sinking on, one
@@ -382,14 +337,7 @@ pub fn optimize_with_cache(
 ) -> Result<PdceStats, PdceError> {
     let cache_baseline = cache.stats();
     let solver_baseline = pdce_trace::solver_totals();
-    let driver_name = match (config.mode, config.sinking) {
-        (Mode::Dead, true) => "pde",
-        (Mode::Faint, true) => "pfe",
-        (Mode::Dead, false) => "dce",
-        (Mode::Faint, false) => "fce",
-    };
-    let driver_span = pdce_trace::span("driver", driver_name);
-    resilience_metrics::driver_run(driver_name).inc();
+    let driver_span = pdce_trace::span("driver", config.driver_name());
     let _budget = budget::install(config.budget);
     let tv_vectors = config.tv_vectors();
     let mut stats = PdceStats::default();
@@ -417,7 +365,6 @@ pub fn optimize_with_cache(
 
     loop {
         stats.rounds += 1;
-        resilience_metrics::ROUNDS.inc();
         if stats.rounds as usize > cap {
             match config.on_limit {
                 LimitBehavior::Error => {
@@ -434,7 +381,6 @@ pub fn optimize_with_cache(
         }
         if let Err(e) = budget::charge_round() {
             stats.budget_exhaustions += 1;
-            resilience_metrics::BUDGET_EXHAUSTIONS.inc();
             pdce_trace::instant(
                 "resilience",
                 "budget-exhausted",
@@ -472,7 +418,6 @@ pub fn optimize_with_cache(
         // validate rounds that touched the program.
         if let Some(last_good) = last_good.filter(|_| prog.revision() != before) {
             stats.tv_checks += 1;
-            resilience_metrics::TV_CHECKS.inc();
             let opts = tv::TvOptions {
                 vectors: tv_vectors,
                 // Bound per-vector interpretation relative to program
@@ -490,8 +435,6 @@ pub fn optimize_with_cache(
                 *cache = AnalysisCache::new();
                 stats.tv_rollbacks += 1;
                 stats.rollbacks += 1;
-                resilience_metrics::TV_ROLLBACKS.inc();
-                resilience_metrics::ROLLBACKS.inc();
                 stats.failure_log.push(mismatch.to_string());
                 pdce_trace::instant(
                     "resilience",
@@ -525,8 +468,8 @@ pub fn optimize_with_cache(
             ("sunk", stats.sunk_assignments.into()),
             ("inserted", stats.inserted_assignments.into()),
             // Cache telemetry on the span keeps `--trace` output and the
-            // metrics registry in agreement (checked by the chrome parity
-            // test in tests/observability.rs).
+            // rendered `pdce_cache_events_total` series in agreement
+            // (checked by the chrome parity test in tests/observability.rs).
             ("cfg_cache_hits", stats.cache.cfg_hits.into()),
             ("cfg_relayouts", stats.cache.cfg_relayouts.into()),
         ]
@@ -599,16 +542,12 @@ pub fn optimize_resilient(prog: &mut Program, config: &PdceConfig) -> PdceStats 
             }
             Ok(Err(e)) => {
                 if matches!(e, PdceError::BudgetExhausted(_)) {
-                    // Already counted in the registry by the inner
-                    // `charge_round` site; only the attempt-local stat
-                    // moves here.
                     budget_exhaustions += 1;
                 }
                 e.to_string()
             }
             Err(SandboxError::Budget(b)) => {
                 budget_exhaustions += 1;
-                resilience_metrics::BUDGET_EXHAUSTIONS.inc();
                 b.to_string()
             }
             Err(SandboxError::Panic(msg)) => format!("panic: {msg}"),
@@ -617,12 +556,10 @@ pub fn optimize_resilient(prog: &mut Program, config: &PdceConfig) -> PdceStats 
         // still holds the pristine input — that *is* the rollback.
         degradations += 1;
         rollbacks += 1;
-        resilience_metrics::ROLLBACKS.inc();
         let next = match rung {
             None => DegradedMode::EliminationOnly,
             Some(_) => DegradedMode::Identity,
         };
-        resilience_metrics::degraded_to(next.label()).inc();
         failure_log.push(format!(
             "{} failed ({failure}); degrading to {}",
             rung.map_or("configured run", DegradedMode::label),

@@ -252,7 +252,9 @@ fn apply_removals(prog: &mut Program, plans: &[(NodeId, Vec<usize>)]) -> u64 {
             continue;
         }
         // `stmts_mut` (vs `block_mut`) logs a statement-level change, so
-        // the next round's analyses can warm-start from this block alone.
+        // the analysis cache keeps its `CfgView` across the removal and
+        // only relayouts the view's instruction arena (`CfgView::relayout`)
+        // instead of rebuilding the graph.
         let stmts = prog.stmts_mut(*n);
         let mut keep = Vec::with_capacity(stmts.len() - doomed.len());
         let mut d = doomed.iter().peekable();

@@ -49,6 +49,7 @@ pub mod driver;
 pub mod elim;
 pub mod faint;
 pub mod local;
+pub mod metrics;
 pub mod patterns;
 pub mod sink;
 pub mod tv;
@@ -64,5 +65,6 @@ pub use driver::{
 pub use elim::{eliminate_fixpoint, eliminate_once, Mode};
 pub use faint::FaintSolution;
 pub use local::LocalInfo;
+pub use metrics::RunTotals;
 pub use patterns::PatternTable;
 pub use sink::{sink_assignments, sink_with_table, sinking_is_stable, SinkOutcome};

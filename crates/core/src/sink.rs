@@ -268,8 +268,9 @@ pub fn sink_with_table(
                 }
             }
             outcome.changed = true;
-            // `stmts_mut` logs a statement-level change so the next
-            // round's analyses can warm-start from this block alone.
+            // `stmts_mut` logs a statement-level change, so the analysis
+            // cache keeps its `CfgView` and only relayouts the view's
+            // instruction arena (`CfgView::relayout`).
             *prog.stmts_mut(n) = new_stmts;
         }
     }

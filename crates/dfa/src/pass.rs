@@ -22,33 +22,6 @@ use pdce_ir::{CfgView, ChangeSet, Program};
 
 use crate::du::DuGraph;
 
-/// Registry handles for the cache counter family
-/// (`pdce_cache_events_total{kind=...}`). The per-instance [`CacheStats`]
-/// below stay the per-run attribution mechanism; these mirror the same
-/// increments into the process-global metrics registry so aggregate hit
-/// rates survive across caches and worker threads.
-mod cache_metrics {
-    use pdce_metrics::{global, Counter, Stability};
-    use std::sync::{Arc, LazyLock};
-
-    fn event(kind: &'static str) -> Arc<Counter> {
-        global().counter(
-            "pdce_cache_events_total",
-            "AnalysisCache events by kind (hits, misses, relayouts)",
-            Stability::Deterministic,
-            &[("kind", kind)],
-        )
-    }
-
-    pub static CFG_HIT: LazyLock<Arc<Counter>> = LazyLock::new(|| event("cfg_hit"));
-    pub static CFG_MISS: LazyLock<Arc<Counter>> = LazyLock::new(|| event("cfg_miss"));
-    pub static CFG_RELAYOUT: LazyLock<Arc<Counter>> = LazyLock::new(|| event("cfg_relayout"));
-    pub static ANALYSIS_HIT: LazyLock<Arc<Counter>> = LazyLock::new(|| event("analysis_hit"));
-    pub static ANALYSIS_MISS: LazyLock<Arc<Counter>> = LazyLock::new(|| event("analysis_miss"));
-    pub static DU_HIT: LazyLock<Arc<Counter>> = LazyLock::new(|| event("du_hit"));
-    pub static DU_MISS: LazyLock<Arc<Counter>> = LazyLock::new(|| event("du_miss"));
-}
-
 /// What a transform guarantees about cached analyses after it ran.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Preserves {
@@ -196,7 +169,6 @@ impl AnalysisCache {
             if !view.layout_matches(prog) {
                 self.cfg = Some(Rc::new(view.relayout(prog)));
                 self.stats.cfg_relayouts += 1;
-                cache_metrics::CFG_RELAYOUT.inc();
             }
         }
     }
@@ -212,12 +184,10 @@ impl AnalysisCache {
                     "cache crossed programs"
                 );
                 self.stats.cfg_hits += 1;
-                cache_metrics::CFG_HIT.inc();
                 Rc::clone(view)
             }
             None => {
                 self.stats.cfg_misses += 1;
-                cache_metrics::CFG_MISS.inc();
                 let view = Rc::new(CfgView::new(prog));
                 self.cfg = Some(Rc::clone(&view));
                 view
@@ -233,11 +203,9 @@ impl AnalysisCache {
         self.sync(prog);
         if let Some(du) = &self.du {
             self.stats.du_hits += 1;
-            cache_metrics::DU_HIT.inc();
             return Rc::clone(du);
         }
         self.stats.du_misses += 1;
-        cache_metrics::DU_MISS.inc();
         let view = self.cfg(prog);
         let du = Rc::new(DuGraph::build(prog, &view));
         self.du = Some(Rc::clone(&du));
@@ -254,11 +222,9 @@ impl AnalysisCache {
         self.sync(prog);
         if let Some(entry) = self.analyses.get(&TypeId::of::<T>()) {
             self.stats.analysis_hits += 1;
-            cache_metrics::ANALYSIS_HIT.inc();
             return Rc::clone(entry).downcast::<T>().expect("typed slot");
         }
         self.stats.analysis_misses += 1;
-        cache_metrics::ANALYSIS_MISS.inc();
         let view = self.cfg(prog);
         let value: Rc<T> = Rc::new(build(prog, &view));
         self.analyses

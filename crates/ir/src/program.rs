@@ -410,8 +410,9 @@ impl Program {
     /// Mutable access to one block's statement list. Counts as a
     /// mutation like [`Program::block_mut`], but is logged as a
     /// statements-only change of block `n`: the CFG shape is guaranteed
-    /// untouched, so cached data-flow solutions can be warm-started with
-    /// only `n` (plus its dependence frontier) marked dirty.
+    /// untouched, so a cached [`CfgView`](crate::CfgView) stays valid
+    /// and needs at most a [`relayout`](crate::CfgView::relayout) of its
+    /// instruction arena.
     pub fn stmts_mut(&mut self, n: NodeId) -> &mut Vec<Stmt> {
         self.revision += 1;
         self.record(Change::Stmts(n));

@@ -30,7 +30,7 @@ pub use supervised::{supervised_map, ItemOutcome, SupervisedPool, SupervisorOpti
 /// serving loop tunes against, and a wall-clock measurement, so the
 /// family is registered as timing (excluded from byte-stability checks).
 mod pool_metrics {
-    use pdce_metrics::{global, Counter, Histogram, Stability};
+    use pdce_trace::metrics::{global, Counter, Histogram, Stability};
     use std::sync::{Arc, LazyLock};
 
     pub static ITEMS: LazyLock<Arc<Counter>> = LazyLock::new(|| {

@@ -36,7 +36,7 @@ use pdce_trace::budget::{install_cancel, CancelToken};
 use crate::ItemPanic;
 
 mod watchdog_metrics {
-    use pdce_metrics::{global, Counter, Stability};
+    use pdce_trace::metrics::{global, Counter, Stability};
     use std::sync::{Arc, LazyLock};
 
     pub static CANCELLED: LazyLock<Arc<Counter>> = LazyLock::new(|| {

@@ -148,8 +148,8 @@ pub struct PersistentCache {
     /// (degrading to in-memory operation plus a shutdown snapshot) if
     /// the log ever fails an I/O operation.
     wal: Option<Wal>,
-    /// Hits/misses/evictions since construction (per-server numbers;
-    /// the process-global registry is updated by the server layer).
+    /// Hits/misses/evictions since construction (per-server numbers,
+    /// exposed by the `health` answer and `pdce serve --metrics-out`).
     pub hits: u64,
     pub misses: u64,
     pub evictions: u64,
@@ -224,7 +224,6 @@ impl PersistentCache {
                     valid_end = line.end;
                 }
                 report.loaded = cache.map.len();
-                wal::note_recovery(report.loaded, report.skipped);
             }
             None => report.fresh = true,
         }

@@ -45,9 +45,11 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use pdce_core::driver::{optimize_resilient, PdceConfig};
+use pdce_core::RunTotals;
 use pdce_ir::parser::parse;
 use pdce_ir::printer::print_program;
 use pdce_trace::budget::Budget;
+use pdce_trace::metrics::{CounterFamily, Snapshot, Stability};
 
 use pdce_par::{ItemOutcome, SupervisedPool, SupervisorOptions};
 
@@ -58,45 +60,13 @@ use crate::protocol::{
 };
 use crate::quarantine::Quarantine;
 
-/// Registry handles for the serving plane. Request/cache counters are
-/// deterministic for a fixed request sequence; latency and batch-size
-/// families are timing-dependent and registered as such.
+/// Registry handles for what no server field counts: the latency and
+/// batch-size histograms and the idle poll loop's wakeups, all
+/// timing-dependent.
 mod serve_metrics {
-    use pdce_metrics::{global, Counter, Histogram, Stability};
+    use pdce_trace::metrics::{global, Counter, Histogram, Stability};
     use std::sync::{Arc, LazyLock};
 
-    pub fn requests(status: &'static str) -> Arc<Counter> {
-        global().counter(
-            "pdce_serve_requests_total",
-            "Requests answered by the serve loop, by response status",
-            Stability::Deterministic,
-            &[("status", status)],
-        )
-    }
-
-    fn counter(name: &'static str, help: &'static str) -> Arc<Counter> {
-        global().counter(name, help, Stability::Deterministic, &[])
-    }
-
-    /// Failure-path counters are timing-tainted: wall-budget trips (and
-    /// therefore strikes) depend on the clock, so they are excluded
-    /// from byte-stability checks.
-    fn timing_counter(name: &'static str, help: &'static str) -> Arc<Counter> {
-        global().counter(name, help, Stability::Timing, &[])
-    }
-
-    pub static CACHE_HITS: LazyLock<Arc<Counter>> = LazyLock::new(|| {
-        counter(
-            "pdce_serve_cache_hits_total",
-            "Requests answered from the persistent result cache",
-        )
-    });
-    pub static CACHE_MISSES: LazyLock<Arc<Counter>> = LazyLock::new(|| {
-        counter(
-            "pdce_serve_cache_misses_total",
-            "Cacheable requests that had to be computed",
-        )
-    });
     pub static REQUEST_WALL: LazyLock<Arc<Histogram>> = LazyLock::new(|| {
         global().histogram(
             "pdce_serve_request_wall_ns",
@@ -113,25 +83,55 @@ mod serve_metrics {
             &[],
         )
     });
-    pub static QUARANTINE_HITS: LazyLock<Arc<Counter>> = LazyLock::new(|| {
-        timing_counter(
-            "pdce_serve_quarantine_hits_total",
-            "Requests short-circuited by the poison-request quarantine",
-        )
-    });
-    pub static WATCHDOG_TIMEOUTS: LazyLock<Arc<Counter>> = LazyLock::new(|| {
-        timing_counter(
-            "pdce_serve_watchdog_timeouts_total",
-            "Requests abandoned past the hard watchdog deadline and answered as identity",
-        )
-    });
     pub static IDLE_WAKEUPS: LazyLock<Arc<Counter>> = LazyLock::new(|| {
-        timing_counter(
+        global().counter(
             "pdce_serve_idle_wakeups_total",
             "Poll-loop wakeups that found no pending input (bounded by idle backoff)",
+            Stability::Timing,
+            &[],
         )
     });
 }
+
+/// The labels of a `health` key's series.
+type Labels = &'static [(&'static str, &'static str)];
+
+const fn family(name: &'static str, stability: Stability, help: &'static str) -> CounterFamily {
+    CounterFamily {
+        name,
+        help,
+        stability,
+    }
+}
+
+const REQUESTS: CounterFamily = family(
+    "pdce_serve_requests_total",
+    Stability::Deterministic,
+    "Requests answered by the serve loop, by response status",
+);
+const DET: Stability = Stability::Deterministic;
+
+/// The `health` keys `pdce serve --metrics-out` exposes, each with its
+/// counter family and the series' labels. Request, cache and WAL counts
+/// are deterministic for a fixed request sequence (fsync cadence is a
+/// pure function of the append count). Quarantine hits and watchdog
+/// timeouts are timing-tainted: wall-budget trips, and therefore
+/// strikes, depend on the clock.
+#[rustfmt::skip]
+const HEALTH_METRICS: [(&str, CounterFamily, Labels); 12] = [
+    ("ok", REQUESTS, &[("status", "ok")]),
+    ("bad_input", REQUESTS, &[("status", "bad_input")]),
+    ("internal", REQUESTS, &[("status", "internal")]),
+    ("cache_hits", family("pdce_serve_cache_hits_total", DET, "Requests answered from the persistent result cache"), &[]),
+    ("cache_misses", family("pdce_serve_cache_misses_total", DET, "Cacheable requests that had to be computed"), &[]),
+    ("wal_appends", family("pdce_serve_wal_appends_total", DET, "Insert/evict records appended to the cache write-ahead log"), &[]),
+    ("wal_fsyncs", family("pdce_serve_wal_fsyncs_total", DET, "fdatasync calls issued by the cache write-ahead log"), &[]),
+    ("wal_compactions", family("pdce_serve_wal_compactions_total", DET, "Write-ahead log compactions into a snapshot"), &[]),
+    ("wal_recovered", family("pdce_serve_wal_recovered_total", DET, "Cache entries recovered by replaying the write-ahead log"), &[]),
+    ("wal_discarded", family("pdce_serve_wal_discarded_total", DET, "Log lines discarded at recovery (invalid tail after the longest valid prefix)"), &[]),
+    ("quarantine_hits", family("pdce_serve_quarantine_hits_total", Stability::Timing, "Requests short-circuited by the poison-request quarantine"), &[]),
+    ("wedged", family("pdce_serve_watchdog_timeouts_total", Stability::Timing, "Requests abandoned past the hard watchdog deadline and answered as identity"), &[]),
+];
 
 /// Server configuration: transport-independent knobs.
 #[derive(Debug, Clone)]
@@ -220,16 +220,17 @@ enum Incoming {
 }
 
 /// A rendered response plus its status, the shutdown signal it may
-/// carry and the quarantine verdict of a *computed* answer (cache hits
-/// and short-circuits carry none). Status counts and verdicts are
-/// settled by the dispatcher (or `respond_line`), never by the worker
-/// itself, so an abandoned zombie worker can never double-count its
-/// item.
+/// carry, and the quarantine verdict and optimizer totals of a
+/// *computed* answer (cache hits and short-circuits carry none).
+/// Status counts, verdicts and totals are settled by the dispatcher (or
+/// `respond_line`), never by the worker itself, so an abandoned zombie
+/// worker can never double-count its item.
 struct Reply {
     line: String,
     status: Status,
     shutdown: bool,
     verdict: Option<Verdict>,
+    run: Option<RunTotals>,
 }
 
 impl Reply {
@@ -239,6 +240,7 @@ impl Reply {
             status,
             shutdown: false,
             verdict: None,
+            run: None,
         }
     }
 }
@@ -269,6 +271,8 @@ pub struct Server {
     bad_input: AtomicU64,
     internal: AtomicU64,
     wedged: AtomicU64,
+    /// The optimizer's counts summed over settled computed answers.
+    runs: Mutex<RunTotals>,
     stop: AtomicBool,
     /// The supervised workers every batch runs on, one per `jobs`
     /// slot, started by the first batch.
@@ -299,6 +303,7 @@ impl Server {
             bad_input: AtomicU64::new(0),
             internal: AtomicU64::new(0),
             wedged: AtomicU64::new(0),
+            runs: Mutex::new(RunTotals::default()),
             stop: AtomicBool::new(false),
         }
     }
@@ -408,12 +413,15 @@ impl Server {
             .collect()
     }
 
-    /// Counts an answer's status and applies a computed answer's
-    /// verdict to the quarantine. Runs on the dispatcher (exactly once
-    /// per answered item), so zombie workers abandoned by the watchdog
-    /// never settle.
+    /// Counts an answer's status, adds a computed answer's optimizer
+    /// totals and applies its verdict to the quarantine. Runs on the
+    /// dispatcher (exactly once per answered item), so zombie workers
+    /// abandoned by the watchdog never settle.
     fn settle(&self, reply: &Reply) {
         self.count(reply.status);
+        if let Some(run) = &reply.run {
+            self.runs.lock().expect("runs lock").add(run);
+        }
         let Some(verdict) = reply.verdict else {
             return;
         };
@@ -432,7 +440,6 @@ impl Server {
     /// hostage.
     fn wedged_reply(&self, incoming: &Incoming) -> Reply {
         self.wedged.fetch_add(1, Ordering::Relaxed);
-        serve_metrics::WATCHDOG_TIMEOUTS.inc();
         if let Incoming::Line(line) = incoming {
             if let Ok(req) = Request::decode(line) {
                 if let Ok(parsed) = parse(&req.program) {
@@ -468,13 +475,12 @@ impl Server {
 
     fn count(&self, status: Status) {
         self.requests.fetch_add(1, Ordering::Relaxed);
-        let (local, label) = match status {
-            Status::Ok => (&self.ok, "ok"),
-            Status::BadInput => (&self.bad_input, "bad_input"),
-            Status::Internal => (&self.internal, "internal"),
-        };
-        local.fetch_add(1, Ordering::Relaxed);
-        serve_metrics::requests(label).inc();
+        match status {
+            Status::Ok => &self.ok,
+            Status::BadInput => &self.bad_input,
+            Status::Internal => &self.internal,
+        }
+        .fetch_add(1, Ordering::Relaxed);
     }
 
     fn respond(&self, incoming: &Incoming) -> Option<Reply> {
@@ -526,13 +532,7 @@ impl Server {
                     ..Reply::new(render_shutdown(&req.id), Status::Ok)
                 }
             }
-            Op::Optimize => {
-                let (line, status, verdict) = self.optimize_request(&req);
-                Reply {
-                    verdict,
-                    ..Reply::new(line, status)
-                }
-            }
+            Op::Optimize => self.optimize_request(&req),
         }
     }
 
@@ -540,6 +540,25 @@ impl Server {
     /// counter as one flat JSON object. The answer counts itself among
     /// `requests` and `ok`, though it is settled only after it renders.
     fn health_reply(&self, id: &Option<String>) -> String {
+        render_health(id, &self.health_fields(1))
+    }
+
+    /// Renders the server's counters into `snap`: the request, cache,
+    /// WAL, quarantine and watchdog counts of the `health` answer, each
+    /// as its counter family with zeros included, and the optimizer
+    /// families summed over the settled computed answers.
+    pub fn render_metrics(&self, snap: &mut Snapshot) {
+        let fields = self.health_fields(0);
+        for (key, family, labels) in &HEALTH_METRICS {
+            let value = fields.iter().find(|(k, _)| k == key).map_or(0, |&(_, v)| v);
+            snap.push_counter(family, labels, value);
+        }
+        self.runs.lock().expect("runs lock").render(snap);
+    }
+
+    /// The `health` counters, with `pending` answered-but-unsettled
+    /// requests (all `ok`) counted in.
+    fn health_fields(&self, pending: u64) -> [(&'static str, u64); 17] {
         let (cache_entries, cache_bytes, cache_hits, cache_misses, wal_stats, wal_errors, report) = {
             let cache = self.cache.lock().expect("cache lock");
             (
@@ -557,9 +576,9 @@ impl Server {
             let quarantine = self.quarantine.lock().expect("quarantine lock");
             (quarantine.len() as u64, quarantine.hits)
         };
-        let fields = [
-            ("requests", self.requests.load(Ordering::Relaxed) + 1),
-            ("ok", self.ok.load(Ordering::Relaxed) + 1),
+        [
+            ("requests", self.requests.load(Ordering::Relaxed) + pending),
+            ("ok", self.ok.load(Ordering::Relaxed) + pending),
             ("bad_input", self.bad_input.load(Ordering::Relaxed)),
             ("internal", self.internal.load(Ordering::Relaxed)),
             ("cache_entries", cache_entries),
@@ -575,8 +594,7 @@ impl Server {
             ("quarantine_size", quarantine_size),
             ("quarantine_hits", quarantine_hits),
             ("wedged", self.wedged.load(Ordering::Relaxed)),
-        ];
-        render_health(id, &fields)
+        ]
     }
 
     /// Caps a requested budget by the server-wide bound: a request may
@@ -636,7 +654,7 @@ impl Server {
         }
     }
 
-    fn optimize_request(&self, req: &Request) -> (String, Status, Option<Verdict>) {
+    fn optimize_request(&self, req: &Request) -> Reply {
         let admitted = self.admit(req);
         let options = self.canonical_options(req, &admitted);
         let use_cache = self.opts.cache && !req.no_cache;
@@ -650,8 +668,7 @@ impl Server {
                 .expect("cache lock")
                 .get_raw_alias(raw_key);
             if let Some(payload) = hit {
-                serve_metrics::CACHE_HITS.inc();
-                return (render_result(&req.id, &payload), Status::Ok, None);
+                return Reply::new(render_result(&req.id, &payload), Status::Ok);
             }
         }
         let mut parsed = match parse(&req.program) {
@@ -662,10 +679,9 @@ impl Server {
                 } else {
                     format!("program:{}:{}: {}", e.line, e.col, e.message)
                 };
-                return (
+                return Reply::new(
                     render_error(&req.id, Status::BadInput, &msg),
                     Status::BadInput,
-                    None,
                 );
             }
         };
@@ -678,10 +694,8 @@ impl Server {
             cache.record_alias(raw_key, key);
             if let Some(payload) = cache.get(key) {
                 drop(cache);
-                serve_metrics::CACHE_HITS.inc();
-                return (render_result(&req.id, &payload), Status::Ok, None);
+                return Reply::new(render_result(&req.id, &payload), Status::Ok);
             }
-            serve_metrics::CACHE_MISSES.inc();
         }
         // Quarantine short-circuit: a hash with a strike record is not
         // allowed near the solvers again — it gets a structured
@@ -690,9 +704,8 @@ impl Server {
         if self.opts.max_strikes > 0 {
             let quarantined = self.quarantine.lock().expect("quarantine lock").check(key);
             if quarantined {
-                serve_metrics::QUARANTINE_HITS.inc();
                 let payload = identity_payload(canonical, "quarantined");
-                return (render_result(&req.id, &payload), Status::Ok, None);
+                return Reply::new(render_result(&req.id, &payload), Status::Ok);
             }
         }
         // One attempt: `optimize_resilient` walks its own ladder and
@@ -704,7 +717,7 @@ impl Server {
             pdce_trace::fault::fire("serve");
             optimize_resilient(&mut parsed, &config)
         });
-        let (payload, failed) = match outcome {
+        let (payload, failed, run) = match outcome {
             Ok(stats) => {
                 let payload = ResultPayload {
                     program: print_program(&parsed),
@@ -714,9 +727,10 @@ impl Server {
                     inserted: stats.inserted_assignments,
                     rung: stats.degraded.map_or("none", |m| m.label()).to_string(),
                 };
-                (payload, stats.degraded.is_some())
+                let run = Some(RunTotals::of(&config, &stats));
+                (payload, stats.degraded.is_some(), run)
             }
-            Err(_) => (identity_payload(canonical, "identity"), true),
+            Err(_) => (identity_payload(canonical, "identity"), true, None),
         };
         // Only clean answers are cached: a degraded or escaped answer
         // must not pin a worse answer for every warm replay that
@@ -727,11 +741,11 @@ impl Server {
                 .expect("cache lock")
                 .insert(key, payload.clone());
         }
-        (
-            render_result(&req.id, &payload),
-            Status::Ok,
-            Some(Verdict { key, failed }),
-        )
+        Reply {
+            verdict: Some(Verdict { key, failed }),
+            run,
+            ..Reply::new(render_result(&req.id, &payload), Status::Ok)
+        }
     }
 
     /// Serves one connection: `reader` → batched requests → `writer`.

@@ -36,49 +36,6 @@ use crate::cache::fnv64;
 /// sunk and inserted) reloads as empty and is reclaimed as a v3 log.
 pub const HEADER: &str = "pdce-serve-cache v3";
 
-/// Registry handles for the log. Appends/compactions/recovery counts
-/// are deterministic for a fixed request sequence; fsync cadence is a
-/// pure function of the append count, so it is deterministic too.
-mod wal_metrics {
-    use pdce_metrics::{global, Counter, Stability};
-    use std::sync::{Arc, LazyLock};
-
-    fn counter(name: &'static str, help: &'static str) -> Arc<Counter> {
-        global().counter(name, help, Stability::Deterministic, &[])
-    }
-
-    pub static APPENDS: LazyLock<Arc<Counter>> = LazyLock::new(|| {
-        counter(
-            "pdce_serve_wal_appends_total",
-            "Insert/evict records appended to the cache write-ahead log",
-        )
-    });
-    pub static FSYNCS: LazyLock<Arc<Counter>> = LazyLock::new(|| {
-        counter(
-            "pdce_serve_wal_fsyncs_total",
-            "fdatasync calls issued by the cache write-ahead log",
-        )
-    });
-    pub static COMPACTIONS: LazyLock<Arc<Counter>> = LazyLock::new(|| {
-        counter(
-            "pdce_serve_wal_compactions_total",
-            "Write-ahead log compactions into a snapshot",
-        )
-    });
-    pub static RECOVERED: LazyLock<Arc<Counter>> = LazyLock::new(|| {
-        counter(
-            "pdce_serve_wal_recovered_total",
-            "Cache entries recovered by replaying the write-ahead log",
-        )
-    });
-    pub static DISCARDED: LazyLock<Arc<Counter>> = LazyLock::new(|| {
-        counter(
-            "pdce_serve_wal_discarded_total",
-            "Log lines discarded at recovery (invalid tail after the longest valid prefix)",
-        )
-    });
-}
-
 /// Frames `body` as one log line: checksum, tab, body, newline.
 pub fn frame(body: &str) -> String {
     format!("{:016x}\t{body}\n", fnv64(body.as_bytes()))
@@ -152,13 +109,6 @@ pub fn scan(text: &str) -> Option<Scan<'_>> {
         header_end,
         discarded,
     })
-}
-
-/// Reports `n` recovered entries and `discarded` dropped lines to the
-/// metrics plane (called once per cache load).
-pub fn note_recovery(recovered: usize, discarded: usize) {
-    wal_metrics::RECOVERED.add(recovered as u64);
-    wal_metrics::DISCARDED.add(discarded as u64);
 }
 
 /// The append handle: a file positioned at the end of its valid
@@ -236,7 +186,6 @@ impl Wal {
         self.file.write_all(line.as_bytes())?;
         self.bytes += line.len() as u64;
         self.appends += 1;
-        wal_metrics::APPENDS.inc();
         self.unsynced += 1;
         if self.unsynced >= self.fsync_every {
             self.sync()?;
@@ -255,7 +204,6 @@ impl Wal {
         self.file.sync_data()?;
         self.unsynced = 0;
         self.fsyncs += 1;
-        wal_metrics::FSYNCS.inc();
         Ok(())
     }
 
@@ -280,7 +228,6 @@ impl Wal {
         self.bytes = snapshot.len() as u64;
         self.unsynced = 0;
         self.compactions += 1;
-        wal_metrics::COMPACTIONS.inc();
         Ok(())
     }
 }

@@ -14,7 +14,6 @@ use std::fmt::Write as _;
 #[derive(Debug, Clone, PartialEq)]
 pub enum Field {
     U64(u64),
-    I64(i64),
     Str(String),
     Bool(bool),
 }
@@ -22,12 +21,6 @@ pub enum Field {
 impl From<u64> for Field {
     fn from(v: u64) -> Self {
         Field::U64(v)
-    }
-}
-
-impl From<i64> for Field {
-    fn from(v: i64) -> Self {
-        Field::I64(v)
     }
 }
 
@@ -93,10 +86,6 @@ impl EventLog {
         }
     }
 
-    pub fn run_id(&self) -> &str {
-        &self.run_id
-    }
-
     pub fn record(&mut self, event: Event) {
         self.events.push(event);
     }
@@ -125,7 +114,6 @@ impl EventLog {
             for (k, v) in &e.fields {
                 match v {
                     Field::U64(n) => write!(out, ",\"{}\":{}", escape(k), n).unwrap(),
-                    Field::I64(n) => write!(out, ",\"{}\":{}", escape(k), n).unwrap(),
                     Field::Bool(b) => write!(out, ",\"{}\":{}", escape(k), b).unwrap(),
                     Field::Str(s) => write!(out, ",\"{}\":\"{}\"", escape(k), escape(s)).unwrap(),
                 }

@@ -18,7 +18,12 @@
 //!   this assignment disappear?"*;
 //! * two **exporters**: Chrome `trace_events` JSON ([`chrome`],
 //!   loadable in `chrome://tracing`/Perfetto) and a human-readable
-//!   rendering ([`explain`]).
+//!   rendering ([`explain`]);
+//! * the **metrics plane** ([`metrics`]): Prometheus exposition of the
+//!   run statistics' counter families plus a small registry of
+//!   histograms and pool counters, a run-scoped JSONL event log
+//!   ([`events`]) and an optional counting global allocator ([`alloc`],
+//!   `--features alloc-metrics`).
 //!
 //! # Cost model
 //!
@@ -60,11 +65,14 @@
 //! assert!(json.starts_with("{\"traceEvents\":["));
 //! ```
 
+pub mod alloc;
 pub mod budget;
 pub mod chrome;
+pub mod events;
 pub mod explain;
 pub mod fault;
 pub mod json;
+pub mod metrics;
 pub mod sandbox;
 
 use std::borrow::Cow;
@@ -639,43 +647,13 @@ pub fn merge_collected(parts: Vec<Collected>) -> Collected {
     merged
 }
 
-/// Registry handles for the solver counter families. Registered lazily on
-/// the first solve; every later update is a lock-free atomic add into the
-/// process-global `pdce-metrics` registry, aggregating across all worker
-/// threads (unlike the per-thread [`SolverStats`] accumulator below).
-mod solver_metrics {
-    use pdce_metrics::{global, Counter, Stability};
-    use std::sync::{Arc, LazyLock};
-
-    pub static PRIORITY_POPS: LazyLock<Arc<Counter>> = LazyLock::new(|| {
-        global().counter(
-            "pdce_solver_pops_total",
-            "Worklist pops by solver engine (one engine: the priority worklist)",
-            Stability::Deterministic,
-            &[("strategy", "priority")],
-        )
-    });
-    pub static WORD_OPS: LazyLock<Arc<Counter>> = LazyLock::new(|| {
-        global().counter(
-            "pdce_solver_word_ops_total",
-            "Bit-vector word operations performed by solvers",
-            Stability::Deterministic,
-            &[],
-        )
-    });
-}
-
-/// Adds one solver run's counters into the per-thread accumulator and
-/// mirrors the hot counters (pops, word ops) into the
-/// process-global metrics registry.
+/// Adds one solver run's counters into the per-thread accumulator.
 pub fn record_solver(delta: SolverStats) {
     SOLVER.with(|s| {
         let mut total = s.get();
         total.add(&delta);
         s.set(total);
     });
-    solver_metrics::PRIORITY_POPS.add(delta.priority_pops);
-    solver_metrics::WORD_OPS.add(delta.word_ops);
 }
 
 /// The per-thread solver counter totals since thread start. Snapshot
@@ -687,6 +665,9 @@ pub fn solver_totals() -> SolverStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::{
+        bucket_index, bucket_upper_edge, CounterFamily, Histogram, Registry, Stability,
+    };
 
     #[test]
     fn disabled_tracing_records_nothing_and_costs_no_clock() {
@@ -824,5 +805,117 @@ mod tests {
         assert_eq!(names, vec!["a0", "a1", "b0"]);
         let seqs: Vec<u64> = merged.events.iter().map(|e| e.seq).collect();
         assert_eq!(seqs, vec![0, 1, 2]);
+    }
+
+    // The metrics plane (`crate::metrics`): buckets, quantiles, the
+    // registry and the families rendered from run statistics.
+
+    #[test]
+    fn bucket_scheme_is_log2_with_zero_bucket() {
+        assert_eq!(bucket_index(0), 0);
+        assert_eq!(bucket_index(1), 1);
+        assert_eq!(bucket_index(2), 2);
+        assert_eq!(bucket_index(3), 2);
+        assert_eq!(bucket_index(4), 3);
+        assert_eq!(bucket_index(1023), 10);
+        assert_eq!(bucket_index(1024), 11);
+        assert_eq!(bucket_index(u64::MAX), 63);
+        assert_eq!(bucket_upper_edge(0), 0);
+        assert_eq!(bucket_upper_edge(10), 1023);
+    }
+
+    #[test]
+    fn quantiles_are_upper_edges() {
+        let h = Histogram::new();
+        for v in [1u64, 2, 3, 5, 9, 17, 900, 1000] {
+            h.observe(v);
+        }
+        let snap = h.snapshot();
+        assert_eq!(snap.count, 8);
+        assert_eq!(snap.quantile(0.5), 7); // 4th sample (value 5) -> bucket 3
+        assert_eq!(snap.quantile(1.0), 1023);
+        assert_eq!(snap.max_estimate(), 1023);
+    }
+
+    #[test]
+    fn merge_is_commutative_and_since_subtracts() {
+        let a = Histogram::new();
+        let b = Histogram::new();
+        for v in 0..100u64 {
+            if v % 2 == 0 {
+                a.observe(v);
+            } else {
+                b.observe(v);
+            }
+        }
+        let mut ab = a.snapshot();
+        ab.merge(&b.snapshot());
+        let mut ba = b.snapshot();
+        ba.merge(&a.snapshot());
+        assert_eq!(ab, ba);
+        assert_eq!(ab.count, 100);
+        assert_eq!(ab.since(&a.snapshot()), b.snapshot());
+    }
+
+    #[test]
+    fn registry_snapshot_is_sorted_and_queryable() {
+        let r = Registry::new();
+        let c2 = r.counter("z_total", "z", Stability::Deterministic, &[("k", "b")]);
+        let c1 = r.counter("z_total", "z", Stability::Deterministic, &[("k", "a")]);
+        let h = r.histogram("a_ns", "a", Stability::Timing, &[]);
+        c1.add(1);
+        c2.add(2);
+        h.observe(1000);
+        let snap = r.snapshot();
+        let names: Vec<_> = snap
+            .series
+            .iter()
+            .map(|s| (s.name, s.labels.clone()))
+            .collect();
+        assert_eq!(names[0].0, "a_ns");
+        assert_eq!(names[1].1[0].1, "a");
+        assert_eq!(names[2].1[0].1, "b");
+        assert_eq!(snap.counter("z_total", &[("k", "b")]), Some(2));
+        assert_eq!(snap.counter_total("z_total"), 3);
+        let det = snap.prometheus_deterministic();
+        assert!(det.contains("z_total{k=\"a\"} 1"));
+        assert!(!det.contains("a_ns"));
+        let full = snap.prometheus();
+        assert!(full.contains("# STABILITY a_ns timing"));
+        assert!(full.contains("a_ns_bucket{le=\"+Inf\"} 1"));
+    }
+
+    #[test]
+    fn reregistration_returns_same_series() {
+        let r = Registry::new();
+        let a = r.counter("dup_total", "d", Stability::Deterministic, &[]);
+        let b = r.counter("dup_total", "d", Stability::Deterministic, &[]);
+        a.add(3);
+        b.add(4);
+        assert_eq!(r.snapshot().counter("dup_total", &[]), Some(7));
+    }
+
+    #[test]
+    fn pushed_counters_keep_the_snapshot_sorted() {
+        let r = Registry::new();
+        r.counter("a_total", "a", Stability::Deterministic, &[])
+            .inc();
+        r.counter("z_total", "z", Stability::Timing, &[]).inc();
+        let mut snap = r.snapshot();
+        let (name, help, stability) = ("m_total", "m", Stability::Deterministic);
+        let family = CounterFamily {
+            name,
+            help,
+            stability,
+        };
+        snap.push_counter(&family, &[("k", "b")], 2);
+        snap.push_counter(&family, &[("k", "a")], 0);
+        let det = snap.prometheus_deterministic();
+        let tail = "# STABILITY m_total deterministic\nm_total{k=\"a\"} 0\nm_total{k=\"b\"} 2\n";
+        assert!(
+            det.starts_with("# HELP a_total a\n") && det.ends_with(tail),
+            "{det}"
+        );
+        assert_eq!(snap.series.last().map(|s| s.name), Some("z_total"));
     }
 }

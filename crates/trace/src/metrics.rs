@@ -1,27 +1,32 @@
-//! Always-on metrics plane for the PDCE workspace.
+//! The metrics plane: a process-global registry of what no run
+//! statistics struct counts, and the exposition of every counter family.
 //!
-//! The crate provides a process-global registry of counters, gauges, and
-//! log2-bucketed histograms. Registration takes a short-lived lock once per
-//! series; every update after that is a handful of relaxed atomic
-//! read-modify-writes on shared `AtomicU64`s, so the hot path is lock-free
-//! and safe to hit from every worker of the `pdce-par` pool concurrently.
-//! Because updates commute, the registry's totals are independent of thread
-//! interleaving: a snapshot taken after a batch run is byte-stable for any
-//! `--jobs` value as long as the recorded values themselves are
-//! deterministic. Families whose samples are wall-clock measurements are
-//! registered with [`Stability::Timing`] and excluded from the deterministic
-//! rendering used by stability checks.
+//! Most counters of the workspace live in plain structs, one value per
+//! run or per server: `PdceStats` (rounds, rollbacks, TV checks), its
+//! `CacheStats` and `SolverStats`, and the serve daemon's health
+//! fields. Those structs are the store; a [`CounterFamily`] names how
+//! one of their fields is exposed, and [`Snapshot::push_counter`]
+//! renders the field's value into a snapshot at exposition time.
+//!
+//! The registry holds the rest: wall-clock histograms and the counters
+//! of the batch pool and the idle poll loop, which belong to no run.
+//! Registration takes a short-lived lock once per series; every update
+//! after that is a handful of relaxed atomic read-modify-writes on
+//! shared `AtomicU64`s, so the hot path is lock-free and safe to hit
+//! from every worker of the `pdce-par` pool concurrently. Families
+//! whose samples are wall-clock measurements are registered with
+//! [`Stability::Timing`] and excluded from the deterministic rendering
+//! used by stability checks.
 //!
 //! Exposition is snapshot-based: [`Registry::snapshot`] captures every
-//! series, [`Snapshot::since`] subtracts an earlier snapshot to scope a run,
+//! registered series, the owners of the struct-held counts push theirs,
 //! and the result renders as Prometheus text exposition
-//! ([`Snapshot::prometheus`]), a human table ([`Snapshot::human_table`]), or
-//! is queried directly for quantiles ([`HistogramSnapshot::quantile`]).
+//! ([`Snapshot::prometheus`]) or a human table ([`Snapshot::human_table`]);
+//! histograms answer quantile queries ([`HistogramSnapshot::quantile`]).
 
-pub mod alloc;
-pub mod events;
+pub use crate::{alloc, events};
 
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// Global recording gate. Metrics are always-on by default; the overhead
@@ -29,25 +34,14 @@ use std::sync::{Arc, Mutex, OnceLock};
 /// of the instrumentation itself can be measured in-process.
 static ENABLED: AtomicBool = AtomicBool::new(true);
 
-/// Whether metric updates are currently recorded.
-pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
-}
-
-/// Turn recording on or off process-wide. Intended for A/B measurement;
-/// the registry itself stays registered and readable either way.
-pub fn set_enabled(on: bool) {
-    ENABLED.store(on, Ordering::Relaxed);
-}
-
 /// Run `f` with recording suppressed, restoring the previous state after.
 /// The gate is process-global, so this is meant for single-workload A/B
-/// harnesses, not for scoping individual threads.
+/// harnesses, not for scoping individual threads; the registry itself
+/// stays registered and readable either way.
 pub fn suppressed<T>(f: impl FnOnce() -> T) -> T {
-    let was = enabled();
-    set_enabled(false);
+    let was = ENABLED.swap(false, Ordering::Relaxed);
     let out = f();
-    set_enabled(was);
+    ENABLED.store(was, Ordering::Relaxed);
     out
 }
 
@@ -69,6 +63,16 @@ impl Stability {
     }
 }
 
+/// A counter family whose values live in a struct field rather than in
+/// the registry: its exposition facts, rendered into a [`Snapshot`]
+/// with [`Snapshot::push_counter`] wherever the struct is exposed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CounterFamily {
+    pub name: &'static str,
+    pub help: &'static str,
+    pub stability: Stability,
+}
+
 /// Monotone counter. Updates are relaxed atomic adds.
 #[derive(Debug, Default)]
 pub struct Counter {
@@ -76,14 +80,8 @@ pub struct Counter {
 }
 
 impl Counter {
-    pub const fn new() -> Self {
-        Counter {
-            value: AtomicU64::new(0),
-        }
-    }
-
     pub fn add(&self, n: u64) {
-        if n != 0 && enabled() {
+        if n != 0 && ENABLED.load(Ordering::Relaxed) {
             self.value.fetch_add(n, Ordering::Relaxed);
         }
     }
@@ -93,36 +91,6 @@ impl Counter {
     }
 
     pub fn get(&self) -> u64 {
-        self.value.load(Ordering::Relaxed)
-    }
-}
-
-/// Last-writer-wins signed gauge.
-#[derive(Debug, Default)]
-pub struct Gauge {
-    value: AtomicI64,
-}
-
-impl Gauge {
-    pub const fn new() -> Self {
-        Gauge {
-            value: AtomicI64::new(0),
-        }
-    }
-
-    pub fn set(&self, v: i64) {
-        if enabled() {
-            self.value.store(v, Ordering::Relaxed);
-        }
-    }
-
-    pub fn add(&self, d: i64) {
-        if d != 0 && enabled() {
-            self.value.fetch_add(d, Ordering::Relaxed);
-        }
-    }
-
-    pub fn get(&self) -> i64 {
         self.value.load(Ordering::Relaxed)
     }
 }
@@ -176,7 +144,7 @@ impl Histogram {
     }
 
     pub fn observe(&self, v: u64) {
-        if !enabled() {
+        if !ENABLED.load(Ordering::Relaxed) {
             return;
         }
         self.count.fetch_add(1, Ordering::Relaxed);
@@ -260,26 +228,9 @@ impl HistogramSnapshot {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Kind {
-    Counter,
-    Gauge,
-    Histogram,
-}
-
-impl Kind {
-    fn label(self) -> &'static str {
-        match self {
-            Kind::Counter => "counter",
-            Kind::Gauge => "gauge",
-            Kind::Histogram => "histogram",
-        }
-    }
-}
-
+#[derive(Clone)]
 enum Metric {
     Counter(Arc<Counter>),
-    Gauge(Arc<Gauge>),
     Histogram(Arc<Histogram>),
 }
 
@@ -291,9 +242,12 @@ struct Series {
 struct Family {
     name: &'static str,
     help: &'static str,
-    kind: Kind,
     stability: Stability,
     series: Vec<Series>,
+}
+
+fn same_labels(have: &[(&'static str, String)], want: &[(&str, &str)]) -> bool {
+    have.len() == want.len() && have.iter().zip(want).all(|(a, b)| a.0 == b.0 && a.1 == b.1)
 }
 
 /// Named collection of metric families. Registration (and snapshotting)
@@ -312,54 +266,40 @@ impl Registry {
         }
     }
 
-    // One parameter per registration fact plus the three kind adapters;
-    // splitting those into a trait would triple the code for three
-    // call sites.
-    #[allow(clippy::too_many_arguments)]
-    fn register<T>(
+    /// The series of `name` with `labels`, made by `make` on first use.
+    fn register(
         &self,
         name: &'static str,
         help: &'static str,
-        kind: Kind,
         stability: Stability,
         labels: &[(&'static str, &str)],
-        make: impl FnOnce() -> Arc<T>,
-        wrap: impl Fn(Arc<T>) -> Metric,
-        unwrap: impl Fn(&Metric) -> Option<Arc<T>>,
-    ) -> Arc<T> {
+        make: impl FnOnce() -> Metric,
+    ) -> Metric {
         let mut families = self.families.lock().unwrap();
-        let family = match families.iter_mut().find(|f| f.name == name) {
-            Some(f) => {
-                assert_eq!(
-                    f.kind, kind,
-                    "metric family {name} re-registered with a different kind"
-                );
-                f
-            }
+        let at = match families.iter().position(|f| f.name == name) {
+            Some(at) => at,
             None => {
                 families.push(Family {
                     name,
                     help,
-                    kind,
                     stability,
                     series: Vec::new(),
                 });
-                families.last_mut().unwrap()
+                families.len() - 1
             }
         };
-        if let Some(existing) = family.series.iter().find(|s| {
-            s.labels.len() == labels.len()
-                && s.labels
-                    .iter()
-                    .zip(labels.iter())
-                    .all(|(a, b)| a.0 == b.0 && a.1 == b.1)
-        }) {
-            return unwrap(&existing.metric).expect("metric series kind mismatch");
+        let family = &mut families[at];
+        if let Some(existing) = family
+            .series
+            .iter()
+            .find(|s| same_labels(&s.labels, labels))
+        {
+            return existing.metric.clone();
         }
         let metric = make();
         family.series.push(Series {
             labels: labels.iter().map(|&(k, v)| (k, v.to_string())).collect(),
-            metric: wrap(Arc::clone(&metric)),
+            metric: metric.clone(),
         });
         metric
     }
@@ -372,42 +312,12 @@ impl Registry {
         stability: Stability,
         labels: &[(&'static str, &str)],
     ) -> Arc<Counter> {
-        self.register(
-            name,
-            help,
-            Kind::Counter,
-            stability,
-            labels,
-            || Arc::new(Counter::new()),
-            Metric::Counter,
-            |m| match m {
-                Metric::Counter(c) => Some(Arc::clone(c)),
-                _ => None,
-            },
-        )
-    }
-
-    /// Register (or look up) a gauge series.
-    pub fn gauge(
-        &self,
-        name: &'static str,
-        help: &'static str,
-        stability: Stability,
-        labels: &[(&'static str, &str)],
-    ) -> Arc<Gauge> {
-        self.register(
-            name,
-            help,
-            Kind::Gauge,
-            stability,
-            labels,
-            || Arc::new(Gauge::new()),
-            Metric::Gauge,
-            |m| match m {
-                Metric::Gauge(g) => Some(Arc::clone(g)),
-                _ => None,
-            },
-        )
+        match self.register(name, help, stability, labels, || {
+            Metric::Counter(Arc::default())
+        }) {
+            Metric::Counter(c) => c,
+            Metric::Histogram(_) => panic!("metric family {name} re-registered as a counter"),
+        }
     }
 
     /// Register (or look up) a histogram series.
@@ -418,19 +328,12 @@ impl Registry {
         stability: Stability,
         labels: &[(&'static str, &str)],
     ) -> Arc<Histogram> {
-        self.register(
-            name,
-            help,
-            Kind::Histogram,
-            stability,
-            labels,
-            || Arc::new(Histogram::new()),
-            Metric::Histogram,
-            |m| match m {
-                Metric::Histogram(h) => Some(Arc::clone(h)),
-                _ => None,
-            },
-        )
+        match self.register(name, help, stability, labels, || {
+            Metric::Histogram(Arc::default())
+        }) {
+            Metric::Histogram(h) => h,
+            Metric::Counter(_) => panic!("metric family {name} re-registered as a histogram"),
+        }
     }
 
     /// Capture every registered series. Series are sorted by
@@ -445,12 +348,10 @@ impl Registry {
                 series.push(SeriesSnapshot {
                     name: f.name,
                     help: f.help,
-                    kind: f.kind,
                     stability: f.stability,
                     labels: s.labels.iter().map(|(k, v)| (*k, v.clone())).collect(),
                     value: match &s.metric {
                         Metric::Counter(c) => Value::Counter(c.get()),
-                        Metric::Gauge(g) => Value::Gauge(g.get()),
                         Metric::Histogram(h) => Value::Histogram(h.snapshot()),
                     },
                 });
@@ -461,20 +362,19 @@ impl Registry {
     }
 }
 
-/// The process-global registry every instrumented layer records into.
+/// The process-global registry of the histograms and the pool and poll
+/// loop counters.
 pub fn global() -> &'static Registry {
     static GLOBAL: OnceLock<Registry> = OnceLock::new();
     GLOBAL.get_or_init(Registry::new)
 }
 
 /// One series' value at snapshot time. The histogram variant inlines
-/// its 64 buckets — snapshots are cold-path plain data, and keeping
-/// them boxless keeps `since`/`merge` allocation-free.
+/// its 64 buckets: snapshots are cold-path plain data.
 #[allow(clippy::large_enum_variant)]
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {
     Counter(u64),
-    Gauge(i64),
     Histogram(HistogramSnapshot),
 }
 
@@ -483,22 +383,25 @@ pub enum Value {
 pub struct SeriesSnapshot {
     pub name: &'static str,
     pub help: &'static str,
-    kind: Kind,
     pub stability: Stability,
     pub labels: Vec<(&'static str, String)>,
     pub value: Value,
 }
 
 impl SeriesSnapshot {
-    fn label_string(&self) -> String {
-        if self.labels.is_empty() {
-            return String::new();
-        }
+    /// The series' labels, plus `extra` if given, as `{k="v",...}`
+    /// (empty without labels).
+    fn label_string(&self, extra: Option<(&str, &str)>) -> String {
         let inner: Vec<String> = self
             .labels
             .iter()
+            .map(|(k, v)| (*k, v.as_str()))
+            .chain(extra)
             .map(|(k, v)| format!("{k}=\"{}\"", escape_label(v)))
             .collect();
+        if inner.is_empty() {
+            return String::new();
+        }
         format!("{{{}}}", inner.join(","))
     }
 }
@@ -516,58 +419,37 @@ pub struct Snapshot {
 }
 
 impl Snapshot {
-    /// Subtract an earlier snapshot series-wise to scope the capture to a
-    /// run. Series missing from `earlier` pass through unchanged; gauges
-    /// keep their latest value (they are not cumulative).
-    pub fn since(&self, earlier: &Snapshot) -> Snapshot {
-        let series = self
+    /// Adds one series of a struct-held counter family, keeping the
+    /// snapshot's (name, labels) order.
+    pub fn push_counter(
+        &mut self,
+        family: &CounterFamily,
+        labels: &[(&'static str, &str)],
+        value: u64,
+    ) {
+        let series = SeriesSnapshot {
+            name: family.name,
+            help: family.help,
+            stability: family.stability,
+            labels: labels.iter().map(|&(k, v)| (k, v.to_string())).collect(),
+            value: Value::Counter(value),
+        };
+        let at = self
             .series
-            .iter()
-            .map(|s| {
-                let before = earlier
-                    .series
-                    .iter()
-                    .find(|e| e.name == s.name && e.labels == s.labels);
-                let value = match (&s.value, before.map(|b| &b.value)) {
-                    (Value::Counter(now), Some(Value::Counter(then))) => {
-                        Value::Counter(now.saturating_sub(*then))
-                    }
-                    (Value::Histogram(now), Some(Value::Histogram(then))) => {
-                        Value::Histogram(now.since(then))
-                    }
-                    (v, _) => v.clone(),
-                };
-                SeriesSnapshot { value, ..s.clone() }
-            })
-            .collect();
-        Snapshot { series }
+            .partition_point(|s| (s.name, &s.labels) < (series.name, &series.labels));
+        self.series.insert(at, series);
     }
 
     /// Look up a counter's value by family name and exact label set.
     pub fn counter(&self, name: &str, labels: &[(&str, &str)]) -> Option<u64> {
-        self.find(name, labels).and_then(|s| match &s.value {
-            Value::Counter(v) => Some(*v),
-            _ => None,
-        })
-    }
-
-    /// Look up a histogram snapshot by family name and exact label set.
-    pub fn histogram(&self, name: &str, labels: &[(&str, &str)]) -> Option<&HistogramSnapshot> {
-        self.find(name, labels).and_then(|s| match &s.value {
-            Value::Histogram(h) => Some(h),
-            _ => None,
-        })
-    }
-
-    fn find(&self, name: &str, labels: &[(&str, &str)]) -> Option<&SeriesSnapshot> {
-        self.series.iter().find(|s| {
-            s.name == name
-                && s.labels.len() == labels.len()
-                && s.labels
-                    .iter()
-                    .zip(labels.iter())
-                    .all(|(a, b)| a.0 == b.0 && a.1 == b.1)
-        })
+        let series = self
+            .series
+            .iter()
+            .find(|s| s.name == name && same_labels(&s.labels, labels));
+        match series?.value {
+            Value::Counter(v) => Some(v),
+            Value::Histogram(_) => None,
+        }
     }
 
     /// Sum of a counter family across all label sets.
@@ -602,14 +484,17 @@ impl Snapshot {
         for s in self.series.iter().filter(|s| keep(s)) {
             if last_family != Some(s.name) {
                 writeln!(out, "# HELP {} {}", s.name, s.help).unwrap();
-                writeln!(out, "# TYPE {} {}", s.name, s.kind.label()).unwrap();
+                let kind = match s.value {
+                    Value::Counter(_) => "counter",
+                    Value::Histogram(_) => "histogram",
+                };
+                writeln!(out, "# TYPE {} {kind}", s.name).unwrap();
                 writeln!(out, "# STABILITY {} {}", s.name, s.stability.label()).unwrap();
                 last_family = Some(s.name);
             }
-            let labels = s.label_string();
+            let labels = s.label_string(None);
             match &s.value {
                 Value::Counter(v) => writeln!(out, "{}{} {}", s.name, labels, v).unwrap(),
-                Value::Gauge(v) => writeln!(out, "{}{} {}", s.name, labels, v).unwrap(),
                 Value::Histogram(h) => {
                     let mut cum = 0u64;
                     for (i, &b) in h.buckets.iter().enumerate() {
@@ -621,7 +506,7 @@ impl Snapshot {
                             out,
                             "{}_bucket{} {}",
                             s.name,
-                            with_label(&s.labels, "le", &bucket_upper_edge(i).to_string()),
+                            s.label_string(Some(("le", &bucket_upper_edge(i).to_string()))),
                             cum
                         )
                         .unwrap();
@@ -630,7 +515,7 @@ impl Snapshot {
                         out,
                         "{}_bucket{} {}",
                         s.name,
-                        with_label(&s.labels, "le", "+Inf"),
+                        s.label_string(Some(("le", "+Inf"))),
                         h.count
                     )
                     .unwrap();
@@ -647,26 +532,17 @@ impl Snapshot {
         use std::fmt::Write;
         let mut out = String::from("metrics:\n");
         for s in &self.series {
-            let skip = match &s.value {
-                Value::Counter(0) => true,
-                Value::Histogram(h) => h.count == 0,
-                _ => false,
-            };
-            if skip {
-                continue;
-            }
             match &s.value {
+                Value::Counter(0) => {}
                 Value::Counter(v) => {
-                    writeln!(out, "  {}{} = {}", s.name, s.label_string(), v).unwrap()
+                    writeln!(out, "  {}{} = {}", s.name, s.label_string(None), v).unwrap()
                 }
-                Value::Gauge(v) => {
-                    writeln!(out, "  {}{} = {}", s.name, s.label_string(), v).unwrap()
-                }
+                Value::Histogram(h) if h.count == 0 => {}
                 Value::Histogram(h) => writeln!(
                     out,
                     "  {}{} count={} p50<={} p90<={} p99<={} max<={}",
                     s.name,
-                    s.label_string(),
+                    s.label_string(None),
                     h.count,
                     h.quantile(0.50),
                     h.quantile(0.90),
@@ -677,104 +553,5 @@ impl Snapshot {
             }
         }
         out
-    }
-}
-
-fn with_label(labels: &[(&'static str, String)], key: &str, value: &str) -> String {
-    let mut inner: Vec<String> = labels
-        .iter()
-        .map(|(k, v)| format!("{k}=\"{}\"", escape_label(v)))
-        .collect();
-    inner.push(format!("{key}=\"{value}\""));
-    format!("{{{}}}", inner.join(","))
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn bucket_scheme_is_log2_with_zero_bucket() {
-        assert_eq!(bucket_index(0), 0);
-        assert_eq!(bucket_index(1), 1);
-        assert_eq!(bucket_index(2), 2);
-        assert_eq!(bucket_index(3), 2);
-        assert_eq!(bucket_index(4), 3);
-        assert_eq!(bucket_index(1023), 10);
-        assert_eq!(bucket_index(1024), 11);
-        assert_eq!(bucket_index(u64::MAX), 63);
-        assert_eq!(bucket_upper_edge(0), 0);
-        assert_eq!(bucket_upper_edge(10), 1023);
-    }
-
-    #[test]
-    fn quantiles_are_upper_edges() {
-        let h = Histogram::new();
-        for v in [1u64, 2, 3, 5, 9, 17, 900, 1000] {
-            h.observe(v);
-        }
-        let snap = h.snapshot();
-        assert_eq!(snap.count, 8);
-        assert_eq!(snap.quantile(0.5), 7); // 4th sample (value 5) -> bucket 3
-        assert_eq!(snap.quantile(1.0), 1023);
-        assert_eq!(snap.max_estimate(), 1023);
-    }
-
-    #[test]
-    fn merge_is_commutative_and_since_subtracts() {
-        let a = Histogram::new();
-        let b = Histogram::new();
-        for v in 0..100u64 {
-            if v % 2 == 0 {
-                a.observe(v);
-            } else {
-                b.observe(v);
-            }
-        }
-        let mut ab = a.snapshot();
-        ab.merge(&b.snapshot());
-        let mut ba = b.snapshot();
-        ba.merge(&a.snapshot());
-        assert_eq!(ab, ba);
-        assert_eq!(ab.count, 100);
-        assert_eq!(ab.since(&a.snapshot()), b.snapshot());
-    }
-
-    #[test]
-    fn registry_snapshot_is_sorted_and_queryable() {
-        let r = Registry::new();
-        let c2 = r.counter("z_total", "z", Stability::Deterministic, &[("k", "b")]);
-        let c1 = r.counter("z_total", "z", Stability::Deterministic, &[("k", "a")]);
-        let h = r.histogram("a_ns", "a", Stability::Timing, &[]);
-        c1.add(1);
-        c2.add(2);
-        h.observe(1000);
-        let snap = r.snapshot();
-        let names: Vec<_> = snap
-            .series
-            .iter()
-            .map(|s| (s.name, s.labels.clone()))
-            .collect();
-        assert_eq!(names[0].0, "a_ns");
-        assert_eq!(names[1].1[0].1, "a");
-        assert_eq!(names[2].1[0].1, "b");
-        assert_eq!(snap.counter("z_total", &[("k", "b")]), Some(2));
-        assert_eq!(snap.counter_total("z_total"), 3);
-        let det = snap.prometheus_deterministic();
-        assert!(det.contains("z_total{k=\"a\"} 1"));
-        assert!(!det.contains("a_ns"));
-        let full = snap.prometheus();
-        assert!(full.contains("# STABILITY a_ns timing"));
-        assert!(full.contains("a_ns_bucket{le=\"+Inf\"} 1"));
-    }
-
-    #[test]
-    fn reregistration_returns_same_series() {
-        let r = Registry::new();
-        let a = r.counter("dup_total", "d", Stability::Deterministic, &[]);
-        let b = r.counter("dup_total", "d", Stability::Deterministic, &[]);
-        a.add(3);
-        b.add(4);
-        assert_eq!(r.snapshot().counter("dup_total", &[]), Some(7));
     }
 }

@@ -16,9 +16,11 @@
 
 use std::io::Read;
 use std::process::ExitCode;
+use std::sync::{Arc, LazyLock};
 
 use pdce::core::better::{check_improvement, BetterOptions};
 use pdce::core::driver::{optimize, optimize_resilient, PdceConfig};
+use pdce::core::RunTotals;
 use pdce::ir::interp::{run, Env, ExecLimits, SeededOracle};
 use pdce::ir::parser::parse;
 use pdce::ir::printer::{print_program, print_stmt};
@@ -245,18 +247,14 @@ fn load(file: Option<&str>) -> Result<Program, CliError> {
 
 /// Registry handle for the per-file latency histogram; both the
 /// single-file and the batch path observe one sample per optimized file.
-fn file_wall_hist() -> std::sync::Arc<pdce::metrics::Histogram> {
-    use std::sync::{Arc, LazyLock};
-    static HIST: LazyLock<Arc<pdce::metrics::Histogram>> = LazyLock::new(|| {
-        pdce::metrics::global().histogram(
-            "pdce_file_wall_ns",
-            "Per-file end-to-end optimization wall time in nanoseconds",
-            pdce::metrics::Stability::Timing,
-            &[],
-        )
-    });
-    Arc::clone(&HIST)
-}
+static FILE_WALL: LazyLock<Arc<pdce::metrics::Histogram>> = LazyLock::new(|| {
+    pdce::metrics::global().histogram(
+        "pdce_file_wall_ns",
+        "Per-file end-to-end optimization wall time in nanoseconds",
+        pdce::metrics::Stability::Timing,
+        &[],
+    )
+});
 
 /// What `--metrics`, `--metrics-out`, and `--events-out` asked for, plus
 /// the deterministic run id events are stamped with.
@@ -272,15 +270,17 @@ impl TelemetryOptions {
         self.events_out.is_some()
     }
 
-    /// Writes the run-scoped registry snapshot (everything recorded since
-    /// `base`) and the event log to wherever the flags pointed.
+    /// Writes the run's metrics (the optimizer families rendered from
+    /// `runs`, plus what the registry recorded in this process) and the
+    /// event log to wherever the flags pointed.
     fn emit(
         &self,
-        base: &pdce::metrics::Snapshot,
+        runs: &RunTotals,
         events: &pdce::metrics::events::EventLog,
     ) -> Result<(), CliError> {
         if self.want_metrics || self.metrics_out.is_some() {
-            let snap = pdce::metrics::global().snapshot().since(base);
+            let mut snap = pdce::metrics::global().snapshot();
+            runs.render(&mut snap);
             if let Some(path) = &self.metrics_out {
                 std::fs::write(path, snap.prometheus())
                     .map_err(|e| failed(format!("cannot write metrics `{path}`: {e}")))?;
@@ -350,9 +350,6 @@ fn cmd_opt(args: &[String]) -> Result<(), CliError> {
             "metrics",
         ],
     )?;
-    // Baseline snapshot scoping every telemetry exposition to this run
-    // (relevant in-process; from a fresh CLI process it is all zeros).
-    let metrics_base = pdce::metrics::global().snapshot();
     let mut config = PdceConfig::pde();
     let mut trace_path: Option<String> = None;
     let mut jobs = 1usize;
@@ -461,7 +458,6 @@ fn cmd_opt(args: &[String]) -> Result<(), CliError> {
             want_simplify,
             want_explain,
             telemetry: &telemetry,
-            metrics_base: &metrics_base,
         });
     }
     let display = parsed.single_file()?.unwrap_or("<stdin>").to_string();
@@ -474,7 +470,7 @@ fn cmd_opt(args: &[String]) -> Result<(), CliError> {
     let file_start = std::time::Instant::now();
     let collector = (trace_path.is_some() || want_explain)
         .then(|| std::rc::Rc::new(pdce::trace::Collector::new()));
-    {
+    let runs = {
         // Tracing covers exactly the optimization (the exporters below
         // run after the guard drops, so they don't trace themselves).
         let _guard = collector
@@ -533,8 +529,9 @@ fn cmd_opt(args: &[String]) -> Result<(), CliError> {
                 eprintln!("degraded:    {}", mode.label());
             }
         }
-    }
-    file_wall_hist().observe(file_start.elapsed().as_nanos() as u64);
+        RunTotals::of(&config, &stats)
+    };
+    FILE_WALL.observe(file_start.elapsed().as_nanos() as u64);
     if let Some(c) = &collector {
         if let Some(path) = &trace_path {
             let json = pdce::trace::chrome::chrome_trace(
@@ -558,7 +555,7 @@ fn cmd_opt(args: &[String]) -> Result<(), CliError> {
             );
         }
     }
-    telemetry.emit(&metrics_base, &events)?;
+    telemetry.emit(&runs, &events)?;
     if want_verify {
         let report = check_improvement(&original, &prog, &BetterOptions::default());
         if !report.holds() {
@@ -584,7 +581,6 @@ struct BatchOptions<'a> {
     want_simplify: bool,
     want_explain: bool,
     telemetry: &'a TelemetryOptions,
-    metrics_base: &'a pdce::metrics::Snapshot,
 }
 
 /// Per-file result of a batch worker.
@@ -629,7 +625,7 @@ fn cmd_opt_batch(opts: &BatchOptions) -> Result<(), CliError> {
                 });
                 optimize_one_file(path, opts.config, opts.want_simplify, opts.want_verify)
             };
-            file_wall_hist().observe(file_start.elapsed().as_nanos() as u64);
+            FILE_WALL.observe(file_start.elapsed().as_nanos() as u64);
             let collected = collector.as_ref().map(|c| Collected::from_collector(c));
             (result, collected)
         })
@@ -651,9 +647,11 @@ fn cmd_opt_batch(opts: &BatchOptions) -> Result<(), CliError> {
     let mut all_bad_input = true;
     let mut totals = pdce::trace::SolverStats::ZERO;
     let mut total_eliminated = 0u64;
+    let mut runs = RunTotals::default();
     for (path, (result, _)) in opts.files.iter().zip(&outcomes) {
         match result {
             Ok(report) => {
+                runs.add(&RunTotals::of(opts.config, &report.stats));
                 println!("// ==== {path} ====");
                 print!("{}", report.output);
                 for note in &report.warnings {
@@ -754,7 +752,7 @@ fn cmd_opt_batch(opts: &BatchOptions) -> Result<(), CliError> {
             );
         }
     }
-    opts.telemetry.emit(opts.metrics_base, &events)?;
+    opts.telemetry.emit(&runs, &events)?;
     if errors > 0 {
         let msg = format!("{errors} of {} file(s) failed", opts.files.len());
         return Err(if all_bad_input {
@@ -1033,7 +1031,6 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
             "unexpected argument `{extra}` (serve reads requests from its socket or stdin)"
         )));
     }
-    let metrics_base = pdce::metrics::global().snapshot();
     let mut opts = pdce::serve::ServeOptions::default();
     let mut tcp: Option<String> = None;
     let mut unix: Option<String> = None;
@@ -1132,7 +1129,8 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
             .map_err(failed)?
     };
     if let Some(path) = &metrics_out {
-        let snap = pdce::metrics::global().snapshot().since(&metrics_base);
+        let mut snap = pdce::metrics::global().snapshot();
+        server.render_metrics(&mut snap);
         std::fs::write(path, snap.prometheus())
             .map_err(|e| failed(format!("cannot write metrics `{path}`: {e}")))?;
         eprintln!("metrics: wrote {} series to {path}", snap.series.len());

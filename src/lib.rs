@@ -15,9 +15,10 @@
 //! * [`trace`] — structured tracing: span/event collector, solver
 //!   telemetry, transformation provenance, Chrome-trace and `--explain`
 //!   exporters
-//! * [`metrics`] — always-on metrics plane: lock-free registry of
-//!   counters/gauges/log2 histograms, Prometheus exposition, JSONL event
-//!   log, optional counting allocator (`--features alloc-metrics`)
+//! * [`metrics`] — the metrics plane (`pdce_trace::metrics`): Prometheus
+//!   exposition of the run statistics' counter families, a lock-free
+//!   registry of log2 histograms and pool counters, JSONL event log,
+//!   optional counting allocator (`--features alloc-metrics`)
 //!
 //! # Quickstart
 //!
@@ -45,16 +46,17 @@
 // snapshots carry real data.
 #[cfg(feature = "alloc-metrics")]
 #[global_allocator]
-static COUNTING_ALLOC: pdce_metrics::alloc::CountingAlloc = pdce_metrics::alloc::CountingAlloc;
+static COUNTING_ALLOC: pdce_trace::metrics::alloc::CountingAlloc =
+    pdce_trace::metrics::alloc::CountingAlloc;
 
 pub use pdce_baselines as baselines;
 pub use pdce_core as core;
 pub use pdce_dfa as dfa;
 pub use pdce_ir as ir;
 pub use pdce_lcm as lcm;
-pub use pdce_metrics as metrics;
 pub use pdce_par as par;
 pub use pdce_progen as progen;
 pub use pdce_serve as serve;
 pub use pdce_ssa as ssa;
 pub use pdce_trace as trace;
+pub use pdce_trace::metrics;

@@ -45,9 +45,9 @@ fn serial() -> std::sync::MutexGuard<'static, ()> {
 fn allocs<T>(mut f: impl FnMut() -> T) -> u64 {
     (0..3)
         .map(|_| {
-            let before = pdce_metrics::alloc::snapshot();
+            let before = pdce_trace::metrics::alloc::snapshot();
             std::hint::black_box(f());
-            pdce_metrics::alloc::snapshot().since(&before).allocs
+            pdce_trace::metrics::alloc::snapshot().since(&before).allocs
         })
         .min()
         .expect("three runs")
@@ -70,7 +70,7 @@ fn solve_allocs(prog: &Program) -> [u64; 4] {
 fn solve_allocations_do_not_grow_with_the_block_count() {
     let _serial = serial();
     assert!(
-        pdce_metrics::alloc::active(),
+        pdce_trace::metrics::alloc::active(),
         "the counting allocator is not installed"
     );
     let small = program(50);

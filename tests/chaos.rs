@@ -71,10 +71,21 @@ fn health_field(line: &str, field: &str) -> f64 {
         .unwrap_or_else(|| panic!("health has no numeric `{field}`: {line}"))
 }
 
+/// A spawned `pdce serve`, killed when dropped, so a failed assertion
+/// does not leave it running.
+struct Daemon(Child);
+
+impl Drop for Daemon {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
 /// Spawns the binary listening on a Unix socket with a persistent
 /// cache and two workers, under an optional `FAULT_INJECT` schedule;
 /// stdio is discarded (the test talks over the socket).
-fn spawn_server(sock: &Path, cache: &Path, extra: &[&str], fault: Option<&str>) -> Child {
+fn spawn_server(sock: &Path, cache: &Path, extra: &[&str], fault: Option<&str>) -> Daemon {
     spawn_server_with_jobs(2, sock, cache, extra, fault)
 }
 
@@ -84,7 +95,7 @@ fn spawn_server_with_jobs(
     cache: &Path,
     extra: &[&str],
     fault: Option<&str>,
-) -> Child {
+) -> Daemon {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_pdce"));
     cmd.arg("serve")
         .arg("--unix")
@@ -103,7 +114,7 @@ fn spawn_server_with_jobs(
     cmd.stdin(Stdio::null())
         .stdout(Stdio::null())
         .stderr(Stdio::null());
-    cmd.spawn().expect("binary spawns")
+    Daemon(cmd.spawn().expect("binary spawns"))
 }
 
 /// Asks a server for its health counters over an open connection.
@@ -199,7 +210,7 @@ fn kill_restart_cycles_lose_no_requests_and_warm_replays_are_byte_identical() {
             .filter(|&i| answered[i].is_none())
             .collect();
         assert!(!pending.is_empty(), "cycle {cycle} has work left");
-        let mut child = spawn_server(&sock, &cache, &[], None);
+        let mut daemon = spawn_server(&sock, &cache, &[], None);
         let mut stream = connect(&sock);
         for &i in &pending {
             stream.write_all(requests[i].as_bytes()).unwrap();
@@ -218,8 +229,8 @@ fn kill_restart_cycles_lose_no_requests_and_warm_replays_are_byte_identical() {
                 "request {i} answered twice"
             );
         }
-        child.kill().expect("SIGKILL lands");
-        let _ = child.wait();
+        daemon.0.kill().expect("SIGKILL lands");
+        let _ = daemon.0.wait();
         // Responses the kernel had buffered die with the dropped
         // stream: the client's view is "unanswered", and the next
         // cycle replays them.
@@ -227,7 +238,7 @@ fn kill_restart_cycles_lose_no_requests_and_warm_replays_are_byte_identical() {
     }
 
     // Final clean cycle: finish the remainder, then a full warm replay.
-    let mut child = spawn_server(&sock, &cache, &[], None);
+    let mut daemon = spawn_server(&sock, &cache, &[], None);
     let stream = connect(&sock);
     let mut reader = BufReader::new(stream.try_clone().unwrap());
     let mut stream = stream;
@@ -313,7 +324,7 @@ fn kill_restart_cycles_lose_no_requests_and_warm_replays_are_byte_identical() {
     let mut ack = String::new();
     reader.read_line(&mut ack).unwrap();
     assert!(ack.contains("\"shutdown\":true"));
-    assert!(child.wait().unwrap().success());
+    assert!(daemon.0.wait().unwrap().success());
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -482,21 +493,10 @@ fn hard_deadline_abandons_a_wedged_worker_and_answers_its_request() {
 
 /// The daemon's thread count, read from `/proc/<pid>/task`.
 #[cfg(target_os = "linux")]
-fn threads_of(child: &Child) -> usize {
-    std::fs::read_dir(format!("/proc/{}/task", child.id()))
+fn threads_of(daemon: &Daemon) -> usize {
+    std::fs::read_dir(format!("/proc/{}/task", daemon.0.id()))
         .expect("the daemon is alive")
         .count()
-}
-
-/// Kills the daemon when dropped, so a failed assertion does not
-/// leave it running.
-struct Daemon(Child);
-
-impl Drop for Daemon {
-    fn drop(&mut self) {
-        let _ = self.0.kill();
-        let _ = self.0.wait();
-    }
 }
 
 #[test]
@@ -512,13 +512,13 @@ fn repeated_wedges_keep_the_pool_at_strength() {
     let dir = fresh_dir("wedges");
     let sock = dir.join("w.sock");
     let cache = dir.join("w.cache");
-    let mut daemon = Daemon(spawn_server_with_jobs(
+    let mut daemon = spawn_server_with_jobs(
         1,
         &sock,
         &cache,
         &["--watchdog-soft-ms", "250", "--watchdog-hard-ms", "500"],
         Some("wedge:serve:2,wedge:serve:4"),
-    ));
+    );
     let stream = connect(&sock);
     let mut reader = BufReader::new(stream.try_clone().unwrap());
     let mut stream = stream;
@@ -546,18 +546,18 @@ fn repeated_wedges_keep_the_pool_at_strength() {
         #[cfg(target_os = "linux")]
         if i == 0 {
             // The pool's one worker is up; this is its full strength.
-            before_wedges = threads_of(&daemon.0);
+            before_wedges = threads_of(&daemon);
         }
     }
     assert_eq!(timed_out, [1, 4], "exactly the wedged requests time out");
     #[cfg(target_os = "linux")]
     {
         let deadline = Instant::now() + Duration::from_secs(10);
-        while threads_of(&daemon.0) != before_wedges {
+        while threads_of(&daemon) != before_wedges {
             assert!(
                 Instant::now() < deadline,
                 "the daemon kept {} threads after its hostages woke, against {before_wedges} before",
-                threads_of(&daemon.0)
+                threads_of(&daemon)
             );
             std::thread::sleep(Duration::from_millis(20));
         }
@@ -592,7 +592,7 @@ fn quarantine_survives_a_restart_and_short_circuits_immediately() {
         format!("{{\"id\":\"p\",\"program\":{escaped},\"max_pops\":0,\"no_cache\":true}}\n");
     let flags = ["--max-strikes", "2"];
 
-    let mut child = spawn_server(&sock, &cache, &flags, None);
+    let mut daemon = spawn_server(&sock, &cache, &flags, None);
     let stream = connect(&sock);
     let mut reader = BufReader::new(stream.try_clone().unwrap());
     let mut stream = stream;
@@ -610,11 +610,11 @@ fn quarantine_survives_a_restart_and_short_circuits_immediately() {
     assert_eq!(health_field(&health, "quarantine_size"), 1.0, "{health}");
     let ack = ask(&mut stream, &mut reader, "{\"op\":\"shutdown\"}\n");
     assert!(ack.contains("\"shutdown\":true"));
-    assert!(child.wait().unwrap().success());
+    assert!(daemon.0.wait().unwrap().success());
 
     // Restart: the persisted set short-circuits on the first sighting,
     // without burning fresh strikes.
-    let mut child = spawn_server(&sock, &cache, &flags, None);
+    let mut daemon = spawn_server(&sock, &cache, &flags, None);
     let stream = connect(&sock);
     let mut reader = BufReader::new(stream.try_clone().unwrap());
     let mut stream = stream;
@@ -633,7 +633,7 @@ fn quarantine_survives_a_restart_and_short_circuits_immediately() {
     assert!(health_field(&health, "quarantine_hits") >= 1.0, "{health}");
     let ack = ask(&mut stream, &mut reader, "{\"op\":\"shutdown\"}\n");
     assert!(ack.contains("\"shutdown\":true"));
-    assert!(child.wait().unwrap().success());
+    assert!(daemon.0.wait().unwrap().success());
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -650,7 +650,7 @@ fn escaped_serve_panics_answer_identity_then_quarantine() {
     // own ladder. Each computed answer is the unchanged input at the
     // identity rung and a strike; the second strike quarantines.
     let request = format!("{}\n", corpus(1)[0]);
-    let mut child = spawn_server(
+    let mut daemon = spawn_server(
         &sock,
         &cache,
         &["--max-strikes", "2"],
@@ -672,6 +672,6 @@ fn escaped_serve_panics_answer_identity_then_quarantine() {
     );
     let ack = ask(&mut stream, &mut reader, "{\"op\":\"shutdown\"}\n");
     assert!(ack.contains("\"shutdown\":true"));
-    assert!(child.wait().unwrap().success());
+    assert!(daemon.0.wait().unwrap().success());
     let _ = std::fs::remove_dir_all(&dir);
 }

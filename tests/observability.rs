@@ -6,6 +6,7 @@
 use std::rc::Rc;
 
 use pdce::core::driver::{optimize, PdceConfig};
+use pdce::core::RunTotals;
 use pdce::ir::parser::parse;
 use pdce::ir::Program;
 use pdce::progen::{structured, GenConfig};
@@ -130,20 +131,19 @@ fn chrome_trace_is_valid_schema_stable_and_deterministic() {
 
 /// Parity between the trace plane and the metrics plane: the cache
 /// telemetry attached to the driver span's end event (`cfg_cache_hits`,
-/// `cfg_relayouts`) must agree with the run's `PdceStats.cache` — and
-/// the process-global metrics registry, fed by the same increment
-/// sites, must have accumulated at least this run's counts (tests share
-/// the registry, so concurrent runs may add more).
+/// `cfg_relayouts`) must agree with the run's `PdceStats.cache`, and
+/// so must the `pdce_cache_events_total` series rendered from this one
+/// run's stats.
 #[test]
 fn chrome_span_args_agree_with_cache_metrics() {
     let mut prog = structured_prog(23);
     let collector = Rc::new(trace::Collector::new());
-    let registry_before = pdce::metrics::global().snapshot();
     let stats = {
         let _guard = trace::install(collector.clone());
         optimize(&mut prog, &PdceConfig::pde()).unwrap()
     };
-    let registry_delta = pdce::metrics::global().snapshot().since(&registry_before);
+    let mut rendered = pdce::metrics::Snapshot::default();
+    RunTotals::of(&PdceConfig::pde(), &stats).render(&mut rendered);
     let text = chrome::chrome_trace(&collector.events(), &chrome::ChromeOptions::logical());
     let doc = json::parse(&text).expect("valid JSON");
     let arr = doc.get("traceEvents").unwrap().as_arr().unwrap();
@@ -164,21 +164,16 @@ fn chrome_span_args_agree_with_cache_metrics() {
         Some(stats.cache.cfg_relayouts as f64),
         "span arg cfg_relayouts disagrees with PdceStats"
     );
-    let hits = registry_delta
-        .counter("pdce_cache_events_total", &[("kind", "cfg_hit")])
-        .unwrap_or(0);
-    let relayouts = registry_delta
-        .counter("pdce_cache_events_total", &[("kind", "cfg_relayout")])
-        .unwrap_or(0);
-    assert!(
-        hits >= stats.cache.cfg_hits,
-        "registry cfg_hit delta {hits} below the span's {}",
-        stats.cache.cfg_hits
+    assert!(stats.cache.cfg_hits > 0 && stats.cache.cfg_relayouts > 0);
+    assert_eq!(
+        rendered.counter("pdce_cache_events_total", &[("kind", "cfg_hit")]),
+        Some(stats.cache.cfg_hits),
+        "rendered cfg_hit series disagrees with PdceStats"
     );
-    assert!(
-        relayouts >= stats.cache.cfg_relayouts,
-        "registry cfg_relayout delta {relayouts} below the span's {}",
-        stats.cache.cfg_relayouts
+    assert_eq!(
+        rendered.counter("pdce_cache_events_total", &[("kind", "cfg_relayout")]),
+        Some(stats.cache.cfg_relayouts),
+        "rendered cfg_relayout series disagrees with PdceStats"
     );
 }
 

@@ -727,3 +727,132 @@ fn idle_unix_daemon_burns_near_zero_cpu() {
     let _ = live.wait();
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// `pdce serve --metrics-out` renders what the server counts. Each
+/// request is sent after the previous answer arrived, so every answer
+/// is settled before the next is read. Every server family equals the
+/// `health` answer's field, allowing for the health and shutdown
+/// requests and the compaction at exit; `pdce_rounds_total` sums the
+/// rounds of the two computed replies; and the deterministic series
+/// are byte-identical across two runs.
+#[test]
+fn cli_serve_metrics_out_renders_the_health_counters() {
+    use std::io::BufRead;
+    let corpus = corpus_requests();
+    let (a, b) = (&corpus[0], &corpus[1]);
+    let mut requests: Vec<String> = [a, a, b, a, b].into_iter().cloned().collect();
+    requests.extend([
+        a.replace("\\n", "  "), // the same program, reformatted
+        encode_request(Some("bad"), "prog { block", Mode::Pde),
+        r#"{"op":"health","id":"h"}"#.to_string(),
+        r#"{"op":"shutdown"}"#.to_string(),
+    ]);
+    let dir = std::env::temp_dir().join(format!("pdce-serve-metrics-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let run = |tag: &str| {
+        let (cache, prom) = (
+            dir.join(format!("{tag}.wal")),
+            dir.join(format!("{tag}.prom")),
+        );
+        let mut child = Command::new(env!("CARGO_BIN_EXE_pdce"))
+            .args(["serve", "--cache", cache.to_str().unwrap()])
+            .args(["--metrics-out", prom.to_str().unwrap()])
+            .env_remove("FAULT_INJECT")
+            .stdin(Stdio::piped())
+            .stdout(Stdio::piped())
+            .stderr(Stdio::null())
+            .spawn()
+            .expect("binary spawns");
+        let mut stdin = child.stdin.take().unwrap();
+        let mut stdout = std::io::BufReader::new(child.stdout.take().unwrap());
+        let replies: Vec<String> = requests
+            .iter()
+            .map(|request| {
+                writeln!(stdin, "{request}").unwrap();
+                let mut reply = String::new();
+                stdout.read_line(&mut reply).unwrap();
+                reply
+            })
+            .collect();
+        assert!(child.wait().unwrap().success());
+        (
+            replies,
+            std::fs::read_to_string(&prom).expect("metrics file written"),
+        )
+    };
+    let (replies, prom) = run("first");
+    let (_, again) = run("second");
+    std::fs::remove_dir_all(&dir).ok();
+
+    let statuses: Vec<f64> = replies.iter().map(|r| status_of(r)).collect();
+    assert_eq!(statuses, [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0]);
+    let values: std::collections::BTreeMap<&str, u64> = prom
+        .lines()
+        .filter(|l| !l.starts_with('#'))
+        .filter_map(|l| l.rsplit_once(' '))
+        .map(|(series, v)| (series, v.parse().unwrap()))
+        .collect();
+    let field = |i: usize, key: &str| json::parse(&replies[i]).unwrap().get(key).unwrap().as_num();
+    let health = |key: &str| field(7, key).unwrap() as u64;
+    // The health answer counts itself, the shutdown request is answered
+    // after it, and the cache compacts into a snapshot at exit.
+    for (series, key, after_health) in [
+        ("pdce_serve_requests_total{status=\"ok\"}", "ok", 1),
+        (
+            "pdce_serve_requests_total{status=\"bad_input\"}",
+            "bad_input",
+            0,
+        ),
+        (
+            "pdce_serve_requests_total{status=\"internal\"}",
+            "internal",
+            0,
+        ),
+        ("pdce_serve_cache_hits_total", "cache_hits", 0),
+        ("pdce_serve_cache_misses_total", "cache_misses", 0),
+        ("pdce_serve_wal_appends_total", "wal_appends", 0),
+        ("pdce_serve_wal_fsyncs_total", "wal_fsyncs", 0),
+        ("pdce_serve_wal_compactions_total", "wal_compactions", 1),
+        ("pdce_serve_wal_recovered_total", "wal_recovered", 0),
+        ("pdce_serve_wal_discarded_total", "wal_discarded", 0),
+        ("pdce_serve_quarantine_hits_total", "quarantine_hits", 0),
+        ("pdce_serve_watchdog_timeouts_total", "wedged", 0),
+    ] {
+        let want = health(key) + after_health;
+        assert_eq!(values.get(series), Some(&want), "{series}:\n{prom}");
+    }
+    let counts = ["ok", "bad_input", "cache_hits", "cache_misses"].map(health);
+    assert_eq!(counts, [7, 1, 4, 2]);
+    let rounds = (field(0, "rounds").unwrap() + field(2, "rounds").unwrap()) as u64;
+    assert!(rounds > 0);
+    assert_eq!(values.get("pdce_rounds_total"), Some(&rounds));
+    assert_eq!(
+        values.get("pdce_driver_runs_total{driver=\"pde\"}"),
+        Some(&2)
+    );
+
+    let deterministic = |text: &str| -> Vec<String> {
+        let stable: Vec<&str> = text
+            .lines()
+            .filter_map(|l| {
+                l.strip_prefix("# STABILITY ")?
+                    .strip_suffix(" deterministic")
+            })
+            .collect();
+        let family = |l: &str| l.split(['{', ' ']).next().unwrap_or("").to_string();
+        text.lines()
+            .filter(|l| !l.starts_with('#') && stable.contains(&family(l).as_str()))
+            .map(String::from)
+            .collect()
+    };
+    let det = deterministic(&prom);
+    assert!(
+        det.contains(&"pdce_serve_cache_hits_total 4".to_string()),
+        "{det:?}"
+    );
+    assert_eq!(
+        det,
+        deterministic(&again),
+        "deterministic series differ between runs"
+    );
+}
