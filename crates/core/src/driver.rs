@@ -335,7 +335,9 @@ pub fn optimize_with_cache(
     config: &PdceConfig,
     cache: &mut AnalysisCache,
 ) -> Result<PdceStats, PdceError> {
-    let cache_baseline = cache.stats();
+    let mut cache_baseline = cache.stats();
+    // Counts of caches a rollback dropped: their work stays in the run.
+    let mut dropped = CacheStats::default();
     let solver_baseline = pdce_trace::solver_totals();
     let driver_span = pdce_trace::span("driver", config.driver_name());
     let _budget = budget::install(config.budget);
@@ -431,8 +433,11 @@ pub fn optimize_with_cache(
             if let Some(mismatch) = report.mismatch {
                 *prog = last_good;
                 // Analyses computed for the rolled-back intermediate
-                // states must not leak into later queries.
+                // states must not leak into later queries; their counts
+                // stay in the run's stats.
+                dropped.add(&cache.stats().since(&cache_baseline));
                 *cache = AnalysisCache::new();
+                cache_baseline = CacheStats::default();
                 stats.tv_rollbacks += 1;
                 stats.rollbacks += 1;
                 stats.failure_log.push(mismatch.to_string());
@@ -460,6 +465,7 @@ pub fn optimize_with_cache(
     }
     stats.final_stmts = prog.num_stmts() as u64;
     stats.cache = cache.stats().since(&cache_baseline);
+    stats.cache.add(&dropped);
     stats.solver = pdce_trace::solver_totals().since(&solver_baseline);
     driver_span.finish_with(if pdce_trace::enabled() {
         vec![

@@ -68,6 +68,17 @@ impl CacheStats {
         self.cfg_misses + self.analysis_misses + self.du_misses
     }
 
+    /// Adds `other`'s counters to these.
+    pub fn add(&mut self, other: &CacheStats) {
+        self.cfg_hits += other.cfg_hits;
+        self.cfg_misses += other.cfg_misses;
+        self.analysis_hits += other.analysis_hits;
+        self.analysis_misses += other.analysis_misses;
+        self.cfg_relayouts += other.cfg_relayouts;
+        self.du_hits += other.du_hits;
+        self.du_misses += other.du_misses;
+    }
+
     /// The counter delta since an `earlier` snapshot of the same cache
     /// (counters only grow, so plain subtraction is exact).
     pub fn since(&self, earlier: &CacheStats) -> CacheStats {

@@ -122,10 +122,15 @@ impl Mode {
     }
 }
 
-fn str_field(doc: &Value, key: &str) -> Result<Option<String>, String> {
-    match doc.get(key) {
+/// Moves the string at `key` out of `doc`, so a large field (the
+/// program) is never copied. Each key is read once.
+fn str_field(doc: &mut Value, key: &str) -> Result<Option<String>, String> {
+    let Value::Obj(map) = doc else {
+        return Ok(None);
+    };
+    match map.remove(key) {
         None | Some(Value::Null) => Ok(None),
-        Some(Value::Str(s)) => Ok(Some(s.clone())),
+        Some(Value::Str(s)) => Ok(Some(s)),
         Some(_) => Err(format!("`{key}` must be a string")),
     }
 }
@@ -152,26 +157,26 @@ impl Request {
     /// Decodes one request line. The error string is ready to be wrapped
     /// in a `status` 1 response.
     pub fn decode(line: &str) -> Result<Request, String> {
-        let doc = json::parse(line).map_err(|e| format!("malformed request JSON: {e}"))?;
+        let mut doc = json::parse(line).map_err(|e| format!("malformed request JSON: {e}"))?;
         if !matches!(doc, Value::Obj(_)) {
             return Err("request must be a JSON object".to_string());
         }
-        let id = str_field(&doc, "id")?;
-        let op = match str_field(&doc, "op")?.as_deref() {
+        let id = str_field(&mut doc, "id")?;
+        let op = match str_field(&mut doc, "op")?.as_deref() {
             None | Some("optimize") => Op::Optimize,
             Some("ping") => Op::Ping,
             Some("health") => Op::Health,
             Some("shutdown") => Op::Shutdown,
             Some(other) => return Err(format!("unknown op `{other}`")),
         };
-        let mode = match str_field(&doc, "mode")?.as_deref() {
+        let mode = match str_field(&mut doc, "mode")?.as_deref() {
             None => Mode::Pde,
             Some(m) => {
                 Mode::parse(m).ok_or_else(|| format!("unknown mode `{m}` (pde|pfe|dce|fce)"))?
             }
         };
         let program = match op {
-            Op::Optimize => match str_field(&doc, "program")? {
+            Op::Optimize => match str_field(&mut doc, "program")? {
                 Some(p) if !p.trim().is_empty() => p,
                 _ => return Err("missing `program`".to_string()),
             },
@@ -227,11 +232,14 @@ fn push_id(out: &mut String, id: &Option<String>) {
     }
 }
 
-/// Renders a success response for `payload`, echoing `id`.
-pub fn render_result(id: &Option<String>, payload: &ResultPayload) -> String {
-    let mut out = String::with_capacity(payload.program.len() + 128);
-    push_id(&mut out, id);
-    let _ = write!(out, "\"status\":{},\"program\":", Status::Ok.code());
+/// Renders the fields of a success response that follow its
+/// `"status":0,`: `"program":…,"rounds":…,"eliminated":…,"sunk":…,
+/// "inserted":…,"rung":…}`. They depend on the payload alone, so the
+/// result cache stores them rendered once and every hit copies them
+/// (see [`render_stored`]).
+pub fn render_fields(payload: &ResultPayload) -> String {
+    let mut out = String::with_capacity(payload.program.len() + payload.rung.len() + 96);
+    out.push_str("\"program\":");
     json::write_escaped(&mut out, &payload.program);
     let _ = write!(
         out,
@@ -241,6 +249,22 @@ pub fn render_result(id: &Option<String>, payload: &ResultPayload) -> String {
     json::write_escaped(&mut out, &payload.rung);
     out.push('}');
     out
+}
+
+/// Renders a success response from `fields` as [`render_fields`]
+/// rendered them, echoing `id`. Nothing is escaped but the id.
+pub fn render_stored(id: &Option<String>, fields: &str) -> String {
+    let id_len = id.as_ref().map_or(0, |id| id.len() + 8);
+    let mut out = String::with_capacity(fields.len() + id_len + 16);
+    push_id(&mut out, id);
+    let _ = write!(out, "\"status\":{},", Status::Ok.code());
+    out.push_str(fields);
+    out
+}
+
+/// Renders a success response for `payload`, echoing `id`.
+pub fn render_result(id: &Option<String>, payload: &ResultPayload) -> String {
+    render_stored(id, &render_fields(payload))
 }
 
 /// Renders an error response (`status` 1 or 2) with a human-readable

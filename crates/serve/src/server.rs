@@ -53,10 +53,10 @@ use pdce_trace::metrics::{CounterFamily, Snapshot, Stability};
 
 use pdce_par::{ItemOutcome, SupervisedPool, SupervisorOptions};
 
-use crate::cache::{CacheKey, PersistentCache};
+use crate::cache::{CacheKey, PersistentCache, StoredResult};
 use crate::protocol::{
-    render_error, render_health, render_pong, render_result, render_shutdown, Mode, Op, Request,
-    ResultPayload, Status,
+    render_error, render_health, render_pong, render_result, render_shutdown, render_stored, Mode,
+    Op, Request, ResultPayload, Status,
 };
 use crate::quarantine::Quarantine;
 
@@ -659,16 +659,13 @@ impl Server {
         let options = self.canonical_options(req, &admitted);
         let use_cache = self.opts.cache && !req.no_cache;
         // Fast path: a byte-for-byte repeat of an earlier request is
-        // answered straight from the alias memo, before any parsing.
-        let raw_key = CacheKey::compute(&req.program, &options);
+        // answered straight from the alias memo, before any parsing, by
+        // copying the stored answer behind the request's id.
+        let raw_key = CacheKey::raw_alias(&req.program, &options);
         if use_cache {
-            let hit = self
-                .cache
-                .lock()
-                .expect("cache lock")
-                .get_raw_alias(raw_key);
-            if let Some(payload) = hit {
-                return Reply::new(render_result(&req.id, &payload), Status::Ok);
+            let mut cache = self.cache.lock().expect("cache lock");
+            if let Some(fields) = cache.get_raw_alias_fields(raw_key) {
+                return Reply::new(render_stored(&req.id, fields), Status::Ok);
             }
         }
         let mut parsed = match parse(&req.program) {
@@ -692,9 +689,8 @@ impl Server {
         if use_cache {
             let mut cache = self.cache.lock().expect("cache lock");
             cache.record_alias(raw_key, key);
-            if let Some(payload) = cache.get(key) {
-                drop(cache);
-                return Reply::new(render_result(&req.id, &payload), Status::Ok);
+            if let Some(fields) = cache.get_fields(key) {
+                return Reply::new(render_stored(&req.id, fields), Status::Ok);
             }
         }
         // Quarantine short-circuit: a hash with a strike record is not
@@ -732,19 +728,22 @@ impl Server {
             }
             Err(_) => (identity_payload(canonical, "identity"), true, None),
         };
-        // Only clean answers are cached: a degraded or escaped answer
-        // must not pin a worse answer for every warm replay that
-        // follows.
+        // The answer is escaped once: the same fields serve this
+        // response, the cache entry and its log record. Only clean
+        // answers are cached: a degraded or escaped answer must not pin
+        // a worse answer for every warm replay that follows.
+        let stored = StoredResult::render(&payload);
+        let line = render_stored(&req.id, stored.fields());
         if use_cache && !failed {
             self.cache
                 .lock()
                 .expect("cache lock")
-                .insert(key, payload.clone());
+                .insert_stored(key, stored);
         }
         Reply {
             verdict: Some(Verdict { key, failed }),
             run,
-            ..Reply::new(render_result(&req.id, &payload), Status::Ok)
+            ..Reply::new(line, Status::Ok)
         }
     }
 

@@ -70,21 +70,57 @@ impl Value {
     }
 }
 
-/// Writes `s` as a JSON string literal (quotes included) onto `out`.
-pub fn write_escaped(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+/// Length of the longest prefix of `bytes` that a JSON string holds
+/// verbatim: no `"`, no `\\` and no control byte below 0x20. Every other
+/// byte, multibyte UTF-8 included, needs no escape. Scans a word at a
+/// time; the byte that ends the run is always ASCII, so slicing a
+/// `&str` there keeps it valid UTF-8.
+fn plain_run(bytes: &[u8]) -> usize {
+    const ONES: u64 = u64::from_le_bytes([0x01; 8]);
+    const HIGHS: u64 = u64::from_le_bytes([0x80; 8]);
+    // The high bit of each byte of `x` below `n` (`n <= 0x80`). A borrow
+    // can only mark bytes above a marked one, so the lowest mark is exact.
+    let below = |x: u64, n: u8| x.wrapping_sub(ONES * u64::from(n)) & !x & HIGHS;
+    let mut pos = 0;
+    for word in bytes.chunks_exact(8) {
+        let x = u64::from_le_bytes(word.try_into().expect("8-byte chunk"));
+        let marks = below(x, 0x20)
+            | below(x ^ (ONES * u64::from(b'"')), 1)
+            | below(x ^ (ONES * u64::from(b'\\')), 1);
+        if marks != 0 {
+            return pos + marks.trailing_zeros() as usize / 8;
         }
+        pos += 8;
+    }
+    pos + bytes[pos..]
+        .iter()
+        .position(|&c| c == b'"' || c == b'\\' || c < 0x20)
+        .unwrap_or(bytes.len() - pos)
+}
+
+/// Writes `s` as a JSON string literal (quotes included) onto `out`:
+/// each run that needs no escape is copied whole.
+pub fn write_escaped(out: &mut String, s: &str) {
+    out.reserve(s.len() + 2);
+    out.push('"');
+    let bytes = s.as_bytes();
+    let mut pos = 0;
+    loop {
+        let run = plain_run(&bytes[pos..]);
+        out.push_str(&s[pos..pos + run]);
+        pos += run;
+        let Some(&c) = bytes.get(pos) else { break };
+        match c {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            c => {
+                let _ = write!(out, "\\u{:04x}", c);
+            }
+        }
+        pos += 1;
     }
     out.push('"');
 }
@@ -103,6 +139,7 @@ pub fn escaped(s: &str) -> String {
 /// A human-readable message with the byte offset of the first error.
 pub fn parse(input: &str) -> Result<Value, String> {
     let mut p = Parser {
+        input,
         bytes: input.as_bytes(),
         pos: 0,
     };
@@ -116,6 +153,7 @@ pub fn parse(input: &str) -> Result<Value, String> {
 }
 
 struct Parser<'a> {
+    input: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -221,17 +259,11 @@ impl Parser<'_> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // A run ends at an ASCII byte, so both ends of the slice are
+            // char boundaries of the (already valid UTF-8) input.
             let start = self.pos;
-            while let Some(c) = self.peek() {
-                if c == b'"' || c == b'\\' || c < 0x20 {
-                    break;
-                }
-                self.pos += 1;
-            }
-            out.push_str(
-                std::str::from_utf8(&self.bytes[start..self.pos])
-                    .map_err(|_| self.err("invalid UTF-8"))?,
-            );
+            self.pos += plain_run(&self.bytes[start..]);
+            out.push_str(&self.input[start..self.pos]);
             match self.peek() {
                 Some(b'"') => {
                     self.pos += 1;

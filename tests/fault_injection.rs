@@ -128,6 +128,62 @@ fn injected_miscompile_is_caught_by_translation_validation() {
     assert_eq!(stdout, expected, "rollback must restore last-good");
 }
 
+/// A rollback replaces the analysis cache, and the run's cache counts
+/// still include the dropped cache's work: the `--stats` line, the
+/// returned stats and the driver span's args agree on it.
+#[test]
+fn tv_rollback_keeps_the_dropped_cache_counts() {
+    use std::rc::Rc;
+
+    use pdce::core::driver::{optimize, PdceConfig};
+    use pdce::trace::{self, chrome, fault, json};
+
+    let gcd = std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/corpus/gcd.pdce"))
+        .expect("corpus file");
+    let (_, stderr, code) = pdce_with_fault(
+        Some("bitflip:dead:1"),
+        &["opt", "--validate-semantics=4", "--stats"],
+        &gcd,
+    );
+    assert_eq!(code, 0, "stderr: {stderr}");
+    assert!(stderr.contains("1 tv rollback(s)"), "stderr: {stderr}");
+    assert!(
+        stderr.contains("cache:       7 rebuild(s) avoided, 5 rebuild(s) paid"),
+        "stderr: {stderr}"
+    );
+
+    let mut prog = pdce::ir::parser::parse(&gcd).unwrap();
+    let collector = Rc::new(trace::Collector::new());
+    let stats = {
+        let _guard = trace::install(collector.clone());
+        fault::with_faults("bitflip:dead:1", || {
+            optimize(&mut prog, &PdceConfig::pde().with_validation(4)).unwrap()
+        })
+    };
+    assert_eq!(stats.tv_rollbacks, 1);
+    assert_eq!((stats.cache.hits(), stats.cache.misses()), (7, 5));
+    let text = chrome::chrome_trace(&collector.events(), &chrome::ChromeOptions::logical());
+    let doc = json::parse(&text).expect("valid JSON");
+    let args = doc
+        .get("traceEvents")
+        .and_then(|e| e.as_arr())
+        .unwrap()
+        .iter()
+        .filter(|e| e.get("ph").and_then(|p| p.as_str()) == Some("E"))
+        .filter_map(|e| e.get("args"))
+        .find(|a| a.get("cfg_cache_hits").is_some())
+        .expect("driver end event carries cache args");
+    assert_eq!(
+        args.get("cfg_cache_hits").unwrap().as_num(),
+        Some(stats.cache.cfg_hits as f64)
+    );
+    assert_eq!(
+        args.get("cfg_relayouts").unwrap().as_num(),
+        Some(stats.cache.cfg_relayouts as f64)
+    );
+    assert!(stats.cache.cfg_hits > 0, "{:?}", stats.cache);
+}
+
 #[test]
 fn clean_runs_pay_nothing_and_match_under_validation() {
     let (clean, _, _) = pdce_with_fault(None, &["opt"], FIG1);

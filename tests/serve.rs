@@ -282,6 +282,42 @@ fn cache_keys_are_collision_free_over_the_corpus() {
     assert_eq!(keys.len(), 400);
 }
 
+/// The raw-text alias key over 10⁵ generated programs and one
+/// single-byte mutation of each: distinct request texts never share a
+/// key.
+#[test]
+fn raw_alias_keys_are_collision_free_over_generated_programs() {
+    const OPTIONS: &str = "mode=pde;rounds=-;pops=-;wall=-;validate=-;solver=ambient";
+    let mut rng = Rng::new(0xa11a5);
+    let mut texts = std::collections::HashSet::new();
+    for i in 0..100_000u64 {
+        let prog = structured(&GenConfig {
+            seed: i,
+            target_blocks: 2 + (i as usize % 4),
+            num_vars: 4,
+            stmts_per_block: (0, 2),
+            out_prob: 0.2,
+            loop_prob: 0.3,
+            max_depth: 3,
+            expr_depth: 1,
+            nondet: true,
+        });
+        let text = print_program(&prog);
+        let mut bytes = text.clone().into_bytes();
+        let at = rng.gen_range(0, bytes.len());
+        let byte = b' ' + rng.gen_range(0, 95) as u8;
+        bytes[at] = if byte == bytes[at] { b'\t' } else { byte };
+        texts.insert(String::from_utf8(bytes).unwrap());
+        texts.insert(text);
+    }
+    let keys: std::collections::HashSet<u128> = texts
+        .iter()
+        .map(|t| CacheKey::raw_alias(t, OPTIONS).0)
+        .collect();
+    assert!(texts.len() > 100_000, "only {} distinct texts", texts.len());
+    assert_eq!(keys.len(), texts.len(), "raw alias key collision");
+}
+
 #[test]
 fn eviction_under_a_small_byte_bound_stays_correct() {
     let requests = corpus_requests();
@@ -442,6 +478,155 @@ fn alias_memo_cap_clears_deterministically() {
     cache.record_alias(overflow, canonical);
     assert_eq!(cache.alias_len(), 1, "cap eviction clears then records");
     assert!(cache.get_raw_alias(overflow).is_some());
+}
+
+fn health_of(server: &Server, key: &str) -> u64 {
+    let line = server.respond_line(r#"{"op":"health"}"#).unwrap();
+    json::parse(&line)
+        .unwrap()
+        .get(key)
+        .unwrap()
+        .as_num()
+        .unwrap() as u64
+}
+
+/// A cache entry holds its answer rendered once, and every hit copies
+/// it: the cold answer, an alias hit, a canonical (reformatted) hit, a
+/// hit after the log is reopened, and hits before and after the log is
+/// compacted into a snapshot all carry the same bytes.
+#[test]
+fn every_kind_of_hit_answers_the_cold_bytes() {
+    let dir = std::env::temp_dir().join(format!("pdce-serve-identity-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("identity.cache");
+    let opts = || ServeOptions {
+        cache_path: Some(path.clone()),
+        // Small enough that the corpus churns the log past its
+        // compaction floor.
+        cache_bytes: 16 * 1024,
+        ..ServeOptions::default()
+    };
+    let requests = corpus_requests();
+    let probe = &requests[0];
+    let reformatted = probe.replace("\\n", "\\n  ");
+    assert_ne!(&reformatted, probe);
+
+    let server = Server::new(opts());
+    let cold = server.respond_line(probe).unwrap();
+    assert_eq!(status_of(&cold), 0.0);
+    assert_eq!(server.respond_line(probe).unwrap(), cold, "alias hit");
+    assert_eq!(
+        server.respond_line(&reformatted).unwrap(),
+        cold,
+        "canonical hit"
+    );
+    let summary = server.summary();
+    assert_eq!((summary.cache_hits, summary.cache_misses), (2, 1));
+    drop(server);
+
+    let server = Server::new(opts());
+    assert_eq!(server.cache_load_report().loaded, 1);
+    assert_eq!(server.respond_line(probe).unwrap(), cold, "reopened hit");
+    // Other answers churn the bounded cache; the probe stays the most
+    // recently used entry, so it survives every eviction and every
+    // compaction rewrites it from its stored bytes.
+    for request in &requests[1..] {
+        server.respond_line(request).unwrap();
+        assert_eq!(server.respond_line(probe).unwrap(), cold);
+    }
+    assert!(
+        health_of(&server, "wal_compactions") > 0,
+        "the churn must compact the log"
+    );
+    assert_eq!(
+        health_of(&server, "cache_misses"),
+        requests.len() as u64 - 1,
+        "every other request was computed"
+    );
+    let hits = server.summary().cache_hits;
+    assert_eq!(server.respond_line(&reformatted).unwrap(), cold);
+    assert_eq!(server.summary().cache_hits, hits + 1, "compacted hit");
+    server.save_cache().unwrap();
+    drop(server);
+
+    let server = Server::new(opts());
+    assert_eq!(
+        server.respond_line(probe).unwrap(),
+        cold,
+        "hit from the snapshot"
+    );
+    assert_eq!(server.summary().cache_hits, 1);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The log bytes of a fixed request stream: every corpus program in
+/// every mode, then the whole stream again (hits append nothing), under
+/// a byte bound small enough to log evictions, then the snapshot a
+/// clean save compacts it to. Pinned under `tests/goldens/serve_wal.golden`;
+/// refresh with `UPDATE_GOLDENS=1 cargo test --test serve`.
+#[test]
+fn wal_bytes_of_a_fixed_request_stream_are_pinned() {
+    let dir = std::env::temp_dir().join(format!("pdce-serve-wal-golden-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("golden.cache");
+    let corpus = concat!(env!("CARGO_MANIFEST_DIR"), "/corpus");
+    let mut files: Vec<_> = std::fs::read_dir(corpus)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.extension().and_then(|e| e.to_str()) == Some("pdce"))
+        .collect();
+    files.sort();
+    let mut stream = Vec::new();
+    for (i, file) in files.iter().enumerate() {
+        let program = std::fs::read_to_string(file).unwrap();
+        for mode in [Mode::Pde, Mode::Pfe, Mode::Dce, Mode::Fce] {
+            stream.push(encode_request(
+                Some(&format!("g{i}{}", mode.label())),
+                &program,
+                mode,
+            ));
+        }
+    }
+    let server = Server::new(ServeOptions {
+        cache_path: Some(path.clone()),
+        cache_bytes: 4 * 1024,
+        ..ServeOptions::default()
+    });
+    for request in stream.iter().chain(&stream) {
+        assert_eq!(status_of(&server.respond_line(request).unwrap()), 0.0);
+    }
+    let log = std::fs::read_to_string(&path).unwrap();
+    assert!(log.contains("{\"evict\":"), "the bound must log evictions");
+    server.save_cache().unwrap();
+    let snapshot = std::fs::read_to_string(&path).unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+    let got = format!("{log}==== after save ====\n{snapshot}");
+
+    let golden = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/goldens/serve_wal.golden"
+    );
+    if std::env::var_os("UPDATE_GOLDENS").is_some_and(|v| !v.is_empty() && v != "0") {
+        std::fs::write(golden, &got).unwrap();
+        return;
+    }
+    let want = std::fs::read_to_string(golden).expect("golden present");
+    assert!(got == want, "log bytes drifted from {golden}");
+
+    // The pinned snapshot loads whole, and its entries answer hits.
+    let (_, pinned) = want.split_once("==== after save ====\n").unwrap();
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::write(&path, pinned).unwrap();
+    let mut cache = PersistentCache::load(&path, 4 * 1024);
+    let report = cache.load_report;
+    assert_eq!(
+        (report.loaded, report.skipped),
+        (pinned.lines().count() - 1, 0)
+    );
+    let key = pinned.lines().nth(1).unwrap().split('"').nth(3).unwrap();
+    let key = CacheKey(u128::from_str_radix(key, 16).unwrap());
+    assert!(cache.get_fields(key).is_some(), "a pinned entry answers");
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 // ---------------------------------------------------------------------

@@ -1,10 +1,12 @@
 //! Shared support for the integration tests: the executable
 //! specification every analysis and optimizer is checked against, the
 //! heap-ordered reference worklist the solver's pop order is checked
-//! against, and the random statement mutator the oracles perturb
-//! programs with.
+//! against, the character-at-a-time JSON string codec the run-based one
+//! is checked against, and the random statement mutator the oracles
+//! perturb programs with.
 #![allow(dead_code)]
 
+pub mod json_oracle;
 pub mod spec;
 pub mod worklist;
 
