@@ -520,7 +520,13 @@ pub fn pfe(prog: &mut Program) -> Result<PdceStats, PdceError> {
 /// [`PdceStats::degraded`]. Each rung gets the configured budget
 /// afresh (wall clock included) — a budget sized for the full run
 /// therefore bounds each attempt, not their sum.
+///
+/// [`PdceStats::solver`] and [`PdceStats::cache`] count the work of
+/// every attempt, failed ones included; the rounds and the transform
+/// counts are the winning rung's.
 pub fn optimize_resilient(prog: &mut Program, config: &PdceConfig) -> PdceStats {
+    let solver_baseline = pdce_trace::solver_totals();
+    let mut failed_cache = CacheStats::default();
     let mut degradations = 0u64;
     let mut rollbacks = 0u64;
     let mut budget_exhaustions = 0u64;
@@ -544,6 +550,8 @@ pub fn optimize_resilient(prog: &mut Program, config: &PdceConfig) -> PdceStats 
                 failure_log.extend(std::mem::take(&mut stats.failure_log));
                 stats.failure_log = failure_log;
                 stats.degraded = rung;
+                stats.solver = pdce_trace::solver_totals().since(&solver_baseline);
+                stats.cache.add(&failed_cache);
                 return stats;
             }
             Ok(Err(e)) => {
@@ -560,6 +568,7 @@ pub fn optimize_resilient(prog: &mut Program, config: &PdceConfig) -> PdceStats 
         };
         // `attempt` (possibly half-transformed) is discarded; `prog`
         // still holds the pristine input — that *is* the rollback.
+        failed_cache.add(&cache.stats());
         degradations += 1;
         rollbacks += 1;
         let next = match rung {
@@ -593,6 +602,8 @@ pub fn optimize_resilient(prog: &mut Program, config: &PdceConfig) -> PdceStats 
         budget_exhaustions,
         degraded: Some(DegradedMode::Identity),
         failure_log,
+        cache: failed_cache,
+        solver: pdce_trace::solver_totals().since(&solver_baseline),
         ..PdceStats::default()
     }
 }

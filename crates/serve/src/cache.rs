@@ -39,13 +39,14 @@
 //! so recovery converges to the same live set.
 
 use std::collections::HashMap;
-use std::fmt::Write as _;
+use std::fs::File;
+use std::io::BufWriter;
 use std::path::{Path, PathBuf};
 
 use pdce_trace::json::{self, Value};
 
 use crate::protocol::{render_fields, ResultPayload};
-use crate::wal::{self, Wal};
+use crate::wal::{self, Wal, WalTime};
 
 /// Default appends between WAL fsyncs (see [`PersistentCache::load`]).
 /// The log journals a *result cache*: a crash that loses the unsynced
@@ -60,10 +61,17 @@ pub const DEFAULT_FSYNC_EVERY: u64 = 64;
 /// on every insert, the ratio bounds replay work to O(live set).
 const COMPACT_MIN_BYTES: u64 = 64 * 1024;
 
-/// 64-bit FNV-1a, used for the per-line checksums and as one half of
-/// the 128-bit key.
+/// The 64-bit FNV-1a offset basis.
+pub(crate) const FNV64_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// 64-bit FNV-1a, used for the per-line checksums.
 pub fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    fnv64_extend(FNV64_BASIS, bytes)
+}
+
+/// Continues a 64-bit FNV-1a hash `h` over `bytes`, so a body held in
+/// pieces hashes as if it were one slice.
+pub(crate) fn fnv64_extend(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= b as u64;
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
@@ -117,6 +125,16 @@ impl CacheKey {
     /// 32-hex-char rendering used on disk.
     pub fn hex(self) -> String {
         format!("{:032x}", self.0)
+    }
+
+    /// [`CacheKey::hex`]'s digits, without allocating.
+    pub(crate) fn hex_digits(self) -> [u8; 32] {
+        const DIGITS: &[u8; 16] = b"0123456789abcdef";
+        let mut out = [0; 32];
+        for (i, d) in out.iter_mut().enumerate() {
+            *d = DIGITS[((self.0 >> (124 - 4 * i)) & 0xf) as usize];
+        }
+        out
     }
 
     fn from_hex(s: &str) -> Option<CacheKey> {
@@ -208,11 +226,16 @@ pub struct LoadReport {
     pub fresh: bool,
 }
 
-/// Cap on the raw-text alias memo. The memo is a pure accelerator
-/// (raw request bytes → canonical key, skipping parse + canonical
-/// print on verbatim repeat traffic), so when it fills up it is simply
-/// cleared rather than LRU-tracked.
-pub const MAX_ALIASES: usize = 1 << 16;
+/// Cap on each generation of the raw-text alias memo. The memo is a
+/// pure accelerator (raw request bytes → canonical key, skipping the
+/// parse and canonical print of verbatim repeat traffic), kept as two
+/// generations rather than LRU-tracked: when the current generation
+/// fills it becomes the old one and the previous old one is dropped,
+/// and a lookup that finds its alias in the old generation moves it
+/// back to the current one. An alias used at least once per generation
+/// therefore lives on, one never used again is gone after two, and the
+/// memo never holds more than `2 * MAX_ALIASES` aliases.
+pub const MAX_ALIASES: usize = 1 << 12;
 
 /// Size-bounded LRU cache with an optional on-disk home.
 #[derive(Debug)]
@@ -221,8 +244,11 @@ pub struct PersistentCache {
     max_bytes: u64,
     map: HashMap<u128, Entry>,
     /// Raw-text fast path: hash of (raw program text, options) →
-    /// canonical key. Not persisted; rebuilt from live traffic.
+    /// canonical key, current generation. Not persisted; rebuilt from
+    /// live traffic.
     aliases: HashMap<u128, u128>,
+    /// The previous generation (see [`MAX_ALIASES`]).
+    old_aliases: HashMap<u128, u128>,
     total_bytes: u64,
     clock: u64,
     /// The append handle; `None` for in-memory caches, and dropped
@@ -248,6 +274,7 @@ impl PersistentCache {
             max_bytes,
             map: HashMap::new(),
             aliases: HashMap::new(),
+            old_aliases: HashMap::new(),
             total_bytes: 0,
             clock: 0,
             wal: None,
@@ -345,9 +372,9 @@ impl PersistentCache {
         self.total_bytes
     }
 
-    /// Live entries in the raw-text alias memo.
+    /// Live entries in the raw-text alias memo, both generations.
     pub fn alias_len(&self) -> usize {
-        self.aliases.len()
+        self.aliases.len() + self.old_aliases.len()
     }
 
     /// Log appends/fsyncs/compactions so far (zeros when in-memory).
@@ -355,6 +382,12 @@ impl PersistentCache {
         self.wal
             .as_ref()
             .map_or((0, 0, 0), |w| (w.appends, w.fsyncs, w.compactions))
+    }
+
+    /// Wall time the log has spent writing so far (zeros when
+    /// in-memory).
+    pub(crate) fn wal_time(&self) -> WalTime {
+        self.wal.as_ref().map_or_else(WalTime::default, |w| w.time)
     }
 
     /// Looks `key` up, refreshing its recency on a hit, and returns the
@@ -379,9 +412,17 @@ impl PersistentCache {
     /// alias this answers without the caller ever parsing the program.
     /// A stale alias (its canonical entry was evicted) is dropped and
     /// reported as `None` without touching the hit/miss counters — the
-    /// caller's canonical lookup will count the miss.
+    /// caller's canonical lookup will count the miss. An alias found
+    /// in the old generation moves to the current one.
     pub fn get_raw_alias_fields(&mut self, raw: CacheKey) -> Option<&str> {
-        let canonical = *self.aliases.get(&raw.0)?;
+        let canonical = match self.aliases.get(&raw.0) {
+            Some(&canonical) => canonical,
+            None => {
+                let canonical = self.old_aliases.remove(&raw.0)?;
+                self.record_alias(raw, CacheKey(canonical));
+                canonical
+            }
+        };
         if !self.map.contains_key(&canonical) {
             self.aliases.remove(&raw.0);
             return None;
@@ -404,6 +445,9 @@ impl PersistentCache {
     /// verbatim repeat takes the parse-free fast path.
     pub fn record_alias(&mut self, raw: CacheKey, canonical: CacheKey) {
         if self.aliases.len() >= MAX_ALIASES {
+            // The full generation becomes the old one; the old one's
+            // table is cleared and reused as the new current one.
+            std::mem::swap(&mut self.aliases, &mut self.old_aliases);
             self.aliases.clear();
         }
         self.aliases.insert(raw.0, canonical.0);
@@ -461,22 +505,21 @@ impl PersistentCache {
 
     fn log_insert(&mut self, key: CacheKey, fields: &str) {
         if self.wal.is_some() {
-            let body = encode_insert_body(key, fields);
-            self.append(&body);
+            self.append(&insert_record(&key.hex_digits(), fields));
         }
     }
 
     fn log_evict(&mut self, key: CacheKey) {
         if self.wal.is_some() {
-            self.append(&format!("{{\"evict\":\"{}\"}}", key.hex()));
+            self.append(&[b"{\"evict\":\"", &key.hex_digits(), b"\"}"]);
         }
     }
 
     /// Appends one record, demoting to in-memory operation on I/O
     /// failure (the cache keeps serving; `save` still snapshots).
-    fn append(&mut self, body: &str) {
+    fn append(&mut self, parts: &[&[u8]]) {
         if let Some(w) = &mut self.wal {
-            if w.append(body).is_err() {
+            if w.append(parts).is_err() {
                 self.wal = None;
                 self.wal_errors += 1;
             }
@@ -494,52 +537,42 @@ impl PersistentCache {
         }
     }
 
-    /// Renders the live set as a snapshot (header plus one insert line
-    /// per entry, oldest first so a bounded reload keeps recent
-    /// traffic).
-    fn snapshot(&self) -> String {
-        let mut out = String::with_capacity(self.total_bytes as usize + 64);
-        out.push_str(wal::HEADER);
-        out.push('\n');
-        let mut entries: Vec<(&u128, &Entry)> = self.map.iter().collect();
-        entries.sort_by_key(|(_, e)| e.last_used);
-        for (key, e) in entries {
-            out.push_str(&wal::frame(&encode_insert_body(
-                CacheKey(*key),
-                e.stored.fields(),
-            )));
-        }
-        out
-    }
-
-    /// Compacts the log into a snapshot of the live set (atomic temp +
-    /// rename) and fsyncs. Called on the compaction threshold and at
-    /// clean shutdown; a no-op for in-memory caches.
+    /// Compacts the log into a snapshot of the live set — the header,
+    /// then one insert record per entry, oldest first so a bounded
+    /// reload keeps recent traffic — and fsyncs. The records stream to
+    /// the temp file through one fixed-size buffer (`wal::replace_file`),
+    /// so nothing proportional to the live set is built. Called on the
+    /// compaction threshold and at clean shutdown; a no-op for
+    /// in-memory caches.
     ///
     /// # Errors
     ///
     /// Propagates I/O failures of the temp-file write or the rename.
     pub fn save(&mut self) -> std::io::Result<()> {
-        let Some(path) = self.path.clone() else {
+        let Some(path) = &self.path else {
             return Ok(());
         };
-        let snapshot = self.snapshot();
+        let mut entries: Vec<(&u128, &Entry)> = self.map.iter().collect();
+        entries.sort_by_key(|(_, e)| e.last_used);
+        let write_records = |out: &mut BufWriter<File>| {
+            for (key, e) in &entries {
+                let hex = CacheKey(**key).hex_digits();
+                wal::write_record(out, &insert_record(&hex, e.stored.fields()))?;
+            }
+            Ok(())
+        };
         match &mut self.wal {
             Some(w) => {
-                if let Err(e) = w.compact_to(&path, &snapshot) {
+                if let Err(e) = w.compact(path, write_records) {
                     self.wal = None;
                     self.wal_errors += 1;
                     return Err(e);
                 }
                 Ok(())
             }
-            None => {
-                // The log handle is gone (earlier I/O failure): fall
-                // back to the plain atomic rewrite.
-                let tmp = path.with_extension("tmp");
-                std::fs::write(&tmp, &snapshot)?;
-                std::fs::rename(&tmp, &path)
-            }
+            // The log handle is gone (earlier I/O failure): the same
+            // atomic rewrite, without an append handle after it.
+            None => wal::replace_file(path, wal::HEADER, write_records).map(drop),
         }
     }
 
@@ -561,13 +594,11 @@ enum WalOp {
     Evict(CacheKey),
 }
 
-/// An insert record's body: the key, then the stored response fields
-/// as they are (they open with `"program"` and close the object).
-fn encode_insert_body(key: CacheKey, fields: &str) -> String {
-    let mut body = String::with_capacity(fields.len() + 48);
-    let _ = write!(body, "{{\"key\":\"{}\",", key.hex());
-    body.push_str(fields);
-    body
+/// An insert record's body in parts: the key's hex digits, then the
+/// stored response fields as they are (they open with `"program"` and
+/// close the object).
+fn insert_record<'a>(key_hex: &'a [u8; 32], fields: &'a str) -> [&'a [u8]; 4] {
+    [b"{\"key\":\"", key_hex, b"\",", fields.as_bytes()]
 }
 
 fn decode_op(body: &str) -> Option<WalOp> {
@@ -642,6 +673,57 @@ mod tests {
         assert!(c.get_raw_alias(raw).is_none());
         assert_eq!((c.hits, c.misses), (0, 0));
         assert!(c.aliases.is_empty());
+    }
+
+    #[test]
+    fn alias_memo_holds_at_most_two_generations() {
+        let mut c = PersistentCache::in_memory(1 << 20);
+        c.insert(CacheKey(0), payload("a"));
+        for i in 0..10 * MAX_ALIASES as u128 {
+            c.record_alias(CacheKey(i + 1), CacheKey(0));
+            assert!(
+                c.alias_len() <= 2 * MAX_ALIASES,
+                "{} aliases",
+                c.alias_len()
+            );
+        }
+        assert_eq!(c.aliases.len(), MAX_ALIASES);
+        assert_eq!(c.old_aliases.len(), MAX_ALIASES);
+        // The last two generations answer; everything older is gone,
+        // and losing it costs no hit or miss.
+        let last = 10 * MAX_ALIASES as u128;
+        assert!(c.get_raw_alias_fields(CacheKey(last)).is_some());
+        assert!(c
+            .get_raw_alias_fields(CacheKey(last + 1 - 2 * MAX_ALIASES as u128))
+            .is_some());
+        assert!(c
+            .get_raw_alias_fields(CacheKey(last - 2 * MAX_ALIASES as u128))
+            .is_none());
+        assert!(c.get_raw_alias_fields(CacheKey(1)).is_none());
+        assert_eq!((c.hits, c.misses), (2, 0));
+    }
+
+    #[test]
+    fn an_alias_touched_once_per_generation_survives() {
+        let mut c = PersistentCache::in_memory(1 << 20);
+        c.insert(CacheKey(0), payload("a"));
+        let hot = CacheKey(u128::MAX);
+        c.record_alias(hot, CacheKey(0));
+        let mut filler = 0;
+        for generation in 0..10 {
+            // A generation's worth of one-off aliases: at least one
+            // rotation, never two, passes between touches.
+            for _ in 0..MAX_ALIASES {
+                filler += 1;
+                c.record_alias(CacheKey(filler), CacheKey(0));
+            }
+            assert!(
+                c.get_raw_alias_fields(hot).is_some(),
+                "lost in generation {generation}"
+            );
+        }
+        assert_eq!(c.hits, 10);
+        assert!(c.alias_len() <= 2 * MAX_ALIASES);
     }
 
     #[test]

@@ -29,7 +29,7 @@ use std::collections::{HashMap, HashSet, VecDeque};
 use std::path::{Path, PathBuf};
 
 use crate::cache::CacheKey;
-use crate::wal::{frame, unframe};
+use crate::wal::{replace_file, unframe, write_record};
 
 /// On-disk header of the persisted quarantine set.
 const HEADER: &str = "pdce-serve-quarantine v1";
@@ -132,18 +132,15 @@ impl Quarantine {
     /// per poison hash — so a full rewrite per change is fine).
     fn persist(&self) {
         let Some(path) = &self.path else { return };
-        let mut out = String::with_capacity(64 * (self.quarantined.len() + 1));
-        out.push_str(HEADER);
-        out.push('\n');
         let mut keys: Vec<u128> = self.quarantined.iter().copied().collect();
         keys.sort_unstable();
-        for key in keys {
-            out.push_str(&frame(&format!("{{\"key\":\"{key:032x}\"}}")));
-        }
-        let tmp = path.with_extension("tmp");
-        if std::fs::write(&tmp, &out).is_ok() {
-            let _ = std::fs::rename(&tmp, path);
-        }
+        let _ = replace_file(path, HEADER, |out| {
+            for key in keys {
+                let hex = CacheKey(key).hex_digits();
+                write_record(out, &[b"{\"key\":\"", &hex, b"\"}"])?;
+            }
+            Ok(())
+        });
     }
 }
 

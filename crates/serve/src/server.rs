@@ -318,6 +318,11 @@ impl Server {
         self.cache.lock().expect("cache lock").load_report
     }
 
+    /// Wall time the cache's log has spent writing so far.
+    pub fn wal_time(&self) -> crate::wal::WalTime {
+        self.cache.lock().expect("cache lock").wal_time()
+    }
+
     /// Lifetime totals so far.
     pub fn summary(&self) -> ServeSummary {
         let cache = self.cache.lock().expect("cache lock");

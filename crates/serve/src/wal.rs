@@ -7,7 +7,9 @@
 //! insert and every eviction is appended as one checksummed line, the
 //! file is `fdatasync`ed every `fsync_every` appends, and the
 //! log is compacted into a plain snapshot (atomic temp + rename) once
-//! it outgrows the live set. Recovery replays the **longest valid
+//! it outgrows the live set. A snapshot is streamed record by record
+//! through one fixed-size buffer, so compaction's memory does not grow
+//! with the live set. Recovery replays the **longest valid
 //! prefix**: the scan stops at the first line whose checksum, framing,
 //! or JSON fails — a torn final write, a truncated tail, or a flipped
 //! bit discards at most the unfsynced suffix and can never resurrect a
@@ -25,10 +27,11 @@
 //! subsequent appends extend the valid prefix.
 
 use std::fs::{File, OpenOptions};
-use std::io::{Seek, SeekFrom, Write};
+use std::io::{BufWriter, Seek, SeekFrom, Write};
 use std::path::Path;
+use std::time::Instant;
 
-use crate::cache::fnv64;
+use crate::cache::{fnv64, fnv64_extend, FNV64_BASIS};
 
 /// On-disk header for the WAL-backed format. Older headers are
 /// deliberately not recognized: a v1 file (snapshot only) or a v2 log
@@ -36,9 +39,48 @@ use crate::cache::fnv64;
 /// sunk and inserted) reloads as empty and is reclaimed as a v3 log.
 pub const HEADER: &str = "pdce-serve-cache v3";
 
-/// Frames `body` as one log line: checksum, tab, body, newline.
-pub fn frame(body: &str) -> String {
-    format!("{:016x}\t{body}\n", fnv64(body.as_bytes()))
+/// The compaction writer's buffer. A snapshot streams through it one
+/// record at a time, so compaction holds this much of the live set in
+/// memory, never all of it.
+const SNAPSHOT_BUFFER: usize = 32 * 1024;
+
+/// Writes one log line whose body is `parts` in order: the FNV-1a 64
+/// checksum of the body, a tab, the body, a newline. The checksum runs
+/// over the parts one after another, so a caller never concatenates
+/// them.
+///
+/// # Errors
+/// Propagates the writer's failure.
+pub(crate) fn write_record<W: Write>(out: &mut W, parts: &[&[u8]]) -> std::io::Result<()> {
+    let sum = parts.iter().fold(FNV64_BASIS, |h, p| fnv64_extend(h, p));
+    write!(out, "{sum:016x}\t")?;
+    for part in parts {
+        out.write_all(part)?;
+    }
+    out.write_all(b"\n")
+}
+
+/// Atomically replaces the file at `path` with `header` and then the
+/// records `write_records` streams: temp file, one fixed-size buffered
+/// writer, `sync_data`, rename. Returns the new file's length.
+///
+/// # Errors
+/// Propagates temp-write/sync/rename failures; the old file is intact
+/// if the rename never happened.
+pub(crate) fn replace_file<F>(path: &Path, header: &str, write_records: F) -> std::io::Result<u64>
+where
+    F: FnOnce(&mut BufWriter<File>) -> std::io::Result<()>,
+{
+    let tmp = path.with_extension("tmp");
+    let mut out = BufWriter::with_capacity(SNAPSHOT_BUFFER, File::create(&tmp)?);
+    out.write_all(header.as_bytes())?;
+    out.write_all(b"\n")?;
+    write_records(&mut out)?;
+    let mut file = out.into_inner().map_err(|e| e.into_error())?;
+    let bytes = file.stream_position()?;
+    file.sync_data()?;
+    std::fs::rename(&tmp, path)?;
+    Ok(bytes)
 }
 
 /// Verifies one framed line, returning its body.
@@ -111,11 +153,31 @@ pub fn scan(text: &str) -> Option<Scan<'_>> {
     })
 }
 
+/// Wall time a log spent in each kind of write, in nanoseconds. The
+/// `report` harness reads it to split the journal's cost into appends,
+/// fsyncs and compactions.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct WalTime {
+    /// Framing and writing appended records (their fsyncs excluded).
+    pub appends_ns: u64,
+    /// `fdatasync` of appended records.
+    pub fsyncs_ns: u64,
+    /// Writing, syncing, renaming and reopening snapshots.
+    pub compactions_ns: u64,
+}
+
+fn elapsed_ns(since: Instant) -> u64 {
+    u64::try_from(since.elapsed().as_nanos()).unwrap_or(u64::MAX)
+}
+
 /// The append handle: a file positioned at the end of its valid
 /// prefix, plus the fsync ledger.
 #[derive(Debug)]
 pub struct Wal {
     file: File,
+    /// The record being appended; reused, so an append allocates only
+    /// when a record outgrows every earlier one.
+    line: Vec<u8>,
     /// Bytes currently in the log (the compaction trigger's currency).
     pub bytes: u64,
     /// Appends since the last fsync.
@@ -125,9 +187,24 @@ pub struct Wal {
     pub appends: u64,
     pub fsyncs: u64,
     pub compactions: u64,
+    pub time: WalTime,
 }
 
 impl Wal {
+    fn on(file: File, bytes: u64, fsync_every: u64) -> Wal {
+        Wal {
+            file,
+            line: Vec::new(),
+            bytes,
+            unsynced: 0,
+            fsync_every: fsync_every.max(1),
+            appends: 0,
+            fsyncs: 0,
+            compactions: 0,
+            time: WalTime::default(),
+        }
+    }
+
     /// Creates a fresh log at `path` (truncating whatever was there)
     /// with just the header, synced.
     ///
@@ -142,15 +219,7 @@ impl Wal {
         file.write_all(HEADER.as_bytes())?;
         file.write_all(b"\n")?;
         file.sync_data()?;
-        Ok(Wal {
-            file,
-            bytes: (HEADER.len() + 1) as u64,
-            unsynced: 0,
-            fsync_every: fsync_every.max(1),
-            appends: 0,
-            fsyncs: 0,
-            compactions: 0,
-        })
+        Ok(Wal::on(file, (HEADER.len() + 1) as u64, fsync_every))
     }
 
     /// Opens the log at `path` for appending after recovery, truncating
@@ -163,28 +232,24 @@ impl Wal {
         let mut file = OpenOptions::new().write(true).open(path)?;
         file.set_len(valid_bytes)?;
         file.seek(SeekFrom::End(0))?;
-        Ok(Wal {
-            file,
-            bytes: valid_bytes,
-            unsynced: 0,
-            fsync_every: fsync_every.max(1),
-            appends: 0,
-            fsyncs: 0,
-            compactions: 0,
-        })
+        Ok(Wal::on(file, valid_bytes, fsync_every))
     }
 
-    /// Appends one framed record and fsyncs if the interval is due.
-    /// The line is written with a single `write_all`, so a crash leaves
-    /// either the whole line or a torn tail — never an interleaving.
+    /// Appends one record (`write_record` of `parts`) and fsyncs if
+    /// the interval is due. The line is written with a single
+    /// `write_all`, so a crash leaves either the whole line or a torn
+    /// tail — never an interleaving.
     ///
     /// # Errors
     /// Propagates write/sync failures (the cache degrades to in-memory
     /// operation on error).
-    pub fn append(&mut self, body: &str) -> std::io::Result<()> {
-        let line = frame(body);
-        self.file.write_all(line.as_bytes())?;
-        self.bytes += line.len() as u64;
+    pub fn append(&mut self, parts: &[&[u8]]) -> std::io::Result<()> {
+        let start = Instant::now();
+        self.line.clear();
+        write_record(&mut self.line, parts)?;
+        self.file.write_all(&self.line)?;
+        self.time.appends_ns += elapsed_ns(start);
+        self.bytes += self.line.len() as u64;
         self.appends += 1;
         self.unsynced += 1;
         if self.unsynced >= self.fsync_every {
@@ -201,31 +266,33 @@ impl Wal {
         if self.unsynced == 0 {
             return Ok(());
         }
+        let start = Instant::now();
         self.file.sync_data()?;
+        self.time.fsyncs_ns += elapsed_ns(start);
         self.unsynced = 0;
         self.fsyncs += 1;
         Ok(())
     }
 
-    /// Replaces the log with `snapshot` (header + one insert line per
-    /// live entry) atomically: temp write, sync, rename, reopen for
-    /// append. On success the handle continues on the new generation.
+    /// Replaces the log with a snapshot — the header, then the insert
+    /// records `write_records` streams (`replace_file`) — and reopens
+    /// it for append. On success the handle continues on the new
+    /// generation.
     ///
     /// # Errors
     /// Propagates temp-write/rename/reopen failures; the old log is
     /// intact if the rename never happened.
-    pub fn compact_to(&mut self, path: &Path, snapshot: &str) -> std::io::Result<()> {
-        let tmp = path.with_extension("tmp");
-        {
-            let mut out = File::create(&tmp)?;
-            out.write_all(snapshot.as_bytes())?;
-            out.sync_data()?;
-        }
-        std::fs::rename(&tmp, path)?;
+    pub fn compact<F>(&mut self, path: &Path, write_records: F) -> std::io::Result<()>
+    where
+        F: FnOnce(&mut BufWriter<File>) -> std::io::Result<()>,
+    {
+        let start = Instant::now();
+        let bytes = replace_file(path, HEADER, write_records)?;
         let mut file = OpenOptions::new().write(true).open(path)?;
         file.seek(SeekFrom::End(0))?;
+        self.time.compactions_ns += elapsed_ns(start);
         self.file = file;
-        self.bytes = snapshot.len() as u64;
+        self.bytes = bytes;
         self.unsynced = 0;
         self.compactions += 1;
         Ok(())
@@ -235,6 +302,19 @@ impl Wal {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn frame(body: &str) -> String {
+        let mut line = Vec::new();
+        write_record(&mut line, &[body.as_bytes()]).unwrap();
+        String::from_utf8(line).unwrap()
+    }
+
+    #[test]
+    fn records_checksum_their_parts_as_one_body() {
+        let mut split = Vec::new();
+        write_record(&mut split, &[b"{\"evict\":", b"", b"\"00\"}"]).unwrap();
+        assert_eq!(split, frame(r#"{"evict":"00"}"#).into_bytes());
+    }
 
     #[test]
     fn frame_and_unframe_round_trip() {

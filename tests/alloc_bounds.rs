@@ -5,7 +5,9 @@
 //! allocates the same number of buffers whatever the block count. The
 //! printer writes a whole program into one pre-sized buffer, and the
 //! parser borrows every token from its input, so parsing allocates per
-//! block (a name, a statement list), never per token.
+//! block (a name, a statement list), never per token. The serve cache's
+//! compaction streams its snapshot through one fixed-size buffer, so it
+//! allocates per entry, never a copy of the live set.
 //!
 //! Counted by the `alloc-metrics` global allocator; run with `cargo
 //! test --features alloc-metrics`.
@@ -48,6 +50,18 @@ fn allocs<T>(mut f: impl FnMut() -> T) -> u64 {
             let before = pdce_trace::metrics::alloc::snapshot();
             std::hint::black_box(f());
             pdce_trace::metrics::alloc::snapshot().since(&before).allocs
+        })
+        .min()
+        .expect("three runs")
+}
+
+/// Bytes `f` allocates, as the minimum over three runs.
+fn alloc_bytes<T>(mut f: impl FnMut() -> T) -> u64 {
+    (0..3)
+        .map(|_| {
+            let before = pdce_trace::metrics::alloc::snapshot();
+            std::hint::black_box(f());
+            pdce_trace::metrics::alloc::snapshot().since(&before).bytes
         })
         .min()
         .expect("three runs")
@@ -121,4 +135,49 @@ fn text_layer_allocations_are_constant_in_print_and_per_block_in_parse() {
             text.len()
         );
     }
+}
+
+/// `PersistentCache::save` writes the header and one insert record per
+/// live entry through one fixed-size buffer: it allocates less than
+/// 64 KiB plus 64 bytes per entry, whatever the entries' size. A
+/// snapshot rendered into one string would allocate at least the live
+/// set (here over four times the bound) and a framed copy of each
+/// record on top.
+#[test]
+fn cache_save_allocates_per_entry_not_per_live_byte() {
+    use pdce::serve::{CacheKey, PersistentCache, ResultPayload};
+    let _serial = serial();
+    let path = std::env::temp_dir().join(format!("pdce-alloc-save-{}.cache", std::process::id()));
+    std::fs::remove_file(&path).ok();
+    let entries: u64 = 200;
+    let mut cache = PersistentCache::load(&path, 1 << 30);
+    for i in 0..entries {
+        let program = format!(
+            "prog {{ block e {{ out({i}); halt }} }}\n{}",
+            " ".repeat(2000)
+        );
+        cache.insert(
+            CacheKey(u128::from(i)),
+            ResultPayload {
+                program,
+                rounds: 2,
+                eliminated: 1,
+                sunk: 0,
+                inserted: 0,
+                rung: "none".into(),
+            },
+        );
+    }
+    let live = cache.bytes();
+    let bound = 64 * 1024 + 64 * entries;
+    assert!(
+        live > 4 * bound,
+        "live set {live} bytes is too small to tell"
+    );
+    let saved = alloc_bytes(|| cache.save().unwrap());
+    std::fs::remove_file(&path).ok();
+    assert!(
+        saved < bound,
+        "save() allocated {saved} bytes for {entries} entries, live set {live} bytes"
+    );
 }

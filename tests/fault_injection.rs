@@ -14,7 +14,9 @@
 //! * an injected miscompile (decision bit-flip) is caught by
 //!   translation validation and rolled back;
 //! * a batch run over the corpus under injection still exits 0 and
-//!   prints valid output for every file.
+//!   prints valid output for every file;
+//! * a degraded run's `--stats` counts the solver and cache work of
+//!   every attempt, failed ones included.
 
 use std::io::Write;
 use std::process::{Command, Stdio};
@@ -101,6 +103,47 @@ fn persistent_budget_fault_walks_down_to_identity() {
     assert_eq!(stdout, expected, "identity rung must echo the input");
     assert!(stderr.contains("degraded:    identity"), "stderr: {stderr}");
     assert!(stderr.contains("budget exhaustion"), "stderr: {stderr}");
+}
+
+/// A degraded run's solver and cache totals count every attempt, the
+/// failed configured run included; its rounds and transform counts
+/// stay the winning rung's (here exactly `--mode dce`'s).
+#[test]
+fn degraded_runs_count_every_attempts_work() {
+    let gcd = std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/corpus/gcd.pdce"))
+        .expect("corpus file");
+    let (_, clean, code) = pdce_with_fault(None, &["opt", "--stats"], &gcd);
+    assert_eq!(code, 0, "stderr: {clean}");
+    assert!(
+        clean.contains("solver:      6 problem(s), 56 evaluation(s), 341 word op(s)"),
+        "stderr: {clean}"
+    );
+    let (_, dce, _) = pdce_with_fault(None, &["opt", "--mode", "dce", "--stats"], &gcd);
+    assert!(
+        dce.contains("solver:      3 problem(s), 27 evaluation(s), 222 word op(s)"),
+        "stderr: {dce}"
+    );
+    let (_, degraded, code) = pdce_with_fault(Some("panic:sink:1"), &["opt", "--stats"], &gcd);
+    assert_eq!(code, 0, "stderr: {degraded}");
+    for line in [
+        "rounds:      2",
+        "eliminated:  2",
+        "cache:       12 rebuild(s) avoided, 8 rebuild(s) paid",
+        "solver:      6 problem(s), 54 evaluation(s), 417 word op(s)",
+        "degraded:    elimination-only",
+    ] {
+        assert!(degraded.contains(line), "missing {line:?} in: {degraded}");
+    }
+    // The identity rung answers with the failed attempts' work alone.
+    let (_, identity, code) = pdce_with_fault(Some("budget:solve:*"), &["opt", "--stats"], &gcd);
+    assert_eq!(code, 0, "stderr: {identity}");
+    for line in [
+        "cache:       2 rebuild(s) avoided, 4 rebuild(s) paid",
+        "solver:      0 problem(s), 0 evaluation(s), 0 word op(s)",
+        "degraded:    identity",
+    ] {
+        assert!(identity.contains(line), "missing {line:?} in: {identity}");
+    }
 }
 
 #[test]

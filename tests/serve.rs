@@ -452,34 +452,6 @@ fn poisoned_alias_entries_self_heal_to_canonical_misses() {
     assert_eq!(cache.get_raw_alias(raw).unwrap(), payload);
 }
 
-#[test]
-fn alias_memo_cap_clears_deterministically() {
-    use pdce::serve::cache::MAX_ALIASES;
-    let mut cache = PersistentCache::in_memory(1 << 20);
-    let canonical = CacheKey::compute("prog { block e { halt } }", "mode=pde");
-    cache.insert(
-        canonical,
-        ResultPayload {
-            program: "prog { block e { halt } }\n".into(),
-            rounds: 1,
-            eliminated: 0,
-            sunk: 0,
-            inserted: 0,
-            rung: "none".into(),
-        },
-    );
-    for i in 0..MAX_ALIASES as u128 {
-        cache.record_alias(CacheKey(i + 1), canonical);
-    }
-    assert_eq!(cache.alias_len(), MAX_ALIASES, "the memo fills to its cap");
-    // The insert that would overflow clears the whole memo first: the
-    // post-insert size is exactly one, regardless of what was inside.
-    let overflow = CacheKey(u128::MAX);
-    cache.record_alias(overflow, canonical);
-    assert_eq!(cache.alias_len(), 1, "cap eviction clears then records");
-    assert!(cache.get_raw_alias(overflow).is_some());
-}
-
 fn health_of(server: &Server, key: &str) -> u64 {
     let line = server.respond_line(r#"{"op":"health"}"#).unwrap();
     json::parse(&line)
