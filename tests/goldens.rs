@@ -1,5 +1,6 @@
 //! Golden-snapshot tests: the canonical optimized form of every corpus
-//! program, per driver mode, pinned under `tests/goldens/`.
+//! program, per driver mode, and its canonical form after each
+//! comparison transform, pinned under `tests/goldens/`.
 //!
 //! These catch *any* output drift — a solver-scheduling change, a
 //! tie-break reorder, a printer tweak — that the semantic oracles would
@@ -15,11 +16,17 @@
 
 mod support;
 
+use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
+use pdce::baselines::{copy_propagate, duchain_dce, hoist_assignments, naive_sink};
 use pdce::core::driver::{optimize, PdceConfig};
+use pdce::ir::edgesplit::split_critical_edges;
 use pdce::ir::parser::parse;
 use pdce::ir::printer::canonical_string;
+use pdce::ir::Program;
+use pdce::lcm::lazy_code_motion;
+use pdce::ssa::ssa_dce;
 
 fn corpus_files() -> Vec<PathBuf> {
     let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/corpus");
@@ -90,4 +97,54 @@ fn spec_driver_reproduces_the_snapshots() {
             check_golden(&format!("{stem}.{label}.golden"), &canonical_string(&prog));
         }
     }
+}
+
+/// The comparison transforms — lazy code motion and assignment hoisting
+/// (each after edge splitting), naive sinking, copy propagation and the
+/// two marking DCEs — pinned byte for byte in one file, a
+/// `// ==== <stem> <transform> ====` section per corpus program and
+/// transform. A transform that rejects a program records its error.
+#[test]
+fn corpus_comparison_snapshots() {
+    type Transform = fn(&mut Program) -> Result<(), String>;
+    let transforms: [(&str, Transform); 6] = [
+        ("lazy_code_motion", |p| {
+            split_critical_edges(p);
+            lazy_code_motion(p).map(drop).map_err(|e| e.to_string())
+        }),
+        ("hoist_assignments", |p| {
+            split_critical_edges(p);
+            hoist_assignments(p).map(drop).map_err(|e| e.to_string())
+        }),
+        ("naive_sink", |p| {
+            naive_sink(p);
+            Ok(())
+        }),
+        ("copy_propagate", |p| {
+            copy_propagate(p);
+            Ok(())
+        }),
+        ("ssa_dce", |p| {
+            ssa_dce(p);
+            Ok(())
+        }),
+        ("duchain_dce", |p| {
+            duchain_dce(p);
+            Ok(())
+        }),
+    ];
+    let mut got = String::new();
+    for file in corpus_files() {
+        let stem = file.file_stem().unwrap().to_string_lossy().into_owned();
+        let src = std::fs::read_to_string(&file).expect("corpus file readable");
+        for (label, transform) in transforms {
+            let mut prog = parse(&src).expect("corpus parses");
+            let section = match transform(&mut prog) {
+                Ok(()) => canonical_string(&prog),
+                Err(e) => format!("error: {e}"),
+            };
+            writeln!(got, "// ==== {stem} {label} ====\n{section}").unwrap();
+        }
+    }
+    check_golden("baselines.golden", &got);
 }
