@@ -18,8 +18,7 @@
 //! tests (and the cross-crate property tests) verify, and its du-graph
 //! size feeds the C6 complexity experiment.
 
-use std::collections::VecDeque;
-
+use pdce_core::elim::apply_removals;
 use pdce_dfa::{solve, BitMatrix, BitProblem, BitVec, Direction, Meet, Row};
 use pdce_ir::{CfgView, NodeId, Program, Stmt, Var};
 
@@ -39,10 +38,10 @@ pub struct DefSite {
 pub struct DuGraph {
     /// All definition sites, densely indexed.
     pub defs: Vec<DefSite>,
-    /// For each definition, the indices of definitions whose right-hand
-    /// side (or relevant statement) it feeds — i.e. def→def "needed by"
-    /// edges discovered through uses.
-    pub feeds: Vec<Vec<u32>>,
+    /// For each definition, the definitions reaching a use in its
+    /// right-hand side — the def→def "needs" edges discovered through
+    /// uses, one entry per du-chain.
+    pub suppliers: Vec<Vec<u32>>,
     /// Definitions used by a relevant statement (out / branch condition).
     pub relevant: BitVec,
     /// Total number of definition→use edges (the graph size the paper
@@ -103,7 +102,7 @@ impl DuGraph {
         let sol = solve(view, &problem);
 
         // Walk each block to connect uses with reaching definitions.
-        let mut feeds: Vec<Vec<u32>> = vec![Vec::new(); width];
+        let mut suppliers: Vec<Vec<u32>> = vec![Vec::new(); width];
         let mut relevant = BitVec::zeros(width);
         let mut du_edges = 0u64;
         for n in prog.node_ids() {
@@ -124,7 +123,7 @@ impl DuGraph {
                             du_edges += 1;
                             match (stmt, this_def) {
                                 (Stmt::Assign { .. }, Some(user)) => {
-                                    feeds[d].push(user as u32);
+                                    suppliers[user].push(d as u32);
                                 }
                                 (Stmt::Out(_), _) => relevant.set(d, true),
                                 _ => {}
@@ -153,36 +152,47 @@ impl DuGraph {
         }
         DuGraph {
             defs,
-            feeds,
+            suppliers,
             relevant,
             du_edges,
         }
     }
+}
 
-    /// Runs the optimistic marking algorithm, returning the set of
-    /// *needed* definitions.
-    pub fn mark(&self) -> BitVec {
-        let mut marked = self.relevant.clone();
-        let mut queue: VecDeque<usize> = marked.iter_ones().collect();
-        // `feeds[d]` lists consumers of d; we need the reverse direction:
-        // from a marked consumer, mark its suppliers. Build supplier lists.
-        let mut suppliers: Vec<Vec<u32>> = vec![Vec::new(); self.defs.len()];
-        for (d, users) in self.feeds.iter().enumerate() {
-            for &u in users {
-                suppliers[u as usize].push(d as u32);
+/// The optimistic marking algorithm over a def-use web: the definitions
+/// in `relevant` plus every definition that (transitively) supplies a
+/// marked one through `suppliers`. Serves both the dense du-graph and
+/// the sparse [`SsaWeb`](crate::ssa::SsaWeb); whatever is left unmarked
+/// is faint.
+pub fn mark(relevant: &BitVec, suppliers: &[Vec<u32>]) -> BitVec {
+    let mut marked = relevant.clone();
+    let mut work: Vec<usize> = marked.iter_ones().collect();
+    while let Some(d) = work.pop() {
+        for &s in &suppliers[d] {
+            let s = s as usize;
+            if !marked.get(s) {
+                marked.set(s, true);
+                work.push(s);
             }
         }
-        while let Some(d) = queue.pop_front() {
-            for &s in &suppliers[d] {
-                let s = s as usize;
-                if !marked.get(s) {
-                    marked.set(s, true);
-                    queue.push_back(s);
-                }
-            }
-        }
-        marked
     }
+    marked
+}
+
+/// Removes the assignments at the `(block, statement)` sites `doomed`
+/// through [`apply_removals`]; returns how many went.
+pub(crate) fn remove_assignments(
+    prog: &mut Program,
+    doomed: impl IntoIterator<Item = (NodeId, usize)>,
+) -> u64 {
+    let mut plans: Vec<(NodeId, Vec<usize>)> = prog.node_ids().map(|n| (n, Vec::new())).collect();
+    for (n, k) in doomed {
+        plans[n.index()].1.push(k);
+    }
+    for (_, ks) in &mut plans {
+        ks.sort_unstable();
+    }
+    apply_removals(prog, &plans)
 }
 
 fn reaching_defs_of(reach: &BitVec, of_var: Row<'_>) -> Vec<usize> {
@@ -195,37 +205,13 @@ fn reaching_defs_of(reach: &BitVec, of_var: Row<'_>) -> Vec<usize> {
 /// number of removed assignments.
 pub fn duchain_dce(prog: &mut Program) -> u64 {
     let graph = DuGraph::build(prog, &CfgView::new(prog));
-    let marked = graph.mark();
-    let mut removed = 0u64;
-    // Group doomed statement indices per block, then rebuild.
-    let mut doomed: Vec<Vec<usize>> = vec![Vec::new(); prog.num_blocks()];
-    for (i, d) in graph.defs.iter().enumerate() {
-        if !marked.get(i) {
-            doomed[d.node.index()].push(d.stmt);
-        }
-    }
-    for n in prog.node_ids().collect::<Vec<_>>() {
-        if doomed[n.index()].is_empty() {
-            continue;
-        }
-        let dl = &doomed[n.index()];
-        let keep: Vec<Stmt> = prog
-            .block(n)
-            .stmts
-            .iter()
-            .enumerate()
-            .filter_map(|(k, s)| {
-                if dl.contains(&k) {
-                    removed += 1;
-                    None
-                } else {
-                    Some(*s)
-                }
-            })
-            .collect();
-        *prog.stmts_mut(n) = keep;
-    }
-    removed
+    let marked = mark(&graph.relevant, &graph.suppliers);
+    let doomed = graph
+        .defs
+        .iter()
+        .enumerate()
+        .filter(|&(i, _)| !marked.get(i));
+    remove_assignments(prog, doomed.map(|(_, d)| (d.node, d.stmt)))
 }
 
 #[cfg(test)]

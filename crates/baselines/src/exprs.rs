@@ -12,7 +12,7 @@
 
 use std::collections::HashMap;
 
-use pdce_dfa::BitVec;
+use pdce_dfa::{BitMatrix, BitVec};
 use pdce_ir::{Program, TermData, TermId};
 
 /// Dense table of candidate expressions.
@@ -74,12 +74,12 @@ impl ExprTable {
 /// Per-block local predicates for every candidate expression.
 #[derive(Debug, Clone)]
 pub struct ExprLocal {
-    /// `ANTLOC_n` per block.
-    pub antloc: Vec<BitVec>,
-    /// `COMP_n` per block.
-    pub comp: Vec<BitVec>,
-    /// `TRANSP_n` per block.
-    pub transp: Vec<BitVec>,
+    /// `ANTLOC_n`, row per block.
+    pub antloc: BitMatrix,
+    /// `COMP_n`, row per block.
+    pub comp: BitMatrix,
+    /// `TRANSP_n`, row per block.
+    pub transp: BitMatrix,
 }
 
 impl ExprLocal {
@@ -87,9 +87,9 @@ impl ExprLocal {
     pub fn compute(prog: &Program, table: &ExprTable) -> ExprLocal {
         let width = table.len();
         let nblocks = prog.num_blocks();
-        let mut antloc = vec![BitVec::zeros(width); nblocks];
-        let mut comp = vec![BitVec::zeros(width); nblocks];
-        let mut transp = vec![BitVec::ones(width); nblocks];
+        let mut antloc = BitMatrix::zeros(nblocks, width);
+        let mut comp = BitMatrix::zeros(nblocks, width);
+        let mut transp = BitMatrix::ones(nblocks, width);
 
         for n in prog.node_ids() {
             let block = prog.block(n);
@@ -99,7 +99,7 @@ impl ExprLocal {
                 if let Some(t) = stmt.used_term() {
                     if let Some(i) = table.index_of(t) {
                         if clean.get(i) {
-                            antloc[n.index()].set(i, true);
+                            antloc.row_mut(n.index()).set(i, true);
                         }
                     }
                 }
@@ -107,7 +107,7 @@ impl ExprLocal {
                     for i in 0..width {
                         if prog.terms().term_uses(table.expr(i), m) {
                             clean.set(i, false);
-                            transp[n.index()].set(i, false);
+                            transp.row_mut(n.index()).set(i, false);
                         }
                     }
                 }
@@ -116,10 +116,10 @@ impl ExprLocal {
             if let Some(c) = prog.block(n).term.used_term() {
                 if let Some(i) = table.index_of(c) {
                     if clean.get(i) {
-                        antloc[n.index()].set(i, true);
+                        antloc.row_mut(n.index()).set(i, true);
                     }
                     // Computed at the very end: always locally available.
-                    comp[n.index()].set(i, true);
+                    comp.row_mut(n.index()).set(i, true);
                 }
             }
             // Backward scan: COMP.
@@ -128,7 +128,7 @@ impl ExprLocal {
                 if let Some(t) = stmt.used_term() {
                     if let Some(i) = table.index_of(t) {
                         if clean.get(i) {
-                            comp[n.index()].set(i, true);
+                            comp.row_mut(n.index()).set(i, true);
                         }
                     }
                 }
@@ -182,9 +182,9 @@ mod tests {
             t.index_of(rhs).unwrap()
         };
         let s = p.entry().index();
-        assert!(l.antloc[s].get(ab), "first a+b precedes the mod of a");
-        assert!(l.comp[s].get(ab), "second a+b follows the mod of a");
-        assert!(!l.transp[s].get(ab), "a := 1 kills transparency");
+        assert!(l.antloc.row(s).get(ab), "first a+b precedes the mod of a");
+        assert!(l.comp.row(s).get(ab), "second a+b follows the mod of a");
+        assert!(!l.transp.row(s).get(ab), "a := 1 kills transparency");
     }
 
     #[test]
@@ -202,9 +202,9 @@ mod tests {
         let l = ExprLocal::compute(&p, &t);
         let m = p.block_by_name("m").unwrap().index();
         let ab = 0;
-        assert!(!l.antloc[m].get(ab));
-        assert!(!l.comp[m].get(ab));
-        assert!(l.transp[m].get(ab));
+        assert!(!l.antloc.row(m).get(ab));
+        assert!(!l.comp.row(m).get(ab));
+        assert!(l.transp.row(m).get(ab));
     }
 
     #[test]
@@ -223,7 +223,7 @@ mod tests {
             .index_of(p.block(p.entry()).term.used_term().unwrap())
             .unwrap();
         let s = p.entry().index();
-        assert!(l.antloc[s].get(cidx));
-        assert!(l.comp[s].get(cidx));
+        assert!(l.antloc.row(s).get(cidx));
+        assert!(l.comp.row(s).get(cidx));
     }
 }

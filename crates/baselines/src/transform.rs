@@ -25,10 +25,8 @@
 //! deleted computation (this is the invariant the LCM correctness proof
 //! relies on — kept computations play the role of `COMP` availability).
 
-use std::error::Error;
-use std::fmt;
-
-use pdce_dfa::{solve, BitMatrix, BitProblem, BitVec, Direction, Meet};
+use pdce_core::sink::CriticalEdgeError;
+use pdce_dfa::{solve, BitProblem, BitVec, Direction, Meet};
 use pdce_ir::edgesplit::has_critical_edges;
 use pdce_ir::{CfgView, NodeId, Program, Stmt, TermData, Terminator, Var};
 
@@ -47,32 +45,18 @@ pub struct LcmStats {
     pub canonicalized: u64,
 }
 
-/// LCM requires split critical edges, like the sinking transformation.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LcmCriticalEdgeError;
-
-impl fmt::Display for LcmCriticalEdgeError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "lazy code motion requires critical edges to be split first"
-        )
-    }
-}
-
-impl Error for LcmCriticalEdgeError {}
-
 /// Runs lazy code motion on `prog`.
 ///
 /// # Errors
 ///
-/// Returns [`LcmCriticalEdgeError`] if the program has critical edges.
+/// Returns [`CriticalEdgeError`] if the program has critical edges,
+/// like the sinking transformation.
 ///
 /// # Example
 ///
 /// ```
+/// use pdce_baselines::lcm::lazy_code_motion;
 /// use pdce_ir::parser::parse;
-/// use pdce_lcm::lazy_code_motion;
 ///
 /// // A loop-invariant computation is hoisted to the preheader.
 /// let mut prog = parse(
@@ -86,9 +70,9 @@ impl Error for LcmCriticalEdgeError {}
 /// assert_eq!(stats.deletions, 1);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-pub fn lazy_code_motion(prog: &mut Program) -> Result<LcmStats, LcmCriticalEdgeError> {
+pub fn lazy_code_motion(prog: &mut Program) -> Result<LcmStats, CriticalEdgeError> {
     if has_critical_edges(prog) {
-        return Err(LcmCriticalEdgeError);
+        return Err(CriticalEdgeError);
     }
     let table = ExprTable::build(prog);
     let mut stats = LcmStats {
@@ -99,11 +83,15 @@ pub fn lazy_code_motion(prog: &mut Program) -> Result<LcmStats, LcmCriticalEdgeE
         return Ok(stats);
     }
     let width = table.len();
+    let nblocks = prog.num_blocks();
     let view = CfgView::new(prog);
     let local = ExprLocal::compute(prog, &table);
 
     // Both problems kill what is not transparent.
-    let not_transp = rows(&local.transp, width, true);
+    let mut not_transp = local.transp.clone();
+    for n in 0..nblocks {
+        not_transp.row_mut(n).negate();
+    }
     // Anticipability (down-safety), backward.
     let ant = solve(
         &view,
@@ -111,7 +99,7 @@ pub fn lazy_code_motion(prog: &mut Program) -> Result<LcmStats, LcmCriticalEdgeE
             direction: Direction::Backward,
             meet: Meet::Intersection,
             width,
-            gen: &rows(&local.antloc, width, false),
+            gen: &local.antloc,
             kill: &not_transp,
             boundary: BitVec::zeros(width),
         },
@@ -123,7 +111,7 @@ pub fn lazy_code_motion(prog: &mut Program) -> Result<LcmStats, LcmCriticalEdgeE
             direction: Direction::Forward,
             meet: Meet::Intersection,
             width,
-            gen: &rows(&local.comp, width, false),
+            gen: &local.comp,
             kill: &not_transp,
             boundary: BitVec::zeros(width),
         },
@@ -147,7 +135,7 @@ pub fn lazy_code_motion(prog: &mut Program) -> Result<LcmStats, LcmCriticalEdgeE
                 m => {
                     e.as_row_mut().difference_with(avail.exit.row(m));
                     // ¬TRANSP_m ∨ ¬ANTOUT_m
-                    let mut tr_and_ant = local.transp[m].clone();
+                    let mut tr_and_ant = local.transp.row(m).to_bitvec();
                     tr_and_ant.as_row_mut().intersect_with(ant.exit.row(m));
                     e.difference_with(&tr_and_ant);
                     e
@@ -157,7 +145,6 @@ pub fn lazy_code_motion(prog: &mut Program) -> Result<LcmStats, LcmCriticalEdgeE
         .collect();
 
     // LATER / LATERIN greatest fixpoint.
-    let nblocks = prog.num_blocks();
     let mut laterin = vec![BitVec::ones(width); nblocks];
     let mut later: Vec<BitVec> = vec![BitVec::ones(width); edges.len()];
     let mut changed = true;
@@ -167,9 +154,7 @@ pub fn lazy_code_motion(prog: &mut Program) -> Result<LcmStats, LcmCriticalEdgeE
             let mut new_later = earliest[ei].clone();
             if m != usize::MAX {
                 let mut flow = laterin[m].clone();
-                let mut not_comp = local.comp[m].clone();
-                not_comp.negate();
-                flow.intersect_with(&not_comp);
+                flow.as_row_mut().difference_with(local.comp.row(m));
                 new_later.union_with(&flow);
             }
             if new_later != later[ei] {
@@ -206,7 +191,7 @@ pub fn lazy_code_motion(prog: &mut Program) -> Result<LcmStats, LcmCriticalEdgeE
     let delete: Vec<BitVec> = prog
         .node_ids()
         .map(|n| {
-            let mut del = local.antloc[n.index()].clone();
+            let mut del = local.antloc.row(n.index()).to_bitvec();
             let mut not_laterin = laterin[n.index()].clone();
             not_laterin.negate();
             del.intersect_with(&not_laterin);
@@ -355,19 +340,6 @@ fn rewrite_block(
     }
 }
 
-/// The per-block vectors `vs` as matrix rows, complemented if `negate`.
-fn rows(vs: &[BitVec], width: usize, negate: bool) -> BitMatrix {
-    let mut m = BitMatrix::zeros(vs.len(), width);
-    for (i, v) in vs.iter().enumerate() {
-        let mut row = m.row_mut(i);
-        row.copy_from(v.as_row());
-        if negate {
-            row.negate();
-        }
-    }
-    m
-}
-
 fn fresh_temp(prog: &mut Program, i: usize) -> Var {
     let mut name = format!("h{i}");
     while prog.vars().lookup(&name).is_some() {
@@ -469,7 +441,7 @@ mod tests {
              }",
         )
         .unwrap();
-        assert_eq!(lazy_code_motion(&mut p), Err(LcmCriticalEdgeError));
+        assert_eq!(lazy_code_motion(&mut p), Err(CriticalEdgeError));
     }
 
     #[test]

@@ -12,6 +12,7 @@ use pdce_dfa::BitVec;
 use pdce_ir::{CfgView, NodeId, Program, Stmt, Var};
 
 use crate::domfront::DomInfo;
+use crate::duchain::{mark, remove_assignments};
 
 /// A definition site in the SSA web.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -60,23 +61,6 @@ impl SsaWeb {
     /// Builds the web for `prog`.
     pub fn build(prog: &Program, view: &CfgView) -> SsaWeb {
         Builder::new(prog, view).build()
-    }
-
-    /// Optimistic mark phase: which definitions (transitively) feed a
-    /// relevant statement.
-    pub fn mark(&self) -> BitVec {
-        let mut marked = self.relevant.clone();
-        let mut work: Vec<usize> = marked.iter_ones().collect();
-        while let Some(d) = work.pop() {
-            for &s in &self.suppliers[d] {
-                let s = s as usize;
-                if !marked.get(s) {
-                    marked.set(s, true);
-                    work.push(s);
-                }
-            }
-        }
-        marked
     }
 }
 
@@ -259,8 +243,8 @@ impl<'a> Builder<'a> {
 /// # Example
 ///
 /// ```
+/// use pdce_baselines::ssa::ssa_dce;
 /// use pdce_ir::parser::parse;
-/// use pdce_ssa::ssa_dce;
 ///
 /// let mut prog = parse(
 ///     "prog { block s { a := 1; b := a + 1; out(7); goto e }
@@ -271,39 +255,16 @@ impl<'a> Builder<'a> {
 /// ```
 pub fn ssa_dce(prog: &mut Program) -> u64 {
     let web = SsaWeb::build(prog, &CfgView::new(prog));
-    let marked = web.mark();
-    let mut doomed: Vec<Vec<usize>> = vec![Vec::new(); prog.num_blocks()];
-    for (i, def) in web.defs.iter().enumerate() {
-        if let DefSite::Assign { block, stmt, .. } = *def {
-            if !marked.get(i) {
-                doomed[block.index()].push(stmt);
-            }
-        }
-    }
-    let mut removed = 0u64;
-    for n in prog.node_ids().collect::<Vec<_>>() {
-        if doomed[n.index()].is_empty() {
-            continue;
-        }
-        doomed[n.index()].sort_unstable();
-        let dl = &doomed[n.index()];
-        let keep: Vec<Stmt> = prog
-            .block(n)
-            .stmts
-            .iter()
-            .enumerate()
-            .filter_map(|(k, s)| {
-                if dl.binary_search(&k).is_ok() {
-                    removed += 1;
-                    None
-                } else {
-                    Some(*s)
-                }
-            })
-            .collect();
-        *prog.stmts_mut(n) = keep;
-    }
-    removed
+    let marked = mark(&web.relevant, &web.suppliers);
+    let doomed = web
+        .defs
+        .iter()
+        .enumerate()
+        .filter_map(|(i, def)| match *def {
+            DefSite::Assign { block, stmt, .. } if !marked.get(i) => Some((block, stmt)),
+            _ => None,
+        });
+    remove_assignments(prog, doomed)
 }
 
 #[cfg(test)]
@@ -330,7 +291,7 @@ mod tests {
             .filter(|d| matches!(d, DefSite::Assign { .. }))
             .count();
         assert_eq!(assigns, 2);
-        let marked = w.mark();
+        let marked = mark(&w.relevant, &w.suppliers);
         // Both assignments feed out(y): marked.
         for (i, d) in w.defs.iter().enumerate() {
             if matches!(d, DefSite::Assign { .. }) {
@@ -357,7 +318,7 @@ mod tests {
             .position(|d| matches!(d, DefSite::Phi { .. }))
             .unwrap();
         assert_eq!(w.suppliers[phi].len(), 2);
-        let marked = w.mark();
+        let marked = mark(&w.relevant, &w.suppliers);
         assert!(marked.get(phi));
     }
 

@@ -12,13 +12,13 @@
 
 use pdce_baselines::duchain::DuGraph;
 use pdce_baselines::liveness::Liveness;
+use pdce_baselines::ssa::SsaWeb;
 use pdce_bench::timeit;
 use pdce_core::{DeadSolution, DelayInfo, FaintSolution, LocalInfo, PatternTable};
 use pdce_ir::parser::parse;
 use pdce_ir::printer::print_program;
 use pdce_ir::CfgView;
 use pdce_progen::{many_defs_many_uses, structured, GenConfig};
-use pdce_ssa::SsaWeb;
 
 fn workload(n: usize) -> pdce_ir::Program {
     workload_vars(n, 8)

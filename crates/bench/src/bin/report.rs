@@ -21,6 +21,7 @@ use std::rc::Rc;
 use std::time::Instant;
 
 use pdce_baselines::duchain::DuGraph;
+use pdce_baselines::ssa::{DomInfo, SsaWeb};
 use pdce_baselines::{liveness_dce, naive_sink, Liveness};
 use pdce_bench::benchjson::{self, paired, Document, Record, Series, BARS};
 use pdce_bench::{figure_corpus, fit_loglog_slope, measure, verify_figure};
@@ -34,7 +35,6 @@ use pdce_ir::{CfgView, Program};
 use pdce_progen::{
     diamond_ladder, faint_chain, many_defs_many_uses, second_order_tower, structured, GenConfig,
 };
-use pdce_ssa::{DomInfo, SsaWeb};
 use pdce_trace::metrics::Snapshot;
 
 fn main() {
@@ -673,13 +673,13 @@ fn t3_csr_sharing(quick: bool) -> (String, Vec<Series>) {
     let progs = programs(sizes, 11);
     // The adjacency/order-bound consumers the refactor unified — one
     // representative gen/kill solve (liveness, pdce-baselines), plus
-    // dominators (pdce-ssa), reachability (pdce-ir validation), the
-    // critical-edge table (edge splitting), natural back edges and
-    // reducibility (the naive sinker / generators). Heavier solver
-    // payloads (dead, faint, delayability) are excluded: their
-    // fixpoint cost is independent of how the adjacency is obtained
-    // and would only dilute the number this A/B isolates. `view` is
-    // called once per consumer.
+    // dominators (pdce-baselines' ssa), reachability (pdce-ir
+    // validation), the critical-edge table (edge splitting), natural
+    // back edges and reducibility (the naive sinker / generators).
+    // Heavier solver payloads (dead, faint, delayability) are excluded:
+    // their fixpoint cost is independent of how the adjacency is
+    // obtained and would only dilute the number this A/B isolates.
+    // `view` is called once per consumer.
     fn consumers(prog: &Program, view: impl Fn() -> Rc<CfgView>) {
         std::hint::black_box(Liveness::compute(prog, &view()));
         std::hint::black_box(DomInfo::compute(&view()));

@@ -245,7 +245,10 @@ fn inject_decision_bitflip(prog: &Program, plans: &mut [(NodeId, Vec<usize>)]) {
     }
 }
 
-fn apply_removals(prog: &mut Program, plans: &[(NodeId, Vec<usize>)]) -> u64 {
+/// Removes, for each `(block, doomed)` plan, the statements at the
+/// ascending indices `doomed`, returning how many went. Blocks with an
+/// empty plan are left untouched (their revision does not move).
+pub fn apply_removals(prog: &mut Program, plans: &[(NodeId, Vec<usize>)]) -> u64 {
     let mut removed = 0u64;
     for (n, doomed) in plans {
         if doomed.is_empty() {

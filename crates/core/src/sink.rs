@@ -48,16 +48,15 @@ pub struct SinkOutcome {
     pub changed: bool,
 }
 
-/// `ask` was called on a program that still has critical edges.
+/// A motion transformation (assignment sinking, assignment hoisting or
+/// lazy code motion) was run on a program that still has critical
+/// edges.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CriticalEdgeError;
 
 impl fmt::Display for CriticalEdgeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "assignment sinking requires critical edges to be split first"
-        )
+        write!(f, "critical edges must be split first")
     }
 }
 

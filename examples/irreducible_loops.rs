@@ -10,6 +10,7 @@
 //!
 //! Run with: `cargo run --example irreducible_loops`
 
+use pdce::baselines::lcm::lazy_code_motion;
 use pdce::baselines::naive_sink;
 use pdce::core::driver::pde;
 use pdce::ir::edgesplit::split_critical_edges;
@@ -17,7 +18,6 @@ use pdce::ir::interp::{run, Env, ExecLimits, ReplayOracle};
 use pdce::ir::parser::parse;
 use pdce::ir::printer::print_program;
 use pdce::ir::{CfgView, Program};
-use pdce::lcm::lazy_code_motion;
 
 const FIG5: &str = "prog {
     block n1 { x := a + b; nondet n2 n3 }

@@ -1,17 +1,7 @@
 //! The `pdce` command-line tool.
 //!
-//! ```text
-//! pdce opt     [--mode pde|pfe|dce|fce] [--region a,b,c]
-//!              [--max-rounds N] [--stats] [--trace FILE.json] [--explain]
-//!              [FILE]                              optimize a program
-//! pdce run     [--in name=value]... [--seed N] [--fuel N] [FILE]
-//!                                                  interpret a program
-//! pdce analyze [FILE]                              per-block analysis facts
-//! pdce dot     [FILE]                              Graphviz export
-//! pdce check   [FILE]                              parse + validate only
-//! ```
-//!
-//! `FILE` defaults to standard input. Programs use the textual language
+//! The subcommands and their flags are listed once, in `USAGE`, which
+//! `pdce --help` prints. `FILE` defaults to standard input. Programs use the textual language
 //! of `pdce::ir::parser` (see the repository README).
 
 use std::io::Read;

@@ -6,9 +6,9 @@
 //! * [`ir`] — flow-graph IR, parser, printer, interpreter, paths
 //! * [`dfa`] — bit-vector data-flow framework
 //! * [`core`] — partial dead/faint code elimination (the paper's algorithm)
-//! * [`baselines`] — DCE variants, naive sinking, copy propagation
-//! * [`lcm`] — lazy code motion (partial redundancy elimination)
-//! * [`ssa`] — SSA form (Cytron et al.) and sparse SSA-based DCE
+//! * [`baselines`] — what the paper compares against: DCE variants
+//!   (liveness, du-chain marking, sparse SSA-based DCE), naive sinking,
+//!   lazy code motion, copy propagation, assignment hoisting
 //! * [`progen`] — random program generators
 //! * [`serve`] — optimization-as-a-service: newline-delimited JSON
 //!   protocol, budget admission control, persistent result cache
@@ -53,10 +53,8 @@ pub use pdce_baselines as baselines;
 pub use pdce_core as core;
 pub use pdce_dfa as dfa;
 pub use pdce_ir as ir;
-pub use pdce_lcm as lcm;
 pub use pdce_par as par;
 pub use pdce_progen as progen;
 pub use pdce_serve as serve;
-pub use pdce_ssa as ssa;
 pub use pdce_trace as trace;
 pub use pdce_trace::metrics;

@@ -7,11 +7,11 @@
 //!   marking DCE (Section 5.2's "standard method"): the paper notes the
 //!   optimistic marking detects exactly the faint assignments.
 
+use pdce::baselines::ssa::ssa_dce;
 use pdce::baselines::{duchain_dce, liveness_dce};
 use pdce::core::driver::{optimize, PdceConfig};
 use pdce::ir::printer::{canonical_string, structural_eq};
 use pdce::progen::{structured, tangled, GenConfig};
-use pdce::ssa::ssa_dce;
 
 fn config(seed: u64) -> GenConfig {
     GenConfig {

@@ -1,9 +1,10 @@
 //! Cross-layer `CfgView` guarantees.
 //!
 //! Every analysis layer (the worklist solvers in `pdce-dfa`, the
-//! dominance machinery in `pdce-ssa`, the faint network in `pdce-core`)
-//! now consumes its traversal orders from the one revision-cached
-//! [`CfgView`] instead of recomputing private DFS orders. These tests
+//! dominance machinery in `pdce_baselines::ssa`, the faint network in
+//! `pdce-core`) now consumes its traversal orders from the one
+//! revision-cached [`CfgView`] instead of recomputing private DFS
+//! orders. These tests
 //! pin the two properties that refactor rests on:
 //!
 //! 1. the view's orders equal the reference DFS orders every consumer
@@ -14,10 +15,10 @@
 //!    whole-graph rewrites — leaves the cache's view identical to a
 //!    cold rebuild.
 
+use pdce::baselines::ssa::DomInfo;
 use pdce::dfa::AnalysisCache;
 use pdce::ir::{simplify_cfg, Block, CfgView, NodeId, Program, Stmt, Terminator};
 use pdce::progen::{structured, tangled, GenConfig};
-use pdce::ssa::DomInfo;
 use pdce_rng::Rng;
 
 fn config(seed: u64, nondet: bool) -> GenConfig {

@@ -5,6 +5,7 @@
 //! round-trips for each.
 
 use pdce::baselines::hoist_assignments;
+use pdce::baselines::lcm::lazy_code_motion;
 use pdce::core::better::{check_improvement, BetterOptions};
 use pdce::core::driver::{optimize, PdceConfig};
 use pdce::ir::edgesplit::split_critical_edges;
@@ -12,7 +13,6 @@ use pdce::ir::interp::{run, Env, ExecLimits, ReplayOracle, SeededOracle, Trace};
 use pdce::ir::parser::parse;
 use pdce::ir::printer::canonical_string;
 use pdce::ir::{simplify_cfg, Program};
-use pdce::lcm::lazy_code_motion;
 
 const INPUTS: [(&str, i64); 6] = [
     ("a", 54),

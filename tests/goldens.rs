@@ -19,14 +19,14 @@ mod support;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
+use pdce::baselines::lcm::lazy_code_motion;
+use pdce::baselines::ssa::ssa_dce;
 use pdce::baselines::{copy_propagate, duchain_dce, hoist_assignments, naive_sink};
 use pdce::core::driver::{optimize, PdceConfig};
 use pdce::ir::edgesplit::split_critical_edges;
 use pdce::ir::parser::parse;
 use pdce::ir::printer::canonical_string;
 use pdce::ir::Program;
-use pdce::lcm::lazy_code_motion;
-use pdce::ssa::ssa_dce;
 
 fn corpus_files() -> Vec<PathBuf> {
     let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/corpus");

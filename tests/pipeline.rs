@@ -2,12 +2,12 @@
 //! combined optimizer stack, and the DOT exporter.
 
 use pdce::baselines::copy_propagate;
+use pdce::baselines::lcm::lazy_code_motion;
 use pdce::core::driver::{optimize, pde, PdceConfig};
 use pdce::ir::edgesplit::split_critical_edges;
 use pdce::ir::interp::{run, Env, ExecLimits, ReplayOracle, SeededOracle};
 use pdce::ir::parser::parse;
 use pdce::ir::printer::{canonical_string, print_program};
-use pdce::lcm::lazy_code_motion;
 use pdce::progen::{structured, GenConfig};
 
 #[test]

@@ -23,6 +23,7 @@
 //!   reproduces it, line for line the single-item renderings.
 
 use pdce::baselines::copy_propagate;
+use pdce::baselines::lcm::lazy_code_motion;
 use pdce::core::better::{check_improvement, BetterOptions};
 use pdce::core::driver::{optimize, optimize_resilient, DegradedMode, PdceConfig};
 use pdce::core::elim::{eliminate_fixpoint_cached, Mode};
@@ -34,7 +35,6 @@ use pdce::ir::interp::{run, Env, ExecLimits, ReplayOracle, SeededOracle};
 use pdce::ir::parser::parse;
 use pdce::ir::printer::{canonical_string, print_program, print_stmt, print_terminator};
 use pdce::ir::Program;
-use pdce::lcm::lazy_code_motion;
 use pdce::progen::{structured, tangled, GenConfig};
 use pdce_rng::Rng;
 

@@ -16,13 +16,13 @@
 //!   repertoire in `tests/optimality.rs` and `fig_7` in
 //!   `tests/figures.rs`).
 
+use pdce::baselines::lcm::lazy_code_motion;
 use pdce::baselines::{copy_propagate, hoist_assignments, naive_sink};
 use pdce::core::driver::pde;
 use pdce::ir::edgesplit::split_critical_edges;
 use pdce::ir::interp::{run, Env, ExecLimits, ReplayOracle};
 use pdce::ir::parser::parse;
 use pdce::ir::Program;
-use pdce::lcm::lazy_code_motion;
 
 /// Loop-heavy program in the shape of Figure 6's second half: the
 /// assignment is needed only on one arm *inside* the loop.

@@ -1,10 +1,10 @@
 //! SSA-substrate integration: the sparse web on hostile control flow,
 //! and sparse SSA-based DCE against pfe (Section 5.2).
 
+use pdce::baselines::ssa::{ssa_dce, SsaWeb};
 use pdce::core::driver::{optimize, PdceConfig};
 use pdce::ir::CfgView;
 use pdce::progen::{tangled, GenConfig};
-use pdce::ssa::{ssa_dce, SsaWeb};
 
 /// The SSA web stays sparse on tangled, irreducible graphs: edges grow
 /// linearly with statements (φs included), never quadratically.
