@@ -144,33 +144,48 @@ pub fn lazy_code_motion(prog: &mut Program) -> Result<LcmStats, CriticalEdgeErro
         })
         .collect();
 
-    // LATER / LATERIN greatest fixpoint.
+    // Incoming edges of each block, indexed once: `edges_into[into_off[n]..
+    // into_off[n + 1]]` are the indices of the edges that end at `n`.
+    let mut into_off = vec![0usize; nblocks + 1];
+    for &(_, n) in &edges {
+        into_off[n.index() + 1] += 1;
+    }
+    for i in 0..nblocks {
+        into_off[i + 1] += into_off[i];
+    }
+    let mut cursor = into_off.clone();
+    let mut edges_into = vec![0usize; edges.len()];
+    for (ei, &(_, n)) in edges.iter().enumerate() {
+        edges_into[cursor[n.index()]] = ei;
+        cursor[n.index()] += 1;
+    }
+
+    // LATER / LATERIN greatest fixpoint, on two scratch rows.
     let mut laterin = vec![BitVec::ones(width); nblocks];
     let mut later: Vec<BitVec> = vec![BitVec::ones(width); edges.len()];
+    let (mut row, mut flow) = (BitVec::zeros(width), BitVec::zeros(width));
     let mut changed = true;
     while changed {
         changed = false;
         for (ei, &(m, _n)) in edges.iter().enumerate() {
-            let mut new_later = earliest[ei].clone();
+            row.copy_from(&earliest[ei]);
             if m != usize::MAX {
-                let mut flow = laterin[m].clone();
+                flow.copy_from(&laterin[m]);
                 flow.as_row_mut().difference_with(local.comp.row(m));
-                new_later.union_with(&flow);
+                row.union_with(&flow);
             }
-            if new_later != later[ei] {
-                later[ei] = new_later;
+            if row != later[ei] {
+                later[ei].copy_from(&row);
                 changed = true;
             }
         }
         for n in prog.node_ids() {
-            let mut acc = BitVec::ones(width);
-            for (ei, &(_, tgt)) in edges.iter().enumerate() {
-                if tgt == n {
-                    acc.intersect_with(&later[ei]);
-                }
+            row.fill(true);
+            for &ei in &edges_into[into_off[n.index()]..into_off[n.index() + 1]] {
+                row.intersect_with(&later[ei]);
             }
-            if acc != laterin[n.index()] {
-                laterin[n.index()] = acc;
+            if row != laterin[n.index()] {
+                laterin[n.index()].copy_from(&row);
                 changed = true;
             }
         }

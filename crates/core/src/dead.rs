@@ -38,20 +38,31 @@ pub struct DeadSolution {
 /// `f ∘ h`: `gen` becomes `f(gen)`, which is exactly
 /// [`apply_stmt_backward`]/[`apply_term_backward`], and `kill` gains
 /// `f`'s kill set, the variables the instruction uses.
-fn dead_transfer(prog: &Program, width: usize) -> (BitMatrix, BitMatrix) {
+pub(crate) fn dead_transfer(prog: &Program, width: usize) -> (BitMatrix, BitMatrix) {
     let mut gen = BitMatrix::zeros(prog.num_blocks(), width);
     let mut kill = BitMatrix::zeros(prog.num_blocks(), width);
     for n in prog.node_ids() {
-        let block = prog.block(n);
-        let (mut g, mut k) = (gen.row_mut(n.index()), kill.row_mut(n.index()));
-        apply_term_backward(prog, &block.term, &mut g);
-        kill_used(prog, block.term.used_term(), &mut k);
-        for stmt in block.stmts.iter().rev() {
-            apply_stmt_backward(prog, stmt, &mut g);
-            kill_used(prog, stmt.used_term(), &mut k);
-        }
+        dead_block_rows(prog, n, &mut gen, &mut kill);
     }
     (gen, kill)
+}
+
+/// Composes block `n`'s gen/kill rows (see [`dead_transfer`]) into its
+/// rows of `gen` and `kill`, which must be clear.
+pub(crate) fn dead_block_rows(
+    prog: &Program,
+    n: NodeId,
+    gen: &mut BitMatrix,
+    kill: &mut BitMatrix,
+) {
+    let block = prog.block(n);
+    let (mut g, mut k) = (gen.row_mut(n.index()), kill.row_mut(n.index()));
+    apply_term_backward(prog, &block.term, &mut g);
+    kill_used(prog, block.term.used_term(), &mut k);
+    for stmt in block.stmts.iter().rev() {
+        apply_stmt_backward(prog, stmt, &mut g);
+        kill_used(prog, stmt.used_term(), &mut k);
+    }
 }
 
 /// ORs the variables of `used` into a kill row.
@@ -143,16 +154,23 @@ pub(crate) fn record_walks(word_ops: u64) {
 impl DeadSolution {
     /// Runs the analysis over `prog`.
     pub fn compute(prog: &Program, view: &CfgView) -> DeadSolution {
-        let width = prog.num_vars();
-        let (gen, kill) = dead_transfer(prog, width);
+        let (gen, kill) = dead_transfer(prog, prog.num_vars());
+        DeadSolution::solve_rows(view, &gen, &kill)
+    }
+
+    /// Solves the dead-variable equations whose per-block gen/kill rows
+    /// are `gen` and `kill`, as [`dead_transfer`] composes them (an
+    /// optimizer run keeps the rows of unedited blocks between solves).
+    pub(crate) fn solve_rows(view: &CfgView, gen: &BitMatrix, kill: &BitMatrix) -> DeadSolution {
+        let width = gen.width();
         let solution = solve(
             view,
             &BitProblem {
                 direction: Direction::Backward,
                 meet: Meet::Intersection,
                 width,
-                gen: &gen,
-                kill: &kill,
+                gen,
+                kill,
                 // Everything is dead at the end of the program.
                 boundary: BitVec::ones(width),
             },

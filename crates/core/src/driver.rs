@@ -15,7 +15,8 @@
 //! such effect (Section 4.4), since removing assignments that are faint
 //! after them leaves the faint solution of the rest unchanged, so a
 //! second pass could only certify that nothing is left (the argument is
-//! in [`eliminate_fixpoint_cached`]'s documentation). Termination is guaranteed by the paper's
+//! in [`eliminate_fixpoint_cached`](crate::elim::eliminate_fixpoint_cached)'s
+//! documentation). Termination is guaranteed by the paper's
 //! fixpoint argument (Theorem 3.7); a defensive round cap derived from
 //! the Section 6.3 bound (`r ≤ i·b`) turns any implementation bug into an
 //! error instead of an endless loop.
@@ -30,9 +31,10 @@ use pdce_trace::budget::{self, Budget, BudgetExhausted};
 use pdce_trace::sandbox::{self, SandboxError};
 use pdce_trace::{fault, SolverStats};
 
-use crate::elim::{eliminate_fixpoint_cached, Mode};
+use crate::elim::{eliminate_fixpoint_run, Mode};
 use crate::patterns::PatternTable;
-use crate::sink::{sink_with_table, CriticalEdgeError};
+use crate::run::{KeptRows, Run};
+use crate::sink::{sink_in_run, CriticalEdgeError};
 use crate::tv;
 
 /// What to do when the global round cap is reached (the paper's
@@ -213,8 +215,9 @@ pub struct PdceStats {
     /// worklist pops/evaluations, revisits, sweeps to fixpoint, and
     /// bit-vector word operations (deterministic for a fixed input).
     pub solver: SolverStats,
-    /// Snapshot restores: failed ladder rungs plus translation-
-    /// validation round rollbacks.
+    /// Rollbacks: failed ladder rungs, each undone through the run's
+    /// edit log, plus translation-validation round rollbacks, each back
+    /// to the round's pre-round copy.
     pub rollbacks: u64,
     /// Ladder steps taken by [`optimize_resilient`] (0 = the configured
     /// run succeeded as-is).
@@ -326,6 +329,10 @@ pub fn optimize(prog: &mut Program, config: &PdceConfig) -> Result<PdceStats, Pd
 /// performs no mutation ends the loop — which both transforms guarantee
 /// by never writing back unchanged statement lists. With sinking on, one
 /// [`PatternTable`] of the split input serves every round's `ask`.
+/// Every pass of every round shares one run state (DESIGN.md §10): the
+/// log of the blocks it edited, with their pre-run statement lists, and
+/// dead's gen/kill rows, sinking's local predicates and each block's
+/// last-walked exit row, re-derived only for the blocks edited since.
 ///
 /// # Errors
 ///
@@ -334,6 +341,19 @@ pub fn optimize_with_cache(
     prog: &mut Program,
     config: &PdceConfig,
     cache: &mut AnalysisCache,
+) -> Result<PdceStats, PdceError> {
+    optimize_in_run(prog, config, cache, &mut Run::new(prog))
+}
+
+/// [`optimize_with_cache`] on `run`, which must be a fresh [`Run`] of
+/// `prog`: every elimination pass and `ask` step of every round edits
+/// through its log and re-derives only the rows of the blocks edited
+/// since, and [`optimize_resilient`] undoes it when the attempt fails.
+fn optimize_in_run(
+    prog: &mut Program,
+    config: &PdceConfig,
+    cache: &mut AnalysisCache,
+    run: &mut Run,
 ) -> Result<PdceStats, PdceError> {
     let mut cache_baseline = cache.stats();
     // Counts of caches a rollback dropped: their work stays in the run.
@@ -404,13 +424,13 @@ pub fn optimize_with_cache(
             Mode::Dead => "dce",
             Mode::Faint => "fce",
         });
-        let (removed, passes) = eliminate_fixpoint_cached(prog, cache, config.mode, region);
+        let (removed, passes) = eliminate_fixpoint_run(prog, cache, run, config.mode, region);
         stats.eliminated_assignments += removed;
         stats.elimination_passes += passes;
 
         if let Some(table) = &table {
             fault::fire("sink");
-            let outcome = sink_with_table(prog, cache, table, region)?;
+            let outcome = sink_in_run(prog, cache, run, table, region)?;
             stats.sunk_assignments += outcome.removed;
             stats.inserted_assignments += outcome.inserted;
             stats.max_stmts = stats.max_stmts.max(prog.num_stmts() as u64);
@@ -432,6 +452,10 @@ pub fn optimize_with_cache(
             let report = tv::validate_pair(&last_good, prog, &opts);
             if let Some(mismatch) = report.mismatch {
                 *prog = last_good;
+                // The pre-round program keeps the run's undo record (the
+                // pre-run lists of every block edited so far), but no
+                // row kept from the rolled-back round.
+                run.rows = KeptRows::default();
                 // Analyses computed for the rolled-back intermediate
                 // states must not leak into later queries; their counts
                 // stay in the run's stats.
@@ -503,10 +527,12 @@ pub fn pfe(prog: &mut Program) -> Result<PdceStats, PdceError> {
     optimize(prog, &PdceConfig::pfe())
 }
 
-/// Fault-tolerant front door: runs the configured optimizer inside a
-/// panic sandbox and, when an attempt fails (panic, budget exhaustion,
-/// round-cap bug), restores the input snapshot and retries one rung
-/// further down the **degradation ladder**:
+/// Fault-tolerant front door: runs the configured optimizer in place
+/// inside a panic sandbox and, when an attempt fails (panic, budget
+/// exhaustion, round-cap bug), undoes the attempt's edit log — every
+/// rewritten statement list back, every critical-edge split dropped —
+/// and retries from the input one rung further down the **degradation
+/// ladder**:
 ///
 /// 1. the run as configured,
 /// 2. [`DegradedMode::EliminationOnly`] — no sinking (pde degrades to
@@ -533,17 +559,15 @@ pub fn optimize_resilient(prog: &mut Program, config: &PdceConfig) -> PdceStats 
     let mut failure_log: Vec<String> = Vec::new();
 
     for rung in [None, Some(DegradedMode::EliminationOnly)] {
-        let mut attempt = prog.clone();
         let mut cache = AnalysisCache::new();
+        let mut run = Run::new(prog);
         let rung_config = PdceConfig {
             sinking: config.sinking && rung.is_none(),
             ..config.clone()
         };
-        let outcome =
-            sandbox::catch(|| optimize_with_cache(&mut attempt, &rung_config, &mut cache));
+        let outcome = sandbox::catch(|| optimize_in_run(prog, &rung_config, &mut cache, &mut run));
         let failure = match outcome {
             Ok(Ok(mut stats)) => {
-                *prog = attempt;
                 stats.degradations += degradations;
                 stats.rollbacks += rollbacks;
                 stats.budget_exhaustions += budget_exhaustions;
@@ -566,8 +590,10 @@ pub fn optimize_resilient(prog: &mut Program, config: &PdceConfig) -> PdceStats 
             }
             Err(SandboxError::Panic(msg)) => format!("panic: {msg}"),
         };
-        // `attempt` (possibly half-transformed) is discarded; `prog`
-        // still holds the pristine input — that *is* the rollback.
+        // The attempt ran in place: undoing its edit log puts back every
+        // statement list it rewrote and drops its critical-edge splits,
+        // so the next rung starts from the input.
+        run.undo(prog);
         failed_cache.add(&cache.stats());
         degradations += 1;
         rollbacks += 1;

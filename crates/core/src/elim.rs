@@ -13,8 +13,9 @@ use std::rc::Rc;
 use pdce_dfa::{AnalysisCache, Preserves, Row};
 use pdce_ir::{NodeId, Program, Stmt};
 
-use crate::dead::{record_walks, DeadSolution};
+use crate::dead::DeadSolution;
 use crate::faint::FaintSolution;
+use crate::run::Run;
 
 /// Which notion of uselessness drives eliminations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -52,6 +53,20 @@ pub fn eliminate_once_cached(
     mode: Mode,
     region: Option<&[bool]>,
 ) -> u64 {
+    eliminate_once_run(prog, cache, &mut Run::new(prog), mode, region)
+}
+
+/// [`eliminate_once_cached`] on a run's state: dead's gen/kill rows come
+/// from the run's kept rows, only blocks edited since their last walk or
+/// whose exit row changed are walked, and every removal goes through the
+/// run's edit log.
+pub(crate) fn eliminate_once_run(
+    prog: &mut Program,
+    cache: &mut AnalysisCache,
+    run: &mut Run,
+    mode: Mode,
+    region: Option<&[bool]>,
+) -> u64 {
     let (pass_name, detail, fault_site) = match mode {
         Mode::Dead => ("dce", "lhs dead after", "dead"),
         Mode::Faint => ("fce", "lhs faint after", "faint"),
@@ -61,14 +76,24 @@ pub fn eliminate_once_cached(
     // Skip unreachable blocks: the solvers never evaluate them, so their
     // optimistic initial state would claim everything dead there.
     let in_region =
-        |n: NodeId| region.is_none_or(|r| r[n.index()]) && view.rpo_index(n) != usize::MAX;
-    let analysis = ElimAnalysis::get(prog, cache, mode);
-    let mut plans = analysis.plan(prog, prog.node_ids().filter(|&n| in_region(n)));
+        |n: &NodeId| region.is_none_or(|r| r[n.index()]) && view.rpo_index(*n) != usize::MAX;
+    let analysis = ElimAnalysis::get(prog, cache, run, mode);
+    let mut plans = run.rows.plan(
+        prog,
+        &run.edits,
+        &analysis,
+        prog.node_ids().filter(in_region),
+    );
     if pdce_trace::fault::flip(fault_site) {
-        inject_decision_bitflip(prog, &mut plans);
+        inject_decision_bitflip(prog, prog.node_ids().filter(in_region), &mut plans);
     }
     record_eliminations(prog, &plans, pass_name, detail);
-    let removed = apply_removals(prog, &plans);
+    let mut removed = 0u64;
+    for (n, doomed) in &plans {
+        removed += doomed.len() as u64;
+        run.edits
+            .rewrite(prog, *n, |old, out| keep_survivors(old, doomed, out));
+    }
     if removed > 0 {
         // Removals touch statement lists only; the CFG shape survives.
         cache.retain(prog, Preserves::Cfg);
@@ -90,49 +115,52 @@ pub(crate) enum ElimAnalysis {
 }
 
 impl ElimAnalysis {
-    /// `mode`'s analysis of `prog`, from `cache` when still valid.
-    pub(crate) fn get(prog: &Program, cache: &mut AnalysisCache, mode: Mode) -> ElimAnalysis {
+    /// `mode`'s analysis of `prog`, from `cache` when still valid; a
+    /// dead solve on a miss reads `run`'s kept gen/kill rows.
+    pub(crate) fn get(
+        prog: &Program,
+        cache: &mut AnalysisCache,
+        run: &mut Run,
+        mode: Mode,
+    ) -> ElimAnalysis {
         match mode {
-            Mode::Dead => {
-                ElimAnalysis::Dead(cache.analysis::<DeadSolution, _>(prog, DeadSolution::compute))
-            }
+            Mode::Dead => ElimAnalysis::Dead(cache.analysis::<DeadSolution, _>(prog, |p, v| {
+                let (gen, kill) = run.rows.dead(p, &run.edits);
+                DeadSolution::solve_rows(v, gen, kill)
+            })),
             Mode::Faint => ElimAnalysis::Faint(
                 cache.analysis::<FaintSolution, _>(prog, FaintSolution::compute),
             ),
         }
     }
 
-    /// Each of `blocks` with the indices of its assignments whose
-    /// left-hand side is dead (faint) immediately after them, ascending.
-    /// The walks' word operations are summed and recorded once, not once
-    /// per block.
-    pub(crate) fn plan(
-        &self,
-        prog: &Program,
-        blocks: impl Iterator<Item = NodeId>,
-    ) -> Vec<(NodeId, Vec<usize>)> {
-        let mut word_ops = 0;
-        let plans = blocks
-            .map(|n| {
-                let stmts = &prog.block(n).stmts;
-                let mut doomed = Vec::new();
-                let mut visit = |k: usize, after: Row<'_>| {
-                    if let Stmt::Assign { lhs, .. } = stmts[k] {
-                        if after.get(lhs.index()) {
-                            doomed.push(k);
-                        }
-                    }
-                };
-                word_ops += match self {
-                    ElimAnalysis::Dead(d) => d.walk_stmts_after(prog, n, &mut visit),
-                    ElimAnalysis::Faint(f) => f.walk_stmts_after(prog, n, &mut visit),
-                };
-                doomed.reverse(); // the walk runs last-to-first
-                (n, doomed)
-            })
-            .collect();
-        record_walks(word_ops);
-        plans
+    /// The row after block `n`'s terminator, where its walk starts.
+    pub(crate) fn at_exit(&self, n: NodeId) -> Row<'_> {
+        match self {
+            ElimAnalysis::Dead(d) => d.at_exit(n),
+            ElimAnalysis::Faint(f) => f.at_exit(n),
+        }
+    }
+
+    /// Appends the ascending indices of block `n`'s assignments whose
+    /// left-hand side is dead (faint) immediately after them to
+    /// `doomed`, returning the walk's word operations unrecorded.
+    pub(crate) fn doomed(&self, prog: &Program, n: NodeId, doomed: &mut Vec<usize>) -> u64 {
+        let stmts = &prog.block(n).stmts;
+        let from = doomed.len();
+        let mut visit = |k: usize, after: Row<'_>| {
+            if let Stmt::Assign { lhs, .. } = stmts[k] {
+                if after.get(lhs.index()) {
+                    doomed.push(k);
+                }
+            }
+        };
+        let word_ops = match self {
+            ElimAnalysis::Dead(d) => d.walk_stmts_after(prog, n, &mut visit),
+            ElimAnalysis::Faint(f) => f.walk_stmts_after(prog, n, &mut visit),
+        };
+        doomed[from..].reverse(); // the walk runs last-to-first
+        word_ops
     }
 }
 
@@ -209,10 +237,22 @@ pub fn eliminate_fixpoint_cached(
     mode: Mode,
     region: Option<&[bool]>,
 ) -> (u64, u64) {
+    eliminate_fixpoint_run(prog, cache, &mut Run::new(prog), mode, region)
+}
+
+/// [`eliminate_fixpoint_cached`] on a run's state (see
+/// [`eliminate_once_run`]).
+pub(crate) fn eliminate_fixpoint_run(
+    prog: &mut Program,
+    cache: &mut AnalysisCache,
+    run: &mut Run,
+    mode: Mode,
+    region: Option<&[bool]>,
+) -> (u64, u64) {
     let mut total = 0u64;
     let mut passes = 0u64;
     loop {
-        let removed = eliminate_once_cached(prog, cache, mode, region);
+        let removed = eliminate_once_run(prog, cache, run, mode, region);
         if removed == 0 {
             return (total, passes);
         }
@@ -229,18 +269,33 @@ pub fn eliminate_fixpoint_cached(
 }
 
 /// `FAULT_INJECT=bitflip:dead:n` / `bitflip:faint:n` support: flips one
-/// elimination decision bit by dooming the first assignment the
-/// analysis did *not* prove removable — a deliberate miscompile that
-/// per-round translation validation must catch and roll back.
-fn inject_decision_bitflip(prog: &Program, plans: &mut [(NodeId, Vec<usize>)]) {
-    for (n, doomed) in plans.iter_mut() {
-        let stmts = &prog.block(*n).stmts;
-        for (k, stmt) in stmts.iter().enumerate() {
-            if matches!(stmt, Stmt::Assign { .. }) && !doomed.contains(&k) {
-                doomed.push(k);
-                doomed.sort_unstable();
-                return;
+/// elimination decision bit by dooming the first assignment, over
+/// `blocks` in order, that the analysis did *not* prove removable — a
+/// deliberate miscompile that per-round translation validation must
+/// catch and roll back. `plans` lists the planned blocks in node order.
+fn inject_decision_bitflip(
+    prog: &Program,
+    blocks: impl Iterator<Item = NodeId>,
+    plans: &mut Vec<(NodeId, Vec<usize>)>,
+) {
+    for n in blocks {
+        let at = plans.partition_point(|&(m, _)| m < n);
+        let planned = plans.get(at).filter(|(m, _)| *m == n);
+        let doomed = planned.map_or(&[][..], |(_, d)| d.as_slice());
+        let spared = prog
+            .block(n)
+            .stmts
+            .iter()
+            .enumerate()
+            .position(|(k, stmt)| matches!(stmt, Stmt::Assign { .. }) && !doomed.contains(&k));
+        if let Some(k) = spared {
+            if planned.is_some() {
+                plans[at].1.push(k);
+                plans[at].1.sort_unstable();
+            } else {
+                plans.insert(at, (n, vec![k]));
             }
+            return;
         }
     }
 }
@@ -254,24 +309,29 @@ pub fn apply_removals(prog: &mut Program, plans: &[(NodeId, Vec<usize>)]) -> u64
         if doomed.is_empty() {
             continue;
         }
+        let mut keep = Vec::with_capacity(prog.block(*n).stmts.len() - doomed.len());
+        keep_survivors(&prog.block(*n).stmts, doomed, &mut keep);
+        removed += doomed.len() as u64;
         // `stmts_mut` (vs `block_mut`) logs a statement-level change, so
         // the analysis cache keeps its `CfgView` across the removal and
         // only relayouts the view's instruction arena (`CfgView::relayout`)
         // instead of rebuilding the graph.
-        let stmts = prog.stmts_mut(*n);
-        let mut keep = Vec::with_capacity(stmts.len() - doomed.len());
-        let mut d = doomed.iter().peekable();
-        for (k, stmt) in stmts.iter().enumerate() {
-            if d.peek() == Some(&&k) {
-                d.next();
-                removed += 1;
-            } else {
-                keep.push(*stmt);
-            }
-        }
-        *stmts = keep;
+        *prog.stmts_mut(*n) = keep;
     }
     removed
+}
+
+/// Appends the statements of `old` whose indices are not in the
+/// ascending list `doomed` to `out`.
+fn keep_survivors(old: &[Stmt], doomed: &[usize], out: &mut Vec<Stmt>) {
+    let mut d = doomed.iter().peekable();
+    for (k, stmt) in old.iter().enumerate() {
+        if d.peek() == Some(&&k) {
+            d.next();
+        } else {
+            out.push(*stmt);
+        }
+    }
 }
 
 #[cfg(test)]

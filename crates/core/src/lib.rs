@@ -51,6 +51,7 @@ pub mod faint;
 pub mod local;
 pub mod metrics;
 pub mod patterns;
+mod run;
 pub mod sink;
 pub mod tv;
 pub mod universe;

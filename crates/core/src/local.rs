@@ -15,7 +15,7 @@ use pdce_ir::{NodeId, Program};
 use crate::patterns::PatternTable;
 
 /// Per-block local information feeding Table 2.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LocalInfo {
     /// `LOCDELAYED_n(α)`, row per block: block `n` contains a sinking
     /// candidate of `α`.
@@ -42,39 +42,90 @@ impl LocalInfo {
     /// list is sized up front (at most one candidate per statement), so
     /// the whole computation allocates four buffers.
     pub fn compute(prog: &Program, table: &PatternTable) -> LocalInfo {
-        let nblocks = prog.num_blocks();
-        let width = table.len();
-        let mut locdelayed = BitMatrix::zeros(nblocks, width);
-        let mut locblocked = BitMatrix::zeros(nblocks, width);
-        let mut starts = Vec::with_capacity(nblocks + 1);
+        let mut info = LocalInfo::empty(prog.num_blocks(), table.len());
         let num_stmts = prog.node_ids().map(|n| prog.block(n).stmts.len()).sum();
-        let mut candidates = Vec::with_capacity(num_stmts);
+        info.rederive(
+            prog,
+            table,
+            None,
+            |_| true,
+            &mut Vec::with_capacity(num_stmts),
+        );
+        info
+    }
 
-        for n in prog.node_ids() {
-            let block = prog.block(n);
-            let i = n.index();
-            starts.push(candidates.len());
-            let mut blocked = locblocked.row_mut(i);
-            table.union_terminator_blocks(prog, &block.term, &mut blocked);
-            for (k, stmt) in block.stmts.iter().enumerate().rev() {
-                if let Some(p) = table.index_of_stmt(stmt) {
-                    if !blocked.get(p) {
-                        locdelayed.row_mut(i).set(p, true);
-                        candidates.push((k, p));
-                    }
-                }
-                table.union_stmt_blocks(prog, stmt, &mut blocked);
-            }
-            candidates[starts[i]..].reverse();
-        }
-        starts.push(candidates.len());
-
+    /// `nblocks` blocks with clear rows of `width` patterns and no
+    /// candidates.
+    pub(crate) fn empty(nblocks: usize, width: usize) -> LocalInfo {
         LocalInfo {
-            locdelayed,
-            locblocked,
-            starts,
-            candidates,
+            locdelayed: BitMatrix::zeros(nblocks, width),
+            locblocked: BitMatrix::zeros(nblocks, width),
+            starts: vec![0; nblocks + 1],
+            candidates: Vec::new(),
         }
+    }
+
+    /// Re-derives the rows and candidates of the blocks `stale` names
+    /// and keeps every other block's. Blocks outside `region` (when
+    /// given) are derived as [`LocalInfo::restrict_to`] leaves them. The
+    /// candidate list is rebuilt into `spare`, which then swaps with the
+    /// old list, so a caller that keeps `spare` allocates nothing once
+    /// both lists have grown to the program's size.
+    pub(crate) fn rederive(
+        &mut self,
+        prog: &Program,
+        table: &PatternTable,
+        region: Option<&[bool]>,
+        mut stale: impl FnMut(NodeId) -> bool,
+        spare: &mut Vec<(usize, usize)>,
+    ) {
+        spare.clear();
+        for n in prog.node_ids() {
+            let i = n.index();
+            let start = spare.len();
+            if stale(n) {
+                self.locdelayed.row_mut(i).fill(false);
+                self.locblocked.row_mut(i).fill(false);
+                if region.is_none_or(|r| r[i]) {
+                    self.scan_block(prog, table, n, spare);
+                } else {
+                    self.locblocked.row_mut(i).fill(true);
+                }
+            } else {
+                spare.extend_from_slice(&self.candidates[self.starts[i]..self.starts[i + 1]]);
+            }
+            // Block `i`'s old range was read above; later blocks still
+            // read their own.
+            self.starts[i] = start;
+        }
+        self.starts[prog.num_blocks()] = spare.len();
+        std::mem::swap(&mut self.candidates, spare);
+    }
+
+    /// The backward scan of block `n` (see [`LocalInfo::compute`]) into
+    /// its cleared rows, appending its candidates to `candidates`.
+    fn scan_block(
+        &mut self,
+        prog: &Program,
+        table: &PatternTable,
+        n: NodeId,
+        candidates: &mut Vec<(usize, usize)>,
+    ) {
+        let block = prog.block(n);
+        let i = n.index();
+        let from = candidates.len();
+        let mut blocked = self.locblocked.row_mut(i);
+        table.union_terminator_blocks(prog, &block.term, &mut blocked);
+        for (k, stmt) in block.stmts.iter().enumerate().rev() {
+            if let Some(p) = table.index_of_stmt(stmt) {
+                if !blocked.get(p) {
+                    self.locdelayed.row_mut(i).set(p, true);
+                    candidates.push((k, p));
+                }
+            }
+            table.union_stmt_blocks(prog, stmt, &mut blocked);
+        }
+        candidates[from..].reverse();
     }
 
     /// Sinking candidates of block `n` as `(stmt index, pattern index)`.

@@ -17,12 +17,13 @@
 use std::error::Error;
 use std::fmt;
 
-use pdce_dfa::{AnalysisCache, Preserves};
+use pdce_dfa::{AnalysisCache, Preserves, Row};
 use pdce_ir::{Program, Stmt, TermId, Var};
 
 use crate::delay::DelayInfo;
 use crate::local::LocalInfo;
 use crate::patterns::PatternTable;
+use crate::run::Run;
 
 /// Cached delayability solution together with the inputs it was derived
 /// under. The delay fixpoint depends on the pattern indexing and the
@@ -147,6 +148,20 @@ pub fn sink_with_table(
     table: &PatternTable,
     region: Option<&[bool]>,
 ) -> Result<SinkOutcome, CriticalEdgeError> {
+    sink_in_run(prog, cache, &mut Run::new(prog), table, region)
+}
+
+/// [`sink_with_table`] on a run's state: the local predicates come from
+/// the run's kept rows, a block is rewritten only if its new list
+/// differs (decided without building it), and every rewrite goes
+/// through the run's edit log.
+pub(crate) fn sink_in_run(
+    prog: &mut Program,
+    cache: &mut AnalysisCache,
+    run: &mut Run,
+    table: &PatternTable,
+    region: Option<&[bool]>,
+) -> Result<SinkOutcome, CriticalEdgeError> {
     let view = cache.cfg(prog);
     if !view.critical_edges().is_empty() {
         return Err(CriticalEdgeError);
@@ -161,15 +176,12 @@ pub fn sink_with_table(
     if table.is_empty() {
         return Ok(SinkOutcome::default());
     }
-    let mut local = LocalInfo::compute(prog, table);
-    if let Some(allowed) = region {
-        local.restrict_to(allowed);
-    }
+    let local = run.rows.local(prog, &run.edits, table, region);
     let region_key: Option<Vec<bool>> = region.map(<[bool]>::to_vec);
     let cached = cache.analysis::<CachedDelay, _>(prog, |p, v| CachedDelay {
         patterns: table.pairs().to_vec(),
         region: region_key.clone(),
-        info: DelayInfo::compute(p, v, table, &local),
+        info: DelayInfo::compute(p, v, table, local),
     });
     // A fresh cache hit may have been produced under a different region
     // mask (or pattern indexing); it must not be trusted blindly.
@@ -178,7 +190,7 @@ pub fn sink_with_table(
         if cached.patterns.as_slice() == table.pairs() && cached.region == region_key {
             &cached.info
         } else {
-            delay_direct = DelayInfo::compute(prog, &view, table, &local);
+            delay_direct = DelayInfo::compute(prog, &view, table, local);
             &delay_direct
         };
 
@@ -204,74 +216,65 @@ pub fn sink_with_table(
             prog.block(n).name
         );
 
-        let make = |p: usize| {
-            let (lhs, rhs) = table.pattern(p);
-            Stmt::Assign { lhs, rhs }
-        };
         let old = &prog.block(n).stmts;
         let inserted = entry_ins.count_ones() + exit_ins.count_ones();
-        let mut new_stmts = Vec::with_capacity(old.len() + inserted);
-        new_stmts.extend(entry_ins.iter_ones().map(make));
-        let mut doomed = candidates.iter().map(|&(k, _)| k).peekable();
-        for (k, stmt) in old.iter().enumerate() {
-            if doomed.peek() == Some(&k) {
-                doomed.next();
-            } else {
-                new_stmts.push(*stmt);
-            }
-        }
-        new_stmts.extend(exit_ins.iter_ones().map(make));
-        // Write back and count only when the list actually differs (a
+        // Rewrite and count only when the list actually differs (a
         // stable block re-derives its own statements: candidates removed
         // and re-inserted in place). Skipping the write keeps the
         // program revision — and therefore the cache — intact.
-        if new_stmts != *old {
-            outcome.removed += candidates.len() as u64;
-            outcome.inserted += inserted as u64;
-            if pdce_trace::enabled() {
-                // Provenance: candidates leave this block; instances
-                // re-materialize at the recorded insertion points (a
-                // stable block never reaches here, so no phantom moves
-                // are logged).
-                let rev = prog.revision();
-                let rnd = pdce_trace::round();
-                let prov = |action, stmt: &Stmt, detail| pdce_trace::ProvenanceRecord {
-                    action,
-                    pass: "sink",
-                    round: rnd,
-                    revision: rev,
-                    block: prog.block(n).name.clone(),
-                    stmt: pdce_ir::printer::print_stmt(prog, stmt),
-                    detail,
-                };
-                for &(k, _) in candidates {
-                    pdce_trace::provenance(prov(
-                        pdce_trace::ProvAction::Sunk,
-                        &old[k],
-                        "sinking candidate",
-                    ));
-                }
-                for p in entry_ins.iter_ones() {
-                    pdce_trace::provenance(prov(
-                        pdce_trace::ProvAction::Inserted,
-                        &make(p),
-                        "entry insertion",
-                    ));
-                }
-                for p in exit_ins.iter_ones() {
-                    pdce_trace::provenance(prov(
-                        pdce_trace::ProvAction::Inserted,
-                        &make(p),
-                        "exit insertion",
-                    ));
-                }
-            }
-            outcome.changed = true;
-            // `stmts_mut` logs a statement-level change, so the analysis
-            // cache keeps its `CfgView` and only relayouts the view's
-            // instruction arena (`CfgView::relayout`).
-            *prog.stmts_mut(n) = new_stmts;
+        if inserted == candidates.len()
+            && rewritten(old, candidates, entry_ins, exit_ins, table).eq(old.iter().copied())
+        {
+            continue;
         }
+        outcome.removed += candidates.len() as u64;
+        outcome.inserted += inserted as u64;
+        if pdce_trace::enabled() {
+            // Provenance: candidates leave this block; instances
+            // re-materialize at the recorded insertion points (a
+            // stable block never reaches here, so no phantom moves
+            // are logged).
+            let rev = prog.revision();
+            let rnd = pdce_trace::round();
+            let prov = |action, stmt: &Stmt, detail| pdce_trace::ProvenanceRecord {
+                action,
+                pass: "sink",
+                round: rnd,
+                revision: rev,
+                block: prog.block(n).name.clone(),
+                stmt: pdce_ir::printer::print_stmt(prog, stmt),
+                detail,
+            };
+            for &(k, _) in candidates {
+                pdce_trace::provenance(prov(
+                    pdce_trace::ProvAction::Sunk,
+                    &old[k],
+                    "sinking candidate",
+                ));
+            }
+            for p in entry_ins.iter_ones() {
+                pdce_trace::provenance(prov(
+                    pdce_trace::ProvAction::Inserted,
+                    &pattern_stmt(table, p),
+                    "entry insertion",
+                ));
+            }
+            for p in exit_ins.iter_ones() {
+                pdce_trace::provenance(prov(
+                    pdce_trace::ProvAction::Inserted,
+                    &pattern_stmt(table, p),
+                    "exit insertion",
+                ));
+            }
+        }
+        outcome.changed = true;
+        // The edit log writes through `stmts_mut`, which logs a
+        // statement-level change, so the analysis cache keeps its
+        // `CfgView` and only relayouts the view's instruction arena
+        // (`CfgView::relayout`).
+        run.edits.rewrite(prog, n, |old, out| {
+            out.extend(rewritten(old, candidates, entry_ins, exit_ins, table));
+        });
     }
     if outcome.changed {
         // Sinking moves statements between existing blocks; the CFG
@@ -287,6 +290,39 @@ pub fn sink_with_table(
         Vec::new()
     });
     Ok(outcome)
+}
+
+/// An instance of pattern `p`.
+fn pattern_stmt(table: &PatternTable, p: usize) -> Stmt {
+    let (lhs, rhs) = table.pattern(p);
+    Stmt::Assign { lhs, rhs }
+}
+
+/// A block's statement list after one `ask` pass: the `entry_ins`
+/// instances, then `old` without its `candidates`, then the `exit_ins`
+/// instances, each insertion group in pattern-index order.
+fn rewritten<'a>(
+    old: &'a [Stmt],
+    candidates: &'a [(usize, usize)],
+    entry_ins: Row<'a>,
+    exit_ins: Row<'a>,
+    table: &'a PatternTable,
+) -> impl Iterator<Item = Stmt> + 'a {
+    let mut doomed = candidates.iter().map(|&(k, _)| k).peekable();
+    let kept = old.iter().enumerate().filter_map(move |(k, stmt)| {
+        if doomed.peek() == Some(&k) {
+            doomed.next();
+            None
+        } else {
+            Some(*stmt)
+        }
+    });
+    let make = move |p| pattern_stmt(table, p);
+    entry_ins
+        .iter_ones()
+        .map(make)
+        .chain(kept)
+        .chain(exit_ins.iter_ones().map(make))
 }
 
 /// Whether a further `ask` pass would leave the program invariant

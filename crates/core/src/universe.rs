@@ -35,6 +35,7 @@ use crate::better::{is_better, BetterOptions};
 use crate::elim::{ElimAnalysis, Mode};
 use crate::local::LocalInfo;
 use crate::patterns::PatternTable;
+use crate::run::Run;
 use pdce_dfa::AnalysisCache;
 
 /// Options bounding the exploration.
@@ -117,8 +118,9 @@ fn single_eliminations(
     mode: Mode,
     out: &mut Vec<Program>,
 ) {
-    let analysis = ElimAnalysis::get(prog, cache, mode);
-    for (n, doomed) in analysis.plan(prog, prog.node_ids()) {
+    let mut run = Run::new(prog);
+    let analysis = ElimAnalysis::get(prog, cache, &mut run, mode);
+    for (n, doomed) in run.rows.plan(prog, &run.edits, &analysis, prog.node_ids()) {
         for k in doomed {
             let mut next = prog.clone();
             next.block_mut(n).stmts.remove(k);

@@ -7,12 +7,19 @@
 //! restricts attention to programs preprocessed this way, and the driver
 //! in `pdce-core` calls [`split_critical_edges`] before optimizing.
 
+use std::collections::BTreeSet;
+
 use crate::cfg::CfgView;
-use crate::program::{NodeId, Program};
+use crate::program::{split_name, NodeId, Program};
 
 /// Splits every critical edge of `prog` by inserting a synthetic block,
 /// returning the new blocks (named `S_<from>_<to>` after the paper's
-/// `S_{m,n}` notation).
+/// `S_{m,n}` notation, suffixed with `_` until the name is free).
+///
+/// Only a name that starts with `S_` can collide with a generated one,
+/// so the names are probed against one set of the program's `S_` names,
+/// built once per call and grown with each new block, instead of a scan
+/// over every block per split.
 ///
 /// Idempotent: a second call returns an empty vector.
 pub fn split_critical_edges(prog: &mut Program) -> Vec<NodeId> {
@@ -21,10 +28,24 @@ pub fn split_critical_edges(prog: &mut Program) -> Vec<NodeId> {
     // parallel edges (e.g. `nondet x x`) collapse to one entry, and a
     // single synthetic node serves all of them (retargeting rewrites
     // every matching successor).
-    let critical = view.critical_edges().to_vec();
+    let critical = view.critical_edges();
     let mut inserted = Vec::with_capacity(critical.len());
-    for (from, to) in critical {
-        inserted.push(prog.split_edge(from, to));
+    if critical.is_empty() {
+        return inserted;
+    }
+    let mut taken: BTreeSet<String> = prog
+        .node_ids()
+        .map(|n| &prog.block(n).name)
+        .filter(|name| name.starts_with("S_"))
+        .cloned()
+        .collect();
+    for &(from, to) in critical {
+        let mut name = split_name(&prog.block(from).name, &prog.block(to).name);
+        while taken.contains(&name) {
+            name.push('_');
+        }
+        taken.insert(name.clone());
+        inserted.push(prog.split_edge_named(from, to, name));
     }
     inserted
 }
@@ -122,5 +143,35 @@ mod tests {
         let l = p.block_by_name("l").unwrap();
         assert_eq!(p.successors(inserted[0]), vec![l]);
         assert_eq!(validate(&p), Ok(()));
+    }
+
+    /// A generated name that a user block already holds takes `_`
+    /// suffixes until it is free, exactly as the per-split scan of
+    /// [`Program::split_edge`] names it.
+    #[test]
+    fn split_names_skip_user_blocks_named_like_splits() {
+        let src = "prog {
+               block s     { goto a }
+               block a     { nondet b S_a_b }
+               block S_a_b { goto S_a_b_ }
+               block S_a_b_ { nondet b e }
+               block b     { nondet a e }
+               block e     { halt }
+             }";
+        let mut p = parse(src).unwrap();
+        let inserted = split_critical_edges(&mut p);
+        let names: Vec<&str> = inserted.iter().map(|&n| p.block(n).name.as_str()).collect();
+        assert!(names.contains(&"S_a_b__"), "{names:?}");
+        assert_eq!(validate(&p), Ok(()));
+
+        let mut scanned = parse(src).unwrap();
+        let critical = CfgView::new(&scanned).critical_edges().to_vec();
+        for (from, to) in critical {
+            scanned.split_edge(from, to);
+        }
+        assert_eq!(
+            crate::printer::print_program(&p),
+            crate::printer::print_program(&scanned)
+        );
     }
 }

@@ -480,22 +480,32 @@ impl Program {
     /// Inserts a synthetic block on the edge `(from, to)` and returns it.
     ///
     /// The new block is named `S_<from>_<to>` (after the paper's
-    /// `S_{m,n}` notation), contains no statements, jumps to `to`, and
-    /// `from`'s terminator is retargeted. Used by critical-edge splitting.
+    /// `S_{m,n}` notation), suffixed with `_` until no block has the
+    /// name, contains no statements, jumps to `to`, and `from`'s
+    /// terminator is retargeted. Used by critical-edge splitting, which
+    /// probes the names of a whole batch of splits against one set (see
+    /// [`split_critical_edges`](crate::edgesplit::split_critical_edges)).
     ///
     /// # Panics
     ///
     /// Panics if `(from, to)` is not an edge of the graph.
     pub fn split_edge(&mut self, from: NodeId, to: NodeId) -> NodeId {
-        assert!(
-            self.successors(from).contains(&to),
-            "({from}, {to}) is not an edge"
-        );
-        let mut name = format!("S_{}_{}", self.block(from).name, self.block(to).name);
+        let mut name = split_name(&self.block(from).name, &self.block(to).name);
         // Guard against pathological user-chosen names colliding.
         while self.block_by_name(&name).is_some() {
             name.push('_');
         }
+        self.split_edge_named(from, to, name)
+    }
+
+    /// [`Program::split_edge`] under a name the caller has already
+    /// checked is free.
+    pub(crate) fn split_edge_named(&mut self, from: NodeId, to: NodeId, name: String) -> NodeId {
+        let mut is_edge = false;
+        self.block(from)
+            .term
+            .for_each_successor(|m| is_edge |= m == to);
+        assert!(is_edge, "({from}, {to}) is not an edge");
         let mut block = Block::new(name, Terminator::Goto(to));
         block.split_of = Some((from, to));
         let id = NodeId(u32::try_from(self.blocks.len()).expect("too many blocks"));
@@ -504,6 +514,32 @@ impl Program {
         self.blocks.push(block);
         self.block_mut(from).term.retarget(to, id);
         id
+    }
+
+    /// Undoes the splits that added blocks `keep..`: each edge such a
+    /// block was inserted into points at its original target again, and
+    /// the blocks are dropped. The inverse of the [`Program::split_edge`]
+    /// calls since the program had `keep` blocks, whatever was done to
+    /// the other blocks' statement lists in between.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a block from `keep` on is not a split block.
+    pub fn unsplit_edges(&mut self, keep: usize) {
+        if keep >= self.blocks.len() {
+            return;
+        }
+        self.revision += 1;
+        self.record(Change::Structural);
+        for i in (keep..self.blocks.len()).rev() {
+            let (from, to) = self.blocks[i]
+                .split_of
+                .unwrap_or_else(|| panic!("block {} is not a split block", self.blocks[i].name));
+            self.blocks[from.index()]
+                .term
+                .retarget(NodeId::from_index(i), to);
+        }
+        self.blocks.truncate(keep);
     }
 
     /// The size `max(#stmts over blocks)` useful for growth statistics.
@@ -528,6 +564,12 @@ impl Default for Program {
     fn default() -> Program {
         Program::new()
     }
+}
+
+/// The paper's `S_{m,n}` name of the block splitting edge `(m, n)`,
+/// before any collision suffix.
+pub(crate) fn split_name(from: &str, to: &str) -> String {
+    format!("S_{from}_{to}")
 }
 
 #[cfg(test)]
@@ -673,5 +715,27 @@ mod tests {
         let rev = p.revision();
         p.split_edge(entry, exit);
         assert!(p.changes_since(rev).expect("logged").structural());
+    }
+
+    #[test]
+    fn unsplit_edges_inverts_split_edge() {
+        let mut p = Program::new();
+        let (entry, exit) = (p.entry(), p.exit());
+        let b = p
+            .add_block(Block::new("b", Terminator::Goto(exit)))
+            .unwrap();
+        p.block_mut(entry).term = Terminator::Nondet(vec![b, exit, b]);
+        let before = p.clone();
+        let keep = p.num_blocks();
+        let s1 = p.split_edge(entry, b);
+        p.split_edge(entry, exit);
+        p.stmts_mut(s1).push(Stmt::Skip);
+        p.unsplit_edges(keep);
+        assert_eq!(p.num_blocks(), keep);
+        for n in p.node_ids() {
+            assert_eq!(p.block(n), before.block(n));
+        }
+        p.unsplit_edges(keep);
+        assert_eq!(p.num_blocks(), keep);
     }
 }

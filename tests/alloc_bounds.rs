@@ -1,4 +1,5 @@
-//! Allocation bounds of the bit-vector solves and the text layer.
+//! Allocation bounds of the bit-vector solves, the resilient driver and
+//! the text layer.
 //!
 //! The dead and faint solves, sinking's local predicates and the delay
 //! solve store every per-block vector in row-strided matrices, so each
@@ -13,7 +14,10 @@
 //! test --features alloc-metrics`.
 #![cfg(feature = "alloc-metrics")]
 
-use pdce::core::{DeadSolution, DelayInfo, FaintSolution, LocalInfo, PatternTable};
+use pdce::core::{
+    optimize, optimize_resilient, DeadSolution, DelayInfo, FaintSolution, LocalInfo, PatternTable,
+    PdceConfig,
+};
 use pdce::ir::parser::parse;
 use pdce::ir::printer::print_program;
 use pdce::ir::{CfgView, Program};
@@ -105,6 +109,44 @@ fn solve_allocations_do_not_grow_with_the_block_count() {
         at_small,
         at_large,
         "[dead, faint, local, delay] allocations at {} vs {} blocks",
+        small.num_blocks(),
+        large.num_blocks()
+    );
+}
+
+/// `optimize_resilient` runs each rung in place and undoes a failed one
+/// through its edit log instead of optimizing a copy of the program. On
+/// an already-stable program nothing is edited and nothing fails, so a
+/// run allocates the same count at 50 and at 400 blocks — apart from its
+/// one pattern table and its two CFG views (edge splitting's and the
+/// analysis cache's), whose sort and DFS buffers grow by doubling with
+/// the pattern count and the graph depth. A copy of the program would
+/// add two allocations per block (its name and its statement list).
+#[test]
+fn resilient_runs_on_stable_programs_allocate_independently_of_block_count() {
+    let _serial = serial();
+    let stable = |blocks| {
+        let mut p = program(blocks);
+        optimize(&mut p, &PdceConfig::pde()).unwrap();
+        p
+    };
+    let (mut small, mut large) = (stable(50), stable(400));
+    assert!(large.num_blocks() >= 6 * small.num_blocks());
+    let mut beyond_table_and_views = |p: &mut Program| {
+        let resilient = allocs(|| {
+            let stats = optimize_resilient(p, &PdceConfig::pde());
+            assert_eq!((stats.rounds, stats.degraded), (1, None));
+        });
+        resilient - allocs(|| PatternTable::build(p)) - 2 * allocs(|| CfgView::new(p))
+    };
+    // Warm-up, as above.
+    beyond_table_and_views(&mut small);
+    let at_small = beyond_table_and_views(&mut small);
+    let at_large = beyond_table_and_views(&mut large);
+    assert_eq!(
+        at_small,
+        at_large,
+        "optimize_resilient allocations beyond its table and views at {} vs {} blocks",
         small.num_blocks(),
         large.num_blocks()
     );

@@ -16,7 +16,10 @@
 //! * a batch run over the corpus under injection still exits 0 and
 //!   prints valid output for every file;
 //! * a degraded run's `--stats` counts the solver and cache work of
-//!   every attempt, failed ones included.
+//!   every attempt, failed ones included;
+//! * a failed rung is undone to the input before the next rung begins,
+//!   at every site and occurrence that can fail it (in process, over
+//!   the corpus).
 
 use std::io::Write;
 use std::process::{Command, Stdio};
@@ -115,12 +118,12 @@ fn degraded_runs_count_every_attempts_work() {
     let (_, clean, code) = pdce_with_fault(None, &["opt", "--stats"], &gcd);
     assert_eq!(code, 0, "stderr: {clean}");
     assert!(
-        clean.contains("solver:      6 problem(s), 56 evaluation(s), 341 word op(s)"),
+        clean.contains("solver:      6 problem(s), 56 evaluation(s), 306 word op(s)"),
         "stderr: {clean}"
     );
     let (_, dce, _) = pdce_with_fault(None, &["opt", "--mode", "dce", "--stats"], &gcd);
     assert!(
-        dce.contains("solver:      3 problem(s), 27 evaluation(s), 222 word op(s)"),
+        dce.contains("solver:      3 problem(s), 27 evaluation(s), 177 word op(s)"),
         "stderr: {dce}"
     );
     let (_, degraded, code) = pdce_with_fault(Some("panic:sink:1"), &["opt", "--stats"], &gcd);
@@ -129,7 +132,7 @@ fn degraded_runs_count_every_attempts_work() {
         "rounds:      2",
         "eliminated:  2",
         "cache:       12 rebuild(s) avoided, 8 rebuild(s) paid",
-        "solver:      6 problem(s), 54 evaluation(s), 417 word op(s)",
+        "solver:      6 problem(s), 54 evaluation(s), 346 word op(s)",
         "degraded:    elimination-only",
     ] {
         assert!(degraded.contains(line), "missing {line:?} in: {degraded}");
@@ -293,4 +296,92 @@ fn batch_over_corpus_survives_injection() {
         1,
         "stderr: {stderr}"
     );
+}
+
+/// Every site that can fail a rung — the elimination step, sinking, and
+/// every solve, by panic and by budget exhaustion — at every occurrence
+/// in the configured run of every corpus program, pde and pfe. Rungs
+/// run in place, and a failed one is undone through its edit log, so:
+///
+/// * with the one fault, the elimination-only rung answers exactly what
+///   it answers on the input;
+/// * with a second fault that fails the next rung at its first step,
+///   before it edits anything, the identity rung answers the program
+///   that undo left, and it prints byte-identical to the input (no
+///   statement list changed, no split block left behind).
+#[test]
+fn failed_rungs_are_undone_to_the_input() {
+    use pdce::core::{optimize, optimize_resilient, DegradedMode, Mode, PdceConfig};
+    use pdce::ir::printer::print_program;
+    use pdce::trace::fault::with_faults;
+
+    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/corpus");
+    let mut files: Vec<_> = std::fs::read_dir(dir)
+        .expect("corpus directory exists")
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.extension().is_some_and(|x| x == "pdce"))
+        .collect();
+    files.sort();
+    assert!(files.len() >= 6, "corpus shrank unexpectedly");
+    let mut scenarios = 0;
+    for path in &files {
+        let input = pdce::ir::parser::parse(&std::fs::read_to_string(path).unwrap()).unwrap();
+        let printed = print_program(&input);
+        for config in [PdceConfig::pde(), PdceConfig::pfe()] {
+            let step = match config.mode {
+                Mode::Dead => "dce",
+                Mode::Faint => "fce",
+            };
+            let clean = optimize_resilient(&mut input.clone(), &config);
+            assert_eq!(clean.degraded, None, "{}", path.display());
+            let mut eliminated = input.clone();
+            let eliminated_stats = optimize(
+                &mut eliminated,
+                &PdceConfig {
+                    sinking: false,
+                    ..config.clone()
+                },
+            )
+            .unwrap();
+            let eliminated = print_program(&eliminated);
+            // (site, its occurrences in the configured run, the site
+            // whose next occurrence is the next rung's first step). The
+            // elimination step and sinking fire once per round; a solve
+            // fires once per problem, and the next rung solves before
+            // it edits.
+            let sites = [
+                (step, clean.rounds, step),
+                ("sink", clean.rounds, step),
+                ("solve", clean.solver.problems, "solve"),
+            ];
+            for (site, occurrences, next) in sites {
+                for kind in ["panic", "budget"] {
+                    for nth in 1..=occurrences {
+                        let what = format!("{} {kind}:{site}:{nth}", path.display());
+                        let fault = format!("{kind}:{site}:{nth}");
+                        let mut p = input.clone();
+                        let stats = with_faults(&fault, || optimize_resilient(&mut p, &config));
+                        assert_eq!(
+                            stats.degraded,
+                            Some(DegradedMode::EliminationOnly),
+                            "{what}"
+                        );
+                        assert_eq!(stats.rounds, eliminated_stats.rounds, "{what}");
+                        assert_eq!(print_program(&p), eliminated, "{what}");
+
+                        // First, so that it counts the hit the other one
+                        // fires at (a site stops at the first directive
+                        // that fires).
+                        let both = format!("panic:{next}:{},{fault}", nth + 1);
+                        let mut p = input.clone();
+                        let stats = with_faults(&both, || optimize_resilient(&mut p, &config));
+                        assert_eq!(stats.degraded, Some(DegradedMode::Identity), "{what}");
+                        assert_eq!(print_program(&p), printed, "{what}");
+                        scenarios += 1;
+                    }
+                }
+            }
+        }
+    }
+    assert!(scenarios > 100, "{scenarios} scenarios");
 }
